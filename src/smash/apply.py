@@ -210,10 +210,11 @@ def _reduce_node(i, D, U, V, dtype):
     t = min(e, m_c) if e > 0 else 0
     if t == 0:
         return rec, D, U, V
-    Q, _ = sla.qr(U, mode="full")
+    # numpy, not scipy, QR: mixing two OpenBLAS copies with the @ below leaves threads spinning
+    Q, _ = np.linalg.qr(U, mode="complete")
     Dp = Q.conj().T @ D
     Bbot = Dp[m_r - t:]
-    Qz, Rt = sla.qr(Bbot.conj().T, mode="full")
+    Qz, Rt = np.linalg.qr(Bbot.conj().T, mode="complete")
     Ltri = Rt[:t].conj().T
     dmin = np.min(np.abs(np.diag(Ltri))) if t else np.inf
     if dmin <= _PIVOT_RTOL * max(np.linalg.norm(Bbot, np.inf), 1e-300):
@@ -251,8 +252,9 @@ def ulv_factor(M) -> UlvFactorization:
         nd = tr.nodes[i]
         if nd.is_leaf:
             D = np.asarray(M.NF(i, i), dtype=dtype)
-            U = np.asarray(M.U(i), dtype=dtype)
-            V = np.asarray(M.V(i), dtype=dtype)
+            if i != tr.root:  # a single-leaf tree has no bases at all
+                U = np.asarray(M.U(i), dtype=dtype)
+                V = np.asarray(M.V(i), dtype=dtype)
         else:
             c1, c2 = nd.children
             r1, r2 = red.pop(c1), red.pop(c2)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,6 +44,21 @@ class PointSet:
     @property
     def dim(self) -> int:
         return self.coords.shape[1]
+
+    @cached_property
+    def scalars(self) -> np.ndarray:
+        """The points as real (d = 1) or complex (d = 2) scalars, computed
+        once per set; coords must not be reassigned afterwards."""
+        return _to_scalars(self.coords)
+
+
+def _to_scalars(coords: np.ndarray) -> np.ndarray:
+    coords = np.atleast_2d(coords)
+    if coords.shape[1] == 1:
+        return coords[:, 0].copy()
+    if coords.shape[1] == 2:
+        return coords[:, 0] + 1j * coords[:, 1]
+    raise ValueError("Cauchy kernels need points in R^1 or R^2")
 
 
 @dataclass(frozen=True)

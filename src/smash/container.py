@@ -23,6 +23,9 @@ _MAGIC = b"SMASH-BIN-1\n"
 
 _DT = {"f8": "<f8", "c16": "<c16", "i8": "<i8"}
 
+_HEADER_KEYS = ("kind", "dtype", "use_cache", "params", "tree", "kernel",
+                "pairs_L", "pairs_Lm", "arrays")
+
 
 def _tag(arr: np.ndarray) -> str:
     if arr.dtype.kind == "c":
@@ -144,6 +147,12 @@ def load_matrix(path):
     raw = raw[len(_MAGIC):]
     cut = raw.index(b"\0")
     header = json.loads(raw[:cut].decode())
+    if not isinstance(header, dict):
+        raise ValueError("damaged container header in %s" % path)
+    for key in _HEADER_KEYS:
+        if key not in header:
+            raise ValueError("damaged container header: no %r entry in %s"
+                             % (key, path))
     arrays = _read_arrays(raw[cut + 1:], header["arrays"])
 
     th = header["tree"]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import Box, ClusterTree, leaf_sets, nearfield_set
-from .kernel import KernelSpec, kernel_block, _to_scalars
+from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
+from .kernel import KernelSpec, kernel_block
 from .lowrank import (InterpolativeFactor, compr, interp_basis, taylor_basis,
                       truncated_svd)
 

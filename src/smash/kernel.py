@@ -255,15 +255,6 @@ class KernelSpec:
         return self._dlp_data()["t"]
 
 
-def _to_scalars(coords: np.ndarray) -> np.ndarray:
-    coords = np.atleast_2d(coords)
-    if coords.shape[1] == 1:
-        return coords[:, 0].copy()
-    if coords.shape[1] == 2:
-        return coords[:, 0] + 1j * coords[:, 1]
-    raise ValueError("Cauchy kernels need points in R^1 or R^2")
-
-
 def _dlp_offdiag(rs, rt, nu_w_t):
     """kappa(s,t) for distinct nodes: rs (m,2) row points, rt (k,2) column
     points, nu_w_t the outward normal at t scaled by |r'(t)|."""
@@ -284,8 +275,8 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if spec.kind in ("cauchy", "cauchy_like"):
-        zx = _to_scalars(X.coords)[rows]
-        zy = _to_scalars(Y.coords)[cols]
+        zx = X.scalars[rows]
+        zy = Y.scalars[cols]
         diff = zx[:, None] - zy[None, :]
         hit = diff == 0
         with np.errstate(divide="ignore", invalid="ignore"):

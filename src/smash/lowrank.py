@@ -259,18 +259,25 @@ def compr(C: np.ndarray, ibar: np.ndarray, s: float = 2.0, rank: int = None,
 class TruncatedSvd:
     S: np.ndarray        # kept left singular vectors
     sigma: np.ndarray
-    Vt: np.ndarray
 
 
 def truncated_svd(M: np.ndarray, eps: float) -> TruncatedSvd:
-    """SVD truncation keeping singular values >= eps times the largest."""
+    """SVD truncation keeping singular values >= eps times the largest.
+
+    A wide M = R^H Q^H (from the QR of M^H) shares its left singular vectors
+    and singular values with the square R^H, so only R is formed and the SVD
+    runs on m x m instead of m x n (Chan's R-SVD).
+    """
     M = np.asarray(M)
-    if min(M.shape) == 0:
-        return TruncatedSvd(np.zeros((M.shape[0], 0), dtype=M.dtype),
-                            np.zeros(0), np.zeros((0, M.shape[1]), dtype=M.dtype))
-    U, sig, Vt = sla.svd(M, full_matrices=False)
+    m, n = M.shape
+    if min(m, n) == 0:
+        return TruncatedSvd(np.zeros((m, 0), dtype=M.dtype), np.zeros(0))
+    # scipy's LAPACK, like compr's pivoted QR: alternating with numpy's own
+    # OpenBLAS copy during a build leaves one library's threads spinning
+    core = sla.qr(M.conj().T, mode="r")[0].conj().T if m < n else M
+    U, sig, _ = sla.svd(core, full_matrices=False)
     if sig[0] == 0:
         keep = 0
     else:
         keep = int(np.count_nonzero(sig >= eps * sig[0]))
-    return TruncatedSvd(U[:, :keep], sig[:keep], Vt[:keep])
+    return TruncatedSvd(U[:, :keep], sig[:keep])

@@ -188,6 +188,26 @@ def test_singular_block_reported_with_node_id(cauchy_hss_400):
         smash.ulv_factor(Z)
 
 
+def test_single_leaf_tree_solves_with_dense_lu():
+    M, spec, X, Y = build_interval_hss(30, nu0=50)
+    assert M.tree.is_leaf(M.tree.root)
+    b = np.random.default_rng(12).random(30)
+    x = smash.ulv_solve(smash.ulv_factor(M), b)
+    A = dense_oracle(spec, X, Y)
+    assert np.linalg.norm(A @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_single_leaf_reported_with_node_id():
+    X, Y = interval_pair(30)
+    tree = smash.build_tree(X, Y, nu0=50)
+    L, Lm = smash.leaf_sets(tree, structure="hss")
+    Z = HssMatrix(tree, smash.BuildParams(),
+                  lambda r, c: np.zeros((r.size, c.size)), L, Lm, np.float64)
+    with pytest.raises(np.linalg.LinAlgError, match="node 0"):
+        smash.ulv_factor(Z)
+
+
 def test_factorization_rejects_h2_input(grid_h2_400):
     M, _, _ = grid_h2_400
     with pytest.raises(ValueError):

@@ -98,6 +98,27 @@ def test_solve_with_rhs_file(tmp_path, capsys):
     assert read_vector(xfile).shape == (200,)
 
 
+def test_solve_on_single_leaf_tree(capsys):
+    # n = 30 is below the leaf cap, so the root is the only node
+    assert main(["solve", "--n", "30", "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["residual"] < 1e-9
+
+
+def test_damaged_container_header_exits_with_input_code(tmp_path, capsys):
+    target = tmp_path / "m.smh"
+    assert main(["build", "--n", "200", "--out", str(target)]) == 0
+    raw = target.read_bytes()
+    cut = raw.index(b"\0")
+    head = raw.index(b"\n") + 1
+    header = json.loads(raw[head:cut])
+    del header["tree"]
+    target.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(target)]) == 2
+    assert "tree" in capsys.readouterr().err
+
+
 def test_solve_refuses_h2_structure(capsys):
     assert main(["solve", "--structure", "h2", "--n", "100"]) == 2
     assert "hss" in capsys.readouterr().err

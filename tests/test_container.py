@@ -1,6 +1,8 @@
 """On-disk matrix container: round trips for kernel-backed and dense-form
 matrices, and the guard for matrices saved without their kernel."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,20 @@ def test_non_container_file_rejected(tmp_path):
     path = tmp_path / "junk.smash"
     path.write_bytes(b"definitely not a matrix")
     with pytest.raises(ValueError, match="container"):
+        smash.load_matrix(path)
+
+
+@pytest.mark.parametrize("key", ["tree", "arrays", "kind", "params"])
+def test_header_without_entry_rejected_by_name(tmp_path, key):
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    raw = path.read_bytes()
+    head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
+    header = json.loads(raw[head:cut])
+    del header[key]
+    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    with pytest.raises(ValueError, match=repr(key)):
         smash.load_matrix(path)
 
 

@@ -167,6 +167,36 @@ def test_kernel_block_subsets_match_full_matrix():
                                   A[np.ix_(rows, cols)])
 
 
+def test_point_scalars_computed_once_per_set(monkeypatch):
+    import smash.cluster
+    calls = []
+    real = smash.cluster._to_scalars
+
+    def counting(coords):
+        calls.append(coords.shape)
+        return real(coords)
+
+    monkeypatch.setattr(smash.cluster, "_to_scalars", counting)
+    rng = np.random.default_rng(9)
+    x = rng.random((40, 2))
+    y = np.vstack([x[:10], rng.random((30, 2))])  # ten coincident points
+    X, Y = smash.PointSet(x), smash.PointSet(y, role="col")
+    spec = smash.KernelSpec("cauchy", dx=2.5)
+    zx = x[:, 0] + 1j * x[:, 1]
+    zy = y[:, 0] + 1j * y[:, 1]
+    coincident = 0
+    for _ in range(25):
+        rows = rng.choice(40, size=17, replace=False)
+        cols = rng.choice(40, size=17, replace=False)
+        diff = zx[rows][:, None] - zy[cols][None, :]
+        coincident += np.count_nonzero(diff == 0)
+        expected = np.where(diff == 0, 2.5, 1.0 / np.where(diff == 0, 1, diff))
+        np.testing.assert_array_equal(kernel_block(spec, X, Y, rows, cols),
+                                      expected)
+    assert coincident > 0
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # Nystrom system and potential evaluation
 # ---------------------------------------------------------------------------

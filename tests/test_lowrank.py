@@ -247,11 +247,16 @@ def test_mismatched_labels_rejected():
 # truncated SVD
 # ---------------------------------------------------------------------------
 
+def _projected(t, M):
+    """S S^H M: the part of M that the kept left singular vectors span."""
+    return t.S @ (t.S.conj().T @ M)
+
+
 def test_zero_threshold_keeps_everything():
     rng = np.random.default_rng(6)
     M = rng.standard_normal((12, 7))
     t = truncated_svd(M, 0.0)
-    np.testing.assert_allclose(t.S * t.sigma @ t.Vt, M, atol=1e-12)
+    np.testing.assert_allclose(_projected(t, M), M, atol=1e-12)
 
 
 def test_tiny_singular_value_dropped():
@@ -264,10 +269,51 @@ def test_relative_residual_matches_threshold():
     rng = np.random.default_rng(8)
     M = rng.standard_normal((30, 30))
     t = truncated_svd(M, 1e-3)
-    resid = np.linalg.norm(M - (t.S * t.sigma) @ t.Vt, 2)
+    resid = np.linalg.norm(M - _projected(t, M), 2)
     assert resid <= 1e-3 * np.linalg.norm(M, 2)
 
 
 def test_empty_input_gives_empty_factors():
-    t = truncated_svd(np.empty((0, 3)), 1e-3)
-    assert t.S.shape == (0, 0) and t.Vt.shape == (0, 3)
+    M = np.empty((0, 3))
+    t = truncated_svd(M, 1e-3)
+    assert t.S.shape == (0, 0) and t.sigma.shape == (0,)
+    assert _projected(t, M).shape == (0, 3)
+
+
+def _graded(m, n, rank, complex_=False, seed=0):
+    """m x n matrix with singular values 10^0 .. 10^-15 (then zeros past
+    rank), none within half a decade of the 1e-10 cut below."""
+    rng = np.random.default_rng(seed)
+
+    def orth(k):
+        A = rng.standard_normal((k, rank))
+        if complex_:
+            A = A + 1j * rng.standard_normal((k, rank))
+        return np.linalg.qr(A)[0]
+
+    sig = np.concatenate([np.logspace(0, -9.5, rank // 2),
+                          np.logspace(-10.5, -15, rank - rank // 2)])
+    return (orth(m) * sig) @ orth(n).conj().T
+
+
+@pytest.mark.parametrize("m, n, rank, complex_", [
+    (40, 300, 40, False),    # wide: the R-factor route
+    (300, 40, 40, False),    # tall
+    (60, 60, 60, False),     # square
+    (40, 300, 40, True),     # complex128, wide
+    (50, 200, 23, False),    # rank-deficient, wide
+], ids=["wide", "tall", "square", "complex", "rank-deficient"])
+def test_truncated_svd_matches_full_svd(m, n, rank, complex_):
+    eps = 1e-10
+    M = _graded(m, n, rank, complex_)
+    ref = np.linalg.svd(M, compute_uv=False)
+    t = truncated_svd(M, eps)
+    keep = int(np.count_nonzero(ref >= eps * ref[0]))
+    assert t.sigma.size == t.S.shape[1] == keep
+    # agreement relative to the norm: that is what the cut compares against
+    np.testing.assert_allclose(t.sigma, ref[:keep], rtol=0,
+                               atol=1e-13 * ref[0])
+    assert t.S.dtype == M.dtype
+    np.testing.assert_allclose(t.S.conj().T @ t.S, np.eye(keep), atol=1e-13)
+    norm = np.linalg.norm(M, 2)
+    assert np.linalg.norm(M - _projected(t, M), 2) <= eps * norm
