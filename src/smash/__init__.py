@@ -9,9 +9,8 @@ a ULV-style direct solver, and benchmark drivers.
 from .cluster import Box, ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set, well_separated
 from .kernel import CurveSpec, DirichletProblem, KernelSpec, assemble_dense, eval_kernel, get_curve
 from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases, truncated_svd
-from .hss import (BuildParams, HssMatrix, build_hss, diag_scale, hss_add,
-                  reconstruct_dense_hss)
-from .h2 import H2Matrix, build_h2, reconstruct_dense_h2
+from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
+from .h2 import H2Matrix, build_h2
 from .apply import matvec_levelwise, matvec_nodewise, ulv_factor, ulv_solve
 from .container import load_matrix, save_matrix
 from .bench import (BoundInputs, ParamChoice, StorageReport, choose_params,
@@ -51,8 +50,6 @@ __all__ = [
     "matvec_levelwise",
     "matvec_nodewise",
     "nearfield_set",
-    "reconstruct_dense_h2",
-    "reconstruct_dense_hss",
     "run_experiment",
     "save_matrix",
     "srrqr",

@@ -2,10 +2,10 @@
 
 matvec runs the three-sweep scheme (upward basis projections, skeleton
 couplings, downward transfers plus dense nearfield); the level-synchronous
-variant stages the same arithmetic through per-level buffers and is limited
-to perfect trees.  The ULV factorization eliminates, per node, the equations
-orthogonal to the row basis against an equal count of unknowns, shrinking
-each subtree to its skeleton until a small dense root system remains.
+name runs the same core and is limited to perfect trees.  The ULV
+factorization eliminates, per node, the equations orthogonal to the row
+basis against an equal count of unknowns, shrinking each subtree to its
+skeleton until a small dense root system remains.
 """
 
 from __future__ import annotations
@@ -32,44 +32,45 @@ def _as_columns(q, n):
 
 
 def matvec_nodewise(M, q) -> np.ndarray:
-    """A @ q through the compressed representation, caller ordering."""
+    """A @ q through the compressed representation, caller ordering.
+
+    Three sweeps over the postordered tree: upward, each node projects its
+    leaf slice (or its children's stacked coefficients) with its column
+    basis; across, the couplings map column coefficients to row
+    coefficients; downward, each node applies its row basis once and hands
+    the result to its leaf slice or splits it among its children.
+    """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
     dtype = np.result_type(M.dtype, Q.dtype)
     qt = Q[tr.perm_col]
-    ncols = Q.shape[1]
+    nodes = tr.nodes[:tr.root]  # postorder: children before parents
 
     qhat = {}
-    for level in range(tr.n_levels, 1, -1):
-        for i in tr.level_nodes(level):
-            nd = tr.nodes[i]
-            if nd.is_leaf:
-                qhat[i] = M.V(i).T @ qt[nd.col_start:nd.col_stop]
-            else:
-                acc = None
-                for c in nd.children:
-                    e = M.W(c).T @ qhat[c]
-                    acc = e if acc is None else acc + e
-                qhat[i] = acc
+    for nd in nodes:
+        src = (qt[nd.col_start:nd.col_stop] if nd.is_leaf
+               else np.vstack([qhat[c] for c in nd.children]))
+        qhat[nd.index] = M.colfac[nd.index].apply_t(src)
 
     zhat = {}
     for i, j in M.pairs_L:
         e = M.B(i, j) @ qhat[j]
         zhat[i] = e if i not in zhat else zhat[i] + e
 
-    zt = np.zeros((M.n_row, ncols), dtype=dtype)
-    for level in range(2, tr.n_levels + 1):
-        for i in tr.level_nodes(level):
-            nd = tr.nodes[i]
-            zi = zhat.get(i)
-            if zi is None:
-                zi = np.zeros((M.rank_row(i), ncols), dtype=dtype)
-            if nd.is_leaf:
-                zt[nd.row_start:nd.row_stop] += M.U(i) @ zi
-            else:
-                for c in nd.children:
-                    e = M.R(c) @ zi
-                    zhat[c] = e if c not in zhat else zhat[c] + e
+    zt = np.zeros((M.n_row, Q.shape[1]), dtype=dtype)
+    for nd in reversed(nodes):
+        zi = zhat.pop(nd.index, None)
+        if zi is None:
+            continue
+        e = M.rowfac[nd.index].apply(zi)
+        if nd.is_leaf:
+            zt[nd.row_start:nd.row_stop] += e
+            continue
+        pos = 0
+        for c in nd.children:
+            part = e[pos:pos + M.rank_row(c)]
+            pos += part.shape[0]
+            zhat[c] = part if c not in zhat else zhat[c] + part
 
     for i, j in M.pairs_Lm:
         ndi, ndj = tr.nodes[i], tr.nodes[j]
@@ -96,73 +97,10 @@ def _check_perfect(tree):
 
 
 def matvec_levelwise(M, q) -> np.ndarray:
-    """Level-synchronous matvec on perfect trees: one concatenated coefficient
-    buffer per level, updated with block-diagonal sweeps."""
-    tr = M.tree
-    _check_perfect(tr)
-    Q, single = _as_columns(q, M.n_col)
-    dtype = np.result_type(M.dtype, Q.dtype)
-    qt = Q[tr.perm_col]
-    ncols = Q.shape[1]
-    depth = tr.n_levels
-
-    lvl_nodes = {l: tr.level_nodes(l) for l in range(2, depth + 1)}
-    qbuf, qoff = {}, {}
-    for l in range(depth, 1, -1):
-        off, parts = {}, []
-        pos = 0
-        for i in lvl_nodes[l]:
-            nd = tr.nodes[i]
-            if nd.is_leaf:
-                e = M.V(i).T @ qt[nd.col_start:nd.col_stop]
-            else:
-                e = None
-                for c in nd.children:
-                    s0, s1 = qoff[l + 1][c]
-                    term = M.W(c).T @ qbuf[l + 1][s0:s1]
-                    e = term if e is None else e + term
-            off[i] = (pos, pos + e.shape[0])
-            pos += e.shape[0]
-            parts.append(e)
-        qbuf[l] = np.vstack(parts) if parts else np.zeros((0, ncols), dtype)
-        qoff[l] = off
-
-    # row-side coefficient buffers get their own offsets: a node's row and
-    # column skeletons need not have the same size
-    zbuf, zoff = {}, {}
-    for l in range(2, depth + 1):
-        off, pos = {}, 0
-        for i in lvl_nodes[l]:
-            off[i] = (pos, pos + M.rank_row(i))
-            pos += M.rank_row(i)
-        zoff[l] = off
-        zbuf[l] = np.zeros((pos, ncols), dtype=dtype)
-
-    for i, j in M.pairs_L:
-        li, lj = tr.nodes[i].level, tr.nodes[j].level
-        a0, a1 = zoff[li][i]
-        b0, b1 = qoff[lj][j]
-        zbuf[li][a0:a1] += M.B(i, j) @ qbuf[lj][b0:b1]
-
-    zt = np.zeros((M.n_row, ncols), dtype=dtype)
-    for l in range(2, depth + 1):
-        for i in lvl_nodes[l]:
-            nd = tr.nodes[i]
-            a0, a1 = zoff[l][i]
-            if nd.is_leaf:
-                zt[nd.row_start:nd.row_stop] += M.U(i) @ zbuf[l][a0:a1]
-            else:
-                for c in nd.children:
-                    s0, s1 = zoff[l + 1][c]
-                    zbuf[l + 1][s0:s1] += M.R(c) @ zbuf[l][a0:a1]
-
-    for i, j in M.pairs_Lm:
-        ndi, ndj = tr.nodes[i], tr.nodes[j]
-        zt[ndi.row_start:ndi.row_stop] += M.NF(i, j) @ qt[ndj.col_start:ndj.col_stop]
-
-    z = np.empty_like(zt)
-    z[tr.perm_row] = zt
-    return z[:, 0] if single else z
+    """matvec_nodewise restricted to perfect trees (all leaves at the
+    deepest level, one child count), which it checks first."""
+    _check_perfect(M.tree)
+    return matvec_nodewise(M, q)
 
 
 # ---------------------------------------------------------------------------
@@ -267,10 +205,12 @@ def ulv_factor(M) -> UlvFactorization:
                 [F.nodes[c2].CP @ r1["V"].T, r2["D"]],
             ])
             if i != tr.root:
-                U = np.vstack([r1["U"] @ M.R(c1), r2["U"] @ M.R(c2)])
-                V = np.vstack([r1["V"] @ M.W(c1), r2["V"] @ M.W(c2)])
-                F.nodes[c1].Wmat = np.asarray(M.W(c1), dtype=dtype)
-                F.nodes[c2].Wmat = np.asarray(M.W(c2), dtype=dtype)
+                R1, R2 = M.transfers(i, "row")
+                W1, W2 = M.transfers(i, "col")
+                U = np.vstack([r1["U"] @ R1, r2["U"] @ R2])
+                V = np.vstack([r1["V"] @ W1, r2["V"] @ W2])
+                F.nodes[c1].Wmat = np.asarray(W1, dtype=dtype)
+                F.nodes[c2].Wmat = np.asarray(W2, dtype=dtype)
         if i == tr.root:
             if D.shape[0] != D.shape[1]:
                 raise np.linalg.LinAlgError(

@@ -18,9 +18,10 @@ import scipy.linalg as sla
 from .apply import matvec_nodewise, ulv_factor, ulv_solve
 from .cluster import ClusterTree, PointSet, build_tree
 from .h2 import build_h2
-from .hss import BuildParams, build_hss, cauchy_like_hss
+from .hss import BuildParams, build_hss
 from .kernel import (DENSE_BUDGET_DEFAULT, KernelSpec, assemble_dense,
                      evaluate_potential, get_curve, kernel_block)
+from .lowrank import DenseBasis
 
 # ---------------------------------------------------------------------------
 # parameter heuristic
@@ -215,31 +216,27 @@ def storage_report(M) -> StorageReport:
     The compressed form keeps interpolation coefficients, skeleton index
     sets, and leaf diagonal blocks; coupling blocks are regenerated from the
     kernel at skeleton points so only their indices are stored.  The
-    generator form materializes U, V, R, W, and B densely.  Entries are
-    counted at the matrix dtype width, indices at 8 bytes.
+    generator form materializes U, V, R, W, and B densely.  Explicit bases
+    (of sums and scalings) count as interpolation data at leaves and as
+    transfers above them.  Entries are counted at the matrix dtype width,
+    indices at 8 bytes.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
     interp = transfer = coupling = diag = idx = 0
-    for fac in M.rowfac.values():
-        interp += fac.G.size
-        idx += fac.perm.size + fac.skel.size
-    for fac in M.colfac.values():
-        interp += fac.G.size
-        idx += fac.perm.size + fac.skel.size
-    for A in M.U_dense.values():
-        interp += A.size
-    for A in M.V_dense.values():
-        interp += A.size
-    for A in M.R_dense.values():
-        transfer += A.size
-    for A in M.W_dense.values():
-        transfer += A.size
+    for facs in (M.rowfac, M.colfac):
+        for i, fac in facs.items():
+            if isinstance(fac, DenseBasis):  # sums and scalings
+                if tr.is_leaf(i):
+                    interp += fac.X.size
+                else:
+                    transfer += fac.X.size
+            else:
+                interp += fac.G.size
+                idx += fac.perm.size + fac.skel.size
     for A in M.B_dense.values():
         coupling += A.size
     for A in M.Dblocks.values():
-        diag += A.size
-    for A in M.NF_dense.values():
         diag += A.size
     breakdown = {
         "interp": interp * fb,
@@ -268,7 +265,7 @@ def storage_report(M) -> StorageReport:
         entries += M.rank_row(i) * M.rank_col(j)
     generator = entries * fb + breakdown["diag"]
     for i, j in M.pairs_Lm:
-        if (i, j) in M.NF_dense or (i == j and i in M.Dblocks):
+        if i == j and i in M.Dblocks:
             continue
         generator += tr.nodes[i].n_row * tr.nodes[j].n_col * fb
 
@@ -494,7 +491,7 @@ def _exp_cauchy_solve(sizes, seed, dense_budget):
             spec = KernelSpec(kind="cauchy_like", w=w, v=v)
             tree = build_tree(X, Y, nu0=50, mode="binary", tau=bp.tau)
             t_constr, M = timed_median(
-                lambda: cauchy_like_hss(tree, X, Y, w, v, bp))
+                lambda: build_hss(tree, spec, X, Y, bp))
             u = rng.random(n)
             b = dense_matvec(spec, X, Y, u)
             t_sol, uh = timed_median(lambda: ulv_solve(ulv_factor(M), b))

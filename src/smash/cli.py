@@ -19,7 +19,7 @@ from .apply import (matvec_nodewise, read_vector, ulv_factor, ulv_solve,
 from .cluster import build_tree
 from .container import load_matrix, save_matrix
 from .h2 import build_h2
-from .hss import BuildParams, build_hss, cauchy_like_hss
+from .hss import BuildParams, build_hss
 from .kernel import DENSE_BUDGET_DEFAULT, KernelSpec, get_curve
 
 _GEOMETRIES = ("interval", "grid2d", "ramhead", "sunflower", "honeybee",
@@ -82,8 +82,6 @@ def _materialize(args):
 def _build_matrix(spec, X, Y, tree, params, structure):
     if structure == "h2":
         return build_h2(tree, spec, X, Y, params)
-    if spec.kind == "cauchy_like":
-        return cauchy_like_hss(tree, X, Y, spec.w, spec.v, params)
     return build_hss(tree, spec, X, Y, params)
 
 

@@ -10,8 +10,6 @@ children (2 in binary mode, up to 2^d in cross mode).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -36,6 +34,8 @@ class PointSet:
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))
         if self.coords.ndim != 2:
             raise ValueError("coords must be a 2-d array")
+        if not np.all(np.isfinite(self.coords)):
+            raise ValueError("point coordinates must be finite")
 
     @property
     def n(self) -> int:
@@ -232,33 +232,6 @@ class ClusterTree:
                     r, c = ch.row_stop, ch.col_stop
                 assert r == nd.row_stop and c == nd.col_stop
 
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        out = {
-            "mode": self.mode,
-            "nu0": self.nu0,
-            "n_row": self.n_row,
-            "n_col": self.n_col,
-            "dim": self.dim,
-            "perm_row": self.perm_row.tolist(),
-            "perm_col": self.perm_col.tolist(),
-            "nodes": [
-                {
-                    "index": nd.index,
-                    "level": nd.level,
-                    "parent": nd.parent,
-                    "children": list(nd.children),
-                    "lo": list(nd.box.lo),
-                    "hi": list(nd.box.hi),
-                    "row_range": [nd.row_start, nd.row_stop],
-                    "col_range": [nd.col_start, nd.col_stop],
-                }
-                for nd in self.nodes
-            ],
-        }
-        return json.dumps(out)
-
 
 def _split_once(box: Box, axis: int, xs: np.ndarray, ys: np.ndarray,
                 px: np.ndarray, py: np.ndarray):
@@ -367,19 +340,6 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
     )
     tree.verify()
     return tree
-
-
-def load_points_csv(path, role: str = "row") -> PointSet:
-    """Read one point per line (comma-separated coordinates) into a PointSet."""
-    rows = []
-    with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
-            if not rec or rec[0].lstrip().startswith("#"):
-                continue
-            rows.append([float(v) for v in rec])
-    if not rows:
-        raise ValueError("no points in %s" % path)
-    return PointSet(np.asarray(rows, dtype=float), role=role)
 
 
 # ---------------------------------------------------------------------------

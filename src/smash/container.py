@@ -9,23 +9,24 @@ index arrays little-endian int64, so round trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
-from .cluster import Box, ClusterTree, TreeNode
+from .cluster import Box, ClusterTree, PointSet, TreeNode
 from .h2 import H2Matrix
-from .hss import BuildParams, HssMatrix, make_block_evaluator
+from .hss import BuildParams, HssMatrix, make_block_evaluator, no_kernel_block
 from .kernel import KernelSpec, get_curve
-from .lowrank import InterpolativeFactor
-from .cluster import PointSet
+from .lowrank import DenseBasis, InterpolativeFactor
 
 _MAGIC = b"SMASH-BIN-1\n"
 
 _DT = {"f8": "<f8", "c16": "<c16", "i8": "<i8"}
 
-_HEADER_KEYS = ("kind", "dtype", "use_cache", "params", "tree", "kernel",
-                "pairs_L", "pairs_Lm", "arrays")
-
+_HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "pairs_L",
+                "pairs_Lm", "arrays")
+_NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
+_TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
 
 def _tag(arr: np.ndarray) -> str:
     if arr.dtype.kind == "c":
@@ -52,37 +53,31 @@ class _Payload:
         self.offset += len(raw)
 
 
-def _fac_to_payload(pl, prefix: str, fac: InterpolativeFactor):
-    pl.add(prefix + ".perm", fac.perm)
-    pl.add(prefix + ".G", fac.G)
-    pl.add(prefix + ".skel", fac.skel)
-
-
 def save_matrix(M, path) -> None:
-    """Write an HSS or H2 matrix (factor or dense representation)."""
+    """Write an HSS or H2 matrix, built or the result of sums and
+    scalings."""
     pl = _Payload()
     pl.add("perm_row", M.tree.perm_row)
     pl.add("perm_col", M.tree.perm_col)
     pl.add("points_row", M.tree.points_row)
     pl.add("points_col", M.tree.points_col)
-    for i, fac in M.rowfac.items():
-        _fac_to_payload(pl, "rowfac.%d" % i, fac)
-    for i, fac in M.colfac.items():
-        _fac_to_payload(pl, "colfac.%d" % i, fac)
+    for side, facs in (("rowfac", M.rowfac), ("colfac", M.colfac)):
+        for i, fac in facs.items():
+            prefix = "%s.%d." % (side, i)
+            if isinstance(fac, DenseBasis):
+                pl.add(prefix + "X", fac.X)
+            else:
+                pl.add(prefix + "perm", fac.perm)
+                pl.add(prefix + "G", fac.G)
+                pl.add(prefix + "skel", fac.skel)
     for i, arr in M.skel_row.items():
         pl.add("skel_row.%d" % i, arr)
     for i, arr in M.skel_col.items():
         pl.add("skel_col.%d" % i, arr)
     for i, arr in M.Dblocks.items():
         pl.add("D.%d" % i, arr)
-    for name, store in (("U", M.U_dense), ("V", M.V_dense),
-                        ("R", M.R_dense), ("W", M.W_dense)):
-        for i, arr in store.items():
-            pl.add("%s.%d" % (name, i), arr)
     for (i, j), arr in M.B_dense.items():
         pl.add("B.%d.%d" % (i, j), arr)
-    for (i, j), arr in M.NF_dense.items():
-        pl.add("NFD.%d.%d" % (i, j), arr)
 
     kern = None
     if M.kernel is not None:
@@ -96,7 +91,6 @@ def save_matrix(M, path) -> None:
     header = {
         "kind": M.kind,
         "dtype": "c16" if np.dtype(M.dtype).kind == "c" else "f8",
-        "use_cache": bool(M.use_cache),
         "params": {"r": M.params.r, "tau": M.params.tau,
                    "eps_svd": M.params.eps_svd, "s": M.params.s,
                    "basis": M.params.basis},
@@ -123,29 +117,52 @@ def save_matrix(M, path) -> None:
             fh.write(chunk)
 
 
-def _read_arrays(buf: bytes, manifest):
+def _read_arrays(payload: bytes, manifest) -> dict:
+    """The manifest's arrays, each checked against its declared size and
+    the payload's bounds before it is read."""
+    if not isinstance(manifest, list):
+        raise ValueError("damaged container header: 'arrays' is not a list")
     out = {}
     for ent in manifest:
-        a = np.frombuffer(buf, dtype=_DT[ent["dtype"]], count=int(np.prod(ent["shape"], dtype=np.int64)) if ent["shape"] else 1,
-                          offset=ent["offset"])
-        if ent["dtype"] == "i8":
-            arr = a.astype(np.int64).reshape(ent["shape"])
-        elif ent["dtype"] == "c16":
-            arr = a.astype(np.complex128).reshape(ent["shape"])
-        else:
-            arr = a.astype(np.float64).reshape(ent["shape"])
-        out[ent["name"]] = arr
+        name = ent.get("name") if isinstance(ent, dict) else None
+        if not isinstance(name, str):
+            raise ValueError("damaged container manifest: entry without a name")
+        tag, shape = ent.get("dtype"), ent.get("shape")
+        offset, nbytes = ent.get("offset"), ent.get("nbytes")
+        if not isinstance(tag, str) or tag not in _DT:
+            raise ValueError("array %r: unknown dtype tag %r" % (name, tag))
+        if not isinstance(shape, list) or not all(
+                type(v) is int and v >= 0 for v in shape + [offset, nbytes]):
+            raise ValueError("array %r: shape, offset and nbytes must be "
+                             "non-negative integers" % name)
+        itemsize = np.dtype(_DT[tag]).itemsize
+        if math.prod(shape) * itemsize != nbytes:
+            raise ValueError("array %r: shape %s needs %d bytes, not %d"
+                             % (name, shape, math.prod(shape) * itemsize, nbytes))
+        if offset + nbytes > len(payload):
+            raise ValueError("array %r runs past the end of the payload "
+                             "(%d + %d > %d bytes)"
+                             % (name, offset, nbytes, len(payload)))
+        a = np.frombuffer(payload, dtype=_DT[tag], count=math.prod(shape),
+                          offset=offset)
+        out[name] = a.astype(tag).reshape(shape)  # native byte order
+    for name in _TREE_ARRAYS:
+        if name not in out:
+            raise ValueError("damaged container: no %r array" % name)
     return out
 
 
 def load_matrix(path):
-    """Read a container written by save_matrix."""
+    """Read a container written by save_matrix.  A damaged file raises
+    ValueError naming what is wrong."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if not raw.startswith(_MAGIC):
         raise ValueError("not a structured-matrix container: %s" % path)
     raw = raw[len(_MAGIC):]
-    cut = raw.index(b"\0")
+    cut = raw.find(b"\0")
+    if cut < 0:
+        raise ValueError("damaged container: no end of header in %s" % path)
     header = json.loads(raw[:cut].decode())
     if not isinstance(header, dict):
         raise ValueError("damaged container header in %s" % path)
@@ -153,9 +170,21 @@ def load_matrix(path):
         if key not in header:
             raise ValueError("damaged container header: no %r entry in %s"
                              % (key, path))
-    arrays = _read_arrays(raw[cut + 1:], header["arrays"])
+    try:
+        return _assemble(header, _read_arrays(raw[cut + 1:], header["arrays"]))
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        # any other malformed value in the header is still bad input
+        raise ValueError("damaged container %s: %s %s"
+                         % (path, type(exc).__name__, exc)) from None
 
+
+def _assemble(header: dict, arrays: dict):
     th = header["tree"]
+    for k, nd in enumerate(th["nodes"]):
+        for key in _NODE_KEYS:
+            if key not in nd:
+                raise ValueError("damaged container header: tree node %d has "
+                                 "no %r entry" % (k, key))
     nodes = [TreeNode(index=k, level=nd["level"], parent=nd["parent"],
                       children=tuple(nd["children"]),
                       box=Box.of(nd["lo"], nd["hi"]),
@@ -188,35 +217,35 @@ def load_matrix(path):
         Y = PointSet(_caller_points(tree, "col"), role="col")
         block = make_block_evaluator(kernel, X, Y, tree)
     else:
-        block = _no_kernel_block
-    M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel,
-            use_cache=header["use_cache"])
+        block = no_kernel_block
+    M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel)
 
     for name, arr in arrays.items():
         parts = name.split(".")
-        if parts[0] in ("rowfac", "colfac") and parts[2] == "perm":
+        if parts[0] in ("rowfac", "colfac"):
+            facs = M.rowfac if parts[0] == "rowfac" else M.colfac
             i = int(parts[1])
-            perm = arr
-            G = arrays["%s.%d.G" % (parts[0], i)]
-            skel = arrays["%s.%d.skel" % (parts[0], i)]
-            k = skel.size
-            fac = InterpolativeFactor(nrows=perm.size, perm=perm, G=G,
-                                      skel=skel, skel_local=perm[:k])
-            (M.rowfac if parts[0] == "rowfac" else M.colfac)[i] = fac
+            if parts[2] == "X":
+                facs[i] = DenseBasis(arr)
+            elif parts[2] == "perm":
+                skel = arrays["%s.%d.skel" % (parts[0], i)]
+                facs[i] = InterpolativeFactor(
+                    nrows=arr.size, perm=arr,
+                    G=arrays["%s.%d.G" % (parts[0], i)], skel=skel,
+                    skel_local=arr[:skel.size])
+            elif parts[2] not in ("G", "skel"):
+                raise ValueError("unknown container entry %r" % name)
         elif parts[0] == "skel_row":
             M.skel_row[int(parts[1])] = arr
         elif parts[0] == "skel_col":
             M.skel_col[int(parts[1])] = arr
         elif parts[0] == "D":
             M.Dblocks[int(parts[1])] = arr
-        elif parts[0] in ("U", "V", "R", "W"):
-            store = {"U": M.U_dense, "V": M.V_dense,
-                     "R": M.R_dense, "W": M.W_dense}[parts[0]]
-            store[int(parts[1])] = arr
         elif parts[0] == "B":
             M.B_dense[(int(parts[1]), int(parts[2]))] = arr
-        elif parts[0] == "NFD":
-            M.NF_dense[(int(parts[1]), int(parts[2]))] = arr
+        elif name not in _TREE_ARRAYS + ("kernel.w", "kernel.v"):
+            # e.g. the per-block U/V/R/W entries of an older format
+            raise ValueError("unknown container entry %r" % name)
     return M
 
 
@@ -227,7 +256,3 @@ def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:
     out[perm] = pts
     return out
 
-
-def _no_kernel_block(rows, cols):
-    raise ValueError("matrix was saved without a kernel; only stored blocks "
-                     "are available")

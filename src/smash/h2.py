@@ -8,8 +8,6 @@ pairs carry skeleton couplings, inadmissible leaf pairs stay dense.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cluster import ClusterTree, leaf_sets
 from .hss import (BuildParams, _StructuredMatrix, _basis_builder,
                   _default_basis, _intermediate, kernel_dtype,
@@ -23,7 +21,7 @@ class H2Matrix(_StructuredMatrix):
 
 
 def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
-             params: BuildParams = None, use_cache: bool = True) -> H2Matrix:
+             params: BuildParams = None) -> H2Matrix:
     """Bottom-up H2 construction: per node, compress the farfield basis over
     the current index set; parents work on the union of their children's
     skeletons.  Couplings are exact kernel entries at skeleton pairs."""
@@ -36,10 +34,9 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "h2")
-    M = H2Matrix(tree, params, block, L, Lm, dtype, kernel=kernel,
-                 use_cache=use_cache)
-    brow = _basis_builder(tree, params, basis, "row")
-    bcol = _basis_builder(tree, params, basis, "col")
+    M = H2Matrix(tree, params, block, L, Lm, dtype, kernel=kernel)
+    brow = _basis_builder(tree, kernel, params, basis, "row")
+    bcol = _basis_builder(tree, kernel, params, basis, "col")
 
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
@@ -53,8 +50,3 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
             M.skel_col[i] = fac.skel
     return M
 
-
-def reconstruct_dense_h2(M: H2Matrix) -> np.ndarray:
-    if M.kind != "h2":
-        raise ValueError("expected an H2 matrix")
-    return M.todense()

@@ -1,11 +1,13 @@
 """HSS construction from farfield expansions plus nearfield sampling.
 
-Every nonroot node gets a row and a column interpolative factor; leaves keep
-their basis directly (U_i, V_i), internal nodes split theirs into per-child
-transfer blocks (R_c, W_c).  Coupling blocks between siblings are exact kernel
-entries at skeleton index pairs, so the compressed representation stores only
-interpolation coefficients, index sets, and leaf diagonal blocks; coupling
-values are re-evaluated (and optionally cached) on demand.
+Every nonroot node gets a row and a column basis, stored one way for every
+node: a leaf's basis maps its own rows, an internal node's maps the stacked
+skeletons of its children (the per-child transfer blocks).  Built matrices
+hold interpolative factors, applied without forming them; sums and diagonal
+scalings hold explicit bases.  Coupling blocks between siblings are exact
+kernel entries at skeleton index pairs, so the compressed representation
+stores only interpolation coefficients, index sets, and leaf diagonal blocks;
+coupling values are re-evaluated and cached on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
 from .kernel import KernelSpec, kernel_block
-from .lowrank import (InterpolativeFactor, compr, interp_basis, taylor_basis,
+from .lowrank import (DenseBasis, compr, interp_basis, taylor_basis,
                       truncated_svd)
 
 
@@ -45,25 +47,28 @@ def _pad_box(box: Box, pad: float) -> Box:
     return Box.of(lo, hi)
 
 
+def no_kernel_block(rows, cols):
+    raise ValueError("matrix was saved without a kernel; only stored blocks "
+                     "are available")
+
+
 class _StructuredMatrix:
     """Shared machinery of the HSS and H2 formats.
 
-    Generators live either as interpolative factors keyed by node ("factor"
-    representation, the build output) or as dense per-node blocks (the result
-    of sums and diagonal scalings).  Accessors materialize whichever is
-    stored.
+    ``rowfac[i]`` and ``colfac[i]`` hold node i's bases, each offering
+    ``apply`` (X @ Z), ``apply_t`` (X.T @ Q) and ``expand`` (X).  Couplings
+    come from the kernel at skeleton pairs, except for sums and scalings,
+    which store them in ``B_dense``.
     """
 
     kind = "structured"
 
     def __init__(self, tree: ClusterTree, params: BuildParams, block,
-                 pairs_L, pairs_Lm, dtype, kernel: KernelSpec = None,
-                 use_cache: bool = True):
+                 pairs_L, pairs_Lm, dtype, kernel: KernelSpec = None):
         self.tree = tree
         self.params = params
         self.kernel = kernel
         self.dtype = dtype
-        self.use_cache = use_cache
         self._block = block          # (tree-order rows, cols) -> exact entries
         self.pairs_L = list(pairs_L)
         self.pairs_Lm = list(pairs_Lm)
@@ -72,12 +77,7 @@ class _StructuredMatrix:
         self.skel_row = {}
         self.skel_col = {}
         self.Dblocks = {}
-        self.U_dense = {}
-        self.V_dense = {}
-        self.R_dense = {}
-        self.W_dense = {}
         self.B_dense = {}
-        self.NF_dense = {}
         self._bcache = {}
         self._nfcache = {}
 
@@ -104,73 +104,47 @@ class _StructuredMatrix:
     # -- generator accessors ---------------------------------------------------
 
     def U(self, i: int) -> np.ndarray:
-        if i in self.U_dense:
-            return self.U_dense[i]
         return self.rowfac[i].expand()
 
     def V(self, i: int) -> np.ndarray:
-        if i in self.V_dense:
-            return self.V_dense[i]
         return self.colfac[i].expand()
 
-    def _child_slice(self, c: int, skels: dict):
-        p = self.tree.nodes[c].parent
-        off = 0
-        for ch in self.tree.nodes[p].children:
-            size = skels[ch].size
-            if ch == c:
-                return p, off, off + size
-            off += size
-        raise KeyError(c)
-
-    def R(self, c: int) -> np.ndarray:
-        if c in self.R_dense:
-            return self.R_dense[c]
-        p, a, b = self._child_slice(c, self.skel_row)
-        return self.rowfac[p].expand()[a:b]
-
-    def W(self, c: int) -> np.ndarray:
-        if c in self.W_dense:
-            return self.W_dense[c]
-        p, a, b = self._child_slice(c, self.skel_col)
-        return self.colfac[p].expand()[a:b]
+    def transfers(self, i: int, side: str = "row") -> list:
+        """Node i's basis split into one transfer block per child."""
+        facs, skels = ((self.rowfac, self.skel_row) if side == "row"
+                       else (self.colfac, self.skel_col))
+        sizes = [skels[c].size for c in self.tree.nodes[i].children]
+        return np.split(facs[i].expand(), np.cumsum(sizes)[:-1])
 
     def B(self, i: int, j: int) -> np.ndarray:
         """Coupling block for a low-rank pair (i, j)."""
         if (i, j) in self.B_dense:
             return self.B_dense[(i, j)]
         hit = self._bcache.get((i, j))
-        if hit is not None:
-            return hit
-        val = self._block(self.skel_row[i], self.skel_col[j])
-        if self.use_cache:
-            self._bcache[(i, j)] = val
-        return val
+        if hit is None:
+            hit = self._block(self.skel_row[i], self.skel_col[j])
+            self._bcache[(i, j)] = hit
+        return hit
 
     def NF(self, i: int, j: int) -> np.ndarray:
         """Dense nearfield block for an inadmissible leaf pair (i, j)."""
-        if (i, j) in self.NF_dense:
-            return self.NF_dense[(i, j)]
         if i == j and i in self.Dblocks:
             return self.Dblocks[i]
         hit = self._nfcache.get((i, j))
-        if hit is not None:
-            return hit
-        val = self._block(self.tree.row_range(i), self.tree.col_range(j))
-        if self.use_cache:
-            self._nfcache[(i, j)] = val
-        return val
+        if hit is None:
+            hit = self._block(self.tree.row_range(i), self.tree.col_range(j))
+            self._nfcache[(i, j)] = hit
+        return hit
 
     # -- dense reconstruction ---------------------------------------------------
 
     def _basis_big(self, i: int, side: str) -> np.ndarray:
+        fac = self.rowfac if side == "row" else self.colfac
         if self.tree.is_leaf(i):
-            return self.U(i) if side == "row" else self.V(i)
-        parts = []
-        for c in self.tree.nodes[i].children:
-            T = self.R(c) if side == "row" else self.W(c)
-            parts.append(self._basis_big(c, side) @ T)
-        return np.vstack(parts)
+            return fac[i].expand()
+        kids = self.tree.nodes[i].children
+        return np.vstack([self._basis_big(c, side) @ T
+                          for c, T in zip(kids, self.transfers(i, side))])
 
     def todense(self) -> np.ndarray:
         """Assemble the represented matrix, in caller ordering."""
@@ -189,9 +163,6 @@ class _StructuredMatrix:
 
 class HssMatrix(_StructuredMatrix):
     kind = "hss"
-
-    def sibling_B(self, i: int) -> np.ndarray:
-        return self.B(i, self.tree.sibling(i))
 
 
 def kernel_dtype(kernel: KernelSpec, X) -> np.dtype:
@@ -216,7 +187,12 @@ def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
     return block
 
 
-def _basis_builder(tree: ClusterTree, params: BuildParams, basis: str, side: str):
+def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
+                   basis: str, side: str):
+    """Farfield candidate basis of a node over tree-order indices.  For
+    Cauchy-like kernels sum_l diag(w_l) C diag(v_l), the candidate stacks
+    the Cauchy basis scaled by each generator column (w on the row side,
+    v on the column side)."""
     pts = tree.points_row if side == "row" else tree.points_col
     diam = 2 * tree.nodes[tree.root].box.radius
     pad = max(1e-9 * diam, 1e-300)
@@ -235,7 +211,15 @@ def _basis_builder(tree: ClusterTree, params: BuildParams, basis: str, side: str
             return interp_basis(box, pts[idx], params.r)
     else:
         raise ValueError("unknown basis %r" % basis)
-    return build
+    if kernel.kind != "cauchy_like":
+        return build
+    gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
+
+    def build_scaled(i, idx):
+        F = build(i, idx)
+        return np.hstack([gen[idx, l][:, None] * F for l in range(gen.shape[1])])
+
+    return build_scaled
 
 
 def _intermediate(tree, i, skels, side):
@@ -245,7 +229,7 @@ def _intermediate(tree, i, skels, side):
 
 
 def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
-              params: BuildParams = None, use_cache: bool = True) -> HssMatrix:
+              params: BuildParams = None) -> HssMatrix:
     """Bottom-up HSS construction.
 
     Per node, the row basis candidate pairs the analytic farfield basis of the
@@ -255,21 +239,22 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     mirrors it.  Leaves keep exact diagonal blocks.
     """
     params = params or BuildParams()
-    if kernel.kind == "cauchy_like":
-        # the farfield basis spans 1/(x-y) blocks, not their diagonal
-        # scalings; the sum-of-scalings route below handles those
-        raise ValueError("build cauchy-like matrices via cauchy_like_hss")
     for nd in tree.nodes:
         if not nd.is_leaf and len(nd.children) != 2:
             raise ValueError("HSS construction needs a binary tree")
+    if kernel.kind == "cauchy_like" and (kernel.w.shape[0] != tree.n_row
+                                         or kernel.v.shape[0] != tree.n_col):
+        raise ValueError("generator rows (%d, %d) do not match the point "
+                         "counts (%d, %d)" % (kernel.w.shape[0],
+                                              kernel.v.shape[0],
+                                              tree.n_row, tree.n_col))
     basis = params.basis or _default_basis(kernel)
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "hss")
-    M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel,
-                  use_cache=use_cache)
-    brow = _basis_builder(tree, params, basis, "row")
-    bcol = _basis_builder(tree, params, basis, "col")
+    M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel)
+    brow = _basis_builder(tree, kernel, params, basis, "row")
+    bcol = _basis_builder(tree, kernel, params, basis, "col")
 
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
@@ -303,12 +288,6 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     return M
 
 
-def reconstruct_dense_hss(M: HssMatrix) -> np.ndarray:
-    if M.kind != "hss":
-        raise ValueError("expected an HSS matrix")
-    return M.todense()
-
-
 # ---------------------------------------------------------------------------
 # algebra on HSS matrices
 # ---------------------------------------------------------------------------
@@ -323,20 +302,21 @@ def hss_add(A: HssMatrix, B: HssMatrix) -> HssMatrix:
         raise ValueError("operands must share one cluster tree")
     tr = A.tree
     dtype = np.result_type(A.dtype, B.dtype)
-    out = HssMatrix(tr, A.params, A._block, A.pairs_L, A.pairs_Lm, dtype,
-                    kernel=None, use_cache=A.use_cache)
+    out = HssMatrix(tr, A.params, no_kernel_block, A.pairs_L, A.pairs_Lm,
+                    dtype)
     for i in A.skel_row:
         out.skel_row[i] = np.concatenate([A.skel_row[i], B.skel_row[i]])
         out.skel_col[i] = np.concatenate([A.skel_col[i], B.skel_col[i]])
+        if tr.is_leaf(i):
+            out.rowfac[i] = DenseBasis(np.hstack([A.U(i), B.U(i)]).astype(dtype))
+            out.colfac[i] = DenseBasis(np.hstack([A.V(i), B.V(i)]).astype(dtype))
+        else:
+            for facs, side in ((out.rowfac, "row"), (out.colfac, "col")):
+                facs[i] = DenseBasis(np.vstack([
+                    _blkdiag(a, b, dtype) for a, b in
+                    zip(A.transfers(i, side), B.transfers(i, side))]))
     for i in tr.leaves():
-        out.U_dense[i] = np.hstack([A.U(i), B.U(i)]).astype(dtype)
-        out.V_dense[i] = np.hstack([A.V(i), B.V(i)]).astype(dtype)
         out.Dblocks[i] = (A.NF(i, i) + B.NF(i, i)).astype(dtype)
-    for i, nd in enumerate(tr.nodes):
-        if not nd.is_leaf and i != tr.root:
-            for c in nd.children:
-                out.R_dense[c] = _blkdiag(A.R(c), B.R(c), dtype)
-                out.W_dense[c] = _blkdiag(A.W(c), B.W(c), dtype)
     for i, j in A.pairs_L:
         out.B_dense[(i, j)] = _blkdiag(A.B(i, j), B.B(i, j), dtype)
     return out
@@ -359,26 +339,19 @@ def diag_scale(M: HssMatrix, dl, dr) -> HssMatrix:
     dlt = dl[tr.perm_row]
     drt = dr[tr.perm_col]
     dtype = np.result_type(M.dtype, dl.dtype, dr.dtype)
-    inner = M._block
-
-    def scaled_block(rows_t, cols_t):
-        return dlt[np.asarray(rows_t)][:, None] * inner(rows_t, cols_t) \
-            * drt[np.asarray(cols_t)][None, :]
-
-    out = HssMatrix(tr, M.params, scaled_block, M.pairs_L, M.pairs_Lm, dtype,
-                    kernel=None, use_cache=M.use_cache)
+    out = HssMatrix(tr, M.params, no_kernel_block, M.pairs_L, M.pairs_Lm,
+                    dtype)
     out.skel_row = dict(M.skel_row)
     out.skel_col = dict(M.skel_col)
+    # the scalings land on the leaf bases; transfers and couplings carry over
+    out.rowfac = dict(M.rowfac)
+    out.colfac = dict(M.colfac)
     for i in tr.leaves():
         rr, cc = tr.row_range(i), tr.col_range(i)
-        out.U_dense[i] = dlt[rr][:, None] * M.U(i)
-        out.V_dense[i] = drt[cc][:, None] * M.V(i)
+        if i in M.rowfac:  # a single-leaf tree has no bases
+            out.rowfac[i] = DenseBasis(dlt[rr][:, None] * M.U(i))
+            out.colfac[i] = DenseBasis(drt[cc][:, None] * M.V(i))
         out.Dblocks[i] = dlt[rr][:, None] * M.NF(i, i) * drt[cc][None, :]
-    for i, nd in enumerate(tr.nodes):
-        if not nd.is_leaf and i != tr.root:
-            for c in nd.children:
-                out.R_dense[c] = np.array(M.R(c), dtype=dtype)
-                out.W_dense[c] = np.array(M.W(c), dtype=dtype)
     for i, j in M.pairs_L:
         out.B_dense[(i, j)] = np.array(M.B(i, j), dtype=dtype)
     return out
@@ -387,14 +360,10 @@ def diag_scale(M: HssMatrix, dl, dr) -> HssMatrix:
 def cauchy_like_hss(tree: ClusterTree, X, Y, w, v,
                     params: BuildParams = None) -> HssMatrix:
     """HSS form of sum_l diag(w[:, l]) C diag(v[:, l]) with C the Cauchy
-    matrix: one C build reused through diagonal scalings and sums."""
+    matrix, built directly by build_hss on the Cauchy-like kernel."""
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
     if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
         raise ValueError("generator matrices need matching column counts")
-    base = build_hss(tree, KernelSpec(kind="cauchy"), X, Y, params)
-    acc = None
-    for l in range(w.shape[1]):
-        term = diag_scale(base, w[:, l], v[:, l])
-        acc = term if acc is None else hss_add(acc, term)
-    return acc
+    return build_hss(tree, KernelSpec(kind="cauchy_like", w=w, v=v), X, Y,
+                     params)

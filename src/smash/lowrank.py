@@ -221,12 +221,42 @@ class InterpolativeFactor:
     def rank(self) -> int:
         return self.skel.size
 
+    def apply(self, Z: np.ndarray) -> np.ndarray:
+        """X @ Z without forming X."""
+        k = self.rank
+        out = np.empty((self.nrows, Z.shape[1]),
+                       dtype=np.result_type(self.G.dtype, Z.dtype))
+        out[self.perm[:k]] = Z
+        out[self.perm[k:]] = self.G @ Z
+        return out
+
+    def apply_t(self, Q: np.ndarray) -> np.ndarray:
+        """X.T @ Q without forming X."""
+        k = self.rank
+        return Q[self.perm[:k]] + self.G.T @ Q[self.perm[k:]]
+
     def expand(self) -> np.ndarray:
         X = np.zeros((self.nrows, self.rank), dtype=self.G.dtype)
         X[self.perm[:self.rank]] = np.eye(self.rank, dtype=self.G.dtype)
-        if self.rank < self.nrows:
-            X[self.perm[self.rank:]] = self.G
+        X[self.perm[self.rank:]] = self.G
         return X
+
+
+@dataclass
+class DenseBasis:
+    """An explicit basis X with the interface of InterpolativeFactor; sums
+    and diagonal scalings of built matrices store their bases this way."""
+
+    X: np.ndarray
+
+    def apply(self, Z: np.ndarray) -> np.ndarray:
+        return self.X @ Z
+
+    def apply_t(self, Q: np.ndarray) -> np.ndarray:
+        return self.X.T @ Q
+
+    def expand(self) -> np.ndarray:
+        return self.X
 
 
 def compr(C: np.ndarray, ibar: np.ndarray, s: float = 2.0, rank: int = None,

@@ -3,10 +3,13 @@ factorization and solve, and the vector file round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import smash
 from smash.apply import read_vector, write_vector
 from smash.hss import HssMatrix, cauchy_like_hss
+from smash.lowrank import DenseBasis
 
 from conftest import build_interval_hss, dense_oracle, interval_pair
 
@@ -111,8 +114,8 @@ def identity_like_hss(n=32, leaf=16):
         m = tree.nodes[i].n_row
         M.skel_row[i] = empty
         M.skel_col[i] = empty
-        M.U_dense[i] = np.zeros((m, 0))
-        M.V_dense[i] = np.zeros((m, 0))
+        M.rowfac[i] = DenseBasis(np.zeros((m, 0)))
+        M.colfac[i] = DenseBasis(np.zeros((m, 0)))
     return M
 
 
@@ -206,6 +209,35 @@ def test_singular_single_leaf_reported_with_node_id():
                   lambda r, c: np.zeros((r.size, c.size)), L, Lm, np.float64)
     with pytest.raises(np.linalg.LinAlgError, match="node 0"):
         smash.ulv_factor(Z)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 120), st.integers(4, 40),
+       st.sampled_from(["cauchy", "cauchy_like"]))
+def test_random_interval_sets_build_apply_and_solve(seed, n, nu0, kind):
+    # random gaps between row points, each column point just off its row
+    # point; n <= nu0 gives a single-leaf tree
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(0.5 + rng.random(n))
+    x = (x / (x[-1] + 1.0)).reshape(-1, 1)
+    X = smash.PointSet(x)
+    Y = smash.PointSet(x + 1e-7 * rng.random((n, 1)), role="col")
+    if kind == "cauchy":
+        spec = smash.KernelSpec("cauchy")
+    else:
+        spec = smash.KernelSpec("cauchy_like", w=0.5 + rng.random((n, 2)),
+                                v=0.5 + rng.random((n, 2)))
+    tree = smash.build_tree(X, Y, nu0=nu0)
+    M = smash.build_hss(tree, spec, X, Y,
+                        smash.BuildParams(r=21, eps_svd=1e-10))
+    A = dense_oracle(spec, X, Y)
+    u = rng.random(n)
+    b = A @ u
+    assert np.linalg.norm(smash.matvec_nodewise(M, u) - b) \
+        <= 1e-9 * np.linalg.norm(A, 2) * np.linalg.norm(u)
+    x_ = smash.ulv_solve(smash.ulv_factor(M), b)
+    assert np.linalg.norm(A @ x_ - b) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(x_ - u) <= 1e-7 * np.linalg.norm(u)
 
 
 def test_factorization_rejects_h2_input(grid_h2_400):

@@ -105,6 +105,27 @@ def test_solve_on_single_leaf_tree(capsys):
     assert info["residual"] < 1e-9
 
 
+@pytest.mark.parametrize("command", ["build", "solve"])
+def test_cauchy_like_on_single_leaf_tree(command, capsys):
+    assert main([command, "--kernel", "cauchy-like", "--n", "30"]) == 0
+
+
+def test_damaged_container_manifest_exits_with_input_code(tmp_path, capsys):
+    target = tmp_path / "m.smh"
+    assert main(["build", "--n", "200", "--out", str(target)]) == 0
+    raw = target.read_bytes()
+    cut = raw.index(b"\0")
+    head = raw.index(b"\n") + 1
+    header = json.loads(raw[head:cut])
+    header["arrays"][0]["dtype"] = "zz"
+    target.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(target)]) == 2
+    assert "perm_row" in capsys.readouterr().err
+    target.write_bytes(raw[:-8])  # truncated payload
+    assert main(["matvec", "--load", str(target)]) == 2
+
+
 def test_damaged_container_header_exits_with_input_code(tmp_path, capsys):
     target = tmp_path / "m.smh"
     assert main(["build", "--n", "200", "--out", str(target)]) == 0

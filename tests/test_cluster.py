@@ -101,6 +101,15 @@ def test_empty_input_rejected():
         smash.build_tree(uniform_1d(4), nu0=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_rejected(bad):
+    # such points used to exhaust the box-shrink loop, a "numerical" failure
+    pts = np.linspace(0, 1, 80).reshape(-1, 2)
+    pts[3, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        smash.PointSet(pts)
+
+
 # ---------------------------------------------------------------------------
 # well_separated
 # ---------------------------------------------------------------------------

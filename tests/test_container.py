@@ -1,10 +1,13 @@
 """On-disk matrix container: round trips for kernel-backed and dense-form
-matrices, and the guard for matrices saved without their kernel."""
+matrices, the guard for matrices saved without their kernel, and the
+rejection of damaged files."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import smash
 from smash.hss import cauchy_like_hss
@@ -64,10 +67,8 @@ def test_dense_form_round_trip_without_kernel(tmp_path):
     # even though no kernel is stored
     n = 200
     rng = np.random.default_rng(3)
-    X, Y = interval_pair(n)
-    tree = smash.build_tree(X, Y, nu0=32)
-    M = cauchy_like_hss(tree, X, Y, rng.random((n, 2)), rng.random((n, 2)),
-                        smash.BuildParams(r=20, eps_svd=1e-10))
+    B, _, _, _ = build_interval_hss(n, nu0=32)
+    M = smash.hss_add(B, smash.diag_scale(B, rng.random(n), rng.random(n)))
     assert M.kernel is None
     path = tmp_path / "cl.smash"
     smash.save_matrix(M, path)
@@ -75,6 +76,44 @@ def test_dense_form_round_trip_without_kernel(tmp_path):
     q = rng.random(n)
     np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
                                   smash.matvec_nodewise(M2, q))
+
+
+def test_cauchy_like_round_trip_reloads_generators(tmp_path):
+    n = 200
+    rng = np.random.default_rng(4)
+    X, Y = interval_pair(n)
+    tree = smash.build_tree(X, Y, nu0=32)
+    w, v = rng.random((n, 2)), rng.random((n, 2))
+    M = cauchy_like_hss(tree, X, Y, w, v, smash.BuildParams(r=20, eps_svd=1e-10))
+    path = tmp_path / "cl.smash"
+    smash.save_matrix(M, path)
+    M2 = smash.load_matrix(path)
+    assert M2.kernel.kind == "cauchy_like"
+    np.testing.assert_array_equal(M2.kernel.w, w)
+    np.testing.assert_array_equal(M2.kernel.v, v)
+    q = rng.random(n)
+    np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
+                                  smash.matvec_nodewise(M2, q))
+
+
+def edit_header(path, change):
+    """Rewrite a saved container's JSON header through change(header)."""
+    raw = path.read_bytes()
+    head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
+    header = json.loads(raw[head:cut])
+    change(header)
+    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+
+
+def test_header_with_old_cache_flag_still_loads(tmp_path):
+    # earlier versions wrote a "use_cache" entry into every header
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h.update(use_cache=True))
+    q = np.random.default_rng(5).random(100)
+    np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
+                                  smash.matvec_nodewise(smash.load_matrix(path), q))
 
 
 def test_factor_form_without_kernel_reports_missing_blocks(tmp_path):
@@ -99,13 +138,92 @@ def test_header_without_entry_rejected_by_name(tmp_path, key):
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    raw = path.read_bytes()
-    head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
-    header = json.loads(raw[head:cut])
-    del header[key]
-    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    edit_header(path, lambda h: h.pop(key))
     with pytest.raises(ValueError, match=repr(key)):
         smash.load_matrix(path)
+
+
+def _array(header, name):
+    return next(e for e in header["arrays"] if e["name"] == name)
+
+
+# (edit of the header, text the error must contain)
+_DAMAGE = {
+    "dtype_tag": (lambda h: _array(h, "D.0").update(dtype="zz"), "'D.0'"),
+    "no_perm_row": (lambda h: h.update(arrays=[
+        e for e in h["arrays"] if e["name"] != "perm_row"]), "'perm_row'"),
+    "node_level": (lambda h: h["tree"]["nodes"][1].pop("level"), "'level'"),
+    "arrays_type": (lambda h: h.update(arrays={"perm_row": 0}), "'arrays'"),
+    "shape_bytes": (lambda h: _array(h, "D.0").update(shape=[1, 1]), "'D.0'"),
+    "past_end": (lambda h: _array(h, "D.0").update(offset=10 ** 9), "'D.0'"),
+}
+
+
+@pytest.fixture(scope="module")
+def saved_container(tmp_path_factory):
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path_factory.mktemp("c") / "m.smash"
+    smash.save_matrix(M, path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("case", sorted(_DAMAGE))
+def test_damaged_manifest_rejected_by_name(tmp_path, saved_container, case):
+    change, named = _DAMAGE[case]
+    path = tmp_path / "m.smash"
+    path.write_bytes(saved_container)
+    edit_header(path, change)
+    with pytest.raises(ValueError) as info:
+        smash.load_matrix(path)
+    assert named in str(info.value)
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a JSON value."""
+    yield prefix
+    items = (obj.items() if isinstance(obj, dict)
+             else enumerate(obj) if isinstance(obj, list) else ())
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 6) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+
+def _mutate(header, data):
+    """Delete or replace the value at one drawn key path."""
+    where = data.draw(st.sampled_from([p for p in _paths(header) if p]),
+                      label="path")
+    parent = header
+    for k in where[:-1]:
+        parent = parent[k]
+    if data.draw(st.booleans(), label="delete"):
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = data.draw(_JSON, label="value")
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_container_loads_or_raises_value_error(tmp_path, saved_container,
+                                                       data):
+    path = tmp_path / "d.smash"
+    path.write_bytes(saved_container)
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(0, len(saved_container) - 1), label="length")
+        path.write_bytes(saved_container[:cut])
+    else:
+        edit_header(path, lambda h: _mutate(h, data))
+    try:
+        smash.load_matrix(path)
+    except ValueError:
+        pass
 
 
 def test_dlp_matrix_round_trip(tmp_path):

@@ -102,14 +102,34 @@ def test_reconstruction_matches_matvec_columnwise():
 
 
 def test_build_rejects_cauchy_like_kernel():
+    # only the H2 builder: HSS builds Cauchy-like matrices directly
     X, Y = interval_pair(64)
     tree = smash.build_tree(X, Y, nu0=16)
     w = np.ones((64, 1))
     spec = smash.KernelSpec("cauchy_like", w=w, v=w)
     with pytest.raises(ValueError):
-        smash.build_hss(tree, spec, X, Y)
-    with pytest.raises(ValueError):
         smash.build_h2(tree, spec, X, Y)
+
+
+def test_build_hss_on_cauchy_like_kernel_matches_dense_oracle():
+    n = 200
+    rng = np.random.default_rng(5)
+    X, Y = interval_pair(n)
+    spec = smash.KernelSpec("cauchy_like", w=rng.random((n, 3)),
+                            v=rng.random((n, 3)))
+    tree = smash.build_tree(X, Y, nu0=16)
+    M = smash.build_hss(tree, spec, X, Y, smash.BuildParams(r=21, eps_svd=1e-10))
+    A = dense_in_caller_order(spec, X, Y)
+    assert np.linalg.norm(M.todense() - A) <= 1e-9 * np.linalg.norm(A)
+    # couplings are exact Cauchy-like entries at skeleton pairs, and the
+    # skeletons hold no repeated index
+    tr = M.tree
+    for i, j in M.pairs_L:
+        np.testing.assert_array_equal(
+            M.B(i, j), A[np.ix_(tr.perm_row[M.skel_row[i]],
+                                tr.perm_col[M.skel_col[j]])])
+    for skel in list(M.skel_row.values()) + list(M.skel_col.values()):
+        assert np.unique(skel).size == skel.size
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +238,25 @@ def test_cauchy_like_generator_shape_mismatch_rejected():
     tree = smash.build_tree(X, Y, nu0=8)
     with pytest.raises(ValueError):
         cauchy_like_hss(tree, X, Y, np.ones((32, 2)), np.ones((32, 3)))
+
+
+@pytest.mark.parametrize("rows", [(31, 32), (32, 33)])
+def test_cauchy_like_generator_row_count_mismatch_rejected(rows):
+    X, Y = interval_pair(32)
+    tree = smash.build_tree(X, Y, nu0=8)
+    with pytest.raises(ValueError, match="generator rows"):
+        cauchy_like_hss(tree, X, Y, np.ones((rows[0], 2)), np.ones((rows[1], 2)))
+
+
+def test_algebra_on_single_leaf_tree_touches_only_the_diagonal_block():
+    n = 30
+    M, spec, X, Y = build_interval_hss(n, nu0=50)
+    assert M.tree.is_leaf(M.tree.root)
+    A = dense_in_caller_order(spec, X, Y)
+    rng = np.random.default_rng(8)
+    dl, dr = rng.random(n), rng.random(n)
+    S = smash.diag_scale(M, dl, dr)
+    np.testing.assert_allclose(S.todense(), dl[:, None] * A * dr[None, :],
+                               rtol=1e-14)
+    np.testing.assert_allclose(smash.hss_add(M, S).todense(),
+                               A + dl[:, None] * A * dr[None, :], rtol=1e-14)

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smash.cluster import Box
-from smash.lowrank import (compr, interp_basis, srrqr, taylor_bases,
-                           taylor_coupling, taylor_eta, taylor_tail_bound,
-                           truncated_svd)
+from smash.lowrank import (DenseBasis, compr, interp_basis, srrqr,
+                           taylor_bases, taylor_coupling, taylor_eta,
+                           taylor_tail_bound, truncated_svd)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +241,27 @@ def test_zero_matrix_has_empty_skeleton():
 def test_mismatched_labels_rejected():
     with pytest.raises(ValueError):
         compr(np.zeros((4, 2)), np.arange(3))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("k", [0, 3, 7])  # rank 0, partial, full (7 rows)
+def test_implicit_apply_matches_expanded_factor(k, complex_):
+    rng = np.random.default_rng(k)
+    left = rng.standard_normal((7, k))
+    if complex_:
+        left = left + 1j * rng.standard_normal((7, k))
+    C = left @ rng.standard_normal((k, 9))
+    f = compr(C, np.arange(7))
+    assert f.rank == k
+    X = f.expand()
+    Z = rng.standard_normal((k, 2))
+    Q = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    np.testing.assert_allclose(f.apply(Z), X @ Z, rtol=1e-14, atol=1e-14)
+    np.testing.assert_allclose(f.apply_t(Q), X.T @ Q, rtol=1e-14, atol=1e-14)
+    d = DenseBasis(X)
+    np.testing.assert_array_equal(d.apply(Z), X @ Z)
+    np.testing.assert_array_equal(d.apply_t(Q), X.T @ Q)
+    assert d.expand() is X
 
 
 # ---------------------------------------------------------------------------
