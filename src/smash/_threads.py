@@ -1,0 +1,126 @@
+"""Threads of the build and of the ULV factorization.
+
+Both phases run many small dense kernels (QR, SVD, products of a few
+hundred rows), which run faster on one BLAS thread than on OpenBLAS's own
+pool, so ``one_blas_thread`` pins every loaded OpenBLAS to one thread for
+their duration.  The cores that frees go to the paper's level parallelism:
+``map_nodes`` runs one level's node passes on the calling thread and at most
+one worker.  Matvec and solve keep the default BLAS threads.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import os
+import threading
+
+# thread counts are process-wide in OpenBLAS, so the pin's state is too
+_lock = threading.Lock()
+_depth = 0          # open one_blas_thread blocks, over all threads
+_saved = []         # (set_num_threads, count before the outermost block)
+
+
+def _thread_calls(path):
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas_", "openblas_"):
+        for suffix in ("64_", ""):
+            get = getattr(lib, prefix + "get_num_threads" + suffix, None)
+            put = getattr(lib, prefix + "set_num_threads" + suffix, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def openblas_libs() -> list:
+    """(get_num_threads, set_num_threads) of each OpenBLAS copy the process
+    has loaded (numpy and scipy each bundle one); empty where none is found
+    or the process maps cannot be read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return []
+    return [c for c in map(_thread_calls, paths) if c is not None]
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the block with every loaded OpenBLAS on one thread.  Blocks may
+    nest and may run on several threads at once: the outermost entry pins,
+    and the last exit, normal or by an exception, restores each count."""
+    global _depth
+    with _lock:
+        if _depth == 0:
+            _saved[:] = [(put, get()) for get, put in openblas_libs()]
+            for put, _ in _saved:
+                put(1)
+        _depth += 1
+    try:
+        yield
+    finally:
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for put, count in _saved:
+                    put(count)
+                _saved.clear()
+
+
+def cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_nodes(fn, items) -> list:
+    """[fn(x) for x in items] on min(2, cores) threads: the calling thread
+    and at most one worker, each taking the next item when it is free.
+    The first exception fn raises reaches the caller once both stop."""
+    items = list(items)
+    if cores() < 2 or len(items) < 2:
+        return [fn(x) for x in items]
+    out = [None] * len(items)
+    todo = iter(range(len(items)))
+    take = threading.Lock()
+    errors = []
+
+    def drain():
+        while not errors:
+            with take:
+                k = next(todo, None)
+            if k is None:
+                return
+            try:
+                out[k] = fn(items[k])
+            except BaseException as exc:
+                errors.append(exc)
+
+    worker = threading.Thread(target=drain, name="smash-level", daemon=True)
+    worker.start()
+    try:
+        drain()
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    return out
+
+
+def trim_heap() -> None:
+    """Give freed heap pages back to the system (glibc's malloc_trim), so
+    the arena a worker leaves behind does not hold on to them; a no-op
+    where the call does not exist."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (OSError, AttributeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)

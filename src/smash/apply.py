@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg as sla
 
+from ._threads import one_blas_thread
+
 _PIVOT_RTOL = 1e-13
 
 
@@ -117,7 +119,6 @@ class _UlvNode:
     Dcorr: np.ndarray = None      # rhs correction block, (m_r - t) x t
     Mcorr: np.ndarray = None      # g correction block, k_c x t
     CP: np.ndarray = None         # reduced row basis times coupling (to sibling)
-    Wmat: np.ndarray = None       # column transfer toward the parent
     mc_red: int = 0               # unknowns remaining after reduction
 
 
@@ -148,7 +149,6 @@ def _reduce_node(i, D, U, V, dtype):
     t = min(e, m_c) if e > 0 else 0
     if t == 0:
         return rec, D, U, V
-    # numpy, not scipy, QR: mixing two OpenBLAS copies with the @ below leaves threads spinning
     Q, _ = np.linalg.qr(U, mode="complete")
     Dp = Q.conj().T @ D
     Bbot = Dp[m_r - t:]
@@ -173,12 +173,13 @@ def _reduce_node(i, D, U, V, dtype):
     return rec, D_red, U_red, V_red
 
 
+@one_blas_thread()
 def ulv_factor(M) -> UlvFactorization:
     """Factor an HSS matrix for repeated solves.
 
     Raises LinAlgError when a local elimination block or the final root system
     is numerically singular (reported with the node id; nothing is
-    regularized).
+    regularized).  Runs on one BLAS thread.
     """
     if M.kind != "hss":
         raise ValueError("ULV factorization expects an HSS matrix")
@@ -209,8 +210,6 @@ def ulv_factor(M) -> UlvFactorization:
                 W1, W2 = M.transfers(i, "col")
                 U = np.vstack([r1["U"] @ R1, r2["U"] @ R2])
                 V = np.vstack([r1["V"] @ W1, r2["V"] @ W2])
-                F.nodes[c1].Wmat = np.asarray(W1, dtype=dtype)
-                F.nodes[c2].Wmat = np.asarray(W2, dtype=dtype)
         if i == tr.root:
             if D.shape[0] != D.shape[1]:
                 raise np.linalg.LinAlgError(
@@ -253,8 +252,8 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
             n1, n2 = F.nodes[c1], F.nodes[c2]
             bcur = np.vstack([b1 - n1.CP @ g2, b2 - n2.CP @ g1])
             gpre = None
-            if i != tr.root:
-                gpre = n1.Wmat.T @ g1 + n2.Wmat.T @ g2
+            if i != tr.root:  # the column transfers toward the parent
+                gpre = M.colfac[i].apply_t(np.vstack([g1, g2]))
         if i == tr.root:
             if F.root_n:
                 xroot = sla.lu_solve(F.root_lu, bcur)

@@ -246,7 +246,58 @@ def _assemble(header: dict, arrays: dict):
         elif name not in _TREE_ARRAYS + ("kernel.w", "kernel.v"):
             # e.g. the per-block U/V/R/W entries of an older format
             raise ValueError("unknown container entry %r" % name)
+    _check_structure(M)
     return M
+
+
+def _check_structure(M) -> None:
+    """Cross-checks of a header that parsed: the root spans every point,
+    children come before their parent and tile its row and column ranges,
+    every non-root node has both factors, and every factor and coupling
+    pair names a node with a skeleton."""
+    tr = M.tree
+    nodes = tr.nodes
+    root = nodes[tr.root]
+    if (root.row_start, root.row_stop, root.col_start, root.col_stop) != (
+            0, tr.n_row, 0, tr.n_col):
+        raise ValueError("damaged container: the root spans rows %d:%d and "
+                         "columns %d:%d of %d x %d points"
+                         % (root.row_start, root.row_stop, root.col_start,
+                            root.col_stop, tr.n_row, tr.n_col))
+    for nd in nodes:
+        for c in nd.children:
+            if not (type(c) is int and 0 <= c < nd.index
+                    and nodes[c].parent == nd.index):
+                raise ValueError("damaged container: node %d lists %r, which "
+                                 "is not its child" % (nd.index, c))
+        if not nd.children:
+            continue
+        for lo, hi in (("row_start", "row_stop"), ("col_start", "col_stop")):
+            # parent start, each child's start and stop, parent stop: a
+            # tiling meets each edge twice in a row and never goes back
+            edges = [getattr(nd, lo)]
+            for c in nd.children:
+                edges += [getattr(nodes[c], lo), getattr(nodes[c], hi)]
+            edges.append(getattr(nd, hi))
+            if edges[0::2] != edges[1::2] or edges != sorted(edges):
+                raise ValueError("damaged container: the children of node %d "
+                                 "do not tile its %s range"
+                                 % (nd.index, lo[:3]))
+    for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
+                              (M.colfac, M.skel_col, "column")):
+        for i in set(range(tr.root)).union(facs):
+            if i not in facs or i not in skels:
+                raise ValueError("damaged container: node %r has no %s factor "
+                                 "or no %s skeleton" % (i, side, side))
+    for i, j in M.pairs_L:
+        if i not in M.skel_row or j not in M.skel_col:
+            raise ValueError("damaged container: coupling pair (%r, %r) names "
+                             "a node with no skeleton" % (i, j))
+    leaves = set(tr.leaves())
+    for i, j in M.pairs_Lm:
+        if i not in leaves or j not in leaves:
+            raise ValueError("damaged container: nearfield pair (%r, %r) "
+                             "names a node that is not a leaf" % (i, j))
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

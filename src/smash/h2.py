@@ -8,6 +8,7 @@ pairs carry skeleton couplings, inadmissible leaf pairs stay dense.
 
 from __future__ import annotations
 
+from ._threads import one_blas_thread
 from .cluster import ClusterTree, leaf_sets
 from .hss import (BuildParams, _StructuredMatrix, _basis_builder,
                   _default_basis, _intermediate, kernel_dtype,
@@ -20,11 +21,13 @@ class H2Matrix(_StructuredMatrix):
     kind = "h2"
 
 
+@one_blas_thread()
 def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
              params: BuildParams = None) -> H2Matrix:
     """Bottom-up H2 construction: per node, compress the farfield basis over
     the current index set; parents work on the union of their children's
-    skeletons.  Couplings are exact kernel entries at skeleton pairs."""
+    skeletons.  Couplings are exact kernel entries at skeleton pairs.  Runs
+    serially on one BLAS thread."""
     params = params or BuildParams()
     if kernel.kind == "cauchy_like":
         raise ValueError("cauchy-like matrices are built in HSS form")
@@ -38,6 +41,7 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     brow = _basis_builder(tree, kernel, params, basis, "row")
     bcol = _basis_builder(tree, kernel, params, basis, "col")
 
+    # serial: the small compr calls here are bound by the interpreter lock
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
             ibar_r = _intermediate(tree, i, M.skel_row, "row")

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._threads import map_nodes, one_blas_thread, trim_heap
 from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
 from .kernel import KernelSpec, kernel_block
 from .lowrank import (DenseBasis, compr, interp_basis, taylor_basis,
@@ -228,6 +229,33 @@ def _intermediate(tree, i, skels, side):
     return np.concatenate([skels[c] for c in tree.nodes[i].children])
 
 
+def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
+    """Row and column factors of node i.  Reads only the skeletons of
+    earlier levels, so the nodes of one level are independent."""
+    tree, params, block = M.tree, M.params, M._block
+    ibar_r = _intermediate(tree, i, M.skel_row, "row")
+    ibar_c = _intermediate(tree, i, M.skel_col, "col")
+    # row pass: farfield basis + nearfield column space
+    cand = [brow(i, ibar_r)]
+    cols = [  # neighbors' current column index sets
+        _intermediate(tree, j, M.skel_col, "col") for j in near]
+    cols = [c for c in cols if c.size]
+    if cols and ibar_r.size:
+        Anear = block(ibar_r, np.concatenate(cols))
+        cand.append(truncated_svd(Anear, params.eps_svd).S)
+    rowfac = compr(np.hstack(cand), ibar_r, s=params.s)
+    # column pass
+    cand = [bcol(i, ibar_c)]
+    rows = [_intermediate(tree, j, M.skel_row, "row") for j in near]
+    rows = [r_ for r_ in rows if r_.size]
+    if rows and ibar_c.size:
+        Anear = block(np.concatenate(rows), ibar_c)
+        cand.append(truncated_svd(Anear.T, params.eps_svd).S)
+    colfac = compr(np.hstack(cand), ibar_c, s=params.s)
+    return rowfac, colfac
+
+
+@one_blas_thread()
 def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
               params: BuildParams = None) -> HssMatrix:
     """Bottom-up HSS construction.
@@ -236,7 +264,9 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     node's box with a truncated SVD of the block row against the nearfield
     neighbors' current index sets; interpolative compression of the pair
     yields the skeleton and the interpolation coefficients.  The column pass
-    mirrors it.  Leaves keep exact diagonal blocks.
+    mirrors it.  Leaves keep exact diagonal blocks.  The nodes of a level
+    run on up to two cores with one BLAS thread each; the factors are stored
+    in level order, so the result does not depend on the core count.
     """
     params = params or BuildParams()
     for nd in tree.nodes:
@@ -257,32 +287,17 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     bcol = _basis_builder(tree, kernel, params, basis, "col")
 
     for level in range(tree.n_levels, 1, -1):
-        for i in tree.level_nodes(level):
-            near = nearfield_set(tree, i, params.tau)
-            ibar_r = _intermediate(tree, i, M.skel_row, "row")
-            ibar_c = _intermediate(tree, i, M.skel_col, "col")
-            # row pass: farfield basis + nearfield column space
-            cand = [brow(i, ibar_r)]
-            cols = [  # neighbors' current column index sets
-                _intermediate(tree, j, M.skel_col, "col") for j in near]
-            cols = [c for c in cols if c.size]
-            if cols and ibar_r.size:
-                Anear = block(ibar_r, np.concatenate(cols))
-                cand.append(truncated_svd(Anear, params.eps_svd).S)
-            fac = compr(np.hstack(cand), ibar_r, s=params.s)
-            M.rowfac[i] = fac
-            M.skel_row[i] = fac.skel
-            # column pass
-            cand = [bcol(i, ibar_c)]
-            rows = [_intermediate(tree, j, M.skel_row, "row") for j in near]
-            rows = [r_ for r_ in rows if r_.size]
-            if rows and ibar_c.size:
-                Anear = block(np.concatenate(rows), ibar_c)
-                cand.append(truncated_svd(Anear.T, params.eps_svd).S)
-            fac = compr(np.hstack(cand), ibar_c, s=params.s)
-            M.colfac[i] = fac
-            M.skel_col[i] = fac.skel
-
+        nodes = tree.level_nodes(level)
+        # the nearfield cache fills on this thread, before the map
+        near = [nearfield_set(tree, i, params.tau) for i in nodes]
+        facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol),
+                         zip(nodes, near))
+        for i, (rowfac, colfac) in zip(nodes, facs):
+            M.rowfac[i] = rowfac
+            M.skel_row[i] = rowfac.skel
+            M.colfac[i] = colfac
+            M.skel_col[i] = colfac.skel
+    trim_heap()
     for i in tree.leaves():
         M.Dblocks[i] = block(tree.row_range(i), tree.col_range(i))
     return M

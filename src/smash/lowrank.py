@@ -302,10 +302,10 @@ def truncated_svd(M: np.ndarray, eps: float) -> TruncatedSvd:
     m, n = M.shape
     if min(m, n) == 0:
         return TruncatedSvd(np.zeros((m, 0), dtype=M.dtype), np.zeros(0))
-    # scipy's LAPACK, like compr's pivoted QR: alternating with numpy's own
-    # OpenBLAS copy during a build leaves one library's threads spinning
     core = sla.qr(M.conj().T, mode="r")[0].conj().T if m < n else M
-    U, sig, _ = sla.svd(core, full_matrices=False)
+    # numpy's SVD releases the interpreter lock (scipy's holds it), so the
+    # nodes of one build level overlap here
+    U, sig, _ = np.linalg.svd(core, full_matrices=False)
     if sig[0] == 0:
         keep = 0
     else:

@@ -166,6 +166,17 @@ def test_factorization_is_reusable(cauchy_hss_400):
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(b)
 
 
+def test_sum_with_explicit_bases_solves_accurately(cauchy_hss_400):
+    # hss_add stores its bases as DenseBasis; the solve applies their
+    # column transfers like those of built interpolative factors
+    M, _, _, _ = cauchy_hss_400
+    d = np.linspace(1.0, 2.0, 400)
+    S = smash.hss_add(M, smash.diag_scale(M, d, d))
+    b = np.random.default_rng(10).random(400)
+    x = smash.ulv_solve(smash.ulv_factor(S), b)
+    assert np.linalg.norm(S.todense() @ x - b) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_cauchy_like_system_solves_accurately():
     n, p = 400, 2
     rng = np.random.default_rng(11)

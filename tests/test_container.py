@@ -156,6 +156,16 @@ _DAMAGE = {
     "arrays_type": (lambda h: h.update(arrays={"perm_row": 0}), "'arrays'"),
     "shape_bytes": (lambda h: _array(h, "D.0").update(shape=[1, 1]), "'D.0'"),
     "past_end": (lambda h: _array(h, "D.0").update(offset=10 ** 9), "'D.0'"),
+    # well-formed headers that contradict themselves
+    "pair_without_skeleton": (lambda h: h["pairs_L"].append(
+        [len(h["tree"]["nodes"]) - 1, 0]), "coupling pair"),
+    "factor_without_skeleton": (lambda h: h.update(arrays=[
+        e for e in h["arrays"] if e["name"] != "skel_row.0"]),
+        "node 0 has no row factor"),
+    "children_not_tiling": (lambda h: h["tree"]["nodes"][0]["rows"].__setitem__(
+        1, h["tree"]["nodes"][0]["rows"][1] - 1), "do not tile its row range"),
+    "not_a_child": (lambda h: h["tree"]["nodes"][-1]["children"].__setitem__(
+        0, 0), "not its child"),
 }
 
 

@@ -1,0 +1,191 @@
+"""Thread ownership of build and factorization: the one-thread BLAS pin and
+the level-parallel HSS build."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+import smash
+from smash import _threads, apply, h2, hss
+
+from conftest import build_interval_hss, interval_pair
+
+
+def blas_counts():
+    return [get() for get, _ in _threads.openblas_libs()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every loaded OpenBLAS on two threads for the test, so a pin to one
+    shows; the counts found are put back afterwards."""
+    libs = _threads.openblas_libs()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(2)
+    yield [2] * len(libs)
+    for (_, put), n in zip(libs, before):
+        put(n)
+
+
+def record_counts(monkeypatch, owner, name, seen):
+    real = getattr(owner, name)
+
+    def recorded(*args, **kwargs):
+        seen.append(blas_counts())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recorded)
+
+
+def test_blas_pinned_inside_and_restored_after_build_and_factor(
+        monkeypatch, two_blas_threads):
+    seen = []
+    record_counts(monkeypatch, hss, "compr", seen)
+    record_counts(monkeypatch, h2, "compr", seen)
+    record_counts(monkeypatch, apply, "_reduce_node", seen)
+    M, _, _, _ = build_interval_hss(200, nu0=32)
+    assert blas_counts() == two_blas_threads
+    smash.ulv_factor(M)
+    assert blas_counts() == two_blas_threads
+    X = smash.bench.grid_points(12)
+    tree = smash.build_tree(X, nu0=30, mode="2d", tau=0.65)
+    smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
+                   smash.BuildParams(r=12, tau=0.65))
+    assert blas_counts() == two_blas_threads
+    ones = [1] * len(two_blas_threads)
+    assert seen and all(c == ones for c in seen)
+
+
+def test_blas_restored_after_a_build_that_raises(monkeypatch,
+                                                 two_blas_threads):
+    def broken(*args, **kwargs):
+        raise RuntimeError("compression failed")
+
+    monkeypatch.setattr(hss, "compr", broken)
+    with pytest.raises(RuntimeError, match="compression failed"):
+        build_interval_hss(200, nu0=32)
+    assert blas_counts() == two_blas_threads
+
+
+def test_nested_pins_restore_at_the_outermost_exit(two_blas_threads):
+    ones = [1] * len(two_blas_threads)
+    with _threads.one_blas_thread():
+        with _threads.one_blas_thread():
+            assert blas_counts() == ones
+        assert blas_counts() == ones
+    assert blas_counts() == two_blas_threads
+
+
+def test_pin_without_a_library_changes_nothing(monkeypatch, two_blas_threads):
+    libs = _threads.openblas_libs()
+    monkeypatch.setattr(_threads, "openblas_libs", lambda: [])
+    with _threads.one_blas_thread():
+        assert [get() for get, _ in libs] == two_blas_threads
+    assert [get() for get, _ in libs] == two_blas_threads
+
+
+def _sunflower_dlp(n=640):
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    bp = smash.BuildParams(r=25, tau=0.6, eps_svd=1e-11, basis="interp")
+    return lambda: smash.build_hss(tree, spec, X, X, bp)
+
+
+def _cauchy_like(n=600):
+    rng = np.random.default_rng(3)
+    X, Y = interval_pair(n)
+    w, v = rng.random((n, 2)), rng.random((n, 2))
+    tree = smash.build_tree(X, Y, nu0=40, tau=0.6)
+    bp = smash.BuildParams(r=25, eps_svd=1e-9)
+    return lambda: hss.cauchy_like_hss(tree, X, Y, w, v, bp)
+
+
+@pytest.mark.parametrize("case", ["sunflower_dlp", "cauchy_like"])
+def test_two_core_build_matches_serial_bit_for_bit(monkeypatch, case):
+    build = {"sunflower_dlp": _sunflower_dlp, "cauchy_like": _cauchy_like}[case]()
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    par = build()
+    monkeypatch.setattr(_threads, "cores", lambda: 1)
+    ser = build()
+    assert par.tree.n_levels >= 4
+    for name in ("skel_row", "skel_col", "Dblocks"):
+        a, b = getattr(par, name), getattr(ser, name)
+        assert list(a) == list(b)
+        for i in a:
+            np.testing.assert_array_equal(a[i], b[i])
+    for name in ("rowfac", "colfac"):
+        a, b = getattr(par, name), getattr(ser, name)
+        assert list(a) == list(b)
+        for i in a:
+            np.testing.assert_array_equal(a[i].G, b[i].G)
+            np.testing.assert_array_equal(a[i].perm, b[i].perm)
+
+
+def test_level_map_takes_each_item_once_and_keeps_order(monkeypatch):
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    taken = []
+
+    def square(x):
+        taken.append(x)
+        return x * x
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            taken.clear()
+            out = _threads.map_nodes(square, range(500))
+            assert out == [x * x for x in range(500)]
+            assert sorted(taken) == list(range(500))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class _CountedThread(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def test_one_core_starts_no_thread(monkeypatch):
+    monkeypatch.setattr(_threads.threading, "Thread", _CountedThread)
+    monkeypatch.setattr(_threads, "cores", lambda: 1)
+    _CountedThread.started = 0
+    build_interval_hss(400, nu0=32)
+    assert _CountedThread.started == 0
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    build_interval_hss(400, nu0=32)
+    assert _CountedThread.started > 0
+
+
+class NodeFailure(Exception):
+    pass
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch, two_blas_threads):
+    caller = threading.get_ident()
+    worker_failed = threading.Event()
+    real = hss.compr
+
+    def compr(*args, **kwargs):
+        if threading.get_ident() != caller:
+            worker_failed.set()
+            raise NodeFailure("node failed on the worker")
+        worker_failed.wait(10)  # let the worker take a node first
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hss, "compr", compr)
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    with pytest.raises(NodeFailure, match="on the worker"):
+        build_interval_hss(400, nu0=32)
+    assert worker_failed.is_set()
+    assert blas_counts() == two_blas_threads
