@@ -38,9 +38,11 @@ def matvec_nodewise(M, q) -> np.ndarray:
 
     Three sweeps over the postordered tree: upward, each node projects its
     leaf slice (or its children's stacked coefficients) with its column
-    basis; across, the couplings map column coefficients to row
-    coefficients; downward, each node applies its row basis once and hands
-    the result to its leaf slice or splits it among its children.
+    basis; across, each node's coupling row maps its sources' stacked
+    column coefficients to row coefficients in one product; downward, each
+    node applies its row basis once and hands the result to its leaf slice
+    or splits it among its children.  Each leaf's nearfield row multiplies
+    its sources' gathered entries, again in one product.
     """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
@@ -55,9 +57,11 @@ def matvec_nodewise(M, q) -> np.ndarray:
         qhat[nd.index] = M.colfac[nd.index].apply_t(src)
 
     zhat = {}
-    for i, j in M.pairs_L:
-        e = M.B(i, j) @ qhat[j]
-        zhat[i] = e if i not in zhat else zhat[i] + e
+    for i, row in M.block_rows("L"):
+        js = row.sources  # HSS rows have one source: no copy then
+        src = qhat[js[0]] if len(js) == 1 else np.concatenate(
+            [qhat[j] for j in js])
+        zhat[i] = row.A @ src
 
     zt = np.zeros((M.n_row, Q.shape[1]), dtype=dtype)
     for nd in reversed(nodes):
@@ -74,9 +78,9 @@ def matvec_nodewise(M, q) -> np.ndarray:
             pos += part.shape[0]
             zhat[c] = part if c not in zhat else zhat[c] + part
 
-    for i, j in M.pairs_Lm:
-        ndi, ndj = tr.nodes[i], tr.nodes[j]
-        zt[ndi.row_start:ndi.row_stop] += M.NF(i, j) @ qt[ndj.col_start:ndj.col_stop]
+    for i, row in M.block_rows("Lm"):
+        nd = tr.nodes[i]
+        zt[nd.row_start:nd.row_stop] += row.A @ qt.take(row.cols, axis=0)
 
     z = np.empty_like(zt)
     z[tr.perm_row] = zt

@@ -10,6 +10,7 @@ children (2 in binary mode, up to 2^d in cross mode).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,13 +78,17 @@ class Box:
     def dim(self) -> int:
         return len(self.lo)
 
-    @property
+    @cached_property
     def center(self) -> np.ndarray:
-        return (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
+        """The box midpoint, computed once; read-only."""
+        c = (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
+        c.flags.writeable = False
+        return c
 
-    @property
+    @cached_property
     def radius(self) -> float:
-        """Half the box diagonal (distance from center to a corner)."""
+        """Half the box diagonal (distance from center to a corner),
+        computed once."""
         return 0.5 * float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
 
     def contains(self, pts: np.ndarray, slack: float = 1e-12) -> bool:
@@ -96,9 +101,14 @@ class Box:
 
 def well_separated(box_a: Box, box_b: Box, tau: float) -> bool:
     """Admissibility test: the boxes' radii sum to at most tau times the
-    distance between their centers."""
-    dist = float(np.linalg.norm(box_a.center - box_b.center))
-    return box_a.radius + box_b.radius <= tau * dist
+    distance between their centers.
+
+    The distance is sqrt(d.dot(d)), the arithmetic of np.linalg.norm, bit
+    for bit: trees of points on curves have pairs where both sides are
+    exactly equal, so a distance one ulp off changes the partition.
+    """
+    d = box_a.center - box_b.center
+    return box_a.radius + box_b.radius <= tau * math.sqrt(d.dot(d))
 
 
 # ---------------------------------------------------------------------------
@@ -356,21 +366,19 @@ def nearfield_set(tree: ClusterTree, i: int, tau: float = None) -> list:
         tau = tree.tau_default
     cache = tree._nearfield_cache.get(tau)
     if cache is None:
+        nodes = tree.nodes
         cache = {tree.root: []}
-        order = sorted(range(len(tree.nodes)), key=lambda k: tree.nodes[k].level)
+        order = sorted(range(len(nodes)), key=lambda k: nodes[k].level)
         for j in order:
             if j == tree.root:
                 continue
-            p = tree.nodes[j].parent
-            cand = [c for c in tree.nodes[p].children if c != j]
+            box = nodes[j].box
+            p = nodes[j].parent
+            cand = [c for c in nodes[p].children if c != j]
             for k in cache[p]:
-                if tree.is_leaf(k):
-                    cand.append(k)
-                else:
-                    cand.extend(tree.nodes[k].children)
-            near = [k for k in cand
-                    if not well_separated(tree.nodes[j].box, tree.nodes[k].box, tau)]
-            cache[j] = near
+                cand.extend(nodes[k].children or (k,))
+            cache[j] = [k for k in cand
+                        if not well_separated(box, nodes[k].box, tau)]
         tree._nearfield_cache[tau] = cache
     return list(cache[i])
 
@@ -401,22 +409,24 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
     if structure != "h2":
         raise ValueError("structure must be 'hss' or 'h2'")
 
+    nodes = tree.nodes
+
     def rec(i, j):
-        if well_separated(tree.nodes[i].box, tree.nodes[j].box, tau):
+        a, b = nodes[i], nodes[j]
+        if well_separated(a.box, b.box, tau):
             L.append((i, j))
             return
-        li, lj = tree.is_leaf(i), tree.is_leaf(j)
-        if li and lj:
+        if not (a.children or b.children):
             Lm.append((i, j))
-        elif li:
-            for cj in tree.nodes[j].children:
+        elif not a.children:
+            for cj in b.children:
                 rec(i, cj)
-        elif lj:
-            for ci in tree.nodes[i].children:
+        elif not b.children:
+            for ci in a.children:
                 rec(ci, j)
         else:
-            for ci in tree.nodes[i].children:
-                for cj in tree.nodes[j].children:
+            for ci in a.children:
+                for cj in b.children:
                     rec(ci, cj)
 
     rec(tree.root, tree.root)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .cluster import Box, ClusterTree, PointSet, TreeNode
 from .h2 import H2Matrix
-from .hss import BuildParams, HssMatrix, make_block_evaluator, no_kernel_block
+from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
+                  no_kernel_block)
 from .kernel import KernelSpec, get_curve
 from .lowrank import DenseBasis, InterpolativeFactor
 
@@ -196,6 +197,11 @@ def _assemble(header: dict, arrays: dict):
                        perm_row=arrays["perm_row"], perm_col=arrays["perm_col"],
                        points_row=arrays["points_row"],
                        points_col=arrays["points_col"])
+    for name, perm, n in (("perm_row", tree.perm_row, tree.n_row),
+                          ("perm_col", tree.perm_col, tree.n_col)):
+        if not _is_permutation(perm, n):
+            raise ValueError("damaged container: %r is not a permutation of "
+                             "range(%d)" % (name, n))
 
     kernel = None
     kh = header["kernel"]
@@ -253,8 +259,9 @@ def _assemble(header: dict, arrays: dict):
 def _check_structure(M) -> None:
     """Cross-checks of a header that parsed: the root spans every point,
     children come before their parent and tile its row and column ranges,
-    every non-root node has both factors, and every factor and coupling
-    pair names a node with a skeleton."""
+    every non-root node has both factors, every factor and coupling pair
+    names a node with a skeleton, and each factor fits the labels it
+    interpolates."""
     tr = M.tree
     nodes = tr.nodes
     root = nodes[tr.root]
@@ -289,6 +296,10 @@ def _check_structure(M) -> None:
             if i not in facs or i not in skels:
                 raise ValueError("damaged container: node %r has no %s factor "
                                  "or no %s skeleton" % (i, side, side))
+    for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
+                              (M.colfac, M.skel_col, "col")):
+        for i, fac in facs.items():
+            _check_factor(tr, i, fac, skels, side)
     for i, j in M.pairs_L:
         if i not in M.skel_row or j not in M.skel_col:
             raise ValueError("damaged container: coupling pair (%r, %r) names "
@@ -298,6 +309,45 @@ def _check_structure(M) -> None:
         if i not in leaves or j not in leaves:
             raise ValueError("damaged container: nearfield pair (%r, %r) "
                              "names a node that is not a leaf" % (i, j))
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, dtypes and bytes: equal entries, for index arrays."""
+    return a.shape == b.shape and a.dtype == b.dtype and (
+        a.tobytes() == b.tobytes())
+
+
+def _is_permutation(p: np.ndarray, n: int) -> bool:
+    return p.shape == (n,) and _same(np.sort(p), np.arange(n))
+
+
+def _check_factor(tr, i, fac, skels, side) -> None:
+    """Node i's factor against the labels it interpolates: the leaf's point
+    range, or its children's stacked skeletons."""
+    if not (type(i) is int and 0 <= i < tr.root):
+        raise ValueError("damaged container: a %s factor names node %r, "
+                         "which is not a non-root node" % (side, i))
+    name = "%sfac.%d." % (side, i)
+    ibar = _intermediate(tr, i, skels, side)
+    skel = skels[i]
+    if isinstance(fac, DenseBasis):
+        if fac.X.shape != (ibar.size, skel.size):
+            raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
+                             % (name + "X", fac.X.shape, ibar.size, skel.size))
+        return
+    k = fac.skel.size
+    if not _is_permutation(fac.perm, ibar.size):
+        raise ValueError("damaged container: %r is not a permutation of "
+                         "range(%d)" % (name + "perm", ibar.size))
+    if fac.G.shape != (ibar.size - k, k):
+        raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
+                         % (name + "G", fac.G.shape, ibar.size - k, k))
+    if not _same(fac.skel, ibar[fac.perm[:k]]):
+        raise ValueError("damaged container: %r is not the labels its "
+                         "permutation selects" % (name + "skel"))
+    if not _same(skel, fac.skel):
+        raise ValueError("damaged container: 'skel_%s.%d' differs from %r"
+                         % (side, i, name + "skel"))
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

@@ -7,12 +7,14 @@ hold interpolative factors, applied without forming them; sums and diagonal
 scalings hold explicit bases.  Coupling blocks between siblings are exact
 kernel entries at skeleton index pairs, so the compressed representation
 stores only interpolation coefficients, index sets, and leaf diagonal blocks;
-coupling values are re-evaluated and cached on demand.
+coupling and nearfield values are evaluated on first use, one block row per
+target node, and kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -53,13 +55,45 @@ def no_kernel_block(rows, cols):
                      "are available")
 
 
+@dataclass
+class BlockRow:
+    """One target node's blocks side by side, ``A = [A(i, j1) A(i, j2) ...]``.
+
+    Block k, for source ``sources[k]``, spans columns ``edges[k]:edges[k+1]``
+    of ``A``; ``cols`` holds the concatenated column labels (the sources'
+    column skeletons for couplings, their tree-order point ranges for the
+    nearfield).
+    """
+
+    sources: tuple
+    edges: list
+    cols: np.ndarray
+    A: np.ndarray
+
+    def block(self, j: int) -> np.ndarray:
+        """The block of source j, a view into A."""
+        k = self.sources.index(j)
+        return self.A[:, self.edges[k]:self.edges[k + 1]]
+
+
+def _by_target(pairs) -> dict:
+    """Pairs (i, j) grouped by i: {i: (j, ...)}, in order of appearance."""
+    out = {}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return {i: tuple(js) for i, js in out.items()}
+
+
 class _StructuredMatrix:
     """Shared machinery of the HSS and H2 formats.
 
     ``rowfac[i]`` and ``colfac[i]`` hold node i's bases, each offering
     ``apply`` (X @ Z), ``apply_t`` (X.T @ Q) and ``expand`` (X).  Couplings
     come from the kernel at skeleton pairs, except for sums and scalings,
-    which store them in ``B_dense``.
+    which store them in ``B_dense``; leaf diagonal blocks of HSS matrices
+    are stored in ``Dblocks``.  Both kinds of block are kept as block rows
+    (``block_row``), one per target node, filled on first use; ``B`` and
+    ``NF`` return views into them.
     """
 
     kind = "structured"
@@ -79,8 +113,9 @@ class _StructuredMatrix:
         self.skel_col = {}
         self.Dblocks = {}
         self.B_dense = {}
-        self._bcache = {}
-        self._nfcache = {}
+        self._sources = {"L": _by_target(self.pairs_L),
+                         "Lm": _by_target(self.pairs_Lm)}
+        self._rows = {}              # (kind, i) -> BlockRow
 
     # -- shapes --------------------------------------------------------------
 
@@ -118,24 +153,46 @@ class _StructuredMatrix:
         return np.split(facs[i].expand(), np.cumsum(sizes)[:-1])
 
     def B(self, i: int, j: int) -> np.ndarray:
-        """Coupling block for a low-rank pair (i, j)."""
-        if (i, j) in self.B_dense:
-            return self.B_dense[(i, j)]
-        hit = self._bcache.get((i, j))
-        if hit is None:
-            hit = self._block(self.skel_row[i], self.skel_col[j])
-            self._bcache[(i, j)] = hit
-        return hit
+        """Coupling block for a low-rank pair (i, j), a view into row i."""
+        return self.block_row("L", i).block(j)
 
     def NF(self, i: int, j: int) -> np.ndarray:
-        """Dense nearfield block for an inadmissible leaf pair (i, j)."""
-        if i == j and i in self.Dblocks:
-            return self.Dblocks[i]
-        hit = self._nfcache.get((i, j))
-        if hit is None:
-            hit = self._block(self.tree.row_range(i), self.tree.col_range(j))
-            self._nfcache[(i, j)] = hit
-        return hit
+        """Dense nearfield block for an inadmissible leaf pair (i, j), a
+        view into leaf i's nearfield row."""
+        return self.block_row("Lm", i).block(j)
+
+    def block_row(self, kind: str, i: int) -> BlockRow:
+        """Node i's row of couplings (kind "L") or of nearfield blocks
+        ("Lm"), evaluated with one kernel call on first use."""
+        row = self._rows.get((kind, i))
+        if row is None:
+            row = self._rows[kind, i] = self._fill_row(kind, i)
+        return row
+
+    def block_rows(self, kind: str):
+        """(i, row) for each target node of the pairs of that kind."""
+        return ((i, self.block_row(kind, i)) for i in self._sources[kind])
+
+    def _fill_row(self, kind: str, i: int) -> BlockRow:
+        tr = self.tree
+        js = self._sources[kind][i]
+        if kind == "L":
+            rows = self.skel_row[i]
+            parts = [self.skel_col[j] for j in js]
+            stored = [self.B_dense.get((i, j)) for j in js]
+        else:
+            rows = tr.row_range(i)
+            parts = [tr.col_range(j) for j in js]
+            stored = [self.Dblocks.get(i) if j == i else None for j in js]
+        cols = np.concatenate(parts)
+        edges = list(accumulate((p.size for p in parts), initial=0))
+        if any(blk is not None for blk in stored):
+            blocks = [self._block(rows, p) if blk is None else blk
+                      for blk, p in zip(stored, parts)]
+            A = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+        else:
+            A = self._block(rows, cols)
+        return BlockRow(js, edges, cols, A)
 
     # -- dense reconstruction ---------------------------------------------------
 

@@ -124,6 +124,14 @@ def test_damaged_container_manifest_exits_with_input_code(tmp_path, capsys):
     assert "perm_row" in capsys.readouterr().err
     target.write_bytes(raw[:-8])  # truncated payload
     assert main(["matvec", "--load", str(target)]) == 2
+    # a factor's permutation read from the bytes of a diagonal block
+    header = json.loads(raw[head:cut])
+    arrays = {e["name"]: e for e in header["arrays"]}
+    arrays["rowfac.0.perm"]["offset"] = arrays["D.0"]["offset"]
+    target.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(target)]) == 2
+    assert "'rowfac.0.perm'" in capsys.readouterr().err
 
 
 def test_damaged_container_header_exits_with_input_code(tmp_path, capsys):

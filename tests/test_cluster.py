@@ -271,3 +271,90 @@ def test_hss_structure_requires_binary_tree():
     tree = smash.build_tree(X, nu0=5, mode="2d")
     with pytest.raises(ValueError):
         leaf_sets(tree, structure="hss")
+
+
+# ---------------------------------------------------------------------------
+# exact ties: the partition must not move by one ulp
+# ---------------------------------------------------------------------------
+
+def _reference_separated(tree, tau):
+    """well_separated recomputed from each box's lo/hi with np.linalg.norm."""
+    lo = [np.asarray(nd.box.lo) for nd in tree.nodes]
+    hi = [np.asarray(nd.box.hi) for nd in tree.nodes]
+    rad = [0.5 * float(np.linalg.norm(h - l)) for l, h in zip(lo, hi)]
+    cen = [(l + h) / 2.0 for l, h in zip(lo, hi)]
+
+    def sep(a, b):
+        lhs = rad[a] + rad[b]
+        rhs = tau * float(np.linalg.norm(cen[a] - cen[b]))
+        return lhs <= rhs, lhs == rhs
+
+    return sep
+
+
+def _reference_nearfield(tree, sep):
+    near = {tree.root: []}
+    for j in sorted(range(len(tree.nodes)), key=lambda k: tree.nodes[k].level):
+        if j == tree.root:
+            continue
+        p = tree.nodes[j].parent
+        cand = [c for c in tree.nodes[p].children if c != j]
+        for k in near[p]:
+            cand.extend(tree.nodes[k].children or (k,))
+        near[j] = [k for k in cand if not sep(j, k)[0]]
+    return near
+
+
+def _reference_h2(tree, sep):
+    L, Lm = [], []
+
+    def rec(i, j):
+        a, b = tree.nodes[i], tree.nodes[j]
+        if sep(i, j)[0]:
+            L.append((i, j))
+        elif a.is_leaf and b.is_leaf:
+            Lm.append((i, j))
+        elif a.is_leaf:
+            for cj in b.children:
+                rec(i, cj)
+        elif b.is_leaf:
+            for ci in a.children:
+                rec(ci, j)
+        else:
+            for ci in a.children:
+                for cj in b.children:
+                    rec(ci, cj)
+
+    rec(tree.root, tree.root)
+    return L, Lm
+
+
+def test_admissibility_matches_norm_reference_on_a_tree_with_exact_ties():
+    """Every node pair of the sunflower tree at n = 2560 (nu0 50, tau 0.6)
+    is decided as 0.5 |hi - lo|_a + 0.5 |hi - lo|_b <= tau |c_a - c_b|,
+    recomputed from lo/hi with np.linalg.norm.  This tree has exact ties,
+    pairs whose two sides are equal (nodes 23 and 108, for one), so a
+    distance or radius one ulp off fails the test; so do nearfield sets
+    that differ from the reference, in content or order."""
+    tau = 0.6
+    tree = smash.build_tree(smash.bench.curve_points("sunflower", 2560),
+                            nu0=50, tau=tau)
+    sep = _reference_separated(tree, tau)
+    ties = 0
+    for a in tree.nodes:
+        for b in tree.nodes:
+            want, tie = sep(a.index, b.index)
+            ties += tie
+            assert well_separated(a.box, b.box, tau) == want, (a.index, b.index)
+    assert ties > 0 and sep(23, 108) == (True, True)
+    ref = _reference_nearfield(tree, sep)
+    for i in range(len(tree.nodes)):
+        assert nearfield_set(tree, i, tau) == ref[i], i
+
+
+def test_h2_partition_matches_norm_reference_on_grid():
+    tau = 0.65
+    tree = smash.build_tree(smash.bench.grid_points(32), nu0=50, mode="2d",
+                            tau=tau)
+    ref = _reference_h2(tree, _reference_separated(tree, tau))
+    assert leaf_sets(tree, tau, "h2") == ref

@@ -76,6 +76,11 @@ def test_dense_form_round_trip_without_kernel(tmp_path):
     q = rng.random(n)
     np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
                                   smash.matvec_nodewise(M2, q))
+    # an explicit basis that does not fit its node is refused by name
+    edit_header(path, lambda h: _array(h, "rowfac.0.X").update(
+        shape=_array(h, "rowfac.0.X")["shape"][::-1]))
+    with pytest.raises(ValueError, match="'rowfac.0.X'"):
+        smash.load_matrix(path)
 
 
 def test_cauchy_like_round_trip_reloads_generators(tmp_path):
@@ -166,6 +171,19 @@ _DAMAGE = {
         1, h["tree"]["nodes"][0]["rows"][1] - 1), "do not tile its row range"),
     "not_a_child": (lambda h: h["tree"]["nodes"][-1]["children"].__setitem__(
         0, 0), "not its child"),
+    # array contents that contradict the header: an offset moved onto the
+    # bytes of another array
+    "perm_on_other_bytes": (lambda h: _array(h, "rowfac.0.perm").update(
+        offset=_array(h, "D.0")["offset"]), "'rowfac.0.perm'"),
+    "tree_perm_on_points": (lambda h: _array(h, "perm_row").update(
+        offset=_array(h, "points_row")["offset"]), "'perm_row'"),
+    "skel_not_labels": (lambda h: [_array(h, name).update(
+        offset=_array(h, "rowfac.1.perm")["offset"])
+        for name in ("rowfac.1.skel", "skel_row.1")], "'rowfac.1.skel' is"),
+    "G_transposed": (lambda h: _array(h, "colfac.0.G").update(
+        shape=_array(h, "colfac.0.G")["shape"][::-1]), "'colfac.0.G'"),
+    "skel_row_not_factor_skel": (lambda h: _array(h, "skel_row.1").update(
+        offset=_array(h, "rowfac.1.perm")["offset"]), "'skel_row.1'"),
 }
 
 

@@ -1,0 +1,38 @@
+"""The library names that the benchmark's traced run wraps (see
+perfbench/layers.py) still exist and still see the work.  A refactor that
+drops or bypasses one of them fails here, in the unit tests, and not only in
+perfbench/selftest.py.  The benchmark's files are imported, never changed."""
+
+from pathlib import Path
+
+import numpy as np
+
+import smash
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_traced_grid_apply_counts_one_kernel_call_per_row(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import install
+    from tracing import Tracer
+
+    tracer = Tracer()
+    install(tracer)
+    try:
+        # through the module attributes, as the benchmark calls them
+        X = smash.bench.grid_points(20)
+        spec = smash.KernelSpec("cauchy", dx=1.0)
+        tree = smash.cluster.build_tree(X, nu0=50, mode="2d", tau=0.65)
+        M = smash.h2.build_h2(tree, spec, X, X,
+                              smash.BuildParams(r=22, tau=0.65))
+        tracer.phase = "first_apply"
+        smash.apply.matvec_nodewise(M, np.ones(X.n))
+    finally:
+        tracer.restore()
+    rows = len({i for i, _ in M.pairs_L}) + len({i for i, _ in M.pairs_Lm})
+    assert tracer.calls("kernel.kernel_block", ("first_apply",)) == rows
+    assert tracer.calls("apply.matvec_nodewise", ("first_apply",)) == 1
+    for name in ("cluster.build_tree", "cluster.leaf_sets", "h2.build_h2"):
+        assert tracer.calls(name, ("setup",)) == 1, name
+    assert tracer.calls("lowrank.compr", ("setup",)) == 2 * tree.root
