@@ -134,9 +134,6 @@ class UlvFactorization:
     root_n: int = 0
     dtype: object = float
 
-    def solve(self, b):
-        return ulv_solve(self, b)
-
 
 def _reduce_node(i, D, U, V, dtype):
     """Eliminate min(rows - rank, cols) unknowns of the block at node i.

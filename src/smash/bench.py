@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .apply import matvec_nodewise, ulv_factor, ulv_solve
-from .cluster import ClusterTree, PointSet, build_tree
+from .cluster import PointSet, build_tree
 from .h2 import build_h2
 from .hss import BuildParams, build_hss
 from .kernel import (DENSE_BUDGET_DEFAULT, KernelSpec, assemble_dense,
@@ -36,11 +36,9 @@ class ParamChoice:
     tau: float
     r: int
     eps_svd: float
-    s: float = 2.0
 
-    def build_params(self, basis: str = None, eps_svd: float = None) -> BuildParams:
-        svd = self.eps_svd if eps_svd is None else eps_svd
-        return BuildParams(r=self.r, tau=self.tau, eps_svd=svd, s=self.s,
+    def build_params(self, basis: str = None) -> BuildParams:
+        return BuildParams(r=self.r, tau=self.tau, eps_svd=self.eps_svd,
                            basis=basis)
 
 

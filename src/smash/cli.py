@@ -163,16 +163,14 @@ def cmd_solve(args):
     t_factor = time.perf_counter() - t0
     info = dict(n=M.n_row, t_factor=t_factor)
     if args.vec:
-        b = read_vector(args.vec)
-        t0 = time.perf_counter()
-        x = ulv_solve(F, b)
-        info["t_solve"] = time.perf_counter() - t0
+        u, b = None, read_vector(args.vec)
     else:
         u = np.random.default_rng(args.seed).random(M.n_col)
         b = matvec_nodewise(M, u)
-        t0 = time.perf_counter()
-        x = ulv_solve(F, b)
-        info["t_solve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    x = ulv_solve(F, b)
+    info["t_solve"] = time.perf_counter() - t0
+    if u is not None:
         info["forward"] = float(np.linalg.norm(x - u) / np.linalg.norm(u))
     res = matvec_nodewise(M, x) - b
     info["residual"] = float(np.linalg.norm(res) / np.linalg.norm(b))

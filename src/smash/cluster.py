@@ -5,7 +5,7 @@ node owns an axis-aligned box and contiguous ranges into the tree-ordered
 row/column point lists.  Boxes are subdivided by coordinate midpoint until a
 node holds at most ``nu0`` points of each role; empty halves are discarded by
 shrinking the node's box, so every internal node has the full complement of
-children (2 in binary mode, up to 2^d in cross mode).
+children (2 in "binary" mode, up to 2^d in "2d" mode).
 """
 
 from __future__ import annotations
@@ -199,15 +199,6 @@ class ClusterTree:
         nd = self.nodes[i]
         return np.arange(nd.col_start, nd.col_stop)
 
-    def sibling(self, i: int) -> int:
-        p = self.nodes[i].parent
-        if p < 0:
-            raise ValueError("root has no sibling")
-        sibs = [c for c in self.nodes[p].children if c != i]
-        if len(sibs) != 1:
-            raise ValueError("node %d has %d siblings" % (i, len(sibs)))
-        return sibs[0]
-
     # -- invariant check ----------------------------------------------------
 
     def verify(self):
@@ -265,14 +256,14 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
     column) points.
 
     mode "binary" cycles the split axis one coordinate per level; "2d"
-    (alias "2^d") splits every coordinate at once, giving up to 2^d children.
-    Sub-boxes containing no points of either role are discarded; when all
-    surviving points fall in a single sub-box the node's box shrinks to that
-    sub-box and the split is retried, so the tree never contains chains of
-    single-child nodes.
+    splits every coordinate at once, giving up to 2^d children.  Sub-boxes
+    containing no points of either role are discarded; when all surviving
+    points fall in a single sub-box the node's box shrinks to that sub-box
+    and the split is retried, so the tree never contains chains of
+    single-child nodes.  Up to nu0 coincident points share a leaf; more than
+    that, or points too close for the subdivision to separate, raise
+    ValueError.
     """
-    if mode == "2^d":
-        mode = "2d"
     if mode not in ("binary", "2d"):
         raise ValueError("mode must be 'binary' or '2d'")
     if nu0 < 1:
@@ -315,8 +306,13 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
         return idx
 
     def recurse(level, box, xs, ys, axis):
-        if max(xs.size, ys.size) <= nu0:
+        count = max(xs.size, ys.size)
+        if count <= nu0:
             return emit(level, box, xs, ys, ())
+        here = np.vstack([px[xs], py[ys]])
+        if np.all(here == here[0]):
+            raise ValueError("%d points coincide at %s, more than the leaf "
+                             "size nu0 = %d" % (count, here[0].tolist(), nu0))
         for _ in range(_MAX_SHRINKS):
             if mode == "binary":
                 parts = list(_split_once(box, axis, xs, ys, px, py))
@@ -336,8 +332,9 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
             # every point landed in one sub-box: shrink and retry
             box = live[0][0]
             axis = next_axis
-        raise RuntimeError("box subdivision failed to separate points "
-                           "(>%d shrink steps)" % _MAX_SHRINKS)
+        raise ValueError("%d points near %s lie too close together for %d "
+                         "box subdivisions to separate them"
+                         % (count, here[0].tolist(), _MAX_SHRINKS))
 
     recurse(1, root_box, np.arange(px.shape[0]), np.arange(py.shape[0]), 0)
 

@@ -70,7 +70,6 @@ def save_matrix(M, path) -> None:
             else:
                 pl.add(prefix + "perm", fac.perm)
                 pl.add(prefix + "G", fac.G)
-                pl.add(prefix + "skel", fac.skel)
     for i, arr in M.skel_row.items():
         pl.add("skel_row.%d" % i, arr)
     for i, arr in M.skel_col.items():
@@ -93,8 +92,7 @@ def save_matrix(M, path) -> None:
         "kind": M.kind,
         "dtype": "c16" if np.dtype(M.dtype).kind == "c" else "f8",
         "params": {"r": M.params.r, "tau": M.params.tau,
-                   "eps_svd": M.params.eps_svd, "s": M.params.s,
-                   "basis": M.params.basis},
+                   "eps_svd": M.params.eps_svd, "basis": M.params.basis},
         "tree": {
             "mode": tr.mode, "nu0": tr.nu0, "tau_default": tr.tau_default,
             "nodes": [{"level": nd.level, "parent": nd.parent,
@@ -213,7 +211,7 @@ def _assemble(header: dict, arrays: dict):
 
     ph = header["params"]
     params = BuildParams(r=ph["r"], tau=ph["tau"], eps_svd=ph["eps_svd"],
-                         s=ph["s"], basis=ph["basis"])
+                         basis=ph["basis"])
     dtype = np.complex128 if header["dtype"] == "c16" else np.float64
     pairs_L = [tuple(p) for p in header["pairs_L"]]
     pairs_Lm = [tuple(p) for p in header["pairs_Lm"]]
@@ -226,19 +224,16 @@ def _assemble(header: dict, arrays: dict):
         block = no_kernel_block
     M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel)
 
+    perms = []
     for name, arr in arrays.items():
         parts = name.split(".")
         if parts[0] in ("rowfac", "colfac"):
-            facs = M.rowfac if parts[0] == "rowfac" else M.colfac
-            i = int(parts[1])
             if parts[2] == "X":
-                facs[i] = DenseBasis(arr)
+                facs = M.rowfac if parts[0] == "rowfac" else M.colfac
+                facs[int(parts[1])] = DenseBasis(arr)
             elif parts[2] == "perm":
-                skel = arrays["%s.%d.skel" % (parts[0], i)]
-                facs[i] = InterpolativeFactor(
-                    nrows=arr.size, perm=arr,
-                    G=arrays["%s.%d.G" % (parts[0], i)], skel=skel,
-                    skel_local=arr[:skel.size])
+                perms.append((parts[0], int(parts[1]), arr))
+            # "skel" is a second copy of the skeleton in older files
             elif parts[2] not in ("G", "skel"):
                 raise ValueError("unknown container entry %r" % name)
         elif parts[0] == "skel_row":
@@ -252,8 +247,22 @@ def _assemble(header: dict, arrays: dict):
         elif name not in _TREE_ARRAYS + ("kernel.w", "kernel.v"):
             # e.g. the per-block U/V/R/W entries of an older format
             raise ValueError("unknown container entry %r" % name)
+    # an interpolative factor's skeleton is the node's stored skeleton
+    for prefix, i, perm in perms:
+        facs, skels, side = ((M.rowfac, M.skel_row, "row") if prefix == "rowfac"
+                             else (M.colfac, M.skel_col, "column"))
+        if i not in skels:
+            raise _no_factor(i, side)
+        facs[i] = InterpolativeFactor(
+            nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
+            skel=skels[i], skel_local=perm[:skels[i].size])
     _check_structure(M)
     return M
+
+
+def _no_factor(i, side: str) -> ValueError:
+    return ValueError("damaged container: node %r has no %s factor or no %s "
+                      "skeleton" % (i, side, side))
 
 
 def _check_structure(M) -> None:
@@ -294,8 +303,7 @@ def _check_structure(M) -> None:
                               (M.colfac, M.skel_col, "column")):
         for i in set(range(tr.root)).union(facs):
             if i not in facs or i not in skels:
-                raise ValueError("damaged container: node %r has no %s factor "
-                                 "or no %s skeleton" % (i, side, side))
+                raise _no_factor(i, side)
     for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
                               (M.colfac, M.skel_col, "col")):
         for i, fac in facs.items():
@@ -335,19 +343,16 @@ def _check_factor(tr, i, fac, skels, side) -> None:
             raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
                              % (name + "X", fac.X.shape, ibar.size, skel.size))
         return
-    k = fac.skel.size
+    k = skel.size
     if not _is_permutation(fac.perm, ibar.size):
         raise ValueError("damaged container: %r is not a permutation of "
                          "range(%d)" % (name + "perm", ibar.size))
     if fac.G.shape != (ibar.size - k, k):
         raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
                          % (name + "G", fac.G.shape, ibar.size - k, k))
-    if not _same(fac.skel, ibar[fac.perm[:k]]):
-        raise ValueError("damaged container: %r is not the labels its "
-                         "permutation selects" % (name + "skel"))
-    if not _same(skel, fac.skel):
-        raise ValueError("damaged container: 'skel_%s.%d' differs from %r"
-                         % (side, i, name + "skel"))
+    if not _same(skel, ibar[fac.perm[:k]]):
+        raise ValueError("damaged container: 'skel_%s.%d' is not the labels "
+                         "that %r selects" % (side, i, name + "perm"))
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

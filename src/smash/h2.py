@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._threads import one_blas_thread
 from .cluster import ClusterTree, leaf_sets
 from .hss import (BuildParams, _StructuredMatrix, _basis_builder,
-                  _default_basis, _intermediate, kernel_dtype,
+                  _candidate, _default_basis, kernel_dtype,
                   make_block_evaluator)
 from .kernel import KernelSpec
 from .lowrank import compr
@@ -32,7 +32,7 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     if kernel.kind == "cauchy_like":
         raise ValueError("cauchy-like matrices are built in HSS form")
     if tree.mode != "2d" and tree.dim != 1:
-        raise ValueError("H2 construction expects a 2^d-mode tree")
+        raise ValueError("H2 construction expects a '2d'-mode tree")
     basis = params.basis or _default_basis(kernel)
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
@@ -44,12 +44,10 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     # serial: the small compr calls here are bound by the interpreter lock
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
-            ibar_r = _intermediate(tree, i, M.skel_row, "row")
-            ibar_c = _intermediate(tree, i, M.skel_col, "col")
-            fac = compr(brow(i, ibar_r), ibar_r, s=params.s)
+            fac = compr(*_candidate(M, i, (), brow, "row"))
             M.rowfac[i] = fac
             M.skel_row[i] = fac.skel
-            fac = compr(bcol(i, ibar_c), ibar_c, s=params.s)
+            fac = compr(*_candidate(M, i, (), bcol, "col"))
             M.colfac[i] = fac
             M.skel_col[i] = fac.skel
     return M

@@ -21,19 +21,18 @@ import numpy as np
 from ._threads import map_nodes, one_blas_thread, trim_heap
 from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
 from .kernel import KernelSpec, kernel_block
-from .lowrank import (DenseBasis, compr, interp_basis, taylor_basis,
-                      truncated_svd)
+from .lowrank import (DenseBasis, _box_center_scalar, compr, interp_basis,
+                      taylor_basis, truncated_svd)
 
 
 @dataclass
 class BuildParams:
     """Construction knobs: expansion order r, admissibility tau, nearfield
-    SVD cutoff, swap threshold s, and farfield basis kind."""
+    SVD cutoff, and farfield basis kind."""
 
     r: int = 20
     tau: float = 0.6
     eps_svd: float = 0.0
-    s: float = 2.0
     basis: str = None  # "taylor" | "interp"; None picks by kernel kind
 
 
@@ -259,9 +258,8 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
 
         def build(i, idx):
             box = _pad_box(tree.nodes[i].box, pad)
-            c = box.center
-            center = float(c[0]) if c.size == 1 else complex(c[0], c[1])
-            return taylor_basis(center, box.radius, scal[idx], params.r)
+            return taylor_basis(_box_center_scalar(box), box.radius, scal[idx],
+                                params.r)
     elif basis == "interp":
 
         def build(i, idx):
@@ -286,30 +284,30 @@ def _intermediate(tree, i, skels, side):
     return np.concatenate([skels[c] for c in tree.nodes[i].children])
 
 
-def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
-    """Row and column factors of node i.  Reads only the skeletons of
+def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
+    """(C, ibar) for compressing node i's rows ("row") or columns ("col"):
+    the farfield basis over the node's labels ibar, next to the truncated-SVD
+    basis of its block against the nearfield neighbors' current labels (the
+    column side takes that block transposed).  Reads only the skeletons of
     earlier levels, so the nodes of one level are independent."""
-    tree, params, block = M.tree, M.params, M._block
-    ibar_r = _intermediate(tree, i, M.skel_row, "row")
-    ibar_c = _intermediate(tree, i, M.skel_col, "col")
-    # row pass: farfield basis + nearfield column space
-    cand = [brow(i, ibar_r)]
-    cols = [  # neighbors' current column index sets
-        _intermediate(tree, j, M.skel_col, "col") for j in near]
-    cols = [c for c in cols if c.size]
-    if cols and ibar_r.size:
-        Anear = block(ibar_r, np.concatenate(cols))
-        cand.append(truncated_svd(Anear, params.eps_svd).S)
-    rowfac = compr(np.hstack(cand), ibar_r, s=params.s)
-    # column pass
-    cand = [bcol(i, ibar_c)]
-    rows = [_intermediate(tree, j, M.skel_row, "row") for j in near]
-    rows = [r_ for r_ in rows if r_.size]
-    if rows and ibar_c.size:
-        Anear = block(np.concatenate(rows), ibar_c)
-        cand.append(truncated_svd(Anear.T, params.eps_svd).S)
-    colfac = compr(np.hstack(cand), ibar_c, s=params.s)
-    return rowfac, colfac
+    skels = {"row": M.skel_row, "col": M.skel_col}
+    other = "col" if side == "row" else "row"
+    ibar = _intermediate(M.tree, i, skels[side], side)
+    cand = [basis(i, ibar)]
+    labels = [_intermediate(M.tree, j, skels[other], other) for j in near]
+    labels = [x for x in labels if x.size]
+    if labels and ibar.size:
+        labels = np.concatenate(labels)
+        Anear = (M._block(ibar, labels) if side == "row"
+                 else M._block(labels, ibar).T)
+        cand.append(truncated_svd(Anear, M.params.eps_svd).S)
+    return np.hstack(cand), ibar
+
+
+def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
+    """Row and column factors of node i."""
+    return (compr(*_candidate(M, i, near, brow, "row")),
+            compr(*_candidate(M, i, near, bcol, "col")))
 
 
 @one_blas_thread()

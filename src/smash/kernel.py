@@ -168,13 +168,6 @@ def get_curve(name: str) -> CurveSpec:
                          % (name, ", ".join(sorted(_CURVES)))) from None
 
 
-def curve_point(curve: CurveSpec, t, derivative: int = 0):
-    """Position (derivative=0), velocity (1), or acceleration (2) at t."""
-    f = {0: curve.point, 1: curve.velocity, 2: curve.acceleration}[derivative]
-    out = f(t)
-    return out[0] if np.isscalar(t) else out
-
-
 def curve_orientation(curve: CurveSpec, m: int = 2048) -> int:
     """+1 for counterclockwise parametrization, -1 for clockwise."""
     t = np.arange(m) / m

@@ -152,10 +152,10 @@ def interp_basis(box, pts: np.ndarray, r: int) -> np.ndarray:
 @dataclass
 class SrrqrResult:
     perm: np.ndarray      # column permutation (indices into the input)
-    Q: np.ndarray
     R11: np.ndarray
     R12: np.ndarray
     R22: np.ndarray
+    W: np.ndarray         # R11^{-1} R12, k x (n - k)
     rank: int
     swaps: int
 
@@ -169,28 +169,28 @@ def _numerical_rank(rdiag: np.ndarray, k: int, rtol: float) -> int:
 
 def srrqr(M: np.ndarray, k: int = None, s: float = 2.0, rtol: float = _DEFICIENCY_RTOL,
           max_swaps: int = 200) -> SrrqrResult:
-    """Column-pivoted QR with bounded-entry postprocessing.
+    """Column-pivoted QR with bounded-entry postprocessing; R only.
 
-    After the initial pivoted factorization, any entry of R11^{-1} R12 larger
-    than s triggers a column swap and refactorization, so the returned
-    factorization satisfies max|R11^{-1} R12| <= s.  The rank k is capped at
-    the numerical rank (trailing R11 diagonal below rtol times the leading
-    one); pass k=None for rank detection alone.
+    After the initial pivoted factorization, any entry of W = R11^{-1} R12
+    larger than s triggers a column swap and refactorization, so the returned
+    factorization satisfies max|W| <= s.  The rank k is capped at the
+    numerical rank (trailing R11 diagonal below rtol times the leading one);
+    pass k=None for rank detection alone.
     """
     M = np.asarray(M)
     m, n = M.shape
-    if min(m, n) == 0:
-        e = np.empty((0, 0), dtype=M.dtype)
-        return SrrqrResult(np.arange(n), np.empty((m, 0), M.dtype), e,
-                           np.empty((0, n), M.dtype), M.copy(), 0, 0)
-    Q, R, piv = sla.qr(M, mode="economic", pivoting=True)
     kmax = min(m, n)
+    if kmax == 0:
+        e = np.empty((0, n), dtype=M.dtype)
+        return SrrqrResult(np.arange(n), e[:, :0], e, M.copy(), e, 0, 0)
+    R, piv = sla.qr(M, mode="r", pivoting=True)
+    R = R[:kmax]
     k = kmax if k is None else min(k, kmax)
     k = _numerical_rank(np.diag(R), k, rtol)
     swaps = 0
-    while k > 0:
-        W = sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False) \
-            if k < n else np.empty((k, 0), dtype=R.dtype)
+    while True:
+        W = (sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
+             if 0 < k < n else np.empty((k, n - k), dtype=R.dtype))
         if W.size == 0 or np.max(np.abs(W)) <= s:
             break
         if swaps >= max_swaps:
@@ -198,9 +198,9 @@ def srrqr(M: np.ndarray, k: int = None, s: float = 2.0, rtol: float = _DEFICIENC
         i, j = np.unravel_index(np.argmax(np.abs(W)), W.shape)
         piv = piv.copy()
         piv[i], piv[k + j] = piv[k + j], piv[i]
-        Q, R = sla.qr(M[:, piv], mode="economic")
+        R = sla.qr(M[:, piv], mode="r")[0][:kmax]
         swaps += 1
-    return SrrqrResult(piv, Q[:, :k], R[:k, :k], R[:k, k:], R[k:, k:], k, swaps)
+    return SrrqrResult(piv, R[:k, :k], R[:k, k:], R[k:, k:], W, k, swaps)
 
 
 @dataclass
@@ -259,27 +259,23 @@ class DenseBasis:
         return self.X
 
 
-def compr(C: np.ndarray, ibar: np.ndarray, s: float = 2.0, rank: int = None,
-          rtol: float = _DEFICIENCY_RTOL) -> InterpolativeFactor:
+def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
     """Interpolative row compression of C, labeling rows by ibar.
 
-    With rank=None the cut keeps the full numerical rank, so the skeleton
-    reproduces C to working precision; C with no columns (or all zeros) yields
-    an empty skeleton.
+    The cut keeps the full numerical rank, so the skeleton reproduces C to
+    working precision; C with no columns (or all zeros) yields an empty
+    skeleton.
     """
     C = np.asarray(C)
     ibar = np.asarray(ibar, dtype=np.int64)
     if C.shape[0] != ibar.size:
         raise ValueError("row labels do not match C")
-    res = srrqr(C.T, k=rank, s=s, rtol=rtol)
+    res = srrqr(C.T)
     k = res.rank
-    G = sla.solve_triangular(res.R11, res.R12, lower=False).T if k else \
-        np.zeros((C.shape[0], 0), dtype=C.dtype)
-    dtype = G.dtype if k else C.dtype
     return InterpolativeFactor(
         nrows=C.shape[0],
         perm=np.asarray(res.perm, dtype=np.int64),
-        G=np.asarray(G, dtype=dtype),
+        G=res.W.T,
         skel=ibar[res.perm[:k]],
         skel_local=np.asarray(res.perm[:k], dtype=np.int64),
     )

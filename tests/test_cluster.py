@@ -101,6 +101,35 @@ def test_empty_input_rejected():
         smash.build_tree(uniform_1d(4), nu0=0)
 
 
+def _coincident_cases():
+    x = np.linspace(0.0, 1.0, 200).reshape(-1, 1)
+    x[:60] = 0.5
+    planar = np.repeat(np.random.default_rng(8).random((30, 2)), 3, axis=0)
+    return {
+        "interval": (x, dict(nu0=50), "60 points coincide at \\[0.5\\]"),
+        "planar": (planar, dict(nu0=2, mode="2d"), "3 points coincide"),
+        # distinct, but closer than the shrink steps can resolve
+        "near": (np.array([[0.0], [1e-70], [1.0]]), dict(nu0=1),
+                 "too close together"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_coincident_cases()))
+def test_more_than_nu0_coincident_points_rejected(case):
+    pts, kw, message = _coincident_cases()[case]
+    with pytest.raises(ValueError, match=message):
+        smash.build_tree(smash.PointSet(pts), **kw)
+
+
+def test_up_to_nu0_coincident_points_share_a_leaf():
+    x = np.linspace(0.0, 1.0, 200).reshape(-1, 1)
+    x[:50] = 0.5
+    tree = smash.build_tree(smash.PointSet(x), nu0=50)
+    at = [nd for nd in tree.nodes if nd.is_leaf
+          and np.all(tree.points_row[nd.row_start:nd.row_stop] == 0.5)]
+    assert len(at) == 1 and at[0].n_row == 50
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_points_rejected(bad):
     # such points used to exhaust the box-shrink loop, a "numerical" failure

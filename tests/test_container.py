@@ -3,6 +3,7 @@ matrices, the guard for matrices saved without their kernel, and the
 rejection of damaged files."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,35 @@ def test_header_with_old_cache_flag_still_loads(tmp_path):
                                   smash.matvec_nodewise(smash.load_matrix(path), q))
 
 
+def test_container_with_duplicate_skeletons_loads_bitwise():
+    # written by an earlier version, which stored every interpolative
+    # skeleton twice (also as "rowfac.<i>.skel") and a "params.s" entry
+    path = Path(__file__).parent / "data" / "interval_hss_n100.smash"
+    M2 = smash.load_matrix(path)
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    for facs, facs2 in ((M.rowfac, M2.rowfac), (M.colfac, M2.colfac)):
+        assert sorted(facs) == sorted(facs2)
+        for i, fac in facs.items():
+            for name in ("perm", "G", "skel"):
+                a, b = getattr(fac, name), getattr(facs2[i], name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    q = np.random.default_rng(6).random(100)
+    assert (smash.matvec_nodewise(M, q).tobytes()
+            == smash.matvec_nodewise(M2, q).tobytes())
+    F, F2 = smash.ulv_factor(M), smash.ulv_factor(M2)
+    assert smash.ulv_solve(F, q).tobytes() == smash.ulv_solve(F2, q).tobytes()
+
+
+def test_saved_interpolative_factor_stores_skeleton_once(tmp_path):
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    names = []
+    edit_header(path, lambda h: names.extend(e["name"] for e in h["arrays"]))
+    assert not [n for n in names if n.endswith(".skel")]
+    assert "skel_row.0" in names and "rowfac.0.perm" in names
+
+
 def test_factor_form_without_kernel_reports_missing_blocks(tmp_path):
     M, _, _, _ = build_interval_hss(300, nu0=32)
     M.kernel = None
@@ -167,6 +197,8 @@ _DAMAGE = {
     "factor_without_skeleton": (lambda h: h.update(arrays=[
         e for e in h["arrays"] if e["name"] != "skel_row.0"]),
         "node 0 has no row factor"),
+    "factor_of_unknown_node": (lambda h: _array(h, "rowfac.0.perm").update(
+        name="rowfac.99.perm"), "node 99 has no row factor"),
     "children_not_tiling": (lambda h: h["tree"]["nodes"][0]["rows"].__setitem__(
         1, h["tree"]["nodes"][0]["rows"][1] - 1), "do not tile its row range"),
     "not_a_child": (lambda h: h["tree"]["nodes"][-1]["children"].__setitem__(
@@ -177,9 +209,8 @@ _DAMAGE = {
         offset=_array(h, "D.0")["offset"]), "'rowfac.0.perm'"),
     "tree_perm_on_points": (lambda h: _array(h, "perm_row").update(
         offset=_array(h, "points_row")["offset"]), "'perm_row'"),
-    "skel_not_labels": (lambda h: [_array(h, name).update(
-        offset=_array(h, "rowfac.1.perm")["offset"])
-        for name in ("rowfac.1.skel", "skel_row.1")], "'rowfac.1.skel' is"),
+    "skel_not_labels": (lambda h: _array(h, "skel_col.1").update(
+        offset=_array(h, "colfac.1.perm")["offset"]), "'skel_col.1' is"),
     "G_transposed": (lambda h: _array(h, "colfac.0.G").update(
         shape=_array(h, "colfac.0.G")["shape"][::-1]), "'colfac.0.G'"),
     "skel_row_not_factor_skel": (lambda h: _array(h, "skel_row.1").update(

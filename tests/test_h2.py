@@ -103,6 +103,22 @@ def test_adaptive_point_set_produces_cross_level_pairs():
     assert np.linalg.norm(z - A @ q) <= 1e-6 * np.linalg.norm(A @ q)
 
 
+def test_coincident_planar_points_with_dx_match_dense_oracle():
+    # locations repeated up to three times, fewer than nu0 per location
+    rng = np.random.default_rng(5)
+    base = rng.random((400, 2))
+    X = smash.PointSet(np.vstack([base, base[:80], base[:30]]))
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=16, mode="2d", tau=0.65)
+    M = smash.build_h2(tree, spec, X, X,
+                       smash.BuildParams(r=22, tau=0.65, eps_svd=1e-12))
+    assert M.pairs_L
+    A = kernel_block(spec, X, X, np.arange(X.n), np.arange(X.n))
+    q = rng.random(X.n)
+    z = smash.matvec_nodewise(M, q)
+    assert np.linalg.norm(z - A @ q) <= 1e-6 * np.linalg.norm(A @ q)
+
+
 def test_h2_build_requires_2d_tree_mode():
     rng = np.random.default_rng(1)
     X = smash.PointSet(rng.random((64, 2)))

@@ -52,10 +52,35 @@ def test_skeletons_nest_inside_children_skeletons(cauchy_hss_400):
 
 def test_interpolation_coefficients_bounded_by_swap_threshold(cauchy_hss_400):
     M, _, _, _ = cauchy_hss_400
-    s = M.params.s
+    s = 2.0  # srrqr's swap threshold
     for fac in list(M.rowfac.values()) + list(M.colfac.values()):
         if fac.G.size:
             assert np.max(np.abs(fac.G)) <= s + 1e-9
+
+
+def _repeated_interval(n=200, repeats=50):
+    x = np.linspace(0.0, 1.0, n)
+    return smash.PointSet(np.concatenate([x, x[:repeats]]).reshape(-1, 1))
+
+
+def test_coincident_points_with_dx_match_dense_oracle():
+    # at most nu0 copies per location, so the tree places them in leaves
+    X = _repeated_interval()
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=16)
+    M = smash.build_hss(tree, spec, X, X,
+                        smash.BuildParams(r=21, tau=0.6, eps_svd=1e-12))
+    assert M.pairs_L
+    A = dense_oracle(spec, X, X)
+    assert np.max(np.abs(M.todense() - A)) <= 1e-10 * np.max(np.abs(A))
+
+
+def test_coincident_points_without_dx_refused():
+    X = _repeated_interval()
+    tree = smash.build_tree(X, nu0=16)
+    with pytest.raises(ValueError, match="diagonal value"):
+        smash.build_hss(tree, smash.KernelSpec("cauchy"), X, X,
+                        smash.BuildParams(r=21))
 
 
 def test_single_node_tree_is_just_the_dense_matrix():

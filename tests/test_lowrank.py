@@ -231,6 +231,30 @@ def test_exact_rank_matrices_reconstruct_exactly(seed, k):
     assert np.max(np.abs(f.G)) <= 2.0 + 1e-12 if f.G.size else True
 
 
+def _compr_inputs():
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((12, 7))
+    cplx = real + 1j * rng.standard_normal((12, 7))
+    deficient = rng.standard_normal((12, 3)) @ rng.standard_normal((3, 7))
+    return {"real": real, "complex": cplx, "rank_deficient": deficient,
+            "rank_zero": np.zeros((12, 7))}
+
+
+@pytest.mark.parametrize("case", sorted(_compr_inputs()))
+def test_compr_coefficients_are_srrqr_solution_bitwise(case):
+    C = _compr_inputs()[case]
+    f = compr(C, np.arange(C.shape[0]))
+    res = srrqr(C.T)
+    np.testing.assert_array_equal(f.perm, res.perm)
+    if res.rank == 0:
+        assert f.G.shape == (C.shape[0], 0)
+        return
+    G = sla.solve_triangular(res.R11, res.R12, lower=False).T
+    assert f.G.dtype == G.dtype and f.G.shape == G.shape
+    assert f.G.tobytes() == G.tobytes()
+    assert res.W.shape == (res.rank, C.shape[0] - res.rank)
+
+
 def test_zero_matrix_has_empty_skeleton():
     f = compr(np.zeros((6, 4)), np.arange(6))
     assert f.rank == 0
