@@ -3,9 +3,10 @@
 matvec runs the three-sweep scheme (upward basis projections, skeleton
 couplings, downward transfers plus dense nearfield); the level-synchronous
 name runs the same core and is limited to perfect trees.  The ULV
-factorization eliminates, per node, the equations orthogonal to the row
-basis against an equal count of unknowns, shrinking each subtree to its
-skeleton until a small dense root system remains.
+factorization eliminates, per node, the redundant rows of its interpolative
+row factor P [I; G] (each row minus G times the skeleton rows couples to
+nothing outside the node) against an equal count of unknowns, shrinking each
+subtree to its skeleton rows until a small dense root system remains.
 """
 
 from __future__ import annotations
@@ -117,12 +118,10 @@ def matvec_levelwise(M, q) -> np.ndarray:
 @dataclass
 class _UlvNode:
     t: int = 0                    # unknowns eliminated at this node
-    Q: np.ndarray = None          # row transform (m_r x m_r)
     Qz: np.ndarray = None         # unknown rotation (x = Qz @ [z1; x_rest])
     Ltri: np.ndarray = None       # t x t lower-triangular local solve
-    Dcorr: np.ndarray = None      # rhs correction block, (m_r - t) x t
+    Dcorr: np.ndarray = None      # rhs correction block, k_r x t
     Mcorr: np.ndarray = None      # g correction block, k_c x t
-    CP: np.ndarray = None         # reduced row basis times coupling (to sibling)
     mc_red: int = 0               # unknowns remaining after reduction
 
 
@@ -135,43 +134,37 @@ class UlvFactorization:
     dtype: object = float
 
 
-def _reduce_node(i, D, U, V, dtype):
-    """Eliminate min(rows - rank, cols) unknowns of the block at node i.
+def _reduce_node(i, D, V, fac, dtype):
+    """Eliminate node i's redundant rows against as many of its unknowns.
 
-    Returns (record, D_red, U_red, V_red).  Rows beyond the row-basis rank
-    carry no coupling to the rest of the system, so after a row QR they form
-    local equations; rotating the unknowns against those rows leaves a
-    lower-triangular local solve and a shrunken block.
+    Returns (record, D_red, V_red).  The row factor X = P [I; G] says that,
+    outside the node, rows perm[k:] equal G times the skeleton rows
+    perm[:k]; so D[perm[k:]] - G D[perm[:k]] are local equations.  Rotating
+    the unknowns against them leaves a lower-triangular local solve, and
+    the skeleton rows, in skeleton order, remain.
     """
-    m_r, k_r = U.shape
-    m_c = D.shape[1]
-    rec = _UlvNode(mc_red=m_c)
-    e = m_r - k_r
-    t = min(e, m_c) if e > 0 else 0
+    k = fac.rank
+    t, m_c = D.shape[0] - k, D.shape[1]
+    if t > m_c:
+        raise np.linalg.LinAlgError(
+            "ULV elimination at node %d: %d redundant rows on %d unknowns are "
+            "linearly dependent" % (i, t, m_c))
+    Dk = D[fac.perm[:k]]
     if t == 0:
-        return rec, D, U, V
-    Q, _ = np.linalg.qr(U, mode="complete")
-    Dp = Q.conj().T @ D
-    Bbot = Dp[m_r - t:]
+        return _UlvNode(mc_red=m_c), Dk, V
+    Bbot = D[fac.perm[k:]] - fac.G @ Dk
     Qz, Rt = np.linalg.qr(Bbot.conj().T, mode="complete")
     Ltri = Rt[:t].conj().T
-    dmin = np.min(np.abs(np.diag(Ltri))) if t else np.inf
-    if dmin <= _PIVOT_RTOL * max(np.linalg.norm(Bbot, np.inf), 1e-300):
+    if np.min(np.abs(np.diag(Ltri))) <= _PIVOT_RTOL * max(
+            np.linalg.norm(Bbot, np.inf), 1e-300):
         raise np.linalg.LinAlgError(
             "ULV elimination hit a singular local block at node %d" % i)
-    Dtrans = Dp[:m_r - t] @ Qz
+    Dtrans = Dk @ Qz
     Mfull = V.T @ Qz
-    rec.t = t
-    rec.Q = np.ascontiguousarray(Q.astype(dtype, copy=False))
-    rec.Qz = np.ascontiguousarray(Qz.astype(dtype, copy=False))
-    rec.Ltri = Ltri
-    rec.Dcorr = Dtrans[:, :t]
-    rec.Mcorr = Mfull[:, :t]
-    rec.mc_red = m_c - t
-    D_red = Dtrans[:, t:]
-    U_red = (Q.conj().T @ U)[:m_r - t]
-    V_red = Mfull[:, t:].T
-    return rec, D_red, U_red, V_red
+    rec = _UlvNode(t=t, Qz=np.ascontiguousarray(Qz.astype(dtype, copy=False)),
+                   Ltri=Ltri, Dcorr=Dtrans[:, :t], Mcorr=Mfull[:, :t],
+                   mc_red=m_c - t)
+    return rec, Dtrans[:, t:], Mfull[:, t:].T
 
 
 @one_blas_thread()
@@ -179,8 +172,9 @@ def ulv_factor(M) -> UlvFactorization:
     """Factor an HSS matrix for repeated solves.
 
     Raises LinAlgError when a local elimination block or the final root system
-    is numerically singular (reported with the node id; nothing is
-    regularized).  Runs on one BLAS thread.
+    is numerically singular, or when a node has more redundant rows than
+    unknowns (reported with the node id; nothing is regularized).  Runs on
+    one BLAS thread.
     """
     if M.kind != "hss":
         raise ValueError("ULV factorization expects an HSS matrix")
@@ -193,24 +187,17 @@ def ulv_factor(M) -> UlvFactorization:
         if nd.is_leaf:
             D = np.asarray(M.NF(i, i), dtype=dtype)
             if i != tr.root:  # a single-leaf tree has no bases at all
-                U = np.asarray(M.U(i), dtype=dtype)
                 V = np.asarray(M.V(i), dtype=dtype)
         else:
+            # the children's remaining rows are their row skeletons, whose
+            # couplings are M.B itself
             c1, c2 = nd.children
-            r1, r2 = red.pop(c1), red.pop(c2)
-            B12 = M.B(c1, c2)
-            B21 = M.B(c2, c1)
-            F.nodes[c1].CP = r1["U"] @ B12
-            F.nodes[c2].CP = r2["U"] @ B21
-            D = np.block([
-                [r1["D"], F.nodes[c1].CP @ r2["V"].T],
-                [F.nodes[c2].CP @ r1["V"].T, r2["D"]],
-            ])
+            (D1, V1), (D2, V2) = red.pop(c1), red.pop(c2)
+            D = np.block([[D1, M.B(c1, c2) @ V2.T],
+                          [M.B(c2, c1) @ V1.T, D2]])
             if i != tr.root:
-                R1, R2 = M.transfers(i, "row")
                 W1, W2 = M.transfers(i, "col")
-                U = np.vstack([r1["U"] @ R1, r2["U"] @ R2])
-                V = np.vstack([r1["V"] @ W1, r2["V"] @ W2])
+                V = np.vstack([V1 @ W1, V2 @ W2])
         if i == tr.root:
             if D.shape[0] != D.shape[1]:
                 raise np.linalg.LinAlgError(
@@ -225,9 +212,9 @@ def ulv_factor(M) -> UlvFactorization:
                         "ULV root system is numerically singular (node %d)" % i)
                 F.root_lu = (lu, piv)
         else:
-            rec, Dr, Ur, Vr = _reduce_node(i, D, U, V, dtype)
+            rec, Dr, Vr = _reduce_node(i, D, V, M.rowfac[i], dtype)
             F.nodes[i] = rec
-            red[i] = {"D": Dr, "U": Ur, "V": Vr}
+            red[i] = (Dr, Vr)
     return F
 
 
@@ -250,8 +237,7 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
             c1, c2 = nd.children
             b1, b2 = bred.pop(c1), bred.pop(c2)
             g1, g2 = gs.pop(c1), gs.pop(c2)
-            n1, n2 = F.nodes[c1], F.nodes[c2]
-            bcur = np.vstack([b1 - n1.CP @ g2, b2 - n2.CP @ g1])
+            bcur = np.vstack([b1 - M.B(c1, c2) @ g2, b2 - M.B(c2, c1) @ g1])
             gpre = None
             if i != tr.root:  # the column transfers toward the parent
                 gpre = M.colfac[i].apply_t(np.vstack([g1, g2]))
@@ -261,16 +247,17 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
             else:
                 xroot = np.zeros((0, ncols), dtype=dtype)
             break
-        rec = F.nodes[i]
+        rec, fac = F.nodes[i], M.rowfac[i]
+        bk = bcur[fac.perm[:fac.rank]]
         if rec.t > 0:
-            bp = rec.Q.conj().T @ bcur
-            z1 = sla.solve_triangular(rec.Ltri, bp[-rec.t:], lower=True)
+            z1 = sla.solve_triangular(
+                rec.Ltri, bcur[fac.perm[fac.rank:]] - fac.G @ bk, lower=True)
             z1s[i] = z1
-            bred[i] = bp[:-rec.t] - rec.Dcorr @ z1
+            bred[i] = bk - rec.Dcorr @ z1
             gown = rec.Mcorr @ z1
         else:
             # nothing eliminated here; g picks up no local contribution
-            bred[i] = bcur
+            bred[i] = bk
             gown = np.zeros((M.rank_col(i), ncols), dtype=dtype)
         gs[i] = gown if gpre is None else gpre + gown
 

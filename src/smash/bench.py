@@ -21,7 +21,6 @@ from .h2 import build_h2
 from .hss import BuildParams, build_hss
 from .kernel import (DENSE_BUDGET_DEFAULT, KernelSpec, assemble_dense,
                      evaluate_potential, get_curve, kernel_block)
-from .lowrank import DenseBasis
 
 # ---------------------------------------------------------------------------
 # parameter heuristic
@@ -213,32 +212,24 @@ def storage_report(M) -> StorageReport:
 
     The compressed form keeps interpolation coefficients, skeleton index
     sets, and leaf diagonal blocks; coupling blocks are regenerated from the
-    kernel at skeleton points so only their indices are stored.  The
-    generator form materializes U, V, R, W, and B densely.  Explicit bases
-    (of sums and scalings) count as interpolation data at leaves and as
-    transfers above them.  Entries are counted at the matrix dtype width,
-    indices at 8 bytes.
+    kernel at skeleton points so only their indices are stored; sums and
+    scalings store their couplings, counted as "coupling".  The generator
+    form materializes U, V, R, W, and B densely.  Entries are counted at the
+    matrix dtype width, indices at 8 bytes.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
-    interp = transfer = coupling = diag = idx = 0
+    interp = coupling = diag = idx = 0
     for facs in (M.rowfac, M.colfac):
-        for i, fac in facs.items():
-            if isinstance(fac, DenseBasis):  # sums and scalings
-                if tr.is_leaf(i):
-                    interp += fac.X.size
-                else:
-                    transfer += fac.X.size
-            else:
-                interp += fac.G.size
-                idx += fac.perm.size + fac.skel.size
+        for fac in facs.values():
+            interp += fac.G.size
+            idx += fac.perm.size + fac.skel.size
     for A in M.B_dense.values():
         coupling += A.size
     for A in M.Dblocks.values():
         diag += A.size
     breakdown = {
         "interp": interp * fb,
-        "transfer": transfer * fb,
         "coupling": coupling * fb,
         "diag": diag * fb,
         "index": idx * _INT_BYTES,

@@ -133,9 +133,6 @@ def cmd_matvec(args):
     M, spec, X, Y = _obtain_matrix(args)
     if args.vec:
         q = read_vector(args.vec)
-        if q.shape[0] != M.n_col:
-            raise ValueError("vector length %d does not match n_col %d"
-                             % (q.shape[0], M.n_col))
     else:
         q = np.random.default_rng(args.seed).random(M.n_col)
     t0 = time.perf_counter()

@@ -18,7 +18,7 @@ from .h2 import H2Matrix
 from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
                   no_kernel_block)
 from .kernel import KernelSpec, get_curve
-from .lowrank import DenseBasis, InterpolativeFactor
+from .lowrank import InterpolativeFactor
 
 _MAGIC = b"SMASH-BIN-1\n"
 
@@ -56,7 +56,7 @@ class _Payload:
 
 def save_matrix(M, path) -> None:
     """Write an HSS or H2 matrix, built or the result of sums and
-    scalings."""
+    scalings; both hold interpolative factors."""
     pl = _Payload()
     pl.add("perm_row", M.tree.perm_row)
     pl.add("perm_col", M.tree.perm_col)
@@ -64,12 +64,8 @@ def save_matrix(M, path) -> None:
     pl.add("points_col", M.tree.points_col)
     for side, facs in (("rowfac", M.rowfac), ("colfac", M.colfac)):
         for i, fac in facs.items():
-            prefix = "%s.%d." % (side, i)
-            if isinstance(fac, DenseBasis):
-                pl.add(prefix + "X", fac.X)
-            else:
-                pl.add(prefix + "perm", fac.perm)
-                pl.add(prefix + "G", fac.G)
+            pl.add("%s.%d.perm" % (side, i), fac.perm)
+            pl.add("%s.%d.G" % (side, i), fac.G)
     for i, arr in M.skel_row.items():
         pl.add("skel_row.%d" % i, arr)
     for i, arr in M.skel_col.items():
@@ -229,9 +225,11 @@ def _assemble(header: dict, arrays: dict):
         parts = name.split(".")
         if parts[0] in ("rowfac", "colfac"):
             if parts[2] == "X":
-                facs = M.rowfac if parts[0] == "rowfac" else M.colfac
-                facs[int(parts[1])] = DenseBasis(arr)
-            elif parts[2] == "perm":
+                raise ValueError(
+                    "container entry %r is an explicit basis, which older "
+                    "versions stored for sums and scalings; rebuild the "
+                    "matrix" % name)
+            if parts[2] == "perm":
                 perms.append((parts[0], int(parts[1]), arr))
             # "skel" is a second copy of the skeleton in older files
             elif parts[2] not in ("G", "skel"):
@@ -255,7 +253,7 @@ def _assemble(header: dict, arrays: dict):
             raise _no_factor(i, side)
         facs[i] = InterpolativeFactor(
             nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
-            skel=skels[i], skel_local=perm[:skels[i].size])
+            skel=skels[i])
     _check_structure(M)
     return M
 
@@ -338,11 +336,6 @@ def _check_factor(tr, i, fac, skels, side) -> None:
     name = "%sfac.%d." % (side, i)
     ibar = _intermediate(tr, i, skels, side)
     skel = skels[i]
-    if isinstance(fac, DenseBasis):
-        if fac.X.shape != (ibar.size, skel.size):
-            raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
-                             % (name + "X", fac.X.shape, ibar.size, skel.size))
-        return
     k = skel.size
     if not _is_permutation(fac.perm, ibar.size):
         raise ValueError("damaged container: %r is not a permutation of "

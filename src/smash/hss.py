@@ -2,13 +2,14 @@
 
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
-skeletons of its children (the per-child transfer blocks).  Built matrices
-hold interpolative factors, applied without forming them; sums and diagonal
-scalings hold explicit bases.  Coupling blocks between siblings are exact
-kernel entries at skeleton index pairs, so the compressed representation
-stores only interpolation coefficients, index sets, and leaf diagonal blocks;
-coupling and nearfield values are evaluated on first use, one block row per
-target node, and kept.
+skeletons of its children (the per-child transfer blocks).  Every basis is
+an interpolative factor, applied without forming it: built matrices get
+theirs from compression, sums and diagonal scalings from recompressing the
+bases they combine.  Coupling blocks between siblings are exact kernel
+entries at skeleton index pairs, so the compressed representation of a built
+matrix stores only interpolation coefficients, index sets, and leaf diagonal
+blocks; coupling and nearfield values are evaluated on first use, one block
+row per target node, and kept.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from ._threads import map_nodes, one_blas_thread, trim_heap
 from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
 from .kernel import KernelSpec, kernel_block
-from .lowrank import (DenseBasis, _box_center_scalar, compr, interp_basis,
-                      taylor_basis, truncated_svd)
+from .lowrank import (_box_center_scalar, compr, interp_basis, taylor_basis,
+                      truncated_svd)
 
 
 @dataclass
@@ -86,13 +87,13 @@ def _by_target(pairs) -> dict:
 class _StructuredMatrix:
     """Shared machinery of the HSS and H2 formats.
 
-    ``rowfac[i]`` and ``colfac[i]`` hold node i's bases, each offering
-    ``apply`` (X @ Z), ``apply_t`` (X.T @ Q) and ``expand`` (X).  Couplings
-    come from the kernel at skeleton pairs, except for sums and scalings,
-    which store them in ``B_dense``; leaf diagonal blocks of HSS matrices
-    are stored in ``Dblocks``.  Both kinds of block are kept as block rows
-    (``block_row``), one per target node, filled on first use; ``B`` and
-    ``NF`` return views into them.
+    ``rowfac[i]`` and ``colfac[i]`` hold node i's bases, interpolative
+    factors offering ``apply`` (X @ Z), ``apply_t`` (X.T @ Q) and ``expand``
+    (X).  Couplings come from the kernel at skeleton pairs, except for sums
+    and scalings, which store them in ``B_dense``; leaf diagonal blocks of
+    HSS matrices are stored in ``Dblocks``.  Both kinds of block are kept as
+    block rows (``block_row``), one per target node, filled on first use;
+    ``B`` and ``NF`` return views into them.
     """
 
     kind = "structured"
@@ -365,7 +366,8 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
 
 def hss_add(A: HssMatrix, B: HssMatrix) -> HssMatrix:
     """Sum of two HSS matrices on the same tree: bases concatenate, transfers
-    and couplings stack block-diagonally, diagonal blocks add."""
+    and couplings stack block-diagonally, diagonal blocks add; the result is
+    recompressed into interpolative factors."""
     if A.kind != "hss" or B.kind != "hss":
         raise ValueError("hss_add expects HSS matrices")
     if A.tree is not B.tree:
@@ -374,22 +376,20 @@ def hss_add(A: HssMatrix, B: HssMatrix) -> HssMatrix:
     dtype = np.result_type(A.dtype, B.dtype)
     out = HssMatrix(tr, A.params, no_kernel_block, A.pairs_L, A.pairs_Lm,
                     dtype)
-    for i in A.skel_row:
-        out.skel_row[i] = np.concatenate([A.skel_row[i], B.skel_row[i]])
-        out.skel_col[i] = np.concatenate([A.skel_col[i], B.skel_col[i]])
+    raw = {"row": {}, "col": {}}
+    for i in A.rowfac:
         if tr.is_leaf(i):
-            out.rowfac[i] = DenseBasis(np.hstack([A.U(i), B.U(i)]).astype(dtype))
-            out.colfac[i] = DenseBasis(np.hstack([A.V(i), B.V(i)]).astype(dtype))
+            raw["row"][i] = np.hstack([A.U(i), B.U(i)])
+            raw["col"][i] = np.hstack([A.V(i), B.V(i)])
         else:
-            for facs, side in ((out.rowfac, "row"), (out.colfac, "col")):
-                facs[i] = DenseBasis(np.vstack([
-                    _blkdiag(a, b, dtype) for a, b in
-                    zip(A.transfers(i, side), B.transfers(i, side))]))
+            for side in raw:
+                raw[side][i] = [_blkdiag(a, b, dtype) for a, b in
+                                zip(A.transfers(i, side), B.transfers(i, side))]
     for i in tr.leaves():
         out.Dblocks[i] = (A.NF(i, i) + B.NF(i, i)).astype(dtype)
-    for i, j in A.pairs_L:
-        out.B_dense[(i, j)] = _blkdiag(A.B(i, j), B.B(i, j), dtype)
-    return out
+    couplings = {(i, j): _blkdiag(A.B(i, j), B.B(i, j), dtype)
+                 for i, j in A.pairs_L}
+    return _recompress(out, raw, couplings)
 
 
 def _blkdiag(X, Y, dtype):
@@ -400,7 +400,8 @@ def _blkdiag(X, Y, dtype):
 
 
 def diag_scale(M: HssMatrix, dl, dr) -> HssMatrix:
-    """diag(dl) @ M @ diag(dr) with dl, dr in caller index order."""
+    """diag(dl) @ M @ diag(dr) with dl, dr in caller index order; the scaled
+    leaf bases are recompressed into interpolative factors."""
     dl = np.asarray(dl)
     dr = np.asarray(dr)
     if dl.shape != (M.n_row,) or dr.shape != (M.n_col,):
@@ -411,19 +412,49 @@ def diag_scale(M: HssMatrix, dl, dr) -> HssMatrix:
     dtype = np.result_type(M.dtype, dl.dtype, dr.dtype)
     out = HssMatrix(tr, M.params, no_kernel_block, M.pairs_L, M.pairs_Lm,
                     dtype)
-    out.skel_row = dict(M.skel_row)
-    out.skel_col = dict(M.skel_col)
     # the scalings land on the leaf bases; transfers and couplings carry over
-    out.rowfac = dict(M.rowfac)
-    out.colfac = dict(M.colfac)
+    raw = {"row": {}, "col": {}}
+    for i in M.rowfac:
+        if tr.is_leaf(i):
+            raw["row"][i] = dlt[tr.row_range(i)][:, None] * M.U(i)
+            raw["col"][i] = drt[tr.col_range(i)][:, None] * M.V(i)
+        else:
+            for side in raw:
+                raw[side][i] = M.transfers(i, side)
     for i in tr.leaves():
         rr, cc = tr.row_range(i), tr.col_range(i)
-        if i in M.rowfac:  # a single-leaf tree has no bases
-            out.rowfac[i] = DenseBasis(dlt[rr][:, None] * M.U(i))
-            out.colfac[i] = DenseBasis(drt[cc][:, None] * M.V(i))
         out.Dblocks[i] = dlt[rr][:, None] * M.NF(i, i) * drt[cc][None, :]
-    for i, j in M.pairs_L:
-        out.B_dense[(i, j)] = np.array(M.B(i, j), dtype=dtype)
+    couplings = {(i, j): M.B(i, j) for i, j in M.pairs_L}
+    return _recompress(out, raw, couplings)
+
+
+@one_blas_thread()
+def _recompress(out: HssMatrix, raw: dict, couplings: dict) -> HssMatrix:
+    """Give out interpolative factors for the nested bases raw[side][i] (a
+    leaf's basis, or an internal node's per-child transfer blocks) and the
+    couplings between them.
+
+    Bottom-up, each node compresses its raw basis, written over its labels:
+    the leaf's rows, or its children's coefficients T_c times its transfers.
+    The factor X = P [I; G] reproduces that basis as X T with T its skeleton
+    rows, so a coupling B between raw bases becomes T_i B T_j^T, the
+    represented entries at the skeleton pairs.
+    """
+    tr = out.tree
+    T = {"row": {}, "col": {}}
+    for side, facs, skels in (("row", out.rowfac, out.skel_row),
+                              ("col", out.colfac, out.skel_col)):
+        for i in range(tr.root):  # postorder: children before parents
+            C = raw[side][i]
+            if not tr.is_leaf(i):
+                C = np.vstack([T[side][c] @ R
+                               for c, R in zip(tr.nodes[i].children, C)])
+            fac = compr(C, _intermediate(tr, i, skels, side))
+            facs[i] = fac
+            skels[i] = fac.skel
+            T[side][i] = C[fac.skel_local]
+    for (i, j), B in couplings.items():
+        out.B_dense[(i, j)] = T["row"][i] @ B @ T["col"][j].T
     return out
 
 

@@ -215,11 +215,14 @@ class InterpolativeFactor:
     perm: np.ndarray
     G: np.ndarray
     skel: np.ndarray
-    skel_local: np.ndarray
 
     @property
     def rank(self) -> int:
         return self.skel.size
+
+    @property
+    def skel_local(self) -> np.ndarray:
+        return self.perm[:self.rank]
 
     def apply(self, Z: np.ndarray) -> np.ndarray:
         """X @ Z without forming X."""
@@ -242,23 +245,6 @@ class InterpolativeFactor:
         return X
 
 
-@dataclass
-class DenseBasis:
-    """An explicit basis X with the interface of InterpolativeFactor; sums
-    and diagonal scalings of built matrices store their bases this way."""
-
-    X: np.ndarray
-
-    def apply(self, Z: np.ndarray) -> np.ndarray:
-        return self.X @ Z
-
-    def apply_t(self, Q: np.ndarray) -> np.ndarray:
-        return self.X.T @ Q
-
-    def expand(self) -> np.ndarray:
-        return self.X
-
-
 def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
     """Interpolative row compression of C, labeling rows by ibar.
 
@@ -277,7 +263,6 @@ def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
         perm=np.asarray(res.perm, dtype=np.int64),
         G=res.W.T,
         skel=ibar[res.perm[:k]],
-        skel_local=np.asarray(res.perm[:k], dtype=np.int64),
     )
 
 

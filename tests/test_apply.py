@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import smash
 from smash.apply import read_vector, write_vector
 from smash.hss import HssMatrix, cauchy_like_hss
-from smash.lowrank import DenseBasis
+from smash.lowrank import InterpolativeFactor
 
 from conftest import build_interval_hss, dense_oracle, interval_pair
 
@@ -114,8 +114,10 @@ def identity_like_hss(n=32, leaf=16):
         m = tree.nodes[i].n_row
         M.skel_row[i] = empty
         M.skel_col[i] = empty
-        M.rowfac[i] = DenseBasis(np.zeros((m, 0)))
-        M.colfac[i] = DenseBasis(np.zeros((m, 0)))
+        M.rowfac[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+                                          empty)
+        M.colfac[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+                                          empty)
     return M
 
 
@@ -167,8 +169,8 @@ def test_factorization_is_reusable(cauchy_hss_400):
 
 
 def test_sum_with_explicit_bases_solves_accurately(cauchy_hss_400):
-    # hss_add stores its bases as DenseBasis; the solve applies their
-    # column transfers like those of built interpolative factors
+    # hss_add recompresses its bases into interpolative factors; the solve
+    # eliminates through them like through those of built matrices
     M, _, _, _ = cauchy_hss_400
     d = np.linspace(1.0, 2.0, 400)
     S = smash.hss_add(M, smash.diag_scale(M, d, d))
@@ -193,6 +195,46 @@ def test_cauchy_like_system_solves_accurately():
     assert np.linalg.norm(uh - u) <= 1e-7 * np.linalg.norm(u)
     resid = smash.matvec_nodewise(M, uh) - b
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("n, nu0, s", [(300, 16, 0.5), (1000, 32, 0.37)])
+def test_interleaved_points_with_uneven_leaves_solve(n, nu0, s):
+    # x_k = k/(n+1) and y_k = x_k + s/(n+1): most leaves hold unequal row
+    # and column counts
+    x = (np.arange(1, n + 1) / (n + 1.0)).reshape(-1, 1)
+    X, Y = smash.PointSet(x), smash.PointSet(x + s / (n + 1.0), role="col")
+    tree = smash.build_tree(X, Y, nu0=nu0)
+    assert any(tree.nodes[i].n_row != tree.nodes[i].n_col
+               for i in tree.leaves())
+    M = smash.build_hss(tree, smash.KernelSpec("cauchy"), X, Y)
+    b = np.random.default_rng(13).random(n)
+    x = smash.ulv_solve(smash.ulv_factor(M), b)
+    r = smash.matvec_nodewise(M, x) - b
+    assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_more_redundant_rows_than_unknowns_reported_with_node_id():
+    # rank-zero bases leave every row of a leaf redundant; a leaf with more
+    # rows than columns then holds linearly dependent rows
+    x = (np.arange(1, 33) / 33.0).reshape(-1, 1)
+    X, Y = smash.PointSet(x), smash.PointSet(np.sqrt(x), role="col")
+    tree = smash.build_tree(X, Y, nu0=8)
+    leaf = tree.leaves()[0]
+    assert tree.nodes[leaf].n_row > tree.nodes[leaf].n_col
+    L, Lm = smash.leaf_sets(tree, structure="hss")
+    M = HssMatrix(tree, smash.BuildParams(r=1), lambda r, c: np.ones(
+        (len(r), len(c))), L, Lm, np.float64)
+    empty = np.zeros(0, dtype=np.int64)
+    for i in range(tree.root):
+        nd = tree.nodes[i]
+        for facs, skels, m in ((M.rowfac, M.skel_row, nd.n_row),
+                               (M.colfac, M.skel_col, nd.n_col)):
+            m = m if nd.is_leaf else 0  # the children's skeletons are empty
+            facs[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+                                          empty)
+            skels[i] = empty
+    with pytest.raises(np.linalg.LinAlgError, match="node %d:" % leaf):
+        smash.ulv_factor(M)
 
 
 def test_singular_block_reported_with_node_id(cauchy_hss_400):

@@ -7,7 +7,7 @@ import pytest
 
 import smash
 from smash.hss import cauchy_like_hss
-from smash.lowrank import taylor_tail_bound
+from smash.lowrank import InterpolativeFactor, taylor_tail_bound
 
 from conftest import build_interval_hss, dense_oracle, interval_pair
 
@@ -202,6 +202,41 @@ def test_sum_requires_matching_trees():
         smash.hss_add(A, B)
 
 
+def _algebra_results(n=256):
+    M, _, _, _ = build_interval_hss(n, nu0=32)
+    rng = np.random.default_rng(12)
+    S = smash.diag_scale(M, rng.standard_normal(n), rng.random(n))
+    return S, smash.hss_add(M, S)
+
+
+def test_sums_and_scalings_hold_bounded_interpolative_factors():
+    for R in _algebra_results():
+        facs = list(R.rowfac.values()) + list(R.colfac.values())
+        assert {type(f) for f in facs} == {InterpolativeFactor}
+        assert max(np.abs(f.G).max(initial=0.0) for f in facs) <= 2.0
+
+
+def test_algebra_couplings_are_entries_at_skeleton_pairs():
+    for R in _algebra_results():
+        A = R.todense()
+        tr = R.tree
+        for i, j in R.pairs_L:
+            ref = A[np.ix_(tr.perm_row[R.skel_row[i]],
+                           tr.perm_col[R.skel_col[j]])]
+            np.testing.assert_allclose(R.B(i, j), ref,
+                                       rtol=0, atol=1e-12 * np.abs(ref).max())
+
+
+def test_adding_a_zeroed_copy_keeps_every_rank():
+    M, _, _, _ = build_interval_hss(128, nu0=16)
+    S = smash.hss_add(M, smash.diag_scale(M, np.zeros(128), np.ones(128)))
+    for i in range(M.tree.root):
+        assert S.rank_row(i) == M.rank_row(i)
+        assert S.rank_col(i) == M.rank_col(i)
+
+
+# ---------------------------------------------------------------------------
+# diagonal scaling
 # ---------------------------------------------------------------------------
 # diagonal scaling
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smash.cluster import Box
-from smash.lowrank import (DenseBasis, compr, interp_basis, srrqr,
+from smash.lowrank import (compr, interp_basis, srrqr,
                            taylor_bases, taylor_coupling, taylor_eta,
                            taylor_tail_bound, truncated_svd)
 
@@ -282,10 +282,6 @@ def test_implicit_apply_matches_expanded_factor(k, complex_):
     Q = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
     np.testing.assert_allclose(f.apply(Z), X @ Z, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(f.apply_t(Q), X.T @ Q, rtol=1e-14, atol=1e-14)
-    d = DenseBasis(X)
-    np.testing.assert_array_equal(d.apply(Z), X @ Z)
-    np.testing.assert_array_equal(d.apply_t(Q), X.T @ Q)
-    assert d.expand() is X
 
 
 # ---------------------------------------------------------------------------
