@@ -45,7 +45,8 @@ def _materialize(args):
     tau = args.tau if args.tau is not None else pc.tau
     order = args.order if args.order is not None else pc.r
     svd_tol = args.svd_tol if args.svd_tol is not None else pc.eps_svd
-    basis = None
+    # checked here, before a tree is built on tau
+    params = BuildParams(r=order, tau=tau, eps_svd=svd_tol)
 
     if kind == "laplace_dlp":
         if args.geometry not in _CLOSED:
@@ -54,7 +55,7 @@ def _materialize(args):
         crv = get_curve(args.geometry)
         spec = KernelSpec(kind=kind, curve=crv, nq=n)
         X = Y = bench.curve_points(args.geometry, n)
-        basis = "interp"
+        params.basis = "interp"
     elif args.geometry == "grid2d":
         if kind != "cauchy":
             raise ValueError("grid2d pairs coincident source/target sets; "
@@ -75,7 +76,6 @@ def _materialize(args):
     mode = "2d" if (args.structure == "h2" and X.dim == 2) else "binary"
     tree = build_tree(X, None if Y is X else Y, nu0=args.leaf_cap, mode=mode,
                       tau=tau)
-    params = BuildParams(r=order, tau=tau, eps_svd=svd_tol, basis=basis)
     return spec, X, Y, tree, params
 
 

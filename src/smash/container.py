@@ -206,8 +206,11 @@ def _assemble(header: dict, arrays: dict):
             w=arrays.get("kernel.w"), v=arrays.get("kernel.v"))
 
     ph = header["params"]
-    params = BuildParams(r=ph["r"], tau=ph["tau"], eps_svd=ph["eps_svd"],
-                         basis=ph["basis"])
+    try:
+        params = BuildParams(r=ph["r"], tau=ph["tau"], eps_svd=ph["eps_svd"],
+                             basis=ph["basis"])
+    except ValueError as exc:
+        raise ValueError("damaged container header: %s" % exc) from None
     dtype = np.complex128 if header["dtype"] == "c16" else np.float64
     pairs_L = [tuple(p) for p in header["pairs_L"]]
     pairs_Lm = [tuple(p) for p in header["pairs_Lm"]]

@@ -14,6 +14,7 @@ row per target node, and kept.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -35,6 +36,19 @@ class BuildParams:
     tau: float = 0.6
     eps_svd: float = 0.0
     basis: str = None  # "taylor" | "interp"; None picks by kernel kind
+
+    def __post_init__(self):
+        # outside these ranges a build either fails far from the cause or
+        # returns a wrong matrix without complaint; NaN fails every test
+        for name, ok, need in (
+                ("r", lambda v: isinstance(v, numbers.Integral) and v >= 1,
+                 "an integer >= 1"),
+                ("tau", lambda v: 0 < v < 1, "in (0, 1)"),
+                ("eps_svd", lambda v: 0 <= v < 1, "in [0, 1)")):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
+                raise ValueError("build parameter %s must be %s, got %r"
+                                 % (name, need, v))
 
 
 def _default_basis(kernel: KernelSpec) -> str:

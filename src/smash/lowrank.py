@@ -283,9 +283,11 @@ def truncated_svd(M: np.ndarray, eps: float) -> TruncatedSvd:
     m, n = M.shape
     if min(m, n) == 0:
         return TruncatedSvd(np.zeros((m, 0), dtype=M.dtype), np.zeros(0))
-    core = sla.qr(M.conj().T, mode="r")[0].conj().T if m < n else M
-    # numpy's SVD releases the interpreter lock (scipy's holds it), so the
-    # nodes of one build level overlap here
+    # "raw" returns the economic m x m R without forming Q ("r" pads it with
+    # n - m zero rows).  scipy's QR and numpy's SVD both release the
+    # interpreter lock, so the nodes of one build level overlap here;
+    # np.linalg.qr holds it.
+    core = sla.qr(M.conj().T, mode="raw")[1].conj().T if m < n else M
     U, sig, _ = np.linalg.svd(core, full_matrices=False)
     if sig[0] == 0:
         keep = 0

@@ -45,6 +45,21 @@ def test_rejects_nonpositive_size(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--svd-tol", "nan"], "eps_svd"),
+    (["--svd-tol", "2"], "eps_svd"),
+    (["--tau", "1.5"], "tau"),
+    (["--tau", "nan"], "tau"),
+    (["--order", "0"], "r"),
+], ids=["svd-tol-nan", "svd-tol-2", "tau-1.5", "tau-nan", "order-0"])
+def test_parameter_that_would_wreck_the_result_exits_2(flags, named, capsys):
+    # each of these once built a wrong matrix and exited 0, or failed with
+    # an unrelated message
+    assert main(["matvec", "--kernel", "laplace-dlp", "--geometry",
+                 "sunflower", "--n", "640"] + flags) == 2
+    assert "build parameter %s " % named in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # matvec
 # ---------------------------------------------------------------------------

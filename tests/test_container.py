@@ -227,6 +227,11 @@ _DAMAGE = {
         shape=_array(h, "colfac.0.G")["shape"][::-1]), "'colfac.0.G'"),
     "skel_row_not_factor_skel": (lambda h: _array(h, "skel_row.1").update(
         offset=_array(h, "rowfac.1.perm")["offset"]), "'skel_row.1'"),
+    # build parameters that would have given a wrong matrix
+    "order_zero": (lambda h: h["params"].update(r=0), "parameter r "),
+    "tau_past_one": (lambda h: h["params"].update(tau=1.5), "parameter tau "),
+    "svd_cut_nan": (lambda h: h["params"].update(eps_svd=float("nan")),
+                    "parameter eps_svd "),
 }
 
 

@@ -83,6 +83,21 @@ def test_coincident_points_without_dx_refused():
                         smash.BuildParams(r=21))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", 0), ("r", 2.5), ("r", True), ("tau", 0.0), ("tau", 1.0),
+    ("tau", float("nan")), ("tau", float("inf")), ("eps_svd", -1e-12),
+    ("eps_svd", 1.0), ("eps_svd", float("nan")), ("tau", "0.6"),
+])
+def test_build_params_refuse_values_that_wreck_the_result(field, value):
+    with pytest.raises(ValueError, match="build parameter %s " % field):
+        smash.BuildParams(**{field: value})
+
+
+def test_build_params_take_the_edges_of_their_ranges():
+    bp = smash.BuildParams(r=np.int64(1), tau=np.float64(1e-3), eps_svd=0.0)
+    assert (bp.r, bp.tau, bp.eps_svd) == (1, 1e-3, 0.0)
+
+
 def test_single_node_tree_is_just_the_dense_matrix():
     X, Y = interval_pair(10)
     spec = smash.KernelSpec("cauchy")

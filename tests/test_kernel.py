@@ -197,6 +197,48 @@ def test_point_scalars_computed_once_per_set(monkeypatch):
     assert len(calls) == 2
 
 
+def _dlp_block_reference(spec, rows, cols):
+    """The double-layer block one whole-array expression per step, with an
+    m x k coincidence mask; kernel_block must equal it bit for bit."""
+    data = spec._dlp_data()
+    t, r, nu_w, diag = data["t"], data["r"], data["nu_w"], data["diag"]
+    rs, rt, nw = r[rows], r[cols], nu_w[cols]
+    dx = rt[None, :, 0] - rs[:, None, 0]
+    dy = rt[None, :, 1] - rs[:, None, 1]
+    d2 = dx ** 2 + dy ** 2
+    num = dx * nw[None, :, 0] + dy * nw[None, :, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = -num / (2 * np.pi * d2)
+    same = t[rows][:, None] == t[cols][None, :]
+    ii, jj = np.nonzero(same)
+    K[ii, jj] = diag[cols[jj]]
+    return K / spec.nq - 0.5 * same
+
+
+@pytest.mark.parametrize("rows, cols", [
+    (np.arange(40), np.arange(60, 130)),
+    (np.arange(20, 90), np.arange(64)),
+    (np.arange(160), np.arange(160)),
+    ([5, 3, 3, 90, 5, 12], [3, 12, 12, 7, 5, 3, 101, 3]),
+    ([17], np.arange(160)),
+    ([], np.arange(10)),
+    (np.arange(10), []),
+], ids=["disjoint", "coincident", "square", "repeated-unsorted", "one-row",
+        "no-rows", "no-cols"])
+def test_dlp_block_matches_reference_bit_for_bit(rows, cols):
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=160)
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    K = kernel_block(spec, None, None, rows, cols)
+    ref = _dlp_block_reference(spec, rows, cols)
+    assert K.shape == ref.shape == (rows.size, cols.size)
+    assert K.dtype == ref.dtype == np.float64
+    assert not np.isnan(K).any()
+    # compare the bit patterns, so that signed zeros count too
+    np.testing.assert_array_equal(K.view(np.uint64), ref.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Nystrom system and potential evaluation
 # ---------------------------------------------------------------------------

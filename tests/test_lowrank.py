@@ -358,3 +358,18 @@ def test_truncated_svd_matches_full_svd(m, n, rank, complex_):
     np.testing.assert_allclose(t.S.conj().T @ t.S, np.eye(keep), atol=1e-13)
     norm = np.linalg.norm(M, 2)
     assert np.linalg.norm(M - _projected(t, M), 2) <= eps * norm
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_wide_svd_runs_on_square_core(monkeypatch, complex_):
+    """Chan's R-SVD: the SVD sees the m x m factor R^H, not an m x n core."""
+    seen = []
+    real = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        seen.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    truncated_svd(_graded(40, 300, 40, complex_), 1e-10)
+    assert seen == [(40, 40)]

@@ -107,14 +107,30 @@ def _cauchy_like(n=600):
     return lambda: hss.cauchy_like_hss(tree, X, Y, w, v, bp)
 
 
-@pytest.mark.parametrize("case", ["sunflower_dlp", "cauchy_like"])
+def _honeybee_cauchy_like(n=400):
+    # planar points make the kernel complex, so the R-SVD takes conjugates
+    rng = np.random.default_rng([1, n])
+    X, Y = smash.bench.cauchy_pair("honeybee", n, rng)
+    w, v = rng.random((n, 2)), rng.random((n, 2))
+    tree = smash.build_tree(X, Y, nu0=40, tau=0.6)
+    bp = smash.BuildParams(r=25, eps_svd=1e-9)
+    return lambda: hss.cauchy_like_hss(tree, X, Y, w, v, bp)
+
+
+_CASES = {"sunflower_dlp": _sunflower_dlp, "cauchy_like": _cauchy_like,
+          "honeybee_cauchy_like": _honeybee_cauchy_like}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
 def test_two_core_build_matches_serial_bit_for_bit(monkeypatch, case):
-    build = {"sunflower_dlp": _sunflower_dlp, "cauchy_like": _cauchy_like}[case]()
+    build = _CASES[case]()
     monkeypatch.setattr(_threads, "cores", lambda: 2)
     par = build()
     monkeypatch.setattr(_threads, "cores", lambda: 1)
     ser = build()
     assert par.tree.n_levels >= 4
+    assert par.dtype == (np.complex128 if case.startswith("honeybee")
+                         else np.float64)
     for name in ("skel_row", "skel_col", "Dblocks"):
         a, b = getattr(par, name), getattr(ser, name)
         assert list(a) == list(b)
