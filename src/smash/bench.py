@@ -195,12 +195,14 @@ _INT_BYTES = 8
 
 @dataclass(frozen=True)
 class StorageReport:
-    """Entry-count byte totals for the three storage schemes."""
+    """Entry-count byte totals for the three storage schemes, and the bytes
+    of the block rows evaluated so far and kept for later applies."""
 
     compressed_bytes: int
     generator_bytes: int
     dense_bytes: int
     breakdown: dict
+    kept_bytes: int
 
 
 def as_mib(nbytes: int) -> float:
@@ -213,17 +215,23 @@ def storage_report(M) -> StorageReport:
     The compressed form keeps interpolation coefficients, skeleton index
     sets, and leaf diagonal blocks; coupling blocks are regenerated from the
     kernel at skeleton points so only their indices are stored; sums and
-    scalings store their couplings, counted as "coupling".  The generator
-    form materializes U, V, R, W, and B densely.  Entries are counted at the
-    matrix dtype width, indices at 8 bytes.
+    scalings store their couplings, counted as "coupling".  A factor that
+    serves as both a node's row and column basis (H2 on one point set) is
+    counted once, as it is held and saved once.  The generator form
+    materializes U, V, R, W, and B densely, both sides in full.  Entries are
+    counted at the matrix dtype width, indices at 8 bytes.  ``kept_bytes``
+    is what the coupling and nearfield block rows evaluated by applies so
+    far hold (an HSS leaf's nearfield row is its diagonal block, which
+    ``diag`` counts too); it is 0 before the first apply.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
     interp = coupling = diag = idx = 0
-    for facs in (M.rowfac, M.colfac):
-        for fac in facs.values():
-            interp += fac.G.size
-            idx += fac.perm.size + fac.skel.size
+    held = {id(fac): fac for facs in (M.rowfac, M.colfac)
+            for fac in facs.values()}
+    for fac in held.values():
+        interp += fac.G.size
+        idx += fac.perm.size + fac.skel.size
     for A in M.B_dense.values():
         coupling += A.size
     for A in M.Dblocks.values():
@@ -259,7 +267,8 @@ def storage_report(M) -> StorageReport:
         generator += tr.nodes[i].n_row * tr.nodes[j].n_col * fb
 
     dense = tr.n_row * tr.n_col * fb
-    return StorageReport(compressed, generator, dense, breakdown)
+    kept = sum(row.A.nbytes for row in M._rows.values())
+    return StorageReport(compressed, generator, dense, breakdown, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +469,10 @@ def _exp_h2_matvec_scaling(sizes, seed, dense_budget):
             zd = dense_matvec(spec, pts, pts, q)
             relerr = float(np.linalg.norm(z - zd) / np.linalg.norm(zd))
         rows.append(dict(n=n, relerr=relerr, t_constr=t_constr,
-                         t_matvec=t_matvec, seed=seed, r=bp.r, tau=bp.tau))
+                         t_matvec=t_matvec,
+                         compressed_mib=as_mib(
+                             storage_report(M).compressed_bytes),
+                         seed=seed, r=bp.r, tau=bp.tau))
     return ExperimentReport(
         "h2_matvec_scaling",
         dict(seed=seed, r=22, tau=0.65, nu0=50, kernel="cauchy", dx=1.0),

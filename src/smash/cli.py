@@ -138,7 +138,8 @@ def cmd_matvec(args):
     t0 = time.perf_counter()
     z = matvec_nodewise(M, q)
     t_matvec = time.perf_counter() - t0
-    info = dict(n_row=M.n_row, n_col=M.n_col, t_matvec=t_matvec)
+    info = dict(n_row=M.n_row, n_col=M.n_col, t_matvec=t_matvec,
+                kept_mib=bench.as_mib(bench.storage_report(M).kept_bytes))
     if spec is not None and M.n_row * M.n_col <= args.dense_budget:
         zd = bench.dense_matvec(spec, X, Y, q)
         info["relerr"] = float(np.linalg.norm(z - zd) / np.linalg.norm(zd))

@@ -105,10 +105,13 @@ def well_separated(box_a: Box, box_b: Box, tau: float) -> bool:
 
     The distance is sqrt(d.dot(d)), the arithmetic of np.linalg.norm, bit
     for bit: trees of points on curves have pairs where both sides are
-    exactly equal, so a distance one ulp off changes the partition.
+    exactly equal, so a distance one ulp off changes the partition.  Boxes
+    with one center are never separated, not even two zero-radius boxes
+    (a leaf of coincident points, paired with itself).
     """
     d = box_a.center - box_b.center
-    return box_a.radius + box_b.radius <= tau * math.sqrt(d.dot(d))
+    dist = math.sqrt(d.dot(d))
+    return dist > 0 and box_a.radius + box_b.radius <= tau * dist
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +201,16 @@ class ClusterTree:
     def col_range(self, i: int) -> np.ndarray:
         nd = self.nodes[i]
         return np.arange(nd.col_start, nd.col_stop)
+
+    def one_point_set(self) -> bool:
+        """Whether the rows and the columns are one point sequence in one
+        tree order: equal permutations, bitwise equal points, and equal
+        row and column ranges at every node."""
+        return (all(nd.row_start == nd.col_start and nd.row_stop == nd.col_stop
+                    for nd in self.nodes)
+                and np.array_equal(self.perm_row, self.perm_col)
+                and self.points_row.shape == self.points_col.shape
+                and self.points_row.tobytes() == self.points_col.tobytes())
 
     # -- invariant check ----------------------------------------------------
 

@@ -3,7 +3,11 @@
 Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
-index arrays little-endian int64, so round trips are bit-exact.
+index arrays little-endian int64, so round trips are bit-exact.  A matrix
+whose column factors are its row factors (an H2 matrix on one point set) is
+held and saved once: the header sets "columns_share_rows" and the payload
+has no "colfac" or "skel_col" entries.  Without the flag, both sides are
+stored.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ _HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "pairs_L",
                 "pairs_Lm", "arrays")
 _NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
 _TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
+_SHARED = "columns_share_rows"
+
 
 def _tag(arr: np.ndarray) -> str:
     if arr.dtype.kind == "c":
@@ -62,14 +68,18 @@ def save_matrix(M, path) -> None:
     pl.add("perm_col", M.tree.perm_col)
     pl.add("points_row", M.tree.points_row)
     pl.add("points_col", M.tree.points_col)
-    for side, facs in (("rowfac", M.rowfac), ("colfac", M.colfac)):
-        for i, fac in facs.items():
-            pl.add("%s.%d.perm" % (side, i), fac.perm)
-            pl.add("%s.%d.G" % (side, i), fac.G)
-    for i, arr in M.skel_row.items():
-        pl.add("skel_row.%d" % i, arr)
-    for i, arr in M.skel_col.items():
-        pl.add("skel_col.%d" % i, arr)
+    shared = _columns_share_rows(M)
+    facs = {"rowfac": M.rowfac, "colfac": M.colfac}
+    skels = {"skel_row": M.skel_row, "skel_col": M.skel_col}
+    if shared:
+        del facs["colfac"], skels["skel_col"]
+    for prefix, side in facs.items():
+        for i, fac in side.items():
+            pl.add("%s.%d.perm" % (prefix, i), fac.perm)
+            pl.add("%s.%d.G" % (prefix, i), fac.G)
+    for prefix, side in skels.items():
+        for i, arr in side.items():
+            pl.add("%s.%d" % (prefix, i), arr)
     for i, arr in M.Dblocks.items():
         pl.add("D.%d" % i, arr)
     for (i, j), arr in M.B_dense.items():
@@ -103,6 +113,8 @@ def save_matrix(M, path) -> None:
         "pairs_Lm": [list(p) for p in M.pairs_Lm],
         "arrays": pl.manifest,
     }
+    if shared:
+        header[_SHARED] = True
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -110,6 +122,12 @@ def save_matrix(M, path) -> None:
         fh.write(b"\0")
         for chunk in pl.chunks:
             fh.write(chunk)
+
+
+def _columns_share_rows(M) -> bool:
+    """Whether every column factor and skeleton is the row one itself."""
+    return all(a.keys() == b.keys() and all(a[i] is b[i] for i in a)
+               for a, b in ((M.colfac, M.rowfac), (M.skel_col, M.skel_row)))
 
 
 def _read_arrays(payload: bytes, manifest) -> dict:
@@ -174,6 +192,10 @@ def load_matrix(path):
 
 
 def _assemble(header: dict, arrays: dict):
+    shared = header.get(_SHARED, False)
+    if not isinstance(shared, bool):
+        raise ValueError("damaged container header: %r must be true or "
+                         "false, not %r" % (_SHARED, shared))
     th = header["tree"]
     for k, nd in enumerate(th["nodes"]):
         for key in _NODE_KEYS:
@@ -226,6 +248,9 @@ def _assemble(header: dict, arrays: dict):
     perms = []
     for name, arr in arrays.items():
         parts = name.split(".")
+        if shared and parts[0] in ("colfac", "skel_col"):
+            raise ValueError("damaged container: %r is set, but the file "
+                             "also holds the column entry %r" % (_SHARED, name))
         if parts[0] in ("rowfac", "colfac"):
             if parts[2] == "X":
                 raise ValueError(
@@ -257,6 +282,9 @@ def _assemble(header: dict, arrays: dict):
         facs[i] = InterpolativeFactor(
             nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
             skel=skels[i])
+    if shared:
+        M.colfac.update(M.rowfac)
+        M.skel_col.update(M.skel_row)
     _check_structure(M)
     return M
 

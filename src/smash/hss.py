@@ -2,7 +2,10 @@
 
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
-skeletons of its children (the per-child transfer blocks).  Every basis is
+skeletons of its children (the per-child transfer blocks).  HSS compresses
+both sides, as its column candidate carries the transposed nearfield block;
+the H2 builder, which has no nearfield candidate, compresses one basis for
+both sides when the rows and the columns are one point set.  Every basis is
 an interpolative factor, applied without forming it: built matrices get
 theirs from compression, sums and diagonal scalings from recompressing the
 bases they combine.  Coupling blocks between siblings are exact kernel
@@ -259,6 +262,11 @@ def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
     return block
 
 
+# kernels whose candidates scale each side by its own generators, so the
+# row and column builders differ even on one point set
+_SIDE_SCALED = ("cauchy_like",)
+
+
 def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
                    basis: str, side: str):
     """Farfield candidate basis of a node over tree-order indices.  For
@@ -282,7 +290,7 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
             return interp_basis(box, pts[idx], params.r)
     else:
         raise ValueError("unknown basis %r" % basis)
-    if kernel.kind != "cauchy_like":
+    if kernel.kind not in _SIDE_SCALED:
         return build
     gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
 
@@ -291,6 +299,17 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
         return np.hstack([gen[idx, l][:, None] * F for l in range(gen.shape[1])])
 
     return build_scaled
+
+
+def _basis_builders(tree: ClusterTree, kernel: KernelSpec,
+                    params: BuildParams, basis: str):
+    """(row, column) candidate builders.  When the rows and the columns are
+    one point set and the kernel scales neither side, the column builder is
+    the row builder itself: a node's two candidates are then one matrix."""
+    brow = _basis_builder(tree, kernel, params, basis, "row")
+    if kernel.kind not in _SIDE_SCALED and tree.one_point_set():
+        return brow, brow
+    return brow, _basis_builder(tree, kernel, params, basis, "col")
 
 
 def _intermediate(tree, i, skels, side):
@@ -353,8 +372,7 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "hss")
     M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow = _basis_builder(tree, kernel, params, basis, "row")
-    bcol = _basis_builder(tree, kernel, params, basis, "col")
+    brow, bcol = _basis_builders(tree, kernel, params, basis)
 
     for level in range(tree.n_levels, 1, -1):
         nodes = tree.level_nodes(level)

@@ -36,12 +36,17 @@ def cauchy_hss_400():
     return build_interval_hss(400, nu0=32)
 
 
-@pytest.fixture(scope="session")
-def grid_h2_400():
-    """H2 matrix on a 20x20 grid with the 2d kernel."""
+def build_grid_h2_400():
+    """H2 matrix on a 20x20 grid with the 2d kernel: (M, spec, X)."""
     X = smash.bench.grid_points(20)
     spec = smash.KernelSpec("cauchy", dx=1.0)
     tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
     params = smash.BuildParams(r=22, tau=0.65, eps_svd=1e-12)
     M = smash.build_h2(tree, spec, X, X, params)
     return M, spec, X
+
+
+@pytest.fixture(scope="session")
+def grid_h2_400():
+    """One grid H2 matrix shared by tests that only read it."""
+    return build_grid_h2_400()

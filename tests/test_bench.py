@@ -9,7 +9,7 @@ from smash.bench import (BoundInputs, as_mib, choose_params, doubling_ratios,
                          eps_rank, error_bound, rank_caps, storage_report,
                          timed_median)
 
-from conftest import build_interval_hss
+from conftest import build_grid_h2_400, build_interval_hss
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +153,25 @@ def test_storage_ordering_on_h2(grid_h2_400):
     assert rep.compressed_bytes <= rep.generator_bytes
     assert rep.compressed_bytes <= rep.dense_bytes
     assert rep.dense_bytes == 400 * 400 * np.dtype(M.dtype).itemsize
+
+
+def test_shared_h2_factor_counted_once(grid_h2_400):
+    M, _, _ = grid_h2_400
+    rep = storage_report(M)
+    facs = M.rowfac.values()
+    assert all(M.colfac[i] is f for i, f in M.rowfac.items())
+    assert rep.breakdown["interp"] == 16 * sum(f.G.size for f in facs)
+    assert rep.breakdown["index"] == 8 * sum(f.perm.size + f.skel.size
+                                             for f in facs)
+
+
+def test_kept_bytes_are_the_block_rows_an_apply_evaluated():
+    M, _, X = build_grid_h2_400()
+    assert storage_report(M).kept_bytes == 0
+    smash.matvec_nodewise(M, np.ones(X.n))
+    rows = [row for kind in ("L", "Lm") for _, row in M.block_rows(kind)]
+    assert storage_report(M).kept_bytes == sum(row.A.nbytes for row in rows)
+    assert storage_report(M).kept_bytes > storage_report(M).compressed_bytes
 
 
 def test_single_leaf_stores_exactly_the_dense_block():

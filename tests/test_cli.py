@@ -84,6 +84,25 @@ def test_matvec_on_saved_container(tmp_path, capsys):
     assert np.allclose(z, expected, atol=1e-12)
 
 
+def test_matvec_reports_kept_block_rows(capsys):
+    assert main(["matvec", "--geometry", "grid2d", "--structure", "h2",
+                 "--n", "400", "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["kept_mib"] > 0
+
+
+@pytest.mark.parametrize("command", ["build", "matvec"])
+def test_h2_on_a_single_point(command, capsys):
+    # the root is a leaf with a zero-radius box; it once paired with itself
+    # as a coupling and failed with KeyError
+    assert main([command, "--structure", "h2", "--geometry", "grid2d",
+                 "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "n_row=1" in out
+    if command == "matvec":
+        assert "relerr=0\n" in out
+
+
 def test_matvec_rejects_mismatched_vector(tmp_path, capsys):
     qfile = str(tmp_path / "q.txt")
     write_vector(qfile, np.ones(7))

@@ -154,6 +154,29 @@ def test_identical_boxes_never_separated():
     assert not well_separated(a, a, 0.5)
 
 
+def test_zero_radius_box_not_separated_from_itself():
+    # 0 + 0 <= tau * 0 holds, but a node paired with itself is never a
+    # coupling: coincident points in one leaf give such a box
+    a = Box.of((0.5, 0.5), (0.5, 0.5))
+    assert a.radius == 0.0
+    assert not well_separated(a, a, 0.5)
+    assert not well_separated(a, Box.of((0.5, 0.5), (0.5, 0.5)), 0.99)
+    assert well_separated(a, Box.of((1.5, 0.5), (1.5, 0.5)), 0.5)
+
+
+def test_one_point_set_needs_equal_points_in_equal_order():
+    rng = np.random.default_rng(4)
+    X = smash.PointSet(rng.random((300, 2)))
+    assert smash.build_tree(X, nu0=20, mode="2d").one_point_set()
+    # a second set with the same coordinates is still one point set
+    same = smash.PointSet(X.coords.copy(), role="col")
+    assert smash.build_tree(X, same, nu0=20, mode="2d").one_point_set()
+    moved = X.coords.copy()
+    moved[7, 0] = np.nextafter(moved[7, 0], 2.0)
+    other = smash.PointSet(moved, role="col")
+    assert not smash.build_tree(X, other, nu0=20, mode="2d").one_point_set()
+
+
 def test_adjacent_unit_intervals_not_separated_at_half():
     a = Box.of((0.0,), (1.0,))
     b = Box.of((1.0,), (2.0,))

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import smash
 from smash.hss import cauchy_like_hss
 
-from conftest import build_interval_hss, interval_pair
+from conftest import build_grid_h2_400, build_interval_hss, interval_pair
 
 
 def test_hss_round_trip_preserves_matvec_bitwise(tmp_path):
@@ -50,6 +50,95 @@ def test_h2_round_trip(tmp_path, grid_h2_400):
     q = np.random.default_rng(1).random(X.n)
     np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
                                   smash.matvec_nodewise(M2, q))
+
+
+def _names(path):
+    names = []
+    edit_header(path, lambda h: names.extend(e["name"] for e in h["arrays"]))
+    return names
+
+
+def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
+                                                         grid_h2_400):
+    M, _, X = grid_h2_400
+    path = tmp_path / "g.smash"
+    smash.save_matrix(M, path)
+    header = {}
+    edit_header(path, header.update)
+    assert header["columns_share_rows"] is True
+    names = _names(path)
+    assert "rowfac.0.G" in names and "skel_row.0" in names
+    assert not [n for n in names if n.startswith(("colfac.", "skel_col."))]
+    M2 = smash.load_matrix(path)
+    for i, fac in M2.rowfac.items():
+        assert M2.colfac[i] is fac and M2.skel_col[i] is M2.skel_row[i]
+        for name in ("perm", "G", "skel"):
+            a, b = getattr(fac, name), getattr(M.rowfac[i], name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    q = np.random.default_rng(8).random(X.n)
+    assert (smash.matvec_nodewise(M, q).tobytes()
+            == smash.matvec_nodewise(M2, q).tobytes())
+
+
+def test_hss_container_has_no_sharing_flag(tmp_path):
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    header = {}
+    edit_header(path, header.update)
+    assert "columns_share_rows" not in header
+    assert "colfac.0.G" in _names(path)
+
+
+OLD_H2 = Path(__file__).parent / "data" / "grid_h2_n144.smash"
+
+
+def _grid_h2_144():
+    X = smash.bench.grid_points(12)
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=16, mode="2d", tau=0.65)
+    return smash.build_h2(tree, spec, X, X, smash.BuildParams(r=8, tau=0.65))
+
+
+def test_two_factor_h2_container_loads_bitwise():
+    # written by an earlier version, which compressed and stored the column
+    # factors of an H2 matrix on one point set separately: _grid_h2_144()
+    M2 = smash.load_matrix(OLD_H2)
+    M = _grid_h2_144()
+    assert sorted(M2.colfac) == sorted(M.rowfac)
+    for i, fac in M.rowfac.items():
+        assert M2.colfac[i] is not M2.rowfac[i]
+        for facs2 in (M2.rowfac, M2.colfac):
+            for name in ("perm", "G", "skel"):
+                a, b = getattr(fac, name), getattr(facs2[i], name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    q = np.random.default_rng(9).random(M.n_col)
+    assert (smash.matvec_nodewise(M, q).tobytes()
+            == smash.matvec_nodewise(M2, q).tobytes())
+
+
+@pytest.mark.parametrize("value", ["yes", 1, None, [True]])
+def test_sharing_flag_that_is_not_a_bool_is_refused(tmp_path, value,
+                                                   grid_h2_400):
+    M, _, _ = grid_h2_400
+    path = tmp_path / "g.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h.update(columns_share_rows=value))
+    with pytest.raises(ValueError, match="'columns_share_rows' must be true"):
+        smash.load_matrix(path)
+
+
+def test_sharing_flag_with_column_entries_is_refused(tmp_path):
+    path = tmp_path / "g.smash"
+    path.write_bytes(OLD_H2.read_bytes())
+    edit_header(path, lambda h: h.update(columns_share_rows=True))
+    with pytest.raises(ValueError, match="'columns_share_rows' is set.*'colfac"):
+        smash.load_matrix(path)
+    path.write_bytes(OLD_H2.read_bytes())
+    edit_header(path, lambda h: h.update(columns_share_rows=True, arrays=[
+        e for e in h["arrays"] if not e["name"].startswith("colfac.")]))
+    with pytest.raises(ValueError, match="'columns_share_rows' is set.*'skel_col"):
+        smash.load_matrix(path)
 
 
 def test_solve_after_reload(tmp_path):
@@ -296,6 +385,28 @@ def test_damaged_container_loads_or_raises_value_error(tmp_path, saved_container
         path.write_bytes(saved_container[:cut])
     else:
         edit_header(path, lambda h: _mutate(h, data))
+    try:
+        smash.load_matrix(path)
+    except ValueError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def saved_shared_container(tmp_path_factory):
+    M, _, _ = build_grid_h2_400()
+    path = tmp_path_factory.mktemp("s") / "g.smash"
+    smash.save_matrix(M, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_damaged_shared_container_loads_or_raises_value_error(
+        tmp_path, saved_shared_container, data):
+    path = tmp_path / "d.smash"
+    path.write_bytes(saved_shared_container)
+    edit_header(path, lambda h: _mutate(h, data))
     try:
         smash.load_matrix(path)
     except ValueError:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import smash
+from smash.hss import _basis_builder, _candidate, _default_basis
 from smash.kernel import kernel_block
-from smash.lowrank import taylor_tail_bound
+from smash.lowrank import compr, taylor_tail_bound
 
 
 def grid_dense(spec, X):
@@ -128,7 +129,8 @@ def test_h2_build_requires_2d_tree_mode():
         smash.build_h2(tree, spec, X, X)
 
 
-def test_h2_accepts_1d_binary_trees():
+def build_1d_pair_h2():
+    """H2 on distinct, nearly coincident 1-d row and column points."""
     rng = np.random.default_rng(2)
     x = np.sort(rng.random(200)).reshape(-1, 1)
     X = smash.PointSet(x)
@@ -137,6 +139,11 @@ def test_h2_accepts_1d_binary_trees():
     spec = smash.KernelSpec("cauchy")
     M = smash.build_h2(tree, spec, X, Y,
                        smash.BuildParams(r=15, tau=0.5, eps_svd=1e-10))
+    return M, spec, X, Y, rng
+
+
+def test_h2_accepts_1d_binary_trees():
+    M, spec, X, Y, rng = build_1d_pair_h2()
     A = kernel_block(spec, X, Y, np.arange(200), np.arange(200))
     q = rng.random(200)
     z = smash.matvec_nodewise(M, q)
@@ -144,3 +151,43 @@ def test_h2_accepts_1d_binary_trees():
     # 1-d strong admissibility keeps nearfield blocks dense, so some
     # off-diagonal pairs must be stored exactly
     assert any(i != j for i, j in M.pairs_Lm)
+
+
+# ---------------------------------------------------------------------------
+# one basis per node on one point set
+# ---------------------------------------------------------------------------
+
+def test_one_point_set_holds_one_factor_per_node(grid_h2_400):
+    M, spec, _ = grid_h2_400
+    tr = M.tree
+    assert sorted(M.colfac) == sorted(M.rowfac) == list(range(tr.root))
+    bcol = _basis_builder(tr, spec, M.params, _default_basis(spec), "col")
+    for i, fac in M.rowfac.items():
+        assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
+        # the column pass it skips would have found the same factor
+        own = compr(*_candidate(M, i, (), bcol, "col"))
+        for name in ("perm", "G", "skel"):
+            a, b = getattr(own, name), getattr(fac, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+
+
+def test_distinct_point_sets_keep_two_factors_per_node():
+    M, _, _, _, _ = build_1d_pair_h2()
+    assert sorted(M.colfac) == sorted(M.rowfac) == list(range(M.tree.root))
+    for i, fac in M.rowfac.items():
+        assert M.colfac[i] is not fac and M.skel_col[i] is not M.skel_row[i]
+
+
+def test_cauchy_dx_on_coincident_points_in_one_zero_radius_leaf():
+    # the root is a leaf whose box is a point: its pair with itself is
+    # nearfield, not a coupling between two nodes without a skeleton
+    X = smash.PointSet(np.tile([[0.3, 0.7]], (3, 1)))
+    spec = smash.KernelSpec("cauchy", dx=2.5)
+    tree = smash.build_tree(X, mode="2d", tau=0.65)
+    assert tree.nodes[tree.root].box.radius == 0.0
+    M = smash.build_h2(tree, spec, X, X)
+    assert M.pairs_L == [] and M.pairs_Lm == [(tree.root, tree.root)]
+    q = np.array([1.0, -2.0, 0.5])
+    A = kernel_block(spec, X, X, np.arange(3), np.arange(3))
+    np.testing.assert_array_equal(A, np.full((3, 3), 2.5))
+    np.testing.assert_array_equal(smash.matvec_nodewise(M, q), A @ q)

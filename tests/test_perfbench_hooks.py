@@ -35,4 +35,23 @@ def test_traced_grid_apply_counts_one_kernel_call_per_row(monkeypatch):
     assert tracer.calls("apply.matvec_nodewise", ("first_apply",)) == 1
     for name in ("cluster.build_tree", "cluster.leaf_sets", "h2.build_h2"):
         assert tracer.calls(name, ("setup",)) == 1, name
+    # one point set: one compression per node serves both sides
+    assert tracer.calls("lowrank.compr", ("setup",)) == tree.root
+
+
+def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import install
+    from tracing import Tracer
+
+    tracer = Tracer()
+    install(tracer)
+    try:
+        X = smash.bench.grid_points(20)
+        Y = smash.PointSet(X.coords + 1e-3, role="col")
+        spec = smash.KernelSpec("cauchy")
+        tree = smash.cluster.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
+        smash.h2.build_h2(tree, spec, X, Y, smash.BuildParams(r=22, tau=0.65))
+    finally:
+        tracer.restore()
     assert tracer.calls("lowrank.compr", ("setup",)) == 2 * tree.root
