@@ -1,11 +1,14 @@
-"""Threads of the build and of the ULV factorization.
+"""Threads of the build, of the ULV factorization and of the matvec.
 
 Both phases run many small dense kernels (QR, SVD, products of a few
 hundred rows), which run faster on one BLAS thread than on OpenBLAS's own
 pool, so ``one_blas_thread`` pins every loaded OpenBLAS to one thread for
 their duration.  The cores that frees go to the paper's level parallelism:
 ``map_nodes`` runs one level's node passes on the calling thread and at most
-one worker.  Matvec and solve keep the default BLAS threads.
+one worker.  The matvec is pinned too: it runs one small product per node
+(a rank or a leaf size of rows by a few thousand columns), and handing each
+to a second BLAS thread makes it wait for that thread, long when another
+process holds that core.  The solve keeps the default BLAS threads.
 """
 
 from __future__ import annotations
@@ -13,12 +16,14 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 
 # thread counts are process-wide in OpenBLAS, so the pin's state is too
 _lock = threading.Lock()
 _depth = 0          # open one_blas_thread blocks, over all threads
 _saved = []         # (set_num_threads, count before the outermost block)
+_found = [-1, []]   # [len(sys.modules) when read, openblas_libs()]
 
 
 def _thread_calls(path):
@@ -40,14 +45,19 @@ def _thread_calls(path):
 def openblas_libs() -> list:
     """(get_num_threads, set_num_threads) of each OpenBLAS copy the process
     has loaded (numpy and scipy each bundle one); empty where none is found
-    or the process maps cannot be read."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    return [c for c in map(_thread_calls, paths) if c is not None]
+    or the process maps cannot be read.  The maps are read again only after
+    a module import, the one way a new copy gets loaded: reading them takes
+    about a millisecond, as long as a whole small matvec."""
+    if _found[0] != len(sys.modules):
+        try:
+            with open("/proc/self/maps") as fh:
+                paths = sorted({line.split()[-1] for line in fh
+                                if "openblas" in line.lower()})
+        except OSError:
+            paths = []
+        _found[:] = [len(sys.modules),
+                     [c for c in map(_thread_calls, paths) if c is not None]]
+    return _found[1]
 
 
 @contextlib.contextmanager

@@ -34,50 +34,53 @@ def _as_columns(q, n):
     return (q[:, None], True) if q.ndim == 1 else (q, False)
 
 
+@one_blas_thread()
 def matvec_nodewise(M, q) -> np.ndarray:
     """A @ q through the compressed representation, caller ordering.
 
-    Three sweeps over the postordered tree: upward, each node projects its
-    leaf slice (or its children's stacked coefficients) with its column
-    basis; across, each node's coupling row maps its sources' stacked
-    column coefficients to row coefficients in one product; downward, each
-    node applies its row basis once and hands the result to its leaf slice
-    or splits it among its children.  Each leaf's nearfield row multiplies
-    its sources' gathered entries, again in one product.
+    Three sweeps over the tree, on one flat vector of column coefficients
+    and one of row coefficients, laid out level by level so that siblings
+    are adjacent (``M.coefficient_layout``).  Upward, in postorder, each
+    node projects its leaf slice, or its children's coefficients read as
+    one slice, with its column basis.  Across, each kept coupling row maps
+    its sources' gathered coefficients to its node's in one product; a
+    mirrored row also adds the transposed pairs, minus its transpose times
+    its node's coefficients into its sources' (distinct positions, so the
+    indexed update is exact).  Downward, each node applies its row basis
+    once and adds the result to its leaf slice or its children's slice.
+    Each leaf's nearfield row multiplies its sources' gathered entries,
+    again in one product.  Runs on one BLAS thread.
     """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
     dtype = np.result_type(M.dtype, Q.dtype)
     qt = Q[tr.perm_col]
     nodes = tr.nodes[:tr.root]  # postorder: children before parents
+    qs, _, nq = M.coefficient_layout("col")
+    zs, _, nz = M.coefficient_layout("row")
 
-    qhat = {}
+    def kids(at, nd):
+        return slice(at[nd.children[0]].start, at[nd.children[-1]].stop)
+
+    qf = np.empty((nq, Q.shape[1]), dtype=dtype)
     for nd in nodes:
         src = (qt[nd.col_start:nd.col_stop] if nd.is_leaf
-               else np.vstack([qhat[c] for c in nd.children]))
-        qhat[nd.index] = M.colfac[nd.index].apply_t(src)
+               else qf[kids(qs, nd)])
+        qf[qs[nd.index]] = M.colfac[nd.index].apply_t(src)
 
-    zhat = {}
+    zf = np.zeros((nz, Q.shape[1]), dtype=dtype)
     for i, row in M.block_rows("L"):
-        js = row.sources  # HSS rows have one source: no copy then
-        src = qhat[js[0]] if len(js) == 1 else np.concatenate(
-            [qhat[j] for j in js])
-        zhat[i] = row.A @ src
+        zf[zs[i]] += row.A @ qf.take(row.cols, axis=0)
+        if row.mirrored:
+            zf[row.cols] -= row.A.T @ qf[qs[i]]
 
     zt = np.zeros((M.n_row, Q.shape[1]), dtype=dtype)
     for nd in reversed(nodes):
-        zi = zhat.pop(nd.index, None)
-        if zi is None:
-            continue
-        e = M.rowfac[nd.index].apply(zi)
+        e = M.rowfac[nd.index].apply(zf[zs[nd.index]])
         if nd.is_leaf:
             zt[nd.row_start:nd.row_stop] += e
-            continue
-        pos = 0
-        for c in nd.children:
-            part = e[pos:pos + M.rank_row(c)]
-            pos += part.shape[0]
-            zhat[c] = part if c not in zhat else zhat[c] + part
+        else:
+            zf[kids(zs, nd)] += e
 
     for i, row in M.block_rows("Lm"):
         nd = tr.nodes[i]

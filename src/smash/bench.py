@@ -222,7 +222,10 @@ def storage_report(M) -> StorageReport:
     counted at the matrix dtype width, indices at 8 bytes.  ``kept_bytes``
     is what the coupling and nearfield block rows evaluated by applies so
     far hold (an HSS leaf's nearfield row is its diagonal block, which
-    ``diag`` counts too); it is 0 before the first apply.
+    ``diag`` counts too); it is 0 before the first apply.  A matrix whose
+    couplings are antisymmetric (the Cauchy kernel on one point set with
+    one skeleton per node, as H2 there) keeps one coupling block per
+    unordered pair, applied both ways, so each pair counts once.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
@@ -468,10 +471,11 @@ def _exp_h2_matvec_scaling(sizes, seed, dense_budget):
         if n * n <= max(dense_budget, 10 ** 9):
             zd = dense_matvec(spec, pts, pts, q)
             relerr = float(np.linalg.norm(z - zd) / np.linalg.norm(zd))
+        rep = storage_report(M)
         rows.append(dict(n=n, relerr=relerr, t_constr=t_constr,
                          t_matvec=t_matvec,
-                         compressed_mib=as_mib(
-                             storage_report(M).compressed_bytes),
+                         compressed_mib=as_mib(rep.compressed_bytes),
+                         kept_mib=as_mib(rep.kept_bytes),
                          seed=seed, r=bp.r, tau=bp.tau))
     return ExperimentReport(
         "h2_matvec_scaling",

@@ -12,7 +12,11 @@ bases they combine.  Coupling blocks between siblings are exact kernel
 entries at skeleton index pairs, so the compressed representation of a built
 matrix stores only interpolation coefficients, index sets, and leaf diagonal
 blocks; coupling and nearfield values are evaluated on first use, one block
-row per target node, and kept.
+row per target node, and kept.  Where the rows and the columns are one point
+set, each node's column skeleton is its row skeleton (as for H2, whose one
+factor serves both sides) and the kernel is antisymmetric (Cauchy), coupling
+(j, i) is minus the transpose of (i, j) bit for bit, so only the pairs with
+i < j are kept and each of their rows is applied both ways.
 """
 
 from __future__ import annotations
@@ -77,15 +81,18 @@ class BlockRow:
     """One target node's blocks side by side, ``A = [A(i, j1) A(i, j2) ...]``.
 
     Block k, for source ``sources[k]``, spans columns ``edges[k]:edges[k+1]``
-    of ``A``; ``cols`` holds the concatenated column labels (the sources'
-    column skeletons for couplings, their tree-order point ranges for the
-    nearfield).
+    of ``A``; ``cols`` holds the positions an apply reads the row's input
+    from: the sources' slices of the flat column-coefficient vector
+    (``coefficient_layout``) for couplings, their tree-order point ranges
+    for the nearfield.  A ``mirrored`` coupling row also stands for the
+    transposed pairs, ``B(j, i) = -B(i, j).T``.
     """
 
     sources: tuple
     edges: list
     cols: np.ndarray
     A: np.ndarray
+    mirrored: bool = False
 
     def block(self, j: int) -> np.ndarray:
         """The block of source j, a view into A."""
@@ -110,7 +117,10 @@ class _StructuredMatrix:
     and scalings, which store them in ``B_dense``; leaf diagonal blocks of
     HSS matrices are stored in ``Dblocks``.  Both kinds of block are kept as
     block rows (``block_row``), one per target node, filled on first use;
-    ``B`` and ``NF`` return views into them.
+    ``B`` and ``NF`` return views into them.  Which rows are kept is decided
+    on first use, once the factors are in place: a matrix whose couplings
+    are antisymmetric (``_antisymmetric``) keeps the pairs with i < j only,
+    and ``B`` returns the others as ``-B(j, i).T``.
     """
 
     kind = "structured"
@@ -130,8 +140,8 @@ class _StructuredMatrix:
         self.skel_col = {}
         self.Dblocks = {}
         self.B_dense = {}
-        self._sources = {"L": _by_target(self.pairs_L),
-                         "Lm": _by_target(self.pairs_Lm)}
+        self._kept = None            # _kept_rows(), on first use
+        self._layouts = {}           # side -> coefficient_layout(side)
         self._rows = {}              # (kind, i) -> BlockRow
 
     # -- shapes --------------------------------------------------------------
@@ -170,7 +180,10 @@ class _StructuredMatrix:
         return np.split(facs[i].expand(), np.cumsum(sizes)[:-1])
 
     def B(self, i: int, j: int) -> np.ndarray:
-        """Coupling block for a low-rank pair (i, j), a view into row i."""
+        """Coupling block for a low-rank pair (i, j), a view into row i; a
+        mirrored pair's block is ``-B(j, i).T``, a new array."""
+        if i > j and self._kept_rows()[0]:
+            return -self.block_row("L", j).block(i).T
         return self.block_row("L", i).block(j)
 
     def NF(self, i: int, j: int) -> np.ndarray:
@@ -187,29 +200,89 @@ class _StructuredMatrix:
         return row
 
     def block_rows(self, kind: str):
-        """(i, row) for each target node of the pairs of that kind."""
-        return ((i, self.block_row(kind, i)) for i in self._sources[kind])
+        """(i, row) for each kept row of that kind."""
+        return ((i, self.block_row(kind, i))
+                for i in self._kept_rows()[1][kind])
+
+    def _antisymmetric(self) -> bool:
+        """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: an
+        antisymmetric kernel on one point set with each node's column
+        skeleton its row skeleton, so both blocks are kernel entries on the
+        same two skeletons; no stored couplings; and a pair list that holds
+        the mirror of each pair.  H2 on one point set has one factor per
+        node; HSS compresses both sides, and with an antisymmetric kernel
+        its transposed nearfield candidate is minus the row one, which
+        picks the same skeleton.  (The nearfield is not mirrored: the
+        Cauchy kernel takes the value dx at coincident points, which is not
+        antisymmetric.)"""
+        skels = self.skel_col
+        return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
+                and not self.B_dense and skels.keys() == self.skel_row.keys()
+                and all(skels[i] is s or np.array_equal(skels[i], s)
+                        for i, s in self.skel_row.items())
+                and self.tree.one_point_set()
+                and set(self.pairs_L) == {(j, i) for i, j in self.pairs_L})
+
+    def _kept_rows(self):
+        """(mirrored, {kind: {i: sources of kept row i}}), decided on first
+        use: a mirrored matrix keeps the coupling pairs with i < j only."""
+        if self._kept is None:
+            mirrored = self._antisymmetric()
+            pairs_L = ([(i, j) for i, j in self.pairs_L if i < j] if mirrored
+                       else self.pairs_L)
+            self._kept = mirrored, {"L": _by_target(pairs_L),
+                                    "Lm": _by_target(self.pairs_Lm)}
+        return self._kept
+
+    def coefficient_layout(self, side: str):
+        """({i: slice}, {i: positions}, length): each non-root node's slice
+        of one flat vector of coefficients on that side's bases, the same
+        as an index array, and the vector's length.  Nodes are laid out
+        level by level from the root down, so siblings are adjacent and a
+        parent's children read as one slice."""
+        got = self._layouts.get(side)
+        if got is None:
+            skels = self.skel_row if side == "row" else self.skel_col
+            at, end = {}, 0
+            order = [self.tree.root]
+            for i in order:  # grows as it goes: a breadth-first walk
+                for c in self.tree.nodes[i].children:
+                    at[c] = slice(end, end + skels[c].size)
+                    end = at[c].stop
+                    order.append(c)
+            every = np.arange(end)
+            got = self._layouts[side] = (
+                at, {i: every[sl] for i, sl in at.items()}, end)
+        return got
 
     def _fill_row(self, kind: str, i: int) -> BlockRow:
         tr = self.tree
-        js = self._sources[kind][i]
+        mirrored, sources = self._kept_rows()
+        js = sources[kind][i]
+        stored = None
         if kind == "L":
             rows = self.skel_row[i]
             parts = [self.skel_col[j] for j in js]
-            stored = [self.B_dense.get((i, j)) for j in js]
+            if self.B_dense:
+                stored = [self.B_dense.get((i, j)) for j in js]
         else:
             rows = tr.row_range(i)
             parts = [tr.col_range(j) for j in js]
-            stored = [self.Dblocks.get(i) if j == i else None for j in js]
-        cols = np.concatenate(parts)
+            if self.Dblocks:
+                stored = [self.Dblocks.get(i) if j == i else None for j in js]
+        labels = np.concatenate(parts)
         edges = list(accumulate((p.size for p in parts), initial=0))
-        if any(blk is not None for blk in stored):
+        if stored is not None and any(blk is not None for blk in stored):
             blocks = [self._block(rows, p) if blk is None else blk
                       for blk, p in zip(stored, parts)]
             A = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
         else:
-            A = self._block(rows, cols)
-        return BlockRow(js, edges, cols, A)
+            A = self._block(rows, labels)
+        if kind == "Lm":
+            return BlockRow(js, edges, labels, A)
+        pos = self.coefficient_layout("col")[1]
+        return BlockRow(js, edges, np.concatenate([pos[j] for j in js]), A,
+                        mirrored)
 
     # -- dense reconstruction ---------------------------------------------------
 
@@ -265,6 +338,9 @@ def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
 # kernels whose candidates scale each side by its own generators, so the
 # row and column builders differ even on one point set
 _SIDE_SCALED = ("cauchy_like",)
+# kernels with K(y, x) = -K(x, y) bit for bit at distinct points: IEEE
+# subtraction is exactly antisymmetric, and so is the reciprocal
+_ANTISYMMETRIC = ("cauchy",)
 
 
 def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,

@@ -46,6 +46,19 @@ def build_grid_h2_400():
     return M, spec, X
 
 
+def build_1d_pair_h2():
+    """H2 on distinct, nearly coincident 1-d row and column points."""
+    rng = np.random.default_rng(2)
+    x = np.sort(rng.random(200)).reshape(-1, 1)
+    X = smash.PointSet(x)
+    Y = smash.PointSet(x + 1e-7 * rng.random((200, 1)), role="col")
+    tree = smash.build_tree(X, Y, nu0=16, tau=0.5)
+    spec = smash.KernelSpec("cauchy")
+    M = smash.build_h2(tree, spec, X, Y,
+                       smash.BuildParams(r=15, tau=0.5, eps_svd=1e-10))
+    return M, spec, X, Y, rng
+
+
 @pytest.fixture(scope="session")
 def grid_h2_400():
     """One grid H2 matrix shared by tests that only read it."""

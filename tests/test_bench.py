@@ -169,9 +169,17 @@ def test_kept_bytes_are_the_block_rows_an_apply_evaluated():
     M, _, X = build_grid_h2_400()
     assert storage_report(M).kept_bytes == 0
     smash.matvec_nodewise(M, np.ones(X.n))
-    rows = [row for kind in ("L", "Lm") for _, row in M.block_rows(kind)]
-    assert storage_report(M).kept_bytes == sum(row.A.nbytes for row in rows)
+    rows = {kind: [row for _, row in M.block_rows(kind)]
+            for kind in ("L", "Lm")}
+    assert storage_report(M).kept_bytes == sum(
+        row.A.nbytes for kept in rows.values() for row in kept)
     assert storage_report(M).kept_bytes > storage_report(M).compressed_bytes
+    # the Cauchy couplings on one point set: one block per unordered pair
+    unordered = {(min(p), max(p)) for p in M.pairs_L}
+    assert 2 * len(unordered) == len(M.pairs_L)
+    assert sum(len(row.sources) for row in rows["L"]) == len(unordered)
+    assert sum(row.A.nbytes for row in rows["L"]) == 16 * sum(
+        M.rank_row(i) * M.rank_col(j) for i, j in unordered)
 
 
 def test_single_leaf_stores_exactly_the_dense_block():

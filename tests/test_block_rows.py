@@ -1,6 +1,8 @@
 """Block-row storage: couplings and nearfield blocks kept as one row per
 target node, evaluated with one kernel call on first use; B and NF are
-views into the rows, and every format applies like its dense oracle."""
+views into the rows, an H2 Cauchy matrix on one point set keeps one
+coupling block per unordered pair, and every format applies like its dense
+oracle."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import smash
 from smash import hss
 from smash.kernel import kernel_block
 
-from conftest import build_interval_hss, dense_oracle
+from conftest import build_1d_pair_h2, build_interval_hss, dense_oracle
 
 
 @pytest.fixture
@@ -32,8 +34,9 @@ def reloaded(M, tmp_path):
     return smash.load_matrix(path)
 
 
-def row_count(M):
-    return len({i for i, _ in M.pairs_L}) + len({i for i, _ in M.pairs_Lm})
+def kept_rows(M):
+    """(kind, i) of every block row M keeps, filling any not yet filled."""
+    return [(kind, i) for kind in ("L", "Lm") for i, _ in M.block_rows(kind)]
 
 
 def test_first_apply_makes_one_kernel_call_per_row(tmp_path, grid_h2_400,
@@ -41,8 +44,15 @@ def test_first_apply_makes_one_kernel_call_per_row(tmp_path, grid_h2_400,
     M = reloaded(grid_h2_400[0], tmp_path)
     q = np.random.default_rng(0).random(M.n_col)
     smash.matvec_nodewise(M, q)
-    assert len(kernel_calls) == row_count(M)
-    assert row_count(M) < len(M.pairs_L) + len(M.pairs_Lm)
+    calls = len(kernel_calls)
+    rows = kept_rows(M)
+    assert len(kernel_calls) == calls  # the apply filled every kept row
+    assert calls == len(rows)
+    # a coupling row for each target i of a pair (i, j) with i < j, the
+    # mirrored pairs standing for the rest; a nearfield row for each leaf
+    assert len(rows) == (len({i for i, j in M.pairs_L if i < j})
+                         + len({i for i, _ in M.pairs_Lm}))
+    assert len(rows) < len(M.pairs_L) // 2 + len(M.pairs_Lm)
     del kernel_calls[:]
     smash.matvec_nodewise(M, q)
     assert kernel_calls == []
@@ -51,11 +61,21 @@ def test_first_apply_makes_one_kernel_call_per_row(tmp_path, grid_h2_400,
 def test_blocks_are_views_into_their_rows(grid_h2_400):
     M, _, _ = grid_h2_400
     for kind, pairs, get in (("L", M.pairs_L, M.B), ("Lm", M.pairs_Lm, M.NF)):
-        for i, j in pairs:
-            assert np.shares_memory(get(i, j), M.block_row(kind, i).A)
+        kept = set()
         for i, row in M.block_rows(kind):
+            kept.update((i, j) for j in row.sources)
+            for j in row.sources:
+                assert np.shares_memory(get(i, j), row.A)
             np.testing.assert_array_equal(
                 row.A, np.hstack([get(i, j) for j in row.sources]))
+        mirrored = set(pairs) - kept
+        assert len(mirrored) == (len(pairs) // 2 if kind == "L" else 0)
+        for i, j in mirrored:
+            assert (j, i) in kept
+            np.testing.assert_array_equal(get(i, j), -get(j, i).T)
+            # which is the kernel's own block at the skeleton pairs
+            np.testing.assert_array_equal(
+                get(i, j), M._block(M.skel_row[i], M.skel_col[j]))
 
 
 def test_ulv_factor_after_matvec_evaluates_nothing(kernel_calls):
@@ -83,20 +103,67 @@ def _interval(n, scaled):
     return hss.hss_add(M, S), A + dl[:, None] * A * dr[None, :]
 
 
+def _one_set_1d(build):
+    """A Cauchy matrix, I plus a skew part, on one 1-d point set (where
+    HSS's two compressions pick one skeleton too)."""
+    x = np.sort(np.random.default_rng(3).random(300)).reshape(-1, 1)
+    X = smash.PointSet(x)
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=32, tau=0.6)
+    M = build(tree, spec, X, X,
+              smash.BuildParams(r=21, tau=0.6, eps_svd=1e-12))
+    return M, dense_oracle(spec, X, X)
+
+
+def _pair_1d():
+    M, spec, X, Y, _ = build_1d_pair_h2()
+    return M, dense_oracle(spec, X, Y)
+
+
+def _shifted_grid():
+    """H2 on the 20x20 grid against the same grid moved by 1e-3."""
+    X = smash.bench.grid_points(20)
+    Y = smash.PointSet(X.coords + 1e-3, role="col")
+    spec = smash.KernelSpec("cauchy")
+    tree = smash.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
+    M = smash.build_h2(tree, spec, X, Y, smash.BuildParams(r=22, tau=0.65))
+    return M, dense_oracle(spec, X, Y)
+
+
+# (build, whether each kept coupling row stands for its mirrored pairs too)
 _CASES = {
-    "h2": lambda tmp, g: _grid(tmp, g, False),
-    "h2_reloaded": lambda tmp, g: _grid(tmp, g, True),
-    "hss": lambda tmp, g: _interval(300, False),
-    "hss_add_diag_scale": lambda tmp, g: _interval(300, True),
-    "single_leaf": lambda tmp, g: _interval(30, False),
+    "h2": (lambda tmp, g: _grid(tmp, g, False), True),
+    "h2_reloaded": (lambda tmp, g: _grid(tmp, g, True), True),
+    "h2_interval_one_set": (lambda tmp, g: _one_set_1d(smash.build_h2), True),
+    "h2_interval_pair": (lambda tmp, g: _pair_1d(), False),
+    "h2_grid_shifted": (lambda tmp, g: _shifted_grid(), False),
+    "hss": (lambda tmp, g: _interval(300, False), False),
+    "hss_interval_one_set": (lambda tmp, g: _one_set_1d(smash.build_hss),
+                             True),
+    "hss_add_diag_scale": (lambda tmp, g: _interval(300, True), False),
+    "single_leaf": (lambda tmp, g: _interval(30, False), False),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_matvec_matches_dense_oracle(tmp_path, grid_h2_400, case):
-    M, A = _CASES[case](tmp_path, grid_h2_400)
+    build, mirrored = _CASES[case]
+    M, A = build(tmp_path, grid_h2_400)
     Q = np.random.default_rng(1).random((A.shape[1], 2))
     Z = smash.matvec_nodewise(M, Q)
-    assert np.linalg.norm(Z - A @ Q) <= 1e-9 * np.linalg.norm(A @ Q)
+    assert np.linalg.norm(Z - A @ Q) <= 1e-10 * np.linalg.norm(A @ Q)
     # the second apply reads the rows the first one filled
     np.testing.assert_array_equal(smash.matvec_nodewise(M, Q), Z)
+    # a mirrored matrix keeps one coupling block per unordered pair
+    rows = [row for _, row in M.block_rows("L")]
+    assert all(row.mirrored == mirrored for row in rows)
+    assert sum(len(row.sources) for row in rows) == (
+        len(M.pairs_L) // 2 if mirrored else len(M.pairs_L))
+
+
+def test_ulv_solve_reads_mirrored_couplings():
+    M, A = _one_set_1d(smash.build_hss)
+    b = np.random.default_rng(5).random(A.shape[0])
+    x = smash.ulv_solve(smash.ulv_factor(M), b)
+    assert all(row.mirrored for _, row in M.block_rows("L"))
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)

@@ -251,6 +251,7 @@ def test_scaling_experiment_emits_csv(capsys):
     assert len(rows) == 1
     assert rows[0]["n"] == "400"
     assert float(rows[0]["relerr"]) < 1e-8
+    assert float(rows[0]["kept_mib"]) > float(rows[0]["compressed_mib"])
 
 
 def test_rank_study_written_to_file(tmp_path, capsys):

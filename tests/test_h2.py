@@ -10,6 +10,8 @@ from smash.hss import _basis_builder, _candidate, _default_basis
 from smash.kernel import kernel_block
 from smash.lowrank import compr, taylor_tail_bound
 
+from conftest import build_1d_pair_h2
+
 
 def grid_dense(spec, X):
     n = X.n
@@ -127,19 +129,6 @@ def test_h2_build_requires_2d_tree_mode():
     spec = smash.KernelSpec("cauchy", dx=1.0)
     with pytest.raises(ValueError):
         smash.build_h2(tree, spec, X, X)
-
-
-def build_1d_pair_h2():
-    """H2 on distinct, nearly coincident 1-d row and column points."""
-    rng = np.random.default_rng(2)
-    x = np.sort(rng.random(200)).reshape(-1, 1)
-    X = smash.PointSet(x)
-    Y = smash.PointSet(x + 1e-7 * rng.random((200, 1)), role="col")
-    tree = smash.build_tree(X, Y, nu0=16, tau=0.5)
-    spec = smash.KernelSpec("cauchy")
-    M = smash.build_h2(tree, spec, X, Y,
-                       smash.BuildParams(r=15, tau=0.5, eps_svd=1e-10))
-    return M, spec, X, Y, rng
 
 
 def test_h2_accepts_1d_binary_trees():

@@ -61,6 +61,27 @@ def test_blas_pinned_inside_and_restored_after_build_and_factor(
     assert seen and all(c == ones for c in seen)
 
 
+def test_blas_pinned_inside_and_restored_after_matvec(monkeypatch,
+                                                     two_blas_threads):
+    X = smash.bench.grid_points(12)
+    tree = smash.build_tree(X, nu0=30, mode="2d", tau=0.65)
+    M = smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
+                       smash.BuildParams(r=12, tau=0.65))
+    seen = []
+    record_counts(monkeypatch, hss._StructuredMatrix, "block_row", seen)
+    apply.matvec_nodewise(M, np.ones(X.n))
+    assert blas_counts() == two_blas_threads
+    assert seen and all(c == [1] * len(two_blas_threads) for c in seen)
+
+
+def test_blas_libraries_read_again_only_after_an_import(monkeypatch):
+    libs = _threads.openblas_libs()
+    assert _threads.openblas_libs() is libs
+    monkeypatch.setitem(sys.modules, "smash_test_new_module", sys)
+    again = _threads.openblas_libs()
+    assert again is not libs and len(again) == len(libs)
+
+
 def test_blas_restored_after_a_build_that_raises(monkeypatch,
                                                  two_blas_threads):
     def broken(*args, **kwargs):
