@@ -216,16 +216,16 @@ def storage_report(M) -> StorageReport:
     sets, and leaf diagonal blocks; coupling blocks are regenerated from the
     kernel at skeleton points so only their indices are stored; sums and
     scalings store their couplings, counted as "coupling".  A factor that
-    serves as both a node's row and column basis (H2 on one point set) is
+    serves as both a node's row and column basis (``hss.one_basis``) is
     counted once, as it is held and saved once.  The generator form
     materializes U, V, R, W, and B densely, both sides in full.  Entries are
     counted at the matrix dtype width, indices at 8 bytes.  ``kept_bytes``
     is what the coupling and nearfield block rows evaluated by applies so
     far hold (an HSS leaf's nearfield row is its diagonal block, which
     ``diag`` counts too); it is 0 before the first apply.  A matrix whose
-    couplings are antisymmetric (the Cauchy kernel on one point set with
-    one skeleton per node, as H2 there) keeps one coupling block per
-    unordered pair, applied both ways, so each pair counts once.
+    couplings are antisymmetric (the Cauchy kernel with one factor per
+    node) keeps one coupling block per unordered pair, applied both ways,
+    so each pair counts once.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
@@ -566,12 +566,16 @@ _RANK_CASES = (("ramhead", 1280), ("sunflower", 2560))
 def _exp_rank_study(sizes, seed, dense_budget):
     eps_list = (1e-3, 1e-6, 1e-10)
     rows = []
+    nu0 = 50
     for curve_name, n_default in _RANK_CASES:
         n = int(sizes[0]) if sizes else n_default
+        if n <= nu0:
+            raise ValueError("rank_study needs n above its leaf cap %d to "
+                             "split the root in two; got n = %d" % (nu0, n))
         crv = get_curve(curve_name)
         spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
         pts = curve_points(curve_name, n)
-        tree = build_tree(pts, nu0=50, mode="binary", tau=0.6)
+        tree = build_tree(pts, nu0=nu0, mode="binary", tau=0.6)
         c1, c2 = tree.nodes[tree.root].children
         block = kernel_block(spec, None, None,
                              tree.perm_row[tree.row_range(c1)],
@@ -588,7 +592,7 @@ def _exp_rank_study(sizes, seed, dense_budget):
                              r_eps=eps_rank(block, eps), size_bi=size_bi,
                              r=pc.r, eps_svd=pc.eps_svd, seed=seed))
     return ExperimentReport(
-        "rank_study", dict(seed=seed, tau=0.6, nu0=50, eps=list(eps_list)),
+        "rank_study", dict(seed=seed, tau=0.6, nu0=nu0, eps=list(eps_list)),
         rows)
 
 

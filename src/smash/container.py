@@ -4,10 +4,11 @@ Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
 index arrays little-endian int64, so round trips are bit-exact.  A matrix
-whose column factors are its row factors (an H2 matrix on one point set) is
-held and saved once: the header sets "columns_share_rows" and the payload
-has no "colfac" or "skel_col" entries.  Without the flag, both sides are
-stored.
+whose column factors are its row factors (``hss.one_basis``) is held and
+saved once: the header sets "columns_share_rows" and the payload has no
+"colfac" or "skel_col" entries.  Without the flag, both sides are stored;
+an older file whose matrix fits the rule and whose two factors per node
+agree byte for byte loads with one.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from .cluster import Box, ClusterTree, PointSet, TreeNode
 from .h2 import H2Matrix
 from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
-                  no_kernel_block)
+                  no_kernel_block, one_basis)
 from .kernel import KernelSpec, get_curve
 from .lowrank import InterpolativeFactor
 
@@ -68,18 +69,13 @@ def save_matrix(M, path) -> None:
     pl.add("perm_col", M.tree.perm_col)
     pl.add("points_row", M.tree.points_row)
     pl.add("points_col", M.tree.points_col)
-    shared = _columns_share_rows(M)
-    facs = {"rowfac": M.rowfac, "colfac": M.colfac}
-    skels = {"skel_row": M.skel_row, "skel_col": M.skel_col}
-    if shared:
-        del facs["colfac"], skels["skel_col"]
-    for prefix, side in facs.items():
-        for i, fac in side.items():
-            pl.add("%s.%d.perm" % (prefix, i), fac.perm)
-            pl.add("%s.%d.G" % (prefix, i), fac.G)
-    for prefix, side in skels.items():
-        for i, arr in side.items():
-            pl.add("%s.%d" % (prefix, i), arr)
+    shared = M.one_factor()
+    sides = [("row", M.rowfac)] + ([] if shared else [("col", M.colfac)])
+    for side, facs in sides:
+        for i, fac in facs.items():  # a node's skeleton is its factor's
+            pl.add("%sfac.%d.perm" % (side, i), fac.perm)
+            pl.add("%sfac.%d.G" % (side, i), fac.G)
+            pl.add("skel_%s.%d" % (side, i), fac.skel)
     for i, arr in M.Dblocks.items():
         pl.add("D.%d" % i, arr)
     for (i, j), arr in M.B_dense.items():
@@ -122,12 +118,6 @@ def save_matrix(M, path) -> None:
         fh.write(b"\0")
         for chunk in pl.chunks:
             fh.write(chunk)
-
-
-def _columns_share_rows(M) -> bool:
-    """Whether every column factor and skeleton is the row one itself."""
-    return all(a.keys() == b.keys() and all(a[i] is b[i] for i in a)
-               for a, b in ((M.colfac, M.rowfac), (M.skel_col, M.skel_row)))
 
 
 def _read_arrays(payload: bytes, manifest) -> dict:
@@ -244,6 +234,12 @@ def _assemble(header: dict, arrays: dict):
     else:
         block = no_kernel_block
     M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel)
+    one = one_basis(M.kind, tree, kernel)
+    if shared and not one and tree.root:
+        # (older versions set the flag on one-leaf trees, with no factors)
+        raise ValueError("damaged container: %r is set, but this matrix "
+                         "needs column factors of its own (two point sets, "
+                         "or a kernel that sets the sides apart)" % _SHARED)
 
     perms = []
     for name, arr in arrays.items():
@@ -282,6 +278,11 @@ def _assemble(header: dict, arrays: dict):
         facs[i] = InterpolativeFactor(
             nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
             skel=skels[i])
+    if not shared and one:
+        # older files store both sides where the build now shares one
+        shared = M.colfac.keys() == M.rowfac.keys() and all(
+            _same(M.colfac[i].perm, f.perm) and _same(M.colfac[i].G, f.G)
+            and _same(M.colfac[i].skel, f.skel) for i, f in M.rowfac.items())
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)
@@ -330,13 +331,10 @@ def _check_structure(M) -> None:
                                  % (nd.index, lo[:3]))
     for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
                               (M.colfac, M.skel_col, "column")):
-        for i in set(range(tr.root)).union(facs):
+        for i in sorted(set(range(tr.root)).union(facs)):  # children first
             if i not in facs or i not in skels:
                 raise _no_factor(i, side)
-    for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
-                              (M.colfac, M.skel_col, "col")):
-        for i, fac in facs.items():
-            _check_factor(tr, i, fac, skels, side)
+            _check_factor(tr, i, facs[i], skels, side)
     for i, j in M.pairs_L:
         if i not in M.skel_row or j not in M.skel_col:
             raise ValueError("damaged container: coupling pair (%r, %r) names "
@@ -364,7 +362,7 @@ def _check_factor(tr, i, fac, skels, side) -> None:
     if not (type(i) is int and 0 <= i < tr.root):
         raise ValueError("damaged container: a %s factor names node %r, "
                          "which is not a non-root node" % (side, i))
-    name = "%sfac.%d." % (side, i)
+    name = "%sfac.%d." % (side[:3], i)  # "row" or "col"
     ibar = _intermediate(tr, i, skels, side)
     skel = skels[i]
     k = skel.size
@@ -376,7 +374,7 @@ def _check_factor(tr, i, fac, skels, side) -> None:
                          % (name + "G", fac.G.shape, ibar.size - k, k))
     if not _same(skel, ibar[fac.perm[:k]]):
         raise ValueError("damaged container: 'skel_%s.%d' is not the labels "
-                         "that %r selects" % (side, i, name + "perm"))
+                         "that %r selects" % (side[:3], i, name + "perm"))
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

@@ -3,20 +3,18 @@
 Same nested interpolative bases as the HSS builder, but skeletons come from
 the farfield expansion alone (no nearfield sampling), and the low-rank /
 dense block partition is the strong-admissibility one: well-separated node
-pairs carry skeleton couplings, inadmissible leaf pairs stay dense.  With no
-nearfield sampling, a node's column candidate is its row candidate whenever
-the rows and the columns are one point set and the kernel scales neither
-side; the node is then compressed once, and one factor is both its row and
-its column basis.
+pairs carry skeleton couplings, inadmissible leaf pairs stay dense.  Where
+``hss.one_basis`` holds (one point set, a kernel that scales neither side),
+each node is compressed once, and one factor is both of its bases.
 """
 
 from __future__ import annotations
 
 from ._threads import one_blas_thread
 from .cluster import ClusterTree, leaf_sets
-from .hss import (BuildParams, _StructuredMatrix, _basis_builders,
-                  _candidate, _default_basis, kernel_dtype,
-                  make_block_evaluator)
+from .hss import (BuildParams, _StructuredMatrix, _basis_builder, _candidate,
+                  _default_basis, kernel_dtype, make_block_evaluator,
+                  one_basis)
 from .kernel import KernelSpec
 from .lowrank import compr
 
@@ -31,8 +29,8 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     """Bottom-up H2 construction: per node, compress the farfield basis over
     the current index set; parents work on the union of their children's
     skeletons.  A node's column factor is its row factor, compressed once,
-    when one builder serves both sides.  Couplings are exact kernel entries
-    at skeleton pairs.  Runs serially on one BLAS thread."""
+    where ``one_basis`` holds.  Couplings are exact kernel entries at
+    skeleton pairs.  Runs serially on one BLAS thread."""
     params = params or BuildParams()
     if kernel.kind == "cauchy_like":
         raise ValueError("cauchy-like matrices are built in HSS form")
@@ -43,17 +41,15 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "h2")
     M = H2Matrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow, bcol = _basis_builders(tree, kernel, params, basis)
+    brow = _basis_builder(tree, kernel, params, basis, "row")
+    bcol = (None if one_basis("h2", tree, kernel)
+            else _basis_builder(tree, kernel, params, basis, "col"))
 
     # serial: the small compr calls here are bound by the interpreter lock
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
-            fac = compr(*_candidate(M, i, (), brow, "row"))
-            M.rowfac[i] = fac
-            M.skel_row[i] = fac.skel
-            if bcol is not brow:
-                fac = compr(*_candidate(M, i, (), bcol, "col"))
-            M.colfac[i] = fac
-            M.skel_col[i] = fac.skel
+            row = compr(*_candidate(M, i, (), brow, "row"))
+            M._store(i, row, row if bcol is None
+                     else compr(*_candidate(M, i, (), bcol, "col")))
     return M
 

@@ -2,21 +2,19 @@
 
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
-skeletons of its children (the per-child transfer blocks).  HSS compresses
-both sides, as its column candidate carries the transposed nearfield block;
-the H2 builder, which has no nearfield candidate, compresses one basis for
-both sides when the rows and the columns are one point set.  Every basis is
-an interpolative factor, applied without forming it: built matrices get
-theirs from compression, sums and diagonal scalings from recompressing the
-bases they combine.  Coupling blocks between siblings are exact kernel
-entries at skeleton index pairs, so the compressed representation of a built
-matrix stores only interpolation coefficients, index sets, and leaf diagonal
+skeletons of its children (the per-child transfer blocks).  One rule
+(``one_basis``) decides for both builders when a node's column basis is its
+row basis, compressed once and held once.  Every basis is an interpolative
+factor, applied without forming it: built matrices get theirs from
+compression, sums and diagonal scalings from recompressing the bases they
+combine.  Coupling blocks between siblings are exact kernel entries at
+skeleton index pairs, so the compressed representation of a built matrix
+stores only interpolation coefficients, index sets, and leaf diagonal
 blocks; coupling and nearfield values are evaluated on first use, one block
-row per target node, and kept.  Where the rows and the columns are one point
-set, each node's column skeleton is its row skeleton (as for H2, whose one
-factor serves both sides) and the kernel is antisymmetric (Cauchy), coupling
-(j, i) is minus the transpose of (i, j) bit for bit, so only the pairs with
-i < j are kept and each of their rows is applied both ways.
+row per target node, and kept.  Where one factor serves both sides of every
+node and the kernel is antisymmetric, coupling (j, i) is minus the transpose
+of (i, j) bit for bit, so only the pairs with i < j are kept and each of
+their rows is applied both ways.
 """
 
 from __future__ import annotations
@@ -172,6 +170,11 @@ class _StructuredMatrix:
     def V(self, i: int) -> np.ndarray:
         return self.colfac[i].expand()
 
+    def _store(self, i: int, rowfac, colfac) -> None:
+        """Node i's factors and the skeletons they select."""
+        self.rowfac[i], self.skel_row[i] = rowfac, rowfac.skel
+        self.colfac[i], self.skel_col[i] = colfac, colfac.skel
+
     def transfers(self, i: int, side: str = "row") -> list:
         """Node i's basis split into one transfer block per child."""
         facs, skels = ((self.rowfac, self.skel_row) if side == "row"
@@ -205,23 +208,21 @@ class _StructuredMatrix:
                 for i in self._kept_rows()[1][kind])
 
     def _antisymmetric(self) -> bool:
-        """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: an
-        antisymmetric kernel on one point set with each node's column
-        skeleton its row skeleton, so both blocks are kernel entries on the
-        same two skeletons; no stored couplings; and a pair list that holds
-        the mirror of each pair.  H2 on one point set has one factor per
-        node; HSS compresses both sides, and with an antisymmetric kernel
-        its transposed nearfield candidate is minus the row one, which
-        picks the same skeleton.  (The nearfield is not mirrored: the
-        Cauchy kernel takes the value dx at coincident points, which is not
-        antisymmetric.)"""
-        skels = self.skel_col
+        """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: the
+        kernel is antisymmetric, every column factor is its row factor (which
+        builds and loads allow on one point set only, ``one_basis``), and the
+        pair list holds the mirror of each pair.  Sums and scalings, which
+        store their couplings, carry no kernel.  (The nearfield is not
+        mirrored: the Cauchy kernel takes the value dx at coincident points,
+        which is not antisymmetric.)"""
         return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
-                and not self.B_dense and skels.keys() == self.skel_row.keys()
-                and all(skels[i] is s or np.array_equal(skels[i], s)
-                        for i, s in self.skel_row.items())
-                and self.tree.one_point_set()
+                and self.one_factor()
                 and set(self.pairs_L) == {(j, i) for i, j in self.pairs_L})
+
+    def one_factor(self) -> bool:
+        """Whether every column factor is its row factor (``one_basis``)."""
+        return self.colfac.keys() == self.rowfac.keys() and all(
+            self.colfac[i] is f for i, f in self.rowfac.items())
 
     def _kept_rows(self):
         """(mirrored, {kind: {i: sources of kept row i}}), decided on first
@@ -377,15 +378,14 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     return build_scaled
 
 
-def _basis_builders(tree: ClusterTree, kernel: KernelSpec,
-                    params: BuildParams, basis: str):
-    """(row, column) candidate builders.  When the rows and the columns are
-    one point set and the kernel scales neither side, the column builder is
-    the row builder itself: a node's two candidates are then one matrix."""
-    brow = _basis_builder(tree, kernel, params, basis, "row")
-    if kernel.kind not in _SIDE_SCALED and tree.one_point_set():
-        return brow, brow
-    return brow, _basis_builder(tree, kernel, params, basis, "col")
+def one_basis(kind: str, tree: ClusterTree, kernel: KernelSpec) -> bool:
+    """Whether a matrix of kind "hss" or "h2" holds one factor per node for
+    both sides: one point set and a kernel that scales neither side give
+    one farfield candidate, and for HSS, whose column candidate also holds
+    the transposed nearfield block, an antisymmetric kernel negates it."""
+    return (kernel is not None and kernel.kind not in _SIDE_SCALED
+            and (kind == "h2" or kernel.kind in _ANTISYMMETRIC)
+            and tree.one_point_set())
 
 
 def _intermediate(tree, i, skels, side):
@@ -415,9 +415,10 @@ def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
 
 
 def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
-    """Row and column factors of node i."""
-    return (compr(*_candidate(M, i, near, brow, "row")),
-            compr(*_candidate(M, i, near, bcol, "col")))
+    """Row and column factors of node i; one factor where bcol is None."""
+    row = compr(*_candidate(M, i, near, brow, "row"))
+    return row, (row if bcol is None
+                 else compr(*_candidate(M, i, near, bcol, "col")))
 
 
 @one_blas_thread()
@@ -429,9 +430,10 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     node's box with a truncated SVD of the block row against the nearfield
     neighbors' current index sets; interpolative compression of the pair
     yields the skeleton and the interpolation coefficients.  The column pass
-    mirrors it.  Leaves keep exact diagonal blocks.  The nodes of a level
-    run on up to two cores with one BLAS thread each; the factors are stored
-    in level order, so the result does not depend on the core count.
+    mirrors it unless one factor serves both sides (``one_basis``).  Leaves
+    keep exact diagonal blocks.  The nodes of a level run on up to two cores
+    with one BLAS thread each; the factors are stored in level order, so the
+    result does not depend on the core count.
     """
     params = params or BuildParams()
     for nd in tree.nodes:
@@ -448,7 +450,9 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "hss")
     M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow, bcol = _basis_builders(tree, kernel, params, basis)
+    brow = _basis_builder(tree, kernel, params, basis, "row")
+    bcol = (None if one_basis("hss", tree, kernel)
+            else _basis_builder(tree, kernel, params, basis, "col"))
 
     for level in range(tree.n_levels, 1, -1):
         nodes = tree.level_nodes(level)
@@ -456,11 +460,8 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
         near = [nearfield_set(tree, i, params.tau) for i in nodes]
         facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol),
                          zip(nodes, near))
-        for i, (rowfac, colfac) in zip(nodes, facs):
-            M.rowfac[i] = rowfac
-            M.skel_row[i] = rowfac.skel
-            M.colfac[i] = colfac
-            M.skel_col[i] = colfac.skel
+        for i, pair in zip(nodes, facs):
+            M._store(i, *pair)
     trim_heap()
     for i in tree.leaves():
         M.Dblocks[i] = block(tree.row_range(i), tree.col_range(i))

@@ -59,6 +59,14 @@ def build_1d_pair_h2():
     return M, spec, X, Y, rng
 
 
+def build_one_set_hss(X):
+    """HSS of the Cauchy kernel (dx = 1) on one point set X: (M, spec)."""
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=50, tau=0.65)
+    params = smash.BuildParams(r=22, tau=0.65, eps_svd=1e-11)
+    return smash.build_hss(tree, spec, X, X, params), spec
+
+
 @pytest.fixture(scope="session")
 def grid_h2_400():
     """One grid H2 matrix shared by tests that only read it."""

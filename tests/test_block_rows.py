@@ -105,7 +105,7 @@ def _interval(n, scaled):
 
 def _one_set_1d(build):
     """A Cauchy matrix, I plus a skew part, on one 1-d point set (where
-    HSS's two compressions pick one skeleton too)."""
+    HSS holds one factor per node too)."""
     x = np.sort(np.random.default_rng(3).random(300)).reshape(-1, 1)
     X = smash.PointSet(x)
     spec = smash.KernelSpec("cauchy", dx=1.0)

@@ -272,6 +272,14 @@ def test_rank_study_written_to_file(tmp_path, capsys):
         assert vals == sorted(vals)
 
 
+@pytest.mark.parametrize("n", [10, 50])
+def test_rank_study_on_one_leaf_refused(capsys, n):
+    # n <= the leaf cap leaves the root without the two children it compares
+    assert main(["experiment", "rank_study", "--n", str(n)]) == 2
+    err = capsys.readouterr().err
+    assert "n = %d" % n in err and "leaf cap 50" in err
+
+
 def test_storage_study_json(capsys):
     assert main(["experiment", "storage_study", "--sizes", "256",
                  "--json"]) == 0

@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 import smash
 from smash.hss import cauchy_like_hss
 
-from conftest import build_grid_h2_400, build_interval_hss, interval_pair
+from smash.lowrank import InterpolativeFactor
+
+from conftest import (build_grid_h2_400, build_interval_hss,
+                      build_one_set_hss, interval_pair)
 
 
 def test_hss_round_trip_preserves_matvec_bitwise(tmp_path):
@@ -80,6 +83,98 @@ def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
             == smash.matvec_nodewise(M2, q).tobytes())
 
 
+def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
+    M, _ = build_one_set_hss(smash.bench.grid_points(32))
+    path = tmp_path / "g.smash"
+    smash.save_matrix(M, path)
+    header = {}
+    edit_header(path, header.update)
+    assert header["columns_share_rows"] is True
+    assert not [n for n in _names(path)
+                if n.startswith(("colfac.", "skel_col."))]
+    rep = smash.storage_report(M)
+    facs = M.rowfac.values()
+    assert rep.breakdown["interp"] == 16 * sum(f.G.size for f in facs)
+    assert rep.breakdown["index"] == 8 * sum(f.perm.size + f.skel.size
+                                             for f in facs)
+    M2 = smash.load_matrix(path)
+    assert all(M2.colfac[i] is f for i, f in M2.rowfac.items())
+    q = np.random.default_rng(10).random(M.n_col)
+    assert (smash.matvec_nodewise(M, q).tobytes()
+            == smash.matvec_nodewise(M2, q).tobytes())
+
+
+def _two_factor_copy(M):
+    """M with each column factor a copy of its row factor, as earlier
+    versions built and saved HSS on one point set."""
+    for i, f in M.rowfac.items():
+        M.colfac[i] = InterpolativeFactor(f.nrows, f.perm.copy(), f.G.copy(),
+                                          f.skel.copy())
+        M.skel_col[i] = M.colfac[i].skel
+    return M
+
+
+def _share_without_column_entries(header):
+    """Set the sharing flag and drop the column factors and skeletons."""
+    header.update(columns_share_rows=True, arrays=[
+        e for e in header["arrays"]
+        if not e["name"].startswith(("colfac.", "skel_col."))])
+
+
+def test_two_factor_hss_container_loads_shared(tmp_path):
+    M, _ = build_one_set_hss(smash.bench.grid_points(20))
+    q = np.random.default_rng(11).random(M.n_col)
+    z = smash.matvec_nodewise(M, q)
+    path = tmp_path / "g.smash"
+    smash.save_matrix(_two_factor_copy(M), path)
+    assert "colfac.0.G" in _names(path)
+    M2 = smash.load_matrix(path)
+    assert all(M2.colfac[i] is f for i, f in M2.rowfac.items())
+    assert smash.matvec_nodewise(M2, q).tobytes() == z.tobytes()
+
+
+def test_two_factor_container_with_unequal_factors_keeps_both(tmp_path):
+    M, _ = build_one_set_hss(smash.bench.grid_points(20))
+    _two_factor_copy(M).colfac[0].G[0, 0] += 1e-12
+    path = tmp_path / "g.smash"
+    smash.save_matrix(M, path)
+    M2 = smash.load_matrix(path)
+    assert not M2.one_factor()
+    assert M2.colfac[0].G.tobytes() != M2.rowfac[0].G.tobytes()
+    assert M2.colfac[1] is not M2.rowfac[1]
+
+
+def test_sharing_flag_on_two_point_sets_is_refused(tmp_path, capsys):
+    # equal node counts, so the flag alone does not show the mismatch
+    X = smash.bench.grid_points(20)
+    Y = smash.PointSet(X.coords + 1e-3, role="col")
+    tree = smash.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
+    M = smash.build_h2(tree, smash.KernelSpec("cauchy"), X, Y,
+                       smash.BuildParams(r=22, tau=0.65))
+    assert sorted(M.colfac) == sorted(M.rowfac)
+    path = tmp_path / "s.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, _share_without_column_entries)
+    with pytest.raises(ValueError, match="'columns_share_rows' is set"):
+        smash.load_matrix(path)
+    from smash.cli import main
+    assert main(["matvec", "--load", str(path)]) == 2
+    assert "'columns_share_rows' is set" in capsys.readouterr().err
+
+
+def test_one_leaf_matrix_on_two_point_sets_round_trips(tmp_path):
+    # no factors, so every column factor is its row factor and the flag is
+    # set; with nothing to share it fits any tree
+    M, _, _, _ = build_interval_hss(30)
+    assert M.tree.root == 0
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    M2 = smash.load_matrix(path)
+    q = np.random.default_rng(12).random(30)
+    np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
+                                  smash.matvec_nodewise(M2, q))
+
+
 def test_hss_container_has_no_sharing_flag(tmp_path):
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
@@ -102,12 +197,13 @@ def _grid_h2_144():
 
 def test_two_factor_h2_container_loads_bitwise():
     # written by an earlier version, which compressed and stored the column
-    # factors of an H2 matrix on one point set separately: _grid_h2_144()
+    # factors of an H2 matrix on one point set separately: _grid_h2_144();
+    # they equal the row factors, so the loader keeps one factor per node
     M2 = smash.load_matrix(OLD_H2)
     M = _grid_h2_144()
     assert sorted(M2.colfac) == sorted(M.rowfac)
     for i, fac in M.rowfac.items():
-        assert M2.colfac[i] is not M2.rowfac[i]
+        assert M2.colfac[i] is M2.rowfac[i]
         for facs2 in (M2.rowfac, M2.colfac):
             for name in ("perm", "G", "skel"):
                 a, b = getattr(fac, name), getattr(facs2[i], name)
@@ -316,6 +412,9 @@ _DAMAGE = {
         shape=_array(h, "colfac.0.G")["shape"][::-1]), "'colfac.0.G'"),
     "skel_row_not_factor_skel": (lambda h: _array(h, "skel_row.1").update(
         offset=_array(h, "rowfac.1.perm")["offset"]), "'skel_row.1'"),
+    # one factor per node on two point sets would apply wrongly
+    "shared_flag_on_two_point_sets": (_share_without_column_entries,
+                                      "'columns_share_rows' is set"),
     # build parameters that would have given a wrong matrix
     "order_zero": (lambda h: h["params"].update(r=0), "parameter r "),
     "tau_past_one": (lambda h: h["params"].update(tau=1.5), "parameter tau "),

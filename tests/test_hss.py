@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import smash
-from smash.hss import cauchy_like_hss
-from smash.lowrank import InterpolativeFactor, taylor_tail_bound
+from smash._threads import one_blas_thread
+from smash.cluster import nearfield_set
+from smash.hss import _basis_builder, _candidate, cauchy_like_hss
+from smash.lowrank import InterpolativeFactor, compr, taylor_tail_bound
 
-from conftest import build_interval_hss, dense_oracle, interval_pair
+from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
+                      interval_pair)
 
 
 def dense_in_caller_order(spec, X, Y):
@@ -170,6 +173,61 @@ def test_build_hss_on_cauchy_like_kernel_matches_dense_oracle():
                                 tr.perm_col[M.skel_col[j]])])
     for skel in list(M.skel_row.values()) + list(M.skel_col.values()):
         assert np.unique(skel).size == skel.size
+
+
+# ---------------------------------------------------------------------------
+# one basis per node on one point set
+# ---------------------------------------------------------------------------
+
+_ONE_SET = {"grid_32x32": lambda: smash.bench.grid_points(32),
+            "line_400": lambda: smash.PointSet(
+                (np.arange(1, 401) / 401.0).reshape(-1, 1))}
+
+
+@pytest.fixture(scope="module", params=sorted(_ONE_SET))
+def one_set_hss(request):
+    X = _ONE_SET[request.param]()
+    return build_one_set_hss(X) + (X,)
+
+
+def test_one_point_set_holds_one_factor_per_node(one_set_hss):
+    M, spec, _ = one_set_hss
+    tr = M.tree
+    assert sorted(M.colfac) == sorted(M.rowfac) == list(range(tr.root))
+    bcol = _basis_builder(tr, spec, M.params, "taylor", "col")
+    for i, fac in M.rowfac.items():
+        assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
+        # the column compression it skips would have found the same factor
+        # (on one BLAS thread, as the build runs)
+        near = nearfield_set(tr, i, M.params.tau)
+        with one_blas_thread():
+            own = compr(*_candidate(M, i, near, bcol, "col"))
+        for name in ("perm", "G", "skel"):
+            a, b = getattr(own, name), getattr(fac, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+
+
+def test_one_factor_per_node_applies_and_solves_like_dense(one_set_hss):
+    M, spec, X = one_set_hss
+    A = dense_oracle(spec, X, X)
+    q = np.random.default_rng(7).random(X.n)
+    z = smash.matvec_nodewise(M, q)
+    assert np.linalg.norm(z - A @ q) <= 1e-10 * np.linalg.norm(A @ q)
+    x = smash.ulv_solve(smash.ulv_factor(M), z)
+    assert np.linalg.norm(A @ x - z) <= 1e-9 * np.linalg.norm(z)
+
+
+def test_double_layer_on_one_point_set_keeps_two_factors():
+    # the double-layer kernel is not antisymmetric: its transposed nearfield
+    # block is not minus the row one
+    X = smash.bench.curve_points("ramhead", 320)
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("ramhead"),
+                            nq=320)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    M = smash.build_hss(tree, spec, X, X, smash.BuildParams(
+        r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
+    assert not M.one_factor()
+    assert all(M.colfac[i] is not f for i, f in M.rowfac.items())
 
 
 # ---------------------------------------------------------------------------

@@ -58,3 +58,27 @@ def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
     finally:
         tracer.restore()
     assert tracer.calls("lowrank.compr", ("setup",)) == 2 * tree.root
+
+
+def test_traced_hss_grid_build_compresses_each_node_once(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from layers import install
+    from tracing import Tracer
+
+    # the tracer keeps one span stack, so the level map runs serially
+    monkeypatch.setattr(smash._threads, "cores", lambda: 1)
+    tracer = Tracer()
+    install(tracer)
+    try:
+        X = smash.bench.grid_points(20)
+        spec = smash.KernelSpec("cauchy", dx=1.0)
+        tree = smash.cluster.build_tree(X, nu0=50, tau=0.65)
+        smash.hss.build_hss(tree, spec, X, X,
+                            smash.BuildParams(r=22, tau=0.65, eps_svd=1e-11))
+    finally:
+        tracer.restore()
+    # one point set and an antisymmetric kernel: one factor per node, from
+    # one nearfield SVD and one compression
+    assert tracer.calls("hss.build_hss", ("setup",)) == 1
+    assert tracer.calls("lowrank.compr", ("setup",)) == tree.root
+    assert tracer.calls("lowrank.truncated_svd", ("setup",)) == tree.root
