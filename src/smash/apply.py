@@ -5,8 +5,9 @@ couplings, downward transfers plus dense nearfield); the level-synchronous
 name runs the same core and is limited to perfect trees.  The ULV
 factorization eliminates, per node, the redundant rows of its interpolative
 row factor P [I; G] (each row minus G times the skeleton rows couples to
-nothing outside the node) against an equal count of unknowns, shrinking each
-subtree to its skeleton rows until a small dense root system remains.
+nothing outside the node) against as many of the node's own unknowns, which
+the interpolative factor of those equations' columns picks.  Its skeleton
+rows and other unknowns pass up by label to a small dense root system.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from ._threads import one_blas_thread
+from .lowrank import InterpolativeFactor, compr
 
 _PIVOT_RTOL = 1e-13
 
@@ -120,12 +122,18 @@ def matvec_levelwise(M, q) -> np.ndarray:
 
 @dataclass
 class _UlvNode:
-    t: int = 0                    # unknowns eliminated at this node
-    Qz: np.ndarray = None         # unknown rotation (x = Qz @ [z1; x_rest])
-    Ltri: np.ndarray = None       # t x t lower-triangular local solve
-    Dcorr: np.ndarray = None      # rhs correction block, k_r x t
-    Mcorr: np.ndarray = None      # g correction block, k_c x t
-    mc_red: int = 0               # unknowns remaining after reduction
+    """One node's elimination: its t local equations Bbot equal
+    Bbot[:, s] [I Gᵀ] Pᵀ through ``elim``, the interpolative factor of their
+    columns; s = ``elim.skel`` are solved for and ``keep`` pass up."""
+    elim: InterpolativeFactor
+    keep: np.ndarray              # labels of the unknowns the parent gets
+    lu: tuple                     # LU factors of Bbot[:, s]
+    Dcorr: np.ndarray             # rhs correction block Dk[:, s], k_r x t
+    Mcorr: np.ndarray             # g correction block V[s]ᵀ, k_c x t
+
+    @property
+    def t(self) -> int:           # unknowns eliminated at this node
+        return self.elim.rank
 
 
 @dataclass
@@ -133,51 +141,58 @@ class UlvFactorization:
     matrix: object
     nodes: dict = field(default_factory=dict)
     root_lu: object = None
-    root_n: int = 0
+    root_keep: np.ndarray = None  # labels of the root system's unknowns
     dtype: object = float
 
+    @property
+    def root_n(self) -> int:
+        return self.root_keep.size
 
-def _reduce_node(i, D, V, fac, dtype):
+
+def _lu(A, what, i):
+    """LU factors of the square A; LinAlgError, naming node i, when a pivot
+    is negligible against A's norm."""
+    lu, piv = sla.lu_factor(A)
+    if A.size and np.abs(np.diag(lu)).min() <= _PIVOT_RTOL * max(
+            np.linalg.norm(A, np.inf), 1e-300):
+        raise np.linalg.LinAlgError(
+            "ULV %s is numerically singular (node %d)" % (what, i))
+    return lu, piv
+
+
+def _reduce_node(i, D, V, fac, unknowns):
     """Eliminate node i's redundant rows against as many of its unknowns.
 
     Returns (record, D_red, V_red).  The row factor X = P [I; G] says that,
     outside the node, rows perm[k:] equal G times the skeleton rows
-    perm[:k]; so D[perm[k:]] - G D[perm[:k]] are local equations.  Rotating
-    the unknowns against them leaves a lower-triangular local solve, and
-    the skeleton rows, in skeleton order, remain.
+    perm[:k]; so Bbot = D[perm[k:]] - G D[perm[:k]] are local equations.  The
+    interpolative factor of Bbot's columns picks the unknowns they eliminate;
+    the skeleton rows, in skeleton order, and the other unknowns remain.
     """
     k = fac.rank
-    t, m_c = D.shape[0] - k, D.shape[1]
-    if t > m_c:
+    t = D.shape[0] - k
+    Dk = D[fac.perm[:k]]
+    Bbot = D[fac.perm[k:]] - fac.G @ Dk
+    e = compr(Bbot.T, unknowns)
+    if e.rank < t:  # also when t exceeds the number of unknowns
         raise np.linalg.LinAlgError(
             "ULV elimination at node %d: %d redundant rows on %d unknowns are "
-            "linearly dependent" % (i, t, m_c))
-    Dk = D[fac.perm[:k]]
-    if t == 0:
-        return _UlvNode(mc_red=m_c), Dk, V
-    Bbot = D[fac.perm[k:]] - fac.G @ Dk
-    Qz, Rt = np.linalg.qr(Bbot.conj().T, mode="complete")
-    Ltri = Rt[:t].conj().T
-    if np.min(np.abs(np.diag(Ltri))) <= _PIVOT_RTOL * max(
-            np.linalg.norm(Bbot, np.inf), 1e-300):
-        raise np.linalg.LinAlgError(
-            "ULV elimination hit a singular local block at node %d" % i)
-    Dtrans = Dk @ Qz
-    Mfull = V.T @ Qz
-    rec = _UlvNode(t=t, Qz=np.ascontiguousarray(Qz.astype(dtype, copy=False)),
-                   Ltri=Ltri, Dcorr=Dtrans[:, :t], Mcorr=Mfull[:, :t],
-                   mc_red=m_c - t)
-    return rec, Dtrans[:, t:], Mfull[:, t:].T
+            "linearly dependent (rank %d)" % (i, t, D.shape[1], e.rank))
+    s, r = e.perm[:t], e.perm[t:]
+    rec = _UlvNode(elim=e, keep=unknowns[r],
+                   lu=_lu(Bbot[:, s], "local block", i),
+                   Dcorr=Dk[:, s], Mcorr=V[s].T)
+    return rec, Dk[:, r] - Dk[:, s] @ e.G.T, V[r] - e.G @ V[s]
 
 
 @one_blas_thread()
 def ulv_factor(M) -> UlvFactorization:
     """Factor an HSS matrix for repeated solves.
 
-    Raises LinAlgError when a local elimination block or the final root system
-    is numerically singular, or when a node has more redundant rows than
-    unknowns (reported with the node id; nothing is regularized).  Runs on
-    one BLAS thread.
+    Raises LinAlgError, naming the node, when a node's redundant rows are
+    linearly dependent (as when they outnumber its unknowns), or when a local
+    block or the root system is numerically singular; nothing is regularized.
+    Runs on one BLAS thread.
     """
     if M.kind != "hss":
         raise ValueError("ULV factorization expects an HSS matrix")
@@ -189,15 +204,17 @@ def ulv_factor(M) -> UlvFactorization:
         nd = tr.nodes[i]
         if nd.is_leaf:
             D = np.asarray(M.NF(i, i), dtype=dtype)
+            unknowns = np.arange(nd.col_start, nd.col_stop)
             if i != tr.root:  # a single-leaf tree has no bases at all
                 V = np.asarray(M.V(i), dtype=dtype)
         else:
             # the children's remaining rows are their row skeletons, whose
             # couplings are M.B itself
             c1, c2 = nd.children
-            (D1, V1), (D2, V2) = red.pop(c1), red.pop(c2)
+            (D1, V1, u1), (D2, V2, u2) = red.pop(c1), red.pop(c2)
             D = np.block([[D1, M.B(c1, c2) @ V2.T],
                           [M.B(c2, c1) @ V1.T, D2]])
+            unknowns = np.concatenate([u1, u2])
             if i != tr.root:
                 W1, W2 = M.transfers(i, "col")
                 V = np.vstack([V1 @ W1, V2 @ W2])
@@ -205,19 +222,12 @@ def ulv_factor(M) -> UlvFactorization:
             if D.shape[0] != D.shape[1]:
                 raise np.linalg.LinAlgError(
                     "ULV root system is %dx%d, not square" % D.shape)
-            F.root_n = D.shape[0]
-            if F.root_n:
-                lu, piv = sla.lu_factor(D)
-                diag = np.abs(np.diag(lu))
-                if diag.size and diag.min() <= _PIVOT_RTOL * max(
-                        np.linalg.norm(D, np.inf), 1e-300):
-                    raise np.linalg.LinAlgError(
-                        "ULV root system is numerically singular (node %d)" % i)
-                F.root_lu = (lu, piv)
+            F.root_keep = unknowns
+            F.root_lu = _lu(D, "root system", i)
         else:
-            rec, Dr, Vr = _reduce_node(i, D, V, M.rowfac[i], dtype)
+            rec, Dr, Vr = _reduce_node(i, D, V, M.rowfac[i], unknowns)
             F.nodes[i] = rec
-            red[i] = (Dr, Vr)
+            red[i] = (Dr, Vr, rec.keep)
     return F
 
 
@@ -228,59 +238,43 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
     B, single = _as_columns(b, M.n_row)
     dtype = np.result_type(F.dtype, B.dtype)
     bt = np.asarray(B, dtype=dtype)[tr.perm_row]
-    ncols = bt.shape[1]
 
-    z1s, gs, bred, xroot = {}, {}, {}, None
+    # upward, children before parents: each node solves its local equations
+    # for z = x[s] + Gᵀ x[keep], and hands its parent the skeleton rows'
+    # right-hand side and the coefficients g its unknowns send outside
+    zs, gs, bred = {}, {}, {}
     for i in range(len(tr.nodes)):
         nd = tr.nodes[i]
+        gpre = None
         if nd.is_leaf:
             bcur = bt[nd.row_start:nd.row_stop]
-            gpre = None
         else:
             c1, c2 = nd.children
             b1, b2 = bred.pop(c1), bred.pop(c2)
             g1, g2 = gs.pop(c1), gs.pop(c2)
             bcur = np.vstack([b1 - M.B(c1, c2) @ g2, b2 - M.B(c2, c1) @ g1])
-            gpre = None
             if i != tr.root:  # the column transfers toward the parent
                 gpre = M.colfac[i].apply_t(np.vstack([g1, g2]))
         if i == tr.root:
-            if F.root_n:
-                xroot = sla.lu_solve(F.root_lu, bcur)
-            else:
-                xroot = np.zeros((0, ncols), dtype=dtype)
             break
         rec, fac = F.nodes[i], M.rowfac[i]
         bk = bcur[fac.perm[:fac.rank]]
-        if rec.t > 0:
-            z1 = sla.solve_triangular(
-                rec.Ltri, bcur[fac.perm[fac.rank:]] - fac.G @ bk, lower=True)
-            z1s[i] = z1
-            bred[i] = bk - rec.Dcorr @ z1
-            gown = rec.Mcorr @ z1
-        else:
-            # nothing eliminated here; g picks up no local contribution
-            bred[i] = bk
-            gown = np.zeros((M.rank_col(i), ncols), dtype=dtype)
+        z = bcur[fac.perm[fac.rank:]] - fac.G @ bk
+        if rec.t:  # over half the nodes eliminate nothing
+            z = sla.lu_solve(rec.lu, z)
+        zs[i] = z
+        bred[i] = bk - rec.Dcorr @ z
+        gown = rec.Mcorr @ z
         gs[i] = gown if gpre is None else gpre + gown
 
-    xt = np.zeros((M.n_col, ncols), dtype=dtype)
-
-    def descend(i, xvec):
-        nd = tr.nodes[i]
-        rec = F.nodes.get(i)
-        if rec is not None and rec.t > 0:
-            xvec = rec.Qz @ np.vstack([z1s[i], xvec])
-        if nd.is_leaf:
-            xt[nd.col_start:nd.col_stop] = xvec
-            return
-        pos = 0
-        for c in nd.children:
-            w = F.nodes[c].mc_red
-            descend(c, xvec[pos:pos + w])
-            pos += w
-
-    descend(tr.root, xroot)
+    # downward, parents before children: every kept unknown is known by the
+    # time its node's eliminated ones are filled in
+    xt = np.zeros((M.n_col, bt.shape[1]), dtype=dtype)
+    xt[F.root_keep] = sla.lu_solve(F.root_lu, bcur)
+    for i in reversed(range(tr.root)):
+        rec = F.nodes[i]
+        if rec.t:
+            xt[rec.elim.skel] = zs[i] - rec.elim.G.T @ xt[rec.keep]
     x = np.empty_like(xt)
     x[tr.perm_col] = xt
     return x[:, 0] if single else x

@@ -568,29 +568,30 @@ def _exp_rank_study(sizes, seed, dense_budget):
     rows = []
     nu0 = 50
     for curve_name, n_default in _RANK_CASES:
-        n = int(sizes[0]) if sizes else n_default
-        if n <= nu0:
-            raise ValueError("rank_study needs n above its leaf cap %d to "
-                             "split the root in two; got n = %d" % (nu0, n))
-        crv = get_curve(curve_name)
-        spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
-        pts = curve_points(curve_name, n)
-        tree = build_tree(pts, nu0=nu0, mode="binary", tau=0.6)
-        c1, c2 = tree.nodes[tree.root].children
-        block = kernel_block(spec, None, None,
-                             tree.perm_row[tree.row_range(c1)],
-                             tree.perm_col[tree.col_range(c2)])
-        for eps in eps_list:
-            pc = choose_params(eps, d=1)
-            M = build_hss(tree, spec, pts, pts,
-                          pc.build_params(basis="interp"))
-            size_bi = 0
-            for i in range(len(tree.nodes)):
-                if i != tree.root and i in M.skel_row:
-                    size_bi = max(size_bi, M.rank_row(i), M.rank_col(i))
-            rows.append(dict(curve=curve_name, n=n, eps=eps,
-                             r_eps=eps_rank(block, eps), size_bi=size_bi,
-                             r=pc.r, eps_svd=pc.eps_svd, seed=seed))
+        for n in tuple(sizes or (n_default,)):
+            if n <= nu0:
+                raise ValueError("rank_study needs n above its leaf cap %d to "
+                                 "split the root in two; got n = %d"
+                                 % (nu0, n))
+            crv = get_curve(curve_name)
+            spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
+            pts = curve_points(curve_name, n)
+            tree = build_tree(pts, nu0=nu0, mode="binary", tau=0.6)
+            c1, c2 = tree.nodes[tree.root].children
+            block = kernel_block(spec, None, None,
+                                 tree.perm_row[tree.row_range(c1)],
+                                 tree.perm_col[tree.col_range(c2)])
+            for eps in eps_list:
+                pc = choose_params(eps, d=1)
+                M = build_hss(tree, spec, pts, pts,
+                              pc.build_params(basis="interp"))
+                size_bi = 0
+                for i in range(len(tree.nodes)):
+                    if i != tree.root and i in M.skel_row:
+                        size_bi = max(size_bi, M.rank_row(i), M.rank_col(i))
+                rows.append(dict(curve=curve_name, n=n, eps=eps,
+                                 r_eps=eps_rank(block, eps), size_bi=size_bi,
+                                 r=pc.r, eps_svd=pc.eps_svd, seed=seed))
     return ExperimentReport(
         "rank_study", dict(seed=seed, tau=0.6, nu0=nu0, eps=list(eps_list)),
         rows)

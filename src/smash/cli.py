@@ -199,25 +199,10 @@ def cmd_experiment(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # flags every command reads; the studies fix their own build parameters
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--kernel", default="cauchy",
-                        choices=("cauchy", "cauchy-like", "laplace-dlp"))
-    common.add_argument("--geometry", default="interval", choices=_GEOMETRIES)
     common.add_argument("--n", type=int, default=None,
-                        help="problem size (default 1600)")
-    common.add_argument("--structure", default="hss", choices=("hss", "h2"))
-    common.add_argument("--tol", type=float, default=None,
-                        help="target tolerance driving the parameter "
-                             "heuristic (default 1e-8)")
-    common.add_argument("--leaf-cap", type=int, default=50,
-                        help="max points per leaf box")
-    common.add_argument("--tau", type=float, default=None,
-                        help="separation ratio (default per geometry)")
-    common.add_argument("--order", type=int, default=None,
-                        help="farfield expansion order / interpolation "
-                             "point count (default from --tol)")
-    common.add_argument("--svd-tol", type=float, default=None,
-                        help="nearfield SVD truncation (default tol/10)")
+                        help="problem size (default 1600, or a study's sizes)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--dense-budget", type=int,
                         default=DENSE_BUDGET_DEFAULT,
@@ -226,23 +211,41 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON output instead of CSV/key=value")
     common.add_argument("--out", default=None, help="output file path")
 
+    problem = argparse.ArgumentParser(add_help=False, parents=[common])
+    problem.add_argument("--kernel", default="cauchy",
+                         choices=("cauchy", "cauchy-like", "laplace-dlp"))
+    problem.add_argument("--geometry", default="interval", choices=_GEOMETRIES)
+    problem.add_argument("--structure", default="hss", choices=("hss", "h2"))
+    problem.add_argument("--tol", type=float, default=None,
+                         help="target tolerance driving the parameter "
+                              "heuristic (default 1e-8)")
+    problem.add_argument("--leaf-cap", type=int, default=50,
+                         help="max points per leaf box")
+    problem.add_argument("--tau", type=float, default=None,
+                         help="separation ratio (default per geometry)")
+    problem.add_argument("--order", type=int, default=None,
+                         help="farfield expansion order / interpolation "
+                              "point count (default from --tol)")
+    problem.add_argument("--svd-tol", type=float, default=None,
+                         help="nearfield SVD truncation (default tol/10)")
+
     p = argparse.ArgumentParser(
         prog="smash",
         description="Hierarchically rank-structured kernel matrices: "
                     "construction, fast apply, ULV solve, and studies.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pb = sub.add_parser("build", parents=[common],
+    pb = sub.add_parser("build", parents=[problem],
                         help="construct a structured matrix; --out saves it")
     pb.set_defaults(func=cmd_build)
 
-    pm = sub.add_parser("matvec", parents=[common],
+    pm = sub.add_parser("matvec", parents=[problem],
                         help="apply a structured matrix to a vector")
     pm.add_argument("--vec", default=None, help="input vector file")
     pm.add_argument("--load", default=None, help="saved matrix container")
     pm.set_defaults(func=cmd_matvec)
 
-    ps = sub.add_parser("solve", parents=[common],
+    ps = sub.add_parser("solve", parents=[problem],
                         help="ULV solve against a right-hand side")
     ps.add_argument("--vec", default=None, help="right-hand side file")
     ps.add_argument("--load", default=None, help="saved matrix container")

@@ -306,8 +306,8 @@ def _check_structure(M) -> None:
     root = nodes[tr.root]
     if (root.row_start, root.row_stop, root.col_start, root.col_stop) != (
             0, tr.n_row, 0, tr.n_col):
-        raise ValueError("damaged container: the root spans rows %d:%d and "
-                         "columns %d:%d of %d x %d points"
+        raise ValueError("damaged container: the root spans rows %s:%s and "
+                         "columns %s:%s of %d x %d points"
                          % (root.row_start, root.row_stop, root.col_start,
                             root.col_stop, tr.n_row, tr.n_col))
     for nd in nodes:

@@ -213,6 +213,61 @@ def test_interleaved_points_with_uneven_leaves_solve(n, nu0, s):
     assert np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
 
 
+def _sunflower_dlp_640():
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=640)
+    X = smash.bench.curve_points("sunflower", 640)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    return smash.build_hss(tree, spec, X, X, smash.BuildParams(
+        r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
+
+
+def _honeybee_cauchy_like_600():
+    rng = np.random.default_rng(14)
+    X, Y = smash.bench.cauchy_pair("honeybee", 600, rng)
+    w, v = rng.random((600, 2)), rng.random((600, 2))
+    tree = smash.build_tree(X, Y, nu0=50, tau=0.6)
+    M = cauchy_like_hss(tree, X, Y, w, v, smash.BuildParams(
+        r=smash.bench.choose_params(1e-10).r, tau=0.6, eps_svd=1e-9))
+    # unequal row and column ranks: no column factor gives a square block
+    assert any(M.rank_row(i) != M.rank_col(i) for i in range(tree.root))
+    return M
+
+
+@pytest.mark.parametrize("make", [_sunflower_dlp_640,
+                                  _honeybee_cauchy_like_600],
+                         ids=["sunflower-dlp-640", "honeybee-cauchy-like-600"])
+def test_elimination_splits_unknowns_by_label(make):
+    # each node solves for a subset of its own unknowns and keeps the rest,
+    # so the eliminated labels of all nodes and the root's kept labels hold
+    # every column exactly once
+    M = make()
+    tr = M.tree
+    F = smash.ulv_factor(M)
+    eliminated = []
+    for i, nd in enumerate(tr.nodes):
+        if nd.is_leaf:
+            unknowns, m_r = np.arange(nd.col_start, nd.col_stop), nd.n_row
+        else:
+            unknowns = np.concatenate([F.nodes[c].keep for c in nd.children])
+            m_r = sum(M.rank_row(c) for c in nd.children)
+        if i == tr.root:
+            np.testing.assert_array_equal(np.sort(F.root_keep),
+                                          np.sort(unknowns))
+            break
+        rec = F.nodes[i]
+        assert rec.t == m_r - M.rank_row(i)  # one per redundant row
+        np.testing.assert_array_equal(
+            np.sort(np.concatenate([rec.elim.skel, rec.keep])),
+            np.sort(unknowns))
+        eliminated.append(rec.elim.skel)
+    labels = np.concatenate(eliminated + [F.root_keep])
+    np.testing.assert_array_equal(np.sort(labels), np.arange(M.n_col))
+    b = np.random.default_rng(15).random(M.n_row)
+    r = smash.matvec_nodewise(M, smash.ulv_solve(F, b)) - b
+    assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(b)
+
+
 def test_more_redundant_rows_than_unknowns_reported_with_node_id():
     # rank-zero bases leave every row of a leaf redundant; a leaf with more
     # rows than columns then holds linearly dependent rows

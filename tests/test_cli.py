@@ -272,6 +272,20 @@ def test_rank_study_written_to_file(tmp_path, capsys):
         assert vals == sorted(vals)
 
 
+def test_rank_study_runs_every_size(capsys):
+    assert main(["experiment", "rank_study", "--sizes", "320,640"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert len(rows) == 12
+    assert sorted(int(row["n"]) for row in rows) == [320] * 6 + [640] * 6
+
+
+def test_experiment_refuses_build_flags():
+    # the studies fix their own build parameters
+    with pytest.raises(SystemExit) as e:
+        main(["experiment", "storage_study", "--leaf-cap", "20"])
+    assert e.value.code == 2
+
+
 @pytest.mark.parametrize("n", [10, 50])
 def test_rank_study_on_one_leaf_refused(capsys, n):
     # n <= the leaf cap leaves the root without the two children it compares

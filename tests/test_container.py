@@ -400,6 +400,8 @@ _DAMAGE = {
         1, h["tree"]["nodes"][0]["rows"][1] - 1), "do not tile its row range"),
     "not_a_child": (lambda h: h["tree"]["nodes"][-1]["children"].__setitem__(
         0, 0), "not its child"),
+    "root_range_not_numbers": (lambda h: h["tree"]["nodes"][-1].update(
+        cols=[float("inf"), None]), "the root spans rows"),
     # array contents that contradict the header: an offset moved onto the
     # bytes of another array
     "perm_on_other_bytes": (lambda h: _array(h, "rowfac.0.perm").update(
