@@ -46,12 +46,12 @@ def matvec_nodewise(M, q) -> np.ndarray:
     node projects its leaf slice, or its children's coefficients read as
     one slice, with its column basis.  Across, each kept coupling row maps
     its sources' gathered coefficients to its node's in one product; a
-    mirrored row also adds the transposed pairs, minus its transpose times
-    its node's coefficients into its sources' (distinct positions, so the
-    indexed update is exact).  Downward, each node applies its row basis
-    once and adds the result to its leaf slice or its children's slice.
-    Each leaf's nearfield row multiplies its sources' gathered entries,
-    again in one product.  Runs on one BLAS thread.
+    mirrored row also adds the transposed pairs (``_apply_rows``).
+    Downward, each node applies its row basis once and adds the result to
+    its leaf slice or its children's slice.  Each leaf's nearfield row
+    multiplies its sources' gathered entries, again in one product, and a
+    mirrored one adds the transposed pairs but not its diagonal block.
+    Runs on one BLAS thread.
     """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
@@ -71,10 +71,7 @@ def matvec_nodewise(M, q) -> np.ndarray:
         qf[qs[nd.index]] = M.colfac[nd.index].apply_t(src)
 
     zf = np.zeros((nz, Q.shape[1]), dtype=dtype)
-    for i, row in M.block_rows("L"):
-        zf[zs[i]] += row.A @ qf.take(row.cols, axis=0)
-        if row.mirrored:
-            zf[row.cols] -= row.A.T @ qf[qs[i]]
+    _apply_rows(zf, qf, [(zs[i], row) for i, row in M.block_rows("L")])
 
     zt = np.zeros((M.n_row, Q.shape[1]), dtype=dtype)
     for nd in reversed(nodes):
@@ -84,13 +81,45 @@ def matvec_nodewise(M, q) -> np.ndarray:
         else:
             zf[kids(zs, nd)] += e
 
-    for i, row in M.block_rows("Lm"):
-        nd = tr.nodes[i]
-        zt[nd.row_start:nd.row_stop] += row.A @ qt.take(row.cols, axis=0)
+    nds = tr.nodes
+    _apply_rows(zt, qt, [(slice(nds[i].row_start, nds[i].row_stop), row)
+                         for i, row in M.block_rows("Lm")])
 
     z = np.empty_like(zt)
     z[tr.perm_row] = zt
     return z[:, 0] if single else z
+
+
+def _apply_rows(z, x, rows):
+    """z += A x over block rows, given as (own slice of z, row): each row
+    maps its sources' gathered entries of x to its own slice in one product.
+    A mirrored row, whose own slice is the same in x (one point set, one
+    basis per node), also stands for the transposed pairs: minus
+    ``row.back`` (its blocks past the first ``skip`` columns, transposed)
+    times its own slice of x goes to their positions ``row.tail`` in z.
+    Rows share sources, so those products are held back and scattered
+    together: whenever they reach the length of z, which keeps what is held
+    about as large as z, and at the end."""
+    held, size = [], 0
+    for own, row in rows:
+        z[own] += row.A @ x.take(row.cols, axis=0)
+        if row.mirrored and row.tail.size:  # HSS leaves mirror nothing
+            held.append((row.tail, row.back @ x[own]))
+            size += row.tail.size
+            if size >= len(z):
+                _subtract_at(z, held)
+                held, size = [], 0
+    _subtract_at(z, held)
+
+
+def _subtract_at(z, held):
+    """z[pos] -= vals over the (pos, vals) pairs held, adding up repeated
+    positions."""
+    if held:
+        pos = np.concatenate([p for p, _ in held])
+        vals = np.concatenate([v for _, v in held])
+        for k in range(z.shape[1]):  # 1-d ufunc.at is the fast one
+            np.subtract.at(z[:, k], pos, vals[:, k])
 
 
 def _check_perfect(tree):

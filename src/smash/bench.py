@@ -225,7 +225,8 @@ def storage_report(M) -> StorageReport:
     ``diag`` counts too); it is 0 before the first apply.  A matrix whose
     couplings are antisymmetric (the Cauchy kernel with one factor per
     node) keeps one coupling block per unordered pair, applied both ways,
-    so each pair counts once.
+    so each pair counts once; on one point set whose equal points share a
+    leaf, so does each pair of distinct nearfield leaves.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree

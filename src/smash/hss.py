@@ -14,13 +14,15 @@ blocks; coupling and nearfield values are evaluated on first use, one block
 row per target node, and kept.  Where one factor serves both sides of every
 node and the kernel is antisymmetric, coupling (j, i) is minus the transpose
 of (i, j) bit for bit, so only the pairs with i < j are kept and each of
-their rows is applied both ways.
+their rows is applied both ways.  On one point set whose equal points share
+a leaf, the nearfield leaf pairs are mirrored the same way: each leaf keeps
+its diagonal block, applied one way, and its blocks (i, j) with i < j.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
@@ -82,8 +84,9 @@ class BlockRow:
     of ``A``; ``cols`` holds the positions an apply reads the row's input
     from: the sources' slices of the flat column-coefficient vector
     (``coefficient_layout``) for couplings, their tree-order point ranges
-    for the nearfield.  A ``mirrored`` coupling row also stands for the
-    transposed pairs, ``B(j, i) = -B(i, j).T``.
+    for the nearfield.  A ``mirrored`` row also stands for the transposed
+    pairs, ``A(j, i) = -A(i, j).T``, except for its first ``skip`` columns:
+    a nearfield row's diagonal block, which stands only for itself.
     """
 
     sources: tuple
@@ -91,6 +94,15 @@ class BlockRow:
     cols: np.ndarray
     A: np.ndarray
     mirrored: bool = False
+    skip: int = 0
+    tail: np.ndarray = field(init=False, repr=False)
+    back: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # the positions a mirrored row writes back to and the transposed
+        # blocks that map to them, views sliced once for every apply
+        self.tail = self.cols[self.skip:]
+        self.back = self.A[:, self.skip:].T
 
     def block(self, j: int) -> np.ndarray:
         """The block of source j, a view into A."""
@@ -98,12 +110,31 @@ class BlockRow:
         return self.A[:, self.edges[k]:self.edges[k + 1]]
 
 
-def _by_target(pairs) -> dict:
-    """Pairs (i, j) grouped by i: {i: (j, ...)}, in order of appearance."""
+def _by_target(pairs, mirrored: bool):
+    """(mirrored, {i: (j, ...)}): pairs (i, j) grouped by i, in order of
+    appearance; mirrored, only the pairs with i <= j, each (i, i) first."""
+    if mirrored:
+        pairs = ([(i, j) for i, j in pairs if i == j]
+                 + [(i, j) for i, j in pairs if i < j])
     out = {}
     for i, j in pairs:
         out.setdefault(i, []).append(j)
-    return {i: tuple(js) for i, js in out.items()}
+    return mirrored, {i: tuple(js) for i, js in out.items()}
+
+
+def _equal_points_split(tree: ClusterTree) -> bool:
+    """Whether two leaves hold equal points: the tree-order scalars sorted,
+    equal neighbours compared by leaf.  ``build_tree`` sends equal
+    coordinates the same way; a tree read from a file need not."""
+    leaf = np.empty(tree.n_row, dtype=np.int64)
+    for nd in tree.nodes:
+        if nd.is_leaf:
+            leaf[nd.row_start:nd.row_stop] = nd.index
+    s = _to_scalars(tree.points_row)
+    order = np.argsort(s)
+    s, leaf = s[order], leaf[order]
+    same = s[1:] == s[:-1]
+    return bool(np.any(leaf[1:][same] != leaf[:-1][same]))
 
 
 class _StructuredMatrix:
@@ -118,7 +149,9 @@ class _StructuredMatrix:
     ``B`` and ``NF`` return views into them.  Which rows are kept is decided
     on first use, once the factors are in place: a matrix whose couplings
     are antisymmetric (``_antisymmetric``) keeps the pairs with i < j only,
-    and ``B`` returns the others as ``-B(j, i).T``.
+    and ``B`` returns the others as ``-B(j, i).T``; one whose nearfield is
+    too (``_mirrors_nearfield``) keeps each leaf's diagonal block and its
+    pairs with i < j, and ``NF`` does the same.
     """
 
     kind = "structured"
@@ -185,14 +218,18 @@ class _StructuredMatrix:
     def B(self, i: int, j: int) -> np.ndarray:
         """Coupling block for a low-rank pair (i, j), a view into row i; a
         mirrored pair's block is ``-B(j, i).T``, a new array."""
-        if i > j and self._kept_rows()[0]:
-            return -self.block_row("L", j).block(i).T
-        return self.block_row("L", i).block(j)
+        return self._pair("L", i, j)
 
     def NF(self, i: int, j: int) -> np.ndarray:
         """Dense nearfield block for an inadmissible leaf pair (i, j), a
-        view into leaf i's nearfield row."""
-        return self.block_row("Lm", i).block(j)
+        view into leaf i's nearfield row; a mirrored pair's block is
+        ``-NF(j, i).T``, a new array."""
+        return self._pair("Lm", i, j)
+
+    def _pair(self, kind: str, i: int, j: int) -> np.ndarray:
+        if i > j and self._kept_rows()[kind][0]:
+            return -self.block_row(kind, j).block(i).T
+        return self.block_row(kind, i).block(j)
 
     def block_row(self, kind: str, i: int) -> BlockRow:
         """Node i's row of couplings (kind "L") or of nearfield blocks
@@ -205,19 +242,31 @@ class _StructuredMatrix:
     def block_rows(self, kind: str):
         """(i, row) for each kept row of that kind."""
         return ((i, self.block_row(kind, i))
-                for i in self._kept_rows()[1][kind])
+                for i in self._kept_rows()[kind][1])
 
     def _antisymmetric(self) -> bool:
         """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: the
         kernel is antisymmetric, every column factor is its row factor (which
         builds and loads allow on one point set only, ``one_basis``), and the
         pair list holds the mirror of each pair.  Sums and scalings, which
-        store their couplings, carry no kernel.  (The nearfield is not
-        mirrored: the Cauchy kernel takes the value dx at coincident points,
-        which is not antisymmetric.)"""
+        store their couplings, carry no kernel.  The nearfield has its own
+        test, ``_mirrors_nearfield``."""
         return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
                 and self.one_factor()
                 and set(self.pairs_L) == {(j, i) for i, j in self.pairs_L})
+
+    def _mirrors_nearfield(self) -> bool:
+        """Whether, given antisymmetric couplings, every nearfield block
+        (j, i) with i != j is ``-NF(i, j).T`` bit for bit: one point set, the
+        mirror of each leaf pair in the list, and no two leaves holding equal
+        points.  The Cauchy kernel takes the value dx at coincident points,
+        which is not antisymmetric, so diagonal blocks are applied as they
+        are, and so is the whole nearfield of a tree that splits equal
+        points."""
+        tr = self.tree
+        return (tr.one_point_set()
+                and set(self.pairs_Lm) == {(j, i) for i, j in self.pairs_Lm}
+                and not _equal_points_split(tr))
 
     def one_factor(self) -> bool:
         """Whether every column factor is its row factor (``one_basis``)."""
@@ -225,14 +274,14 @@ class _StructuredMatrix:
             self.colfac[i] is f for i, f in self.rowfac.items())
 
     def _kept_rows(self):
-        """(mirrored, {kind: {i: sources of kept row i}}), decided on first
-        use: a mirrored matrix keeps the coupling pairs with i < j only."""
+        """{kind: (mirrored, {i: sources of kept row i})}, decided on first
+        use: a mirrored kind keeps the pairs with i <= j only."""
         if self._kept is None:
             mirrored = self._antisymmetric()
-            pairs_L = ([(i, j) for i, j in self.pairs_L if i < j] if mirrored
-                       else self.pairs_L)
-            self._kept = mirrored, {"L": _by_target(pairs_L),
-                                    "Lm": _by_target(self.pairs_Lm)}
+            self._kept = {
+                "L": _by_target(self.pairs_L, mirrored),
+                "Lm": _by_target(self.pairs_Lm,
+                                 mirrored and self._mirrors_nearfield())}
         return self._kept
 
     def coefficient_layout(self, side: str):
@@ -258,8 +307,8 @@ class _StructuredMatrix:
 
     def _fill_row(self, kind: str, i: int) -> BlockRow:
         tr = self.tree
-        mirrored, sources = self._kept_rows()
-        js = sources[kind][i]
+        mirrored, sources = self._kept_rows()[kind]
+        js = sources[i]
         stored = None
         if kind == "L":
             rows = self.skel_row[i]
@@ -280,7 +329,8 @@ class _StructuredMatrix:
         else:
             A = self._block(rows, labels)
         if kind == "Lm":
-            return BlockRow(js, edges, labels, A)
+            skip = edges[1] if mirrored and js[0] == i else 0
+            return BlockRow(js, edges, labels, A, mirrored, skip)
         pos = self.coefficient_layout("col")[1]
         return BlockRow(js, edges, np.concatenate([pos[j] for j in js]), A,
                         mirrored)

@@ -284,10 +284,10 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     if spec.kind in ("cauchy", "cauchy_like"):
         zx = X.scalars[rows]
         zy = Y.scalars[cols]
-        diff = zx[:, None] - zy[None, :]
-        hit = diff == 0
+        C = np.subtract.outer(zx, zy)
+        hit = C == 0
         with np.errstate(divide="ignore", invalid="ignore"):
-            C = 1.0 / diff
+            np.divide(1.0, C, out=C)  # in place: one m x k buffer fewer
         if spec.kind == "cauchy":
             if np.any(hit):
                 if spec.dx is None:

@@ -4,8 +4,14 @@ stay cheap."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import smash
+
+# every run draws the same examples: a property test passes or fails the
+# same way each time, and a failure found once is found again
+settings.register_profile("pinned", derandomize=True, database=None)
+settings.load_profile("pinned")
 
 
 def interval_pair(n, seed=0):

@@ -180,6 +180,13 @@ def test_kept_bytes_are_the_block_rows_an_apply_evaluated():
     assert sum(len(row.sources) for row in rows["L"]) == len(unordered)
     assert sum(row.A.nbytes for row in rows["L"]) == 16 * sum(
         M.rank_row(i) * M.rank_col(j) for i, j in unordered)
+    # and the nearfield keeps half of its off-diagonal leaf pairs' bytes
+    nodes = M.tree.nodes
+    size = {(i, j): 16 * nodes[i].n_row * nodes[j].n_col
+            for i, j in M.pairs_Lm}
+    off = sum(b for (i, j), b in size.items() if i != j)
+    assert sum(size.values()) - sum(row.A.nbytes for row in rows["Lm"]) == (
+        off // 2)
 
 
 def test_single_leaf_stores_exactly_the_dense_block():

@@ -1,8 +1,8 @@
 """Block-row storage: couplings and nearfield blocks kept as one row per
 target node, evaluated with one kernel call on first use; B and NF are
-views into the rows, an H2 Cauchy matrix on one point set keeps one
-coupling block per unordered pair, and every format applies like its dense
-oracle."""
+views into the rows, a Cauchy matrix on one point set keeps one coupling
+block and one off-diagonal nearfield block per unordered pair, and every
+format applies like its dense oracle."""
 
 import numpy as np
 import pytest
@@ -60,7 +60,13 @@ def test_first_apply_makes_one_kernel_call_per_row(tmp_path, grid_h2_400,
 
 def test_blocks_are_views_into_their_rows(grid_h2_400):
     M, _, _ = grid_h2_400
-    for kind, pairs, get in (("L", M.pairs_L, M.B), ("Lm", M.pairs_Lm, M.NF)):
+    tr = M.tree
+    leaves = len(tr.leaves())
+    for kind, pairs, get, rows, cols, n_mirrored in (
+            ("L", M.pairs_L, M.B, M.skel_row.get, M.skel_col.get,
+             len(M.pairs_L) // 2),
+            ("Lm", M.pairs_Lm, M.NF, tr.row_range, tr.col_range,
+             (len(M.pairs_Lm) - leaves) // 2)):
         kept = set()
         for i, row in M.block_rows(kind):
             kept.update((i, j) for j in row.sources)
@@ -69,13 +75,14 @@ def test_blocks_are_views_into_their_rows(grid_h2_400):
             np.testing.assert_array_equal(
                 row.A, np.hstack([get(i, j) for j in row.sources]))
         mirrored = set(pairs) - kept
-        assert len(mirrored) == (len(pairs) // 2 if kind == "L" else 0)
+        assert len(mirrored) == n_mirrored
         for i, j in mirrored:
             assert (j, i) in kept
             np.testing.assert_array_equal(get(i, j), -get(j, i).T)
-            # which is the kernel's own block at the skeleton pairs
-            np.testing.assert_array_equal(
-                get(i, j), M._block(M.skel_row[i], M.skel_col[j]))
+            # which is the kernel's own block at the skeleton pairs, or
+            # between the two leaves' points
+            np.testing.assert_array_equal(get(i, j),
+                                          M._block(rows(i), cols(j)))
 
 
 def test_ulv_factor_after_matvec_evaluates_nothing(kernel_calls):
@@ -130,7 +137,7 @@ def _shifted_grid():
     return M, dense_oracle(spec, X, Y)
 
 
-# (build, whether each kept coupling row stands for its mirrored pairs too)
+# (build, whether each kept row stands for its mirrored pairs too)
 _CASES = {
     "h2": (lambda tmp, g: _grid(tmp, g, False), True),
     "h2_reloaded": (lambda tmp, g: _grid(tmp, g, True), True),
@@ -154,11 +161,14 @@ def test_matvec_matches_dense_oracle(tmp_path, grid_h2_400, case):
     assert np.linalg.norm(Z - A @ Q) <= 1e-10 * np.linalg.norm(A @ Q)
     # the second apply reads the rows the first one filled
     np.testing.assert_array_equal(smash.matvec_nodewise(M, Q), Z)
-    # a mirrored matrix keeps one coupling block per unordered pair
-    rows = [row for _, row in M.block_rows("L")]
-    assert all(row.mirrored == mirrored for row in rows)
-    assert sum(len(row.sources) for row in rows) == (
-        len(M.pairs_L) // 2 if mirrored else len(M.pairs_L))
+    # a mirrored matrix keeps one coupling block per unordered pair, and
+    # one nearfield block per unordered leaf pair besides the diagonal
+    for kind, pairs in (("L", M.pairs_L), ("Lm", M.pairs_Lm)):
+        rows = [row for _, row in M.block_rows(kind)]
+        assert all(row.mirrored == mirrored for row in rows)
+        diagonal = sum(i == j for i, j in pairs)
+        assert sum(len(row.sources) for row in rows) == (
+            (len(pairs) + diagonal) // 2 if mirrored else len(pairs))
 
 
 def test_ulv_solve_reads_mirrored_couplings():
@@ -167,3 +177,44 @@ def test_ulv_solve_reads_mirrored_couplings():
     x = smash.ulv_solve(smash.ulv_factor(M), b)
     assert all(row.mirrored for _, row in M.block_rows("L"))
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+
+def _equal_points(split):
+    """H2 on one 1-d point set holding 0.5 twice.  ``build_tree`` puts both
+    copies in the leaf below 0.5; split, the tree is edited to move one
+    copy into the leaf above, which a tree read from a file may do."""
+    x = np.sort(np.append(np.arange(129) / 128, 0.5)).reshape(-1, 1)
+    X = smash.PointSet(x)
+    tree = smash.build_tree(X, nu0=12, tau=0.6)
+    k = int(np.flatnonzero(tree.points_row[:, 0] == 0.5)[-1]) + 1
+    for nd in tree.nodes if split else ():
+        if nd.row_stop == k:
+            nd.row_stop = nd.col_stop = k - 1
+        elif nd.row_start == k:
+            nd.row_start = nd.col_start = k - 1
+    tree.verify()
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    M = smash.build_h2(tree, spec, X, X,
+                       smash.BuildParams(r=21, tau=0.6, eps_svd=1e-12))
+    return M, dense_oracle(spec, X, X)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_nearfield_is_mirrored_only_where_leaves_keep_equal_points(
+        tmp_path, split):
+    M, A = _equal_points(split)
+    M = reloaded(M, tmp_path)
+    tr = M.tree
+    holders = [i for i in tr.leaves()
+               if 0.5 in tr.points_row[tr.row_range(i), 0]]
+    assert len(holders) == (2 if split else 1)
+    Q = np.random.default_rng(4).random((A.shape[1], 2))
+    assert np.linalg.norm(smash.matvec_nodewise(M, Q) - A @ Q) <= (
+        1e-10 * np.linalg.norm(A @ Q))
+    # the couplings are mirrored either way
+    assert all(row.mirrored for _, row in M.block_rows("L"))
+    rows = [row for _, row in M.block_rows("Lm")]
+    assert all(row.mirrored != split for row in rows)
+    if split:  # both blocks hold dx where the two copies meet
+        low, high = holders
+        assert not np.array_equal(M.NF(high, low), -M.NF(low, high).T)

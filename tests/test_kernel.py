@@ -239,6 +239,23 @@ def test_dlp_block_matches_reference_bit_for_bit(rows, cols):
     np.testing.assert_array_equal(K.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("shape", [(17, 288), (16, 198), (16, 100)])
+def test_cauchy_block_matches_reciprocal_of_differences(dim, shape):
+    rng = np.random.default_rng(dim)
+    X = smash.PointSet(rng.standard_normal((400, dim)))
+    rows = rng.choice(400, shape[0], replace=False)
+    cols = np.append(rng.choice(400, shape[1] - 1, replace=False), rows[0])
+    spec = smash.KernelSpec("cauchy", dx=2.5)
+    diff = X.scalars[rows][:, None] - X.scalars[cols][None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = 1.0 / diff
+    ref[diff == 0] = 2.5
+    K = kernel_block(spec, X, X, rows, cols)
+    assert K.dtype == ref.dtype
+    np.testing.assert_array_equal(K.view(np.uint64), ref.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # Nystrom system and potential evaluation
 # ---------------------------------------------------------------------------
