@@ -167,6 +167,13 @@ def error_bound(inputs: BoundInputs, structure: str = "hss") -> ErrorBound:
     return ErrorBound(theorem, corollary)
 
 
+def max_rank(M) -> int:
+    """Largest row or column skeleton size over the non-root nodes, 0 on a
+    one-leaf tree."""
+    return max((max(M.rank_row(i), M.rank_col(i)) for i in M.skel_row),
+               default=0)
+
+
 def rank_caps(M) -> tuple:
     """Monotone per-level rank envelope of a built matrix (levels 2..L).
 
@@ -586,12 +593,9 @@ def _exp_rank_study(sizes, seed, dense_budget):
                 pc = choose_params(eps, d=1)
                 M = build_hss(tree, spec, pts, pts,
                               pc.build_params(basis="interp"))
-                size_bi = 0
-                for i in range(len(tree.nodes)):
-                    if i != tree.root and i in M.skel_row:
-                        size_bi = max(size_bi, M.rank_row(i), M.rank_col(i))
                 rows.append(dict(curve=curve_name, n=n, eps=eps,
-                                 r_eps=eps_rank(block, eps), size_bi=size_bi,
+                                 r_eps=eps_rank(block, eps),
+                                 size_bi=max_rank(M),
                                  r=pc.r, eps_svd=pc.eps_svd, seed=seed))
     return ExperimentReport(
         "rank_study", dict(seed=seed, tau=0.6, nu0=nu0, eps=list(eps_list)),

@@ -85,11 +85,6 @@ def _build_matrix(spec, X, Y, tree, params, structure):
     return build_hss(tree, spec, X, Y, params)
 
 
-def _max_rank(M):
-    ranks = [max(M.rank_row(i), M.rank_col(i)) for i in M.skel_row]
-    return max(ranks) if ranks else 0
-
-
 def _emit(args, info: dict):
     if args.json:
         import json
@@ -112,7 +107,7 @@ def cmd_build(args):
     rep = bench.storage_report(M)
     info = dict(kernel=args.kernel, geometry=args.geometry,
                 structure=args.structure, n_row=M.n_row, n_col=M.n_col,
-                levels=tree.n_levels, max_rank=_max_rank(M),
+                levels=tree.n_levels, max_rank=bench.max_rank(M),
                 t_constr=t_constr,
                 compressed_mib=bench.as_mib(rep.compressed_bytes),
                 generator_mib=bench.as_mib(rep.generator_bytes))

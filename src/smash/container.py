@@ -4,11 +4,9 @@ Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
 index arrays little-endian int64, so round trips are bit-exact.  A matrix
-whose column factors are its row factors (``hss.one_basis``) is held and
-saved once: the header sets "columns_share_rows" and the payload has no
-"colfac" or "skel_col" entries.  Without the flag, both sides are stored;
-an older file whose matrix fits the rule and whose two factors per node
-agree byte for byte loads with one.
+whose column factors are its row factors (``hss.one_basis``) is saved once:
+the payload has no "colfac" or "skel_col" entries, and the loader applies
+the same rule.  A file with another magic line is refused.
 """
 
 from __future__ import annotations
@@ -25,7 +23,8 @@ from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
 from .kernel import KernelSpec, get_curve
 from .lowrank import InterpolativeFactor
 
-_MAGIC = b"SMASH-BIN-1\n"
+_MAGIC = b"SMASH-BIN-2\n"
+_OLD_MAGIC = b"SMASH-BIN-1\n"
 
 _DT = {"f8": "<f8", "c16": "<c16", "i8": "<i8"}
 
@@ -33,7 +32,6 @@ _HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "pairs_L",
                 "pairs_Lm", "arrays")
 _NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
 _TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
-_SHARED = "columns_share_rows"
 
 
 def _tag(arr: np.ndarray) -> str:
@@ -69,7 +67,7 @@ def save_matrix(M, path) -> None:
     pl.add("perm_col", M.tree.perm_col)
     pl.add("points_row", M.tree.points_row)
     pl.add("points_col", M.tree.points_col)
-    shared = M.one_factor()
+    shared = one_basis(M.kind, M.tree, M.kernel)
     sides = [("row", M.rowfac)] + ([] if shared else [("col", M.colfac)])
     for side, facs in sides:
         for i, fac in facs.items():  # a node's skeleton is its factor's
@@ -109,8 +107,6 @@ def save_matrix(M, path) -> None:
         "pairs_Lm": [list(p) for p in M.pairs_Lm],
         "arrays": pl.manifest,
     }
-    if shared:
-        header[_SHARED] = True
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -156,10 +152,13 @@ def _read_arrays(payload: bytes, manifest) -> dict:
 
 
 def load_matrix(path):
-    """Read a container written by save_matrix.  A damaged file raises
-    ValueError naming what is wrong."""
+    """Read a container written by save_matrix.  A damaged file, or one an
+    older version wrote, raises ValueError naming what is wrong."""
     with open(path, "rb") as fh:
         raw = fh.read()
+    if raw.startswith(_OLD_MAGIC):
+        raise ValueError("%s was written by an older version of this "
+                         "format; rebuild the matrix" % path)
     if not raw.startswith(_MAGIC):
         raise ValueError("not a structured-matrix container: %s" % path)
     raw = raw[len(_MAGIC):]
@@ -182,10 +181,6 @@ def load_matrix(path):
 
 
 def _assemble(header: dict, arrays: dict):
-    shared = header.get(_SHARED, False)
-    if not isinstance(shared, bool):
-        raise ValueError("damaged container header: %r must be true or "
-                         "false, not %r" % (_SHARED, shared))
     th = header["tree"]
     for k, nd in enumerate(th["nodes"]):
         for key in _NODE_KEYS:
@@ -234,29 +229,19 @@ def _assemble(header: dict, arrays: dict):
     else:
         block = no_kernel_block
     M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel)
-    one = one_basis(M.kind, tree, kernel)
-    if shared and not one and tree.root:
-        # (older versions set the flag on one-leaf trees, with no factors)
-        raise ValueError("damaged container: %r is set, but this matrix "
-                         "needs column factors of its own (two point sets, "
-                         "or a kernel that sets the sides apart)" % _SHARED)
+    shared = one_basis(M.kind, tree, kernel)
 
     perms = []
     for name, arr in arrays.items():
         parts = name.split(".")
         if shared and parts[0] in ("colfac", "skel_col"):
-            raise ValueError("damaged container: %r is set, but the file "
-                             "also holds the column entry %r" % (_SHARED, name))
+            raise ValueError("damaged container: this matrix holds one "
+                             "factor per node, but the file also holds the "
+                             "column entry %r" % name)
         if parts[0] in ("rowfac", "colfac"):
-            if parts[2] == "X":
-                raise ValueError(
-                    "container entry %r is an explicit basis, which older "
-                    "versions stored for sums and scalings; rebuild the "
-                    "matrix" % name)
             if parts[2] == "perm":
                 perms.append((parts[0], int(parts[1]), arr))
-            # "skel" is a second copy of the skeleton in older files
-            elif parts[2] not in ("G", "skel"):
+            elif parts[2] != "G":
                 raise ValueError("unknown container entry %r" % name)
         elif parts[0] == "skel_row":
             M.skel_row[int(parts[1])] = arr
@@ -267,7 +252,6 @@ def _assemble(header: dict, arrays: dict):
         elif parts[0] == "B":
             M.B_dense[(int(parts[1]), int(parts[2]))] = arr
         elif name not in _TREE_ARRAYS + ("kernel.w", "kernel.v"):
-            # e.g. the per-block U/V/R/W entries of an older format
             raise ValueError("unknown container entry %r" % name)
     # an interpolative factor's skeleton is the node's stored skeleton
     for prefix, i, perm in perms:
@@ -278,11 +262,6 @@ def _assemble(header: dict, arrays: dict):
         facs[i] = InterpolativeFactor(
             nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
             skel=skels[i])
-    if not shared and one:
-        # older files store both sides where the build now shares one
-        shared = M.colfac.keys() == M.rowfac.keys() and all(
-            _same(M.colfac[i].perm, f.perm) and _same(M.colfac[i].G, f.G)
-            and _same(M.colfac[i].skel, f.skel) for i, f in M.rowfac.items())
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)

@@ -30,10 +30,14 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     the current index set; parents work on the union of their children's
     skeletons.  A node's column factor is its row factor, compressed once,
     where ``one_basis`` holds.  Couplings are exact kernel entries at
-    skeleton pairs.  Runs serially on one BLAS thread."""
+    skeleton pairs.  Runs serially on one BLAS thread.  Cauchy-like and
+    double-layer kernels are refused; their HSS form is built instead."""
     params = params or BuildParams()
-    if kernel.kind == "cauchy_like":
-        raise ValueError("cauchy-like matrices are built in HSS form")
+    # the double layer's column basis ignores the normal weights, which are
+    # not smooth where a box holds several arcs of the curve
+    if kernel.kind in ("cauchy_like", "laplace_dlp"):
+        raise ValueError("%s matrices are built in HSS form"
+                         % kernel.kind.replace("_", "-"))
     if tree.mode != "2d" and tree.dim != 1:
         raise ValueError("H2 construction expects a '2d'-mode tree")
     basis = params.basis or _default_basis(kernel)

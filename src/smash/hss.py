@@ -3,15 +3,15 @@
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
 skeletons of its children (the per-child transfer blocks).  One rule
-(``one_basis``) decides for both builders when a node's column basis is its
-row basis, compressed once and held once.  Every basis is an interpolative
-factor, applied without forming it: built matrices get theirs from
-compression, sums and diagonal scalings from recompressing the bases they
-combine.  Coupling blocks between siblings are exact kernel entries at
-skeleton index pairs, so the compressed representation of a built matrix
-stores only interpolation coefficients, index sets, and leaf diagonal
-blocks; coupling and nearfield values are evaluated on first use, one block
-row per target node, and kept.  Where one factor serves both sides of every
+(``one_basis``) decides for both builders and the container when a node's
+column basis is its row basis, compressed once, held once and saved once.
+Every basis is an interpolative factor, applied without forming it: built
+matrices get theirs from compression, sums and diagonal scalings from
+recompressing the bases they combine.  Coupling blocks between siblings
+are exact kernel entries at skeleton index pairs, so the compressed
+representation of a built matrix stores only interpolation coefficients,
+index sets, and leaf diagonal blocks; coupling and nearfield values are
+evaluated on first use, one block row per target node, and kept.  Where one factor serves both sides of every
 node and the kernel is antisymmetric, coupling (j, i) is minus the transpose
 of (i, j) bit for bit, so only the pairs with i < j are kept and each of
 their rows is applied both ways.  On one point set whose equal points share
@@ -246,13 +246,13 @@ class _StructuredMatrix:
 
     def _antisymmetric(self) -> bool:
         """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: the
-        kernel is antisymmetric, every column factor is its row factor (which
-        builds and loads allow on one point set only, ``one_basis``), and the
+        kernel is antisymmetric, every column factor is its row factor
+        (``one_basis``, which the builders and the loader follow), and the
         pair list holds the mirror of each pair.  Sums and scalings, which
         store their couplings, carry no kernel.  The nearfield has its own
         test, ``_mirrors_nearfield``."""
         return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
-                and self.one_factor()
+                and one_basis(self.kind, self.tree, self.kernel)
                 and set(self.pairs_L) == {(j, i) for i, j in self.pairs_L})
 
     def _mirrors_nearfield(self) -> bool:
@@ -267,11 +267,6 @@ class _StructuredMatrix:
         return (tr.one_point_set()
                 and set(self.pairs_Lm) == {(j, i) for i, j in self.pairs_Lm}
                 and not _equal_points_split(tr))
-
-    def one_factor(self) -> bool:
-        """Whether every column factor is its row factor (``one_basis``)."""
-        return self.colfac.keys() == self.rowfac.keys() and all(
-            self.colfac[i] is f for i, f in self.rowfac.items())
 
     def _kept_rows(self):
         """{kind: (mirrored, {i: sources of kept row i})}, decided on first
@@ -432,7 +427,9 @@ def one_basis(kind: str, tree: ClusterTree, kernel: KernelSpec) -> bool:
     """Whether a matrix of kind "hss" or "h2" holds one factor per node for
     both sides: one point set and a kernel that scales neither side give
     one farfield candidate, and for HSS, whose column candidate also holds
-    the transposed nearfield block, an antisymmetric kernel negates it."""
+    the transposed nearfield block, an antisymmetric kernel negates it.
+    Sums and scalings carry no kernel and keep two factors.  The builders,
+    ``save_matrix`` and ``load_matrix`` all follow this rule."""
     return (kernel is not None and kernel.kind not in _SIDE_SCALED
             and (kind == "h2" or kernel.kind in _ANTISYMMETRIC)
             and tree.one_point_set())

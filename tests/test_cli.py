@@ -9,7 +9,7 @@ import pytest
 
 import smash
 from smash.apply import matvec_nodewise, read_vector, write_vector
-from smash.cli import main
+from smash.cli import _GEOMETRIES, main
 
 from conftest import build_interval_hss
 
@@ -227,6 +227,28 @@ def test_boundary_kernel_on_circle(capsys):
     assert main(["build", "--kernel", "laplace-dlp", "--geometry", "circle",
                  "--n", "160", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["n_row"] == 160
+
+
+def test_double_layer_h2_exits_with_input_code(capsys):
+    assert main(["matvec", "--kernel", "laplace-dlp", "--geometry", "ramhead",
+                 "--structure", "h2", "--n", "600"]) == 2
+    assert "HSS form" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel, geometry, structure", [
+    (k, g, s) for k in ("cauchy", "cauchy-like", "laplace-dlp")
+    for g in _GEOMETRIES for s in ("hss", "h2")])
+def test_every_accepted_combination_meets_its_tolerance(kernel, geometry,
+                                                        structure, capsys):
+    # each combination is refused with exit 2 or applies within 10x the
+    # default --tol 1e-8 against the dense oracle
+    n = 576 if geometry == "grid2d" else 600
+    code = main(["matvec", "--kernel", kernel, "--geometry", geometry,
+                 "--structure", structure, "--n", str(n), "--json"])
+    out = capsys.readouterr().out
+    assert code in (0, 2)
+    if code == 0:
+        assert json.loads(out)["relerr"] <= 1e-7
 
 
 # ---------------------------------------------------------------------------

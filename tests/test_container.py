@@ -3,7 +3,6 @@ matrices, the guard for matrices saved without their kernel, and the
 rejection of damaged files."""
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from hypothesis import strategies as st
 
 import smash
 from smash.hss import cauchy_like_hss
-
-from smash.lowrank import InterpolativeFactor
 
 from conftest import (build_grid_h2_400, build_interval_hss,
                       build_one_set_hss, interval_pair)
@@ -66,9 +63,6 @@ def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
     M, _, X = grid_h2_400
     path = tmp_path / "g.smash"
     smash.save_matrix(M, path)
-    header = {}
-    edit_header(path, header.update)
-    assert header["columns_share_rows"] is True
     names = _names(path)
     assert "rowfac.0.G" in names and "skel_row.0" in names
     assert not [n for n in names if n.startswith(("colfac.", "skel_col."))]
@@ -87,9 +81,6 @@ def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
     M, _ = build_one_set_hss(smash.bench.grid_points(32))
     path = tmp_path / "g.smash"
     smash.save_matrix(M, path)
-    header = {}
-    edit_header(path, header.update)
-    assert header["columns_share_rows"] is True
     assert not [n for n in _names(path)
                 if n.startswith(("colfac.", "skel_col."))]
     rep = smash.storage_report(M)
@@ -104,48 +95,16 @@ def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
             == smash.matvec_nodewise(M2, q).tobytes())
 
 
-def _two_factor_copy(M):
-    """M with each column factor a copy of its row factor, as earlier
-    versions built and saved HSS on one point set."""
-    for i, f in M.rowfac.items():
-        M.colfac[i] = InterpolativeFactor(f.nrows, f.perm.copy(), f.G.copy(),
-                                          f.skel.copy())
-        M.skel_col[i] = M.colfac[i].skel
-    return M
-
-
 def _share_without_column_entries(header):
-    """Set the sharing flag and drop the column factors and skeletons."""
-    header.update(columns_share_rows=True, arrays=[
-        e for e in header["arrays"]
-        if not e["name"].startswith(("colfac.", "skel_col."))])
-
-
-def test_two_factor_hss_container_loads_shared(tmp_path):
-    M, _ = build_one_set_hss(smash.bench.grid_points(20))
-    q = np.random.default_rng(11).random(M.n_col)
-    z = smash.matvec_nodewise(M, q)
-    path = tmp_path / "g.smash"
-    smash.save_matrix(_two_factor_copy(M), path)
-    assert "colfac.0.G" in _names(path)
-    M2 = smash.load_matrix(path)
-    assert all(M2.colfac[i] is f for i, f in M2.rowfac.items())
-    assert smash.matvec_nodewise(M2, q).tobytes() == z.tobytes()
-
-
-def test_two_factor_container_with_unequal_factors_keeps_both(tmp_path):
-    M, _ = build_one_set_hss(smash.bench.grid_points(20))
-    _two_factor_copy(M).colfac[0].G[0, 0] += 1e-12
-    path = tmp_path / "g.smash"
-    smash.save_matrix(M, path)
-    M2 = smash.load_matrix(path)
-    assert not M2.one_factor()
-    assert M2.colfac[0].G.tobytes() != M2.rowfac[0].G.tobytes()
-    assert M2.colfac[1] is not M2.rowfac[1]
+    """Drop the column factors and skeletons, as if the matrix held one
+    factor per node."""
+    header.update(arrays=[e for e in header["arrays"]
+                          if not e["name"].startswith(("colfac.", "skel_col."))])
 
 
 def test_sharing_flag_on_two_point_sets_is_refused(tmp_path, capsys):
-    # equal node counts, so the flag alone does not show the mismatch
+    # a file whose column entries are dropped, as if one factor served both
+    # sides, is refused: two point sets need their own column factors
     X = smash.bench.grid_points(20)
     Y = smash.PointSet(X.coords + 1e-3, role="col")
     tree = smash.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
@@ -155,16 +114,15 @@ def test_sharing_flag_on_two_point_sets_is_refused(tmp_path, capsys):
     path = tmp_path / "s.smash"
     smash.save_matrix(M, path)
     edit_header(path, _share_without_column_entries)
-    with pytest.raises(ValueError, match="'columns_share_rows' is set"):
+    with pytest.raises(ValueError, match="node 0 has no column factor"):
         smash.load_matrix(path)
     from smash.cli import main
     assert main(["matvec", "--load", str(path)]) == 2
-    assert "'columns_share_rows' is set" in capsys.readouterr().err
+    assert "no column factor" in capsys.readouterr().err
 
 
 def test_one_leaf_matrix_on_two_point_sets_round_trips(tmp_path):
-    # no factors, so every column factor is its row factor and the flag is
-    # set; with nothing to share it fits any tree
+    # no factors, so there is nothing to save once or twice
     M, _, _, _ = build_interval_hss(30)
     assert M.tree.root == 0
     path = tmp_path / "m.smash"
@@ -176,65 +134,23 @@ def test_one_leaf_matrix_on_two_point_sets_round_trips(tmp_path):
 
 
 def test_hss_container_has_no_sharing_flag(tmp_path):
+    # two point sets: both sides are saved
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    header = {}
-    edit_header(path, header.update)
-    assert "columns_share_rows" not in header
     assert "colfac.0.G" in _names(path)
 
 
-OLD_H2 = Path(__file__).parent / "data" / "grid_h2_n144.smash"
-
-
-def _grid_h2_144():
-    X = smash.bench.grid_points(12)
-    spec = smash.KernelSpec("cauchy", dx=1.0)
-    tree = smash.build_tree(X, nu0=16, mode="2d", tau=0.65)
-    return smash.build_h2(tree, spec, X, X, smash.BuildParams(r=8, tau=0.65))
-
-
-def test_two_factor_h2_container_loads_bitwise():
-    # written by an earlier version, which compressed and stored the column
-    # factors of an H2 matrix on one point set separately: _grid_h2_144();
-    # they equal the row factors, so the loader keeps one factor per node
-    M2 = smash.load_matrix(OLD_H2)
-    M = _grid_h2_144()
-    assert sorted(M2.colfac) == sorted(M.rowfac)
-    for i, fac in M.rowfac.items():
-        assert M2.colfac[i] is M2.rowfac[i]
-        for facs2 in (M2.rowfac, M2.colfac):
-            for name in ("perm", "G", "skel"):
-                a, b = getattr(fac, name), getattr(facs2[i], name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    q = np.random.default_rng(9).random(M.n_col)
-    assert (smash.matvec_nodewise(M, q).tobytes()
-            == smash.matvec_nodewise(M2, q).tobytes())
-
-
-@pytest.mark.parametrize("value", ["yes", 1, None, [True]])
-def test_sharing_flag_that_is_not_a_bool_is_refused(tmp_path, value,
-                                                   grid_h2_400):
-    M, _, _ = grid_h2_400
-    path = tmp_path / "g.smash"
-    smash.save_matrix(M, path)
-    edit_header(path, lambda h: h.update(columns_share_rows=value))
-    with pytest.raises(ValueError, match="'columns_share_rows' must be true"):
-        smash.load_matrix(path)
-
-
-def test_sharing_flag_with_column_entries_is_refused(tmp_path):
-    path = tmp_path / "g.smash"
-    path.write_bytes(OLD_H2.read_bytes())
-    edit_header(path, lambda h: h.update(columns_share_rows=True))
-    with pytest.raises(ValueError, match="'columns_share_rows' is set.*'colfac"):
-        smash.load_matrix(path)
-    path.write_bytes(OLD_H2.read_bytes())
-    edit_header(path, lambda h: h.update(columns_share_rows=True, arrays=[
-        e for e in h["arrays"] if not e["name"].startswith("colfac.")]))
-    with pytest.raises(ValueError, match="'columns_share_rows' is set.*'skel_col"):
-        smash.load_matrix(path)
+def test_sharing_flag_with_column_entries_is_refused(tmp_path, grid_h2_400):
+    # one factor per node on the grid: a column entry, here a second name
+    # for the bytes of the row entry, is refused by name
+    for name in ("colfac.0.G", "skel_col.0"):
+        path = tmp_path / "g.smash"
+        smash.save_matrix(grid_h2_400[0], path)
+        edit_header(path, lambda h: h["arrays"].append(
+            dict(_array(h, name.replace("col", "row")), name=name)))
+        with pytest.raises(ValueError, match="one factor per node.*%r" % name):
+            smash.load_matrix(path)
 
 
 def test_solve_after_reload(tmp_path):
@@ -302,39 +218,30 @@ def test_header_with_old_cache_flag_still_loads(tmp_path):
                                   smash.matvec_nodewise(smash.load_matrix(path), q))
 
 
-def test_container_with_duplicate_skeletons_loads_bitwise():
-    # written by an earlier version, which stored every interpolative
-    # skeleton twice (also as "rowfac.<i>.skel") and a "params.s" entry
-    path = Path(__file__).parent / "data" / "interval_hss_n100.smash"
-    M2 = smash.load_matrix(path)
+def _old_magic(path):
+    """A fresh save with the magic line of the format's first version."""
+    raw = path.read_bytes()
+    path.write_bytes(b"SMASH-BIN-1\n" + raw[raw.index(b"\n") + 1:])
+
+
+def test_container_from_an_older_version_is_refused_by_name(tmp_path):
     M, _, _, _ = build_interval_hss(100, nu0=32)
-    for facs, facs2 in ((M.rowfac, M2.rowfac), (M.colfac, M2.colfac)):
-        assert sorted(facs) == sorted(facs2)
-        for i, fac in facs.items():
-            for name in ("perm", "G", "skel"):
-                a, b = getattr(fac, name), getattr(facs2[i], name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    q = np.random.default_rng(6).random(100)
-    assert (smash.matvec_nodewise(M, q).tobytes()
-            == smash.matvec_nodewise(M2, q).tobytes())
-    F, F2 = smash.ulv_factor(M), smash.ulv_factor(M2)
-    assert smash.ulv_solve(F, q).tobytes() == smash.ulv_solve(F2, q).tobytes()
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    assert path.read_bytes().startswith(b"SMASH-BIN-2\n")
+    _old_magic(path)
+    with pytest.raises(ValueError, match="older version.*rebuild the matrix"):
+        smash.load_matrix(path)
 
 
-OLD_SUM = Path(__file__).parent / "data" / "interval_sum_n100.smash"
-
-
-def test_container_with_explicit_bases_is_refused_by_name():
-    # written by an earlier version, which stored the bases of sums and
-    # scalings dense, as hss_add(B, diag_scale(B, linspace(1, 2, 100),
-    # ones(100))) with B the n = 100, nu0 = 32 interval matrix
-    with pytest.raises(ValueError, match="'rowfac.0.X'.*rebuild the matrix"):
-        smash.load_matrix(OLD_SUM)
-
-
-def test_container_with_explicit_bases_exits_with_input_code(capsys):
+def test_container_from_an_older_version_exits_with_input_code(tmp_path,
+                                                                capsys):
     from smash.cli import main
-    assert main(["matvec", "--load", str(OLD_SUM)]) == 2
+    path = tmp_path / "m.smash"
+    assert main(["build", "--n", "100", "--out", str(path)]) == 0
+    _old_magic(path)
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
     assert "rebuild the matrix" in capsys.readouterr().err
 
 
@@ -396,6 +303,8 @@ _DAMAGE = {
         "node 0 has no row factor"),
     "factor_of_unknown_node": (lambda h: _array(h, "rowfac.0.perm").update(
         name="rowfac.99.perm"), "node 99 has no row factor"),
+    "unknown_factor_entry": (lambda h: h["arrays"].append(dict(
+        _array(h, "rowfac.0.G"), name="rowfac.0.X")), "entry 'rowfac.0.X'"),
     "children_not_tiling": (lambda h: h["tree"]["nodes"][0]["rows"].__setitem__(
         1, h["tree"]["nodes"][0]["rows"][1] - 1), "do not tile its row range"),
     "not_a_child": (lambda h: h["tree"]["nodes"][-1]["children"].__setitem__(
@@ -416,7 +325,7 @@ _DAMAGE = {
         offset=_array(h, "rowfac.1.perm")["offset"]), "'skel_row.1'"),
     # one factor per node on two point sets would apply wrongly
     "shared_flag_on_two_point_sets": (_share_without_column_entries,
-                                      "'columns_share_rows' is set"),
+                                      "node 0 has no column factor"),
     # build parameters that would have given a wrong matrix
     "order_zero": (lambda h: h["params"].update(r=0), "parameter r "),
     "tau_past_one": (lambda h: h["params"].update(tau=1.5), "parameter tau "),

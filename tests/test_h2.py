@@ -131,6 +131,15 @@ def test_h2_build_requires_2d_tree_mode():
         smash.build_h2(tree, spec, X, X)
 
 
+def test_h2_build_refuses_double_layer():
+    X = smash.bench.curve_points("sunflower", 200)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.6)
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=200)
+    with pytest.raises(ValueError, match="laplace-dlp .*HSS form"):
+        smash.build_h2(tree, spec, X, X)
+
+
 def test_h2_accepts_1d_binary_trees():
     M, spec, X, Y, rng = build_1d_pair_h2()
     A = kernel_block(spec, X, Y, np.arange(200), np.arange(200))

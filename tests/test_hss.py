@@ -226,7 +226,6 @@ def test_double_layer_on_one_point_set_keeps_two_factors():
     tree = smash.build_tree(X, nu0=50, tau=0.6)
     M = smash.build_hss(tree, spec, X, X, smash.BuildParams(
         r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
-    assert not M.one_factor()
     assert all(M.colfac[i] is not f for i, f in M.rowfac.items())
 
 
