@@ -3,7 +3,9 @@
 Same nested interpolative bases as the HSS builder, but skeletons come from
 the farfield expansion alone (no nearfield sampling), and the low-rank /
 dense block partition is the strong-admissibility one: well-separated node
-pairs carry skeleton couplings, inadmissible leaf pairs stay dense.  Where
+pairs carry skeleton couplings, inadmissible leaf pairs stay dense.  All
+three kernels take the Cauchy Taylor basis, scaled by the generators of a
+Cauchy-like kernel or of the double layer, Re(C diag(v)).  Where
 ``hss.one_basis`` holds (one point set, a kernel that scales neither side),
 each node is compressed once, and one factor is both of its bases.
 """
@@ -13,8 +15,7 @@ from __future__ import annotations
 from ._threads import one_blas_thread
 from .cluster import ClusterTree, leaf_sets
 from .hss import (BuildParams, _StructuredMatrix, _basis_builder, _candidate,
-                  _default_basis, kernel_dtype, make_block_evaluator,
-                  one_basis)
+                  kernel_dtype, make_block_evaluator, one_basis)
 from .kernel import KernelSpec
 from .lowrank import compr
 
@@ -30,24 +31,17 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     the current index set; parents work on the union of their children's
     skeletons.  A node's column factor is its row factor, compressed once,
     where ``one_basis`` holds.  Couplings are exact kernel entries at
-    skeleton pairs.  Runs serially on one BLAS thread.  Cauchy-like and
-    double-layer kernels are refused; their HSS form is built instead."""
+    skeleton pairs.  Runs serially on one BLAS thread."""
     params = params or BuildParams()
-    # the double layer's column basis ignores the normal weights, which are
-    # not smooth where a box holds several arcs of the curve
-    if kernel.kind in ("cauchy_like", "laplace_dlp"):
-        raise ValueError("%s matrices are built in HSS form"
-                         % kernel.kind.replace("_", "-"))
     if tree.mode != "2d" and tree.dim != 1:
         raise ValueError("H2 construction expects a '2d'-mode tree")
-    basis = params.basis or _default_basis(kernel)
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "h2")
     M = H2Matrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow = _basis_builder(tree, kernel, params, basis, "row")
+    brow = _basis_builder(tree, kernel, params, "row")
     bcol = (None if one_basis("h2", tree, kernel)
-            else _basis_builder(tree, kernel, params, basis, "col"))
+            else _basis_builder(tree, kernel, params, "col"))
 
     # serial: the small compr calls here are bound by the interpreter lock
     for level in range(tree.n_levels, 1, -1):

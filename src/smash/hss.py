@@ -42,7 +42,7 @@ class BuildParams:
     r: int = 20
     tau: float = 0.6
     eps_svd: float = 0.0
-    basis: str = None  # "taylor" | "interp"; None picks by kernel kind
+    basis: str = None  # "taylor" (the default, also for None) | "interp"
 
     def __post_init__(self):
         # outside these ranges a build either fails far from the cause or
@@ -56,10 +56,6 @@ class BuildParams:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
                 raise ValueError("build parameter %s must be %s, got %r"
                                  % (name, need, v))
-
-
-def _default_basis(kernel: KernelSpec) -> str:
-    return "interp" if kernel.kind == "laplace_dlp" else "taylor"
 
 
 def _pad_box(box: Box, pad: float) -> Box:
@@ -382,45 +378,62 @@ def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
 
 
 # kernels whose candidates scale each side by its own generators, so the
-# row and column builders differ even on one point set
-_SIDE_SCALED = ("cauchy_like",)
+# row and column builders differ even on one point set: the Cauchy-like
+# generators w and v, and the double layer's 1 and v, Re(C diag(v))
+_SIDE_SCALED = ("cauchy_like", "laplace_dlp")
 # kernels with K(y, x) = -K(x, y) bit for bit at distinct points: IEEE
 # subtraction is exactly antisymmetric, and so is the reciprocal
 _ANTISYMMETRIC = ("cauchy",)
 
 
 def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
-                   basis: str, side: str):
-    """Farfield candidate basis of a node over tree-order indices.  For
-    Cauchy-like kernels sum_l diag(w_l) C diag(v_l), the candidate stacks
-    the Cauchy basis scaled by each generator column (w on the row side,
-    v on the column side)."""
+                   side: str):
+    """Farfield candidate basis of a node over tree-order indices.
+
+    The Taylor candidate F expands the Cauchy kernel in r terms.  A
+    Cauchy-like kernel sum_l diag(w_l) C diag(v_l) stacks F scaled by each
+    generator column (w on the row side, v on the column side).  The double
+    layer Re(C diag(v)) is real: its row side takes [Re F, Im F] and its
+    column side [Re(vF), Im(vF)], 2r columns each.  The interp basis (r
+    Lagrange polynomials) is scaled for Cauchy-like kernels only.
+    """
     pts = tree.points_row if side == "row" else tree.points_col
     diam = 2 * tree.nodes[tree.root].box.radius
     pad = max(1e-9 * diam, 1e-300)
-    if basis == "taylor":
+    gen = None  # the generator columns, in tree order
+    if kernel.kind == "cauchy_like":
+        rows = (kernel.w.shape[0], kernel.v.shape[0])
+        if rows != (tree.n_row, tree.n_col):
+            raise ValueError("generator rows %s do not match the point counts "
+                             "%s" % (rows, (tree.n_row, tree.n_col)))
+        gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
+    elif (kernel.kind == "laplace_dlp" and side == "col"
+          and params.basis != "interp"):  # v raises the interp HSS ranks
+        gen = kernel._dlp_data()["v"][tree.perm_col, None]
+    if params.basis in (None, "taylor"):
         scal = _to_scalars(pts) if pts.size else np.zeros(0)
 
         def build(i, idx):
             box = _pad_box(tree.nodes[i].box, pad)
             return taylor_basis(_box_center_scalar(box), box.radius, scal[idx],
                                 params.r)
-    elif basis == "interp":
+    elif params.basis == "interp":
 
         def build(i, idx):
             box = _pad_box(tree.nodes[i].box, pad)
             return interp_basis(box, pts[idx], params.r)
     else:
-        raise ValueError("unknown basis %r" % basis)
-    if kernel.kind not in _SIDE_SCALED:
-        return build
-    gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
+        raise ValueError("unknown basis %r" % params.basis)
+    real = kernel.kind == "laplace_dlp"  # a real kernel of complex points
 
-    def build_scaled(i, idx):
+    def candidate(i, idx):
         F = build(i, idx)
-        return np.hstack([gen[idx, l][:, None] * F for l in range(gen.shape[1])])
+        if gen is not None:
+            F = np.hstack([gen[idx, l][:, None] * F
+                           for l in range(gen.shape[1])])
+        return np.hstack([F.real, F.imag]) if real and F.dtype.kind == "c" else F
 
-    return build_scaled
+    return candidate
 
 
 def one_basis(kind: str, tree: ClusterTree, kernel: KernelSpec) -> bool:
@@ -428,8 +441,10 @@ def one_basis(kind: str, tree: ClusterTree, kernel: KernelSpec) -> bool:
     both sides: one point set and a kernel that scales neither side give
     one farfield candidate, and for HSS, whose column candidate also holds
     the transposed nearfield block, an antisymmetric kernel negates it.
-    Sums and scalings carry no kernel and keep two factors.  The builders,
-    ``save_matrix`` and ``load_matrix`` all follow this rule."""
+    Cauchy-like kernels and the double layer scale a side
+    (``_SIDE_SCALED``), and sums and scalings carry no kernel: all keep two
+    factors.  The builders, ``save_matrix`` and ``load_matrix`` all follow
+    this rule."""
     return (kernel is not None and kernel.kind not in _SIDE_SCALED
             and (kind == "h2" or kernel.kind in _ANTISYMMETRIC)
             and tree.one_point_set())
@@ -486,20 +501,13 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     for nd in tree.nodes:
         if not nd.is_leaf and len(nd.children) != 2:
             raise ValueError("HSS construction needs a binary tree")
-    if kernel.kind == "cauchy_like" and (kernel.w.shape[0] != tree.n_row
-                                         or kernel.v.shape[0] != tree.n_col):
-        raise ValueError("generator rows (%d, %d) do not match the point "
-                         "counts (%d, %d)" % (kernel.w.shape[0],
-                                              kernel.v.shape[0],
-                                              tree.n_row, tree.n_col))
-    basis = params.basis or _default_basis(kernel)
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "hss")
     M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow = _basis_builder(tree, kernel, params, basis, "row")
+    brow = _basis_builder(tree, kernel, params, "row")
     bcol = (None if one_basis("hss", tree, kernel)
-            else _basis_builder(tree, kernel, params, basis, "col"))
+            else _basis_builder(tree, kernel, params, "col"))
 
     for level in range(tree.n_levels, 1, -1):
         nodes = tree.level_nodes(level)

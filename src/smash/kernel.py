@@ -3,8 +3,10 @@
 Three kernel families: the Cauchy kernel 1/(x-y) over real or complex point
 sets, Cauchy-like matrices (w_i . v_j)/(x_i - y_j), and the Laplace
 double-layer kernel on smooth closed curves, discretized with the Nystrom
-method on the trapezoidal rule.  Curve parametrizations carry analytic first
-and second derivatives.
+method on the trapezoidal rule.  All three start from one Cauchy block
+C = 1/(z_s - z_t): off its diagonal the double layer is Re(C diag(v)), with
+z the curve nodes and v the outward normals as complex numbers.  Curve
+parametrizations carry analytic first and second derivatives.
 """
 
 from __future__ import annotations
@@ -198,7 +200,9 @@ class KernelSpec:
                  (required then).  Points in R^2 are treated as complex.
     cauchy_like: entries (sum_l w_il v_jl)/(x_i - y_j).
     laplace_dlp: Nystrom matrix of the double-layer operator minus half the
-                 identity, at n trapezoidal nodes t_j = j/n on the curve.
+                 identity, at n trapezoidal nodes t_j = j/n on the curve;
+                 Re(v_j / (z_i - z_j)) off the diagonal, a Cauchy-like
+                 matrix with one complex generator on the column side.
     """
 
     kind: str
@@ -232,15 +236,9 @@ class KernelSpec:
         if data is None:
             n = self.nq
             t = np.arange(n) / n
-            r = self.curve.point(t)
-            dr = self.curve.velocity(t)
-            ddr = self.curve.acceleration(t)
-            orient = curve_orientation(self.curve)
-            nu_w = orient * np.column_stack([dr[:, 1], -dr[:, 0]])  # nu |r'|
-            sp2 = dr[:, 0] ** 2 + dr[:, 1] ** 2
-            cross = dr[:, 0] * ddr[:, 1] - dr[:, 1] * ddr[:, 0]
-            diag = -orient * cross / (4 * np.pi * sp2)  # kappa(t,t)
-            data = {"t": t, "r": r, "nu_w": nu_w, "diag": diag}
+            z, nu = _dlp_normals(self.curve, t)
+            data = {"t": t, "z": z, "v": nu / (2 * np.pi * n),
+                    "diag": _dlp_diagonal(self.curve, t)}
             self._cache["dlp"] = data
         return data
 
@@ -248,69 +246,61 @@ class KernelSpec:
         return self._dlp_data()["t"]
 
 
-def _dlp_offdiag(rs, rt, nu_w_t):
-    """kappa(s,t) for distinct nodes: rs (m,2) row points, rt (k,2) column
-    points, nu_w_t the outward normal at t scaled by |r'(t)|.
+def _dlp_normals(curve: CurveSpec, t):
+    """(z, nu): the curve points at parameters t as complex numbers, and the
+    outward normals scaled by |r'(t)|, also complex.  Off the diagonal,
+    kappa(s, t) = Re(nu_t / (2 pi (z_s - z_t)))."""
+    r = curve.point(t)
+    dr = curve.velocity(t)
+    nu = curve_orientation(curve) * (dr[:, 1] - 1j * dr[:, 0])
+    return r[:, 0] + 1j * r[:, 1], nu
 
-    -(dx nu_x + dy nu_y) / (2 pi (dx^2 + dy^2)) with dx = x_t - x_s, built in
-    three m x k buffers; dx is formed twice rather than held in a fourth.
-    """
-    sx, sy = rs[:, 0, None], rs[:, 1, None]
-    tx, ty = rt[None, :, 0], rt[None, :, 1]
-    d2 = np.subtract(tx, sx)
-    d2 *= d2
-    num = np.subtract(ty, sy)
-    tmp = num * num
-    d2 += tmp
-    num *= nu_w_t[None, :, 1]
-    np.subtract(tx, sx, out=tmp)
-    tmp *= nu_w_t[None, :, 0]
-    num += tmp
-    np.negative(num, out=num)
-    d2 *= 2 * np.pi
-    with np.errstate(divide="ignore", invalid="ignore"):
-        num /= d2
-    return num
+
+def _dlp_diagonal(curve: CurveSpec, t):
+    """kappa(t, t), the limit on the diagonal, from the curvature."""
+    dr = curve.velocity(t)
+    ddr = curve.acceleration(t)
+    cross = dr[:, 0] * ddr[:, 1] - dr[:, 1] * ddr[:, 0]
+    return (-curve_orientation(curve) * cross
+            / (4 * np.pi * (dr[:, 0] ** 2 + dr[:, 1] ** 2)))
 
 
 def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     """Exact kernel submatrix A[rows, cols] in caller index order.
 
     X and Y are PointSets (ignored for laplace_dlp, whose nodes live on the
-    curve); rows/cols are integer index arrays.
+    curve); rows/cols are integer index arrays.  Every kind starts from the
+    Cauchy block C = 1/(z_s - z_t): the double layer is Re(C diag(v)) off
+    its diagonal.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
-    if spec.kind in ("cauchy", "cauchy_like"):
-        zx = X.scalars[rows]
-        zy = Y.scalars[cols]
-        C = np.subtract.outer(zx, zy)
-        hit = C == 0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            np.divide(1.0, C, out=C)  # in place: one m x k buffer fewer
-        if spec.kind == "cauchy":
-            if np.any(hit):
-                if spec.dx is None:
-                    raise ValueError("coincident points need a diagonal value d_x")
-                C[hit] = spec.dx
-            return C
+    if spec.kind == "laplace_dlp":
+        data = spec._dlp_data()
+        zx, zy = data["z"][rows], data["z"][cols]
+    else:
+        zx, zy = X.scalars[rows], Y.scalars[cols]
+    C = np.subtract.outer(zx, zy)
+    hit = C == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, C, out=C)  # in place: one m x k buffer fewer
+    if spec.kind == "cauchy":
+        if np.any(hit):
+            if spec.dx is None:
+                raise ValueError("coincident points need a diagonal value d_x")
+            C[hit] = spec.dx
+        return C
+    if spec.kind == "cauchy_like":
         if np.any(hit):
             raise ValueError("cauchy_like is undefined at coincident points")
         return (spec.w[rows] @ spec.v[cols].T) * C
-    # laplace_dlp
-    data = spec._dlp_data()
-    r, nu_w, diag = data["r"], data["nu_w"], data["diag"]
-    K = _dlp_offdiag(r[rows], r[cols], nu_w[cols])
-    K /= spec.nq
-    # the nodes t_j = j/n are distinct, so a row meets a column only where
-    # their indices are equal: mark the columns, compare just the rows that
-    # hit a mark (np.isin costs more than the whole of a small block)
-    marked = np.zeros(spec.nq, dtype=bool)
-    marked[cols] = True
-    hit = np.flatnonzero(marked[rows])
-    if hit.size:
-        ii, jj = np.nonzero(rows[hit, None] == cols[None, :])
-        K[hit[ii], jj] = diag[cols[jj]] / spec.nq - 0.5
+    # laplace_dlp: distinct nodes have distinct points
+    with np.errstate(invalid="ignore"):
+        C *= data["v"][cols]
+    K = C.real.copy()
+    if np.any(hit):
+        ii, jj = np.nonzero(hit)
+        K[ii, jj] = data["diag"][cols[jj]] / spec.nq - 0.5
     return K
 
 
@@ -325,17 +315,10 @@ def eval_kernel(spec: KernelSpec, x, y):
         return 1.0 / (x - y)
     if spec.kind == "laplace_dlp":
         s, t = float(x), float(y)
-        orient = curve_orientation(spec.curve)
         if s == t:
-            dr = spec.curve.velocity(t)[0]
-            ddr = spec.curve.acceleration(t)[0]
-            cross = dr[0] * ddr[1] - dr[1] * ddr[0]
-            return -orient * cross / (4 * np.pi * (dr[0] ** 2 + dr[1] ** 2))
-        rs = spec.curve.point(s)
-        rt = spec.curve.point(t)
-        drt = spec.curve.velocity(t)
-        nu_w = orient * np.column_stack([drt[:, 1], -drt[:, 0]])
-        return float(_dlp_offdiag(rs, rt, nu_w)[0, 0])
+            return float(_dlp_diagonal(spec.curve, t)[0])
+        z, nu = _dlp_normals(spec.curve, np.array([s, t]))
+        return float((nu[1] / (2 * np.pi * (z[0] - z[1]))).real)
     raise ValueError("cauchy_like has no pointwise form; use assemble_dense")
 
 
@@ -395,10 +378,6 @@ def evaluate_potential(curve: CurveSpec, sigma, x) -> float:
     x = np.asarray(x, dtype=float)
     if abs(winding_number(curve, x)) != 1:
         raise ValueError("evaluation point must lie strictly inside the curve")
-    t = np.arange(n) / n
-    r = curve.point(t)
-    dr = curve.velocity(t)
-    orient = curve_orientation(curve)
-    nu_w = orient * np.column_stack([dr[:, 1], -dr[:, 0]])
-    kx = _dlp_offdiag(x[None, :], r, nu_w)[0]
+    z, nu = _dlp_normals(curve, np.arange(n) / n)
+    kx = (nu / (2 * np.pi * (complex(x[0], x[1]) - z))).real
     return float(kx @ sigma / n)

@@ -9,7 +9,7 @@ import pytest
 
 import smash
 from smash.apply import matvec_nodewise, read_vector, write_vector
-from smash.cli import _GEOMETRIES, main
+from smash.cli import _CLOSED, _GEOMETRIES, main
 
 from conftest import build_interval_hss
 
@@ -68,6 +68,19 @@ def test_matvec_matches_dense_oracle(capsys):
     assert main(["matvec", "--n", "300", "--json"]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["relerr"] < 1e-7
+
+
+def test_matvec_samples_rows_beyond_the_dense_budget(capsys):
+    # a loose tolerance, so the error is well above roundoff
+    flags = ["matvec", "--n", "2000", "--tol", "1e-4", "--json"]
+    assert main(flags) == 0
+    full = json.loads(capsys.readouterr().out)
+    assert main(flags + ["--dense-budget", str(2000 * 2000 - 1)]) == 0
+    sampled = json.loads(capsys.readouterr().out)
+    assert full["relerr_rows"] == 2000
+    assert sampled["relerr_rows"] == smash.bench.SAMPLE_ROWS
+    assert 1e-13 < full["relerr"] < 1e-7
+    assert full["relerr"] / 10 <= sampled["relerr"] <= 10 * full["relerr"]
 
 
 def test_matvec_on_saved_container(tmp_path, capsys):
@@ -229,10 +242,21 @@ def test_boundary_kernel_on_circle(capsys):
     assert json.loads(capsys.readouterr().out)["n_row"] == 160
 
 
-def test_double_layer_h2_exits_with_input_code(capsys):
-    assert main(["matvec", "--kernel", "laplace-dlp", "--geometry", "ramhead",
-                 "--structure", "h2", "--n", "600"]) == 2
-    assert "HSS form" in capsys.readouterr().err
+@pytest.mark.parametrize("geometry", ["ramhead", "sunflower", "honeybee",
+                                      "circle"])
+def test_double_layer_h2_meets_the_default_tolerance(geometry, capsys):
+    assert main(["matvec", "--kernel", "laplace-dlp", "--geometry", geometry,
+                 "--structure", "h2", "--n", "2560", "--json"]) == 0
+    info = json.loads(capsys.readouterr().out)
+    assert info["relerr_rows"] == 2560
+    assert info["relerr"] <= 1e-7
+
+
+def _refused(kernel, geometry):
+    """Whether the command line refuses this kernel on this geometry."""
+    if kernel == "laplace-dlp":
+        return geometry not in _CLOSED
+    return geometry == "grid2d" and kernel != "cauchy"
 
 
 @pytest.mark.parametrize("kernel, geometry, structure", [
@@ -241,12 +265,13 @@ def test_double_layer_h2_exits_with_input_code(capsys):
 def test_every_accepted_combination_meets_its_tolerance(kernel, geometry,
                                                         structure, capsys):
     # each combination is refused with exit 2 or applies within 10x the
-    # default --tol 1e-8 against the dense oracle
+    # default --tol 1e-8 against the dense oracle; every structure takes
+    # every kernel
     n = 576 if geometry == "grid2d" else 600
     code = main(["matvec", "--kernel", kernel, "--geometry", geometry,
                  "--structure", structure, "--n", str(n), "--json"])
     out = capsys.readouterr().out
-    assert code in (0, 2)
+    assert code == (2 if _refused(kernel, geometry) else 0)
     if code == 0:
         assert json.loads(out)["relerr"] <= 1e-7
 

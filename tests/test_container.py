@@ -77,6 +77,35 @@ def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
             == smash.matvec_nodewise(M2, q).tobytes())
 
 
+def test_h2_double_layer_saves_both_factors_and_reloads_bitwise(tmp_path):
+    # the double layer scales its column side by the normals, so one_basis
+    # is false for it and each node holds a row and a column factor
+    n = 640
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.6)
+    M = smash.build_h2(tree, spec, X, X, smash.BuildParams(r=21, tau=0.6))
+    path = tmp_path / "dlp.smash"
+    smash.save_matrix(M, path)
+    names = _names(path)
+    for i in M.rowfac:
+        for name in ("rowfac.%d.G", "skel_row.%d", "colfac.%d.G",
+                     "skel_col.%d"):
+            assert name % i in names
+    M2 = smash.load_matrix(path)
+    assert M2.kind == "h2" and M2.dtype == np.float64
+    assert M2.kernel.kind == "laplace_dlp"
+    for i, fac in M2.rowfac.items():
+        assert M2.colfac[i] is not fac
+        for name in ("perm", "G", "skel"):
+            a, b = getattr(M2.colfac[i], name), getattr(M.colfac[i], name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    q = np.random.default_rng(12).random(n)
+    assert (smash.matvec_nodewise(M, q).tobytes()
+            == smash.matvec_nodewise(M2, q).tobytes())
+
+
 def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
     M, _ = build_one_set_hss(smash.bench.grid_points(32))
     path = tmp_path / "g.smash"

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import smash
-from smash.hss import _basis_builder, _candidate, _default_basis
+from smash.hss import _basis_builder, _candidate
 from smash.kernel import kernel_block
 from smash.lowrank import compr, taylor_tail_bound
 
-from conftest import build_1d_pair_h2
+from conftest import build_1d_pair_h2, dense_oracle, interval_pair
 
 
 def grid_dense(spec, X):
@@ -131,13 +131,55 @@ def test_h2_build_requires_2d_tree_mode():
         smash.build_h2(tree, spec, X, X)
 
 
-def test_h2_build_refuses_double_layer():
-    X = smash.bench.curve_points("sunflower", 200)
-    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.6)
-    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
-                            nq=200)
-    with pytest.raises(ValueError, match="laplace-dlp .*HSS form"):
-        smash.build_h2(tree, spec, X, X)
+@pytest.mark.parametrize("tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("curve", ["ramhead", "sunflower", "honeybee",
+                                   "circle"])
+def test_h2_double_layer_meets_its_tolerance(curve, tol):
+    # the double layer is Re(C diag(v)): the column basis carries the
+    # normals, which are not smooth where a box holds several arcs
+    n = 2560
+    pc = smash.bench.choose_params(tol)
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve(curve), nq=n)
+    X = smash.bench.curve_points(curve, n)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=pc.tau)
+    M = smash.build_h2(tree, spec, X, X, pc.build_params())
+    assert M.dtype == np.float64
+    # r complex Taylor terms, split into real and imaginary parts
+    assert smash.bench.max_rank(M) <= 2 * pc.r
+    q = np.random.default_rng(3).random(n)
+    err, rows = smash.bench.matvec_relerr(spec, None, None, q,
+                                          smash.matvec_nodewise(M, q),
+                                          budget=0)
+    assert rows == smash.bench.SAMPLE_ROWS
+    assert err <= 10 * tol
+
+
+def test_h2_cauchy_like_matches_dense_oracle():
+    n = 300
+    rng = np.random.default_rng(5)
+    X, Y = interval_pair(n)
+    spec = smash.KernelSpec("cauchy_like", w=rng.random((n, 3)),
+                            v=rng.random((n, 3)))
+    tree = smash.build_tree(X, Y, nu0=16)
+    M = smash.build_h2(tree, spec, X, Y, smash.BuildParams(r=21))
+    A = dense_oracle(spec, X, Y)
+    assert np.linalg.norm(M.todense() - A) <= 1e-9 * np.linalg.norm(A)
+    assert M.pairs_L
+    tr = M.tree
+    for i, j in M.pairs_L:  # kernel entries, up to the generator products
+        np.testing.assert_allclose(
+            M.B(i, j), A[np.ix_(tr.perm_row[M.skel_row[i]],
+                                tr.perm_col[M.skel_col[j]])], rtol=1e-14)
+
+
+@pytest.mark.parametrize("rows", [(31, 32), (32, 33)])
+def test_h2_cauchy_like_generator_row_count_mismatch_rejected(rows):
+    X, Y = interval_pair(32)
+    tree = smash.build_tree(X, Y, nu0=8)
+    spec = smash.KernelSpec("cauchy_like", w=np.ones((rows[0], 2)),
+                            v=np.ones((rows[1], 2)))
+    with pytest.raises(ValueError, match="generator rows"):
+        smash.build_h2(tree, spec, X, Y)
 
 
 def test_h2_accepts_1d_binary_trees():
@@ -159,7 +201,7 @@ def test_one_point_set_holds_one_factor_per_node(grid_h2_400):
     M, spec, _ = grid_h2_400
     tr = M.tree
     assert sorted(M.colfac) == sorted(M.rowfac) == list(range(tr.root))
-    bcol = _basis_builder(tr, spec, M.params, _default_basis(spec), "col")
+    bcol = _basis_builder(tr, spec, M.params, "col")
     for i, fac in M.rowfac.items():
         assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
         # the column pass it skips would have found the same factor

@@ -144,16 +144,6 @@ def test_reconstruction_matches_matvec_columnwise():
                                    rtol=0, atol=1e-13 * np.abs(A).max())
 
 
-def test_build_rejects_cauchy_like_kernel():
-    # only the H2 builder: HSS builds Cauchy-like matrices directly
-    X, Y = interval_pair(64)
-    tree = smash.build_tree(X, Y, nu0=16)
-    w = np.ones((64, 1))
-    spec = smash.KernelSpec("cauchy_like", w=w, v=w)
-    with pytest.raises(ValueError):
-        smash.build_h2(tree, spec, X, Y)
-
-
 def test_build_hss_on_cauchy_like_kernel_matches_dense_oracle():
     n = 200
     rng = np.random.default_rng(5)
@@ -194,7 +184,7 @@ def test_one_point_set_holds_one_factor_per_node(one_set_hss):
     M, spec, _ = one_set_hss
     tr = M.tree
     assert sorted(M.colfac) == sorted(M.rowfac) == list(range(tr.root))
-    bcol = _basis_builder(tr, spec, M.params, "taylor", "col")
+    bcol = _basis_builder(tr, spec, M.params, "col")
     for i, fac in M.rowfac.items():
         assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
         # the column compression it skips would have found the same factor

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import smash
-from smash.kernel import (DirichletProblem, assemble_dense, evaluate_potential,
-                          kernel_block, nystrom_system, winding_number)
+from smash.kernel import (DirichletProblem, assemble_dense, curve_orientation,
+                          evaluate_potential, kernel_block, nystrom_system,
+                          winding_number)
 
 
 # ---------------------------------------------------------------------------
@@ -198,20 +199,36 @@ def test_point_scalars_computed_once_per_set(monkeypatch):
 
 
 def _dlp_block_reference(spec, rows, cols):
-    """The double-layer block one whole-array expression per step, with an
-    m x k coincidence mask; kernel_block must equal it bit for bit."""
+    """The double-layer block as the real part of a Cauchy-like block, one
+    whole-array expression per step, with an m x k coincidence mask;
+    kernel_block must equal it bit for bit."""
     data = spec._dlp_data()
-    t, r, nu_w, diag = data["t"], data["r"], data["nu_w"], data["diag"]
+    z, v, diag = data["z"], data["v"], data["diag"]
+    D = z[rows][:, None] - z[cols][None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = (1.0 / D * v[cols][None, :]).real
+    ii, jj = np.nonzero(D == 0)
+    K[ii, jj] = diag[cols[jj]] / spec.nq - 0.5
+    return K
+
+
+def _dlp_block_geometric(spec, rows, cols):
+    """The same block from the real formula
+    kappa(s, t) = -(d . nu_t) / (2 pi |d|^2), d = r(t) - r(s)."""
+    t = spec.dlp_nodes()
+    r = spec.curve.point(t)
+    dr = spec.curve.velocity(t)
+    nu_w = curve_orientation(spec.curve) * np.column_stack(
+        [dr[:, 1], -dr[:, 0]])
     rs, rt, nw = r[rows], r[cols], nu_w[cols]
     dx = rt[None, :, 0] - rs[:, None, 0]
     dy = rt[None, :, 1] - rs[:, None, 1]
-    d2 = dx ** 2 + dy ** 2
     num = dx * nw[None, :, 0] + dy * nw[None, :, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = -num / (2 * np.pi * d2)
-    same = t[rows][:, None] == t[cols][None, :]
+        K = -num / (2 * np.pi * (dx ** 2 + dy ** 2))
+    same = rows[:, None] == cols[None, :]
     ii, jj = np.nonzero(same)
-    K[ii, jj] = diag[cols[jj]]
+    K[ii, jj] = spec._dlp_data()["diag"][cols[jj]]
     return K / spec.nq - 0.5 * same
 
 
@@ -237,6 +254,10 @@ def test_dlp_block_matches_reference_bit_for_bit(rows, cols):
     assert not np.isnan(K).any()
     # compare the bit patterns, so that signed zeros count too
     np.testing.assert_array_equal(K.view(np.uint64), ref.view(np.uint64))
+    # the real geometric formula agrees to roundoff
+    if K.size:
+        geo = _dlp_block_geometric(spec, rows, cols)
+        assert np.max(np.abs(K - geo)) <= 1e-15 * np.max(np.abs(K))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
