@@ -7,7 +7,7 @@ a ULV-style direct solver, and benchmark drivers.
 """
 
 from .cluster import Box, ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set, well_separated
-from .kernel import CurveSpec, DirichletProblem, KernelSpec, assemble_dense, eval_kernel, get_curve
+from .kernel import CurveSpec, KernelSpec, assemble_dense, eval_kernel, get_curve
 from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases, truncated_svd
 from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
 from .h2 import H2Matrix, build_h2
@@ -24,7 +24,6 @@ __all__ = [
     "Box",
     "ClusterTree",
     "CurveSpec",
-    "DirichletProblem",
     "H2Matrix",
     "HssMatrix",
     "InterpolativeFactor",

@@ -17,10 +17,12 @@ import scipy.linalg as sla
 
 from .apply import matvec_nodewise, ulv_factor, ulv_solve
 from .cluster import PointSet, build_tree
+from .container import stored_arrays
 from .h2 import build_h2
 from .hss import BuildParams, build_hss
 from .kernel import (DENSE_BUDGET_DEFAULT, KernelSpec, assemble_dense,
-                     evaluate_potential, get_curve, kernel_block)
+                     boundary_data, evaluate_potential, get_curve,
+                     kernel_block)
 
 # ---------------------------------------------------------------------------
 # parameter heuristic
@@ -197,13 +199,10 @@ def rank_caps(M) -> tuple:
 # storage accounting
 # ---------------------------------------------------------------------------
 
-_INT_BYTES = 8
-
-
 @dataclass(frozen=True)
 class StorageReport:
-    """Entry-count byte totals for the three storage schemes, and the bytes
-    of the block rows evaluated so far and kept for later applies."""
+    """Byte totals for the three storage schemes, and the bytes of the
+    block rows evaluated so far and kept for later applies."""
 
     compressed_bytes: int
     generator_bytes: int
@@ -219,40 +218,28 @@ def as_mib(nbytes: int) -> float:
 def storage_report(M) -> StorageReport:
     """Bytes for the compressed form, dense generators, and dense A.
 
-    The compressed form keeps interpolation coefficients, skeleton index
-    sets, and leaf diagonal blocks; coupling blocks are regenerated from the
-    kernel at skeleton points so only their indices are stored; sums and
-    scalings store their couplings, counted as "coupling".  A factor that
-    serves as both a node's row and column basis (``hss.one_basis``) is
-    counted once, as it is held and saved once.  The generator form
-    materializes U, V, R, W, and B densely, both sides in full.  Entries are
-    counted at the matrix dtype width, indices at 8 bytes.  ``kept_bytes``
-    is what the coupling and nearfield block rows evaluated by applies so
-    far hold (an HSS leaf's nearfield row is its diagonal block, which
-    ``diag`` counts too); it is 0 before the first apply.  A matrix whose
-    couplings are antisymmetric (the Cauchy kernel with one factor per
-    node) keeps one coupling block per unordered pair, applied both ways,
-    so each pair counts once; on one point set whose equal points share a
-    leaf, so does each pair of distinct nearfield leaves.
+    The compressed form is the arrays ``save_matrix`` writes
+    (``container.stored_arrays``): interpolation coefficients, skeleton
+    index sets and leaf diagonal blocks, and the couplings that sums and
+    scalings store; a built matrix regenerates its couplings from the
+    kernel at skeleton points.  The generator form materializes U, V, R, W,
+    and B densely, both sides in full, at the matrix dtype width.
+    ``kept_bytes`` is what the coupling and nearfield block rows evaluated
+    by applies so far hold (an HSS leaf's nearfield row is its diagonal
+    block, which ``diag`` counts too); it is 0 before the first apply.  A
+    matrix whose couplings are antisymmetric (the Cauchy kernel with one
+    factor per node) keeps one coupling block per unordered pair, applied
+    both ways, so each pair counts once; on one point set whose equal
+    points share a leaf, so does each pair of distinct nearfield leaves.
     """
     fb = np.dtype(M.dtype).itemsize
     tr = M.tree
-    interp = coupling = diag = idx = 0
-    held = {id(fac): fac for facs in (M.rowfac, M.colfac)
-            for fac in facs.values()}
-    for fac in held.values():
-        interp += fac.G.size
-        idx += fac.perm.size + fac.skel.size
-    for A in M.B_dense.values():
-        coupling += A.size
-    for A in M.Dblocks.values():
-        diag += A.size
-    breakdown = {
-        "interp": interp * fb,
-        "coupling": coupling * fb,
-        "diag": diag * fb,
-        "index": idx * _INT_BYTES,
-    }
+    breakdown = dict.fromkeys(("interp", "coupling", "diag", "index"), 0)
+    for name, arr in stored_arrays(M):
+        part = ("diag" if name.startswith("D.")
+                else "coupling" if name.startswith("B.")
+                else "interp" if name.endswith(".G") else "index")
+        breakdown[part] += arr.nbytes
     compressed = sum(breakdown.values())
 
     # dense generators: leaf bases, transfers below factored parents,
@@ -320,25 +307,31 @@ def matvec_relerr(spec: KernelSpec, X, Y, q, z,
     return float(np.linalg.norm(z[rows] - zd) / np.linalg.norm(zd)), rows.size
 
 
+AMAX_SAMPLE = 10 ** 6
+
+
 def amax_error(M, spec: KernelSpec, X, Y, budget: int = DENSE_BUDGET_DEFAULT,
-               seed: int = 0, sample: int = 10 ** 6):
+               seed: int = 0):
     """Max-norm reconstruction error ||A - Ahat||_max.
 
-    Exact within the dense budget; beyond it, estimated from enough random
-    full columns to cover `sample` entries.  Returns (value, exact_flag).
+    Exact within the dense budget; beyond it, estimated from enough seeded
+    random full columns to cover AMAX_SAMPLE entries.  Either way the
+    columns of Ahat come from applies to identity columns, a block at a
+    time, against the same columns of A.  Returns (value, exact_flag).
     """
     n_row, n_col = M.shape
-    if n_row * n_col <= budget:
-        A = assemble_dense(spec, X, Y, budget=budget)
-        return float(np.max(np.abs(A - M.todense()))), True
-    rng = np.random.default_rng(seed)
-    k = max(1, min(n_col, -(-sample // n_row)))
-    cols = np.sort(rng.choice(n_col, size=k, replace=False))
-    E = np.zeros((n_col, k), dtype=M.dtype)
-    E[cols, np.arange(k)] = 1.0
-    approx = matvec_nodewise(M, E)
-    exact = kernel_block(spec, X, Y, np.arange(n_row), cols)
-    return float(np.max(np.abs(exact - approx))), False
+    exact = n_row * n_col <= budget
+    cols = np.arange(n_col)
+    if not exact:
+        rng = np.random.default_rng(seed)
+        k = max(1, min(n_col, -(-AMAX_SAMPLE // n_row)))
+        cols = np.sort(rng.choice(n_col, size=k, replace=False))
+    rows = np.arange(n_row)
+    worst = 0.0
+    for c, approx in M.column_blocks(cols):
+        A = kernel_block(spec, X, Y, rows, c)
+        worst = max(worst, float(np.max(np.abs(A - approx))))
+    return worst, exact
 
 
 # ---------------------------------------------------------------------------
@@ -386,22 +379,26 @@ def cauchy_pair(geometry: str, n: int, rng):
 # ---------------------------------------------------------------------------
 
 
-def timed_median(fn, reps: int = 3):
-    """Median wall time over reps calls; returns (seconds, last result)."""
+_REPS = 3
+_TIMING_FLOOR = 0.05  # seconds a batch of applies should take at least
+
+
+def timed_median(fn):
+    """Median wall time over three calls; returns (seconds, last result)."""
     ts, out = [], None
-    for _ in range(reps):
+    for _ in range(_REPS):
         t0 = time.perf_counter()
         out = fn()
         ts.append(time.perf_counter() - t0)
     return float(np.median(ts)), out
 
 
-def matvec_seconds(M, q, floor: float = 0.05) -> float:
+def matvec_seconds(M, q) -> float:
     """Median per-apply time; repeats are batched past a timing floor."""
     t0 = time.perf_counter()
     matvec_nodewise(M, q)
     once = max(time.perf_counter() - t0, 1e-6)
-    reps = max(1, math.ceil(floor / once))
+    reps = max(1, math.ceil(_TIMING_FLOOR / once))
 
     def batch():
         for _ in range(reps):
@@ -561,8 +558,7 @@ def _exp_laplace_dirichlet(sizes, seed, dense_budget):
                 return build_hss(tree, spec, pts, pts, bp)
 
             t_constr, M = timed_median(construct)
-            r = crv.point(spec.dlp_nodes())
-            rhs = np.log(np.hypot(r[:, 0] - x0[0], r[:, 1] - x0[1]))
+            rhs = boundary_data(spec, x0)
             t_sol, sigma = timed_median(lambda: ulv_solve(ulv_factor(M), rhs))
             uh = evaluate_potential(crv, sigma, xs)
             val, is_exact = amax_error(M, spec, None, None, dense_budget,

@@ -32,62 +32,60 @@ _HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "pairs_L",
                 "pairs_Lm", "arrays")
 _NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
 _TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
+# the values a header may hold, by name
+_KINDS = {"hss": HssMatrix, "h2": H2Matrix}
+_DTYPES = {"f8": np.float64, "c16": np.complex128}
+_MODES = ("binary", "2d")
+
+
+def _as_saved(arr) -> np.ndarray:
+    """arr in the type the payload holds it in; no copy if it is already."""
+    arr = np.asarray(arr)
+    return np.asarray(arr, dtype=_DT[_tag(arr)])
 
 
 def _tag(arr: np.ndarray) -> str:
-    if arr.dtype.kind == "c":
-        return "c16"
-    if arr.dtype.kind == "i":
-        return "i8"
-    return "f8"
+    return {"c": "c16", "i": "i8"}.get(arr.dtype.kind, "f8")
 
 
-class _Payload:
-    def __init__(self):
-        self.manifest = []
-        self.chunks = []
-        self.offset = 0
-
-    def add(self, name: str, arr: np.ndarray):
-        arr = np.asarray(arr)
-        tag = _tag(arr)
-        raw = np.ascontiguousarray(arr, dtype=_DT[tag]).tobytes()
-        self.manifest.append({"name": name, "dtype": tag,
-                              "shape": list(arr.shape),
-                              "offset": self.offset, "nbytes": len(raw)})
-        self.chunks.append(raw)
-        self.offset += len(raw)
+def stored_arrays(M):
+    """(container name, array as saved) for each array of the compressed
+    form: each factor's "perm", "G" and "skel" (the row side only where
+    ``hss.one_basis`` holds), then the leaf diagonal blocks "D.i", then the
+    stored couplings "B.i.j" of sums and scalings."""
+    shared = one_basis(M.kind, M.tree, M.kernel)
+    sides = [("row", M.rowfac)] + ([] if shared else [("col", M.colfac)])
+    named = []
+    for side, facs in sides:
+        for i, fac in facs.items():  # a node's skeleton is its factor's
+            named += [("%sfac.%d.perm" % (side, i), fac.perm),
+                      ("%sfac.%d.G" % (side, i), fac.G),
+                      ("skel_%s.%d" % (side, i), fac.skel)]
+    named += [("D.%d" % i, arr) for i, arr in M.Dblocks.items()]
+    named += [("B.%d.%d" % ij, arr) for ij, arr in M.B_dense.items()]
+    return [(name, _as_saved(arr)) for name, arr in named]
 
 
 def save_matrix(M, path) -> None:
     """Write an HSS or H2 matrix, built or the result of sums and
     scalings; both hold interpolative factors."""
-    pl = _Payload()
-    pl.add("perm_row", M.tree.perm_row)
-    pl.add("perm_col", M.tree.perm_col)
-    pl.add("points_row", M.tree.points_row)
-    pl.add("points_col", M.tree.points_col)
-    shared = one_basis(M.kind, M.tree, M.kernel)
-    sides = [("row", M.rowfac)] + ([] if shared else [("col", M.colfac)])
-    for side, facs in sides:
-        for i, fac in facs.items():  # a node's skeleton is its factor's
-            pl.add("%sfac.%d.perm" % (side, i), fac.perm)
-            pl.add("%sfac.%d.G" % (side, i), fac.G)
-            pl.add("skel_%s.%d" % (side, i), fac.skel)
-    for i, arr in M.Dblocks.items():
-        pl.add("D.%d" % i, arr)
-    for (i, j), arr in M.B_dense.items():
-        pl.add("B.%d.%d" % (i, j), arr)
-
+    tr = M.tree
+    arrays = [(name, _as_saved(getattr(tr, name))) for name in _TREE_ARRAYS]
+    arrays += stored_arrays(M)
     kern = None
     if M.kernel is not None:
         kern = {"kind": M.kernel.kind, "dx": M.kernel.dx, "nq": M.kernel.nq,
                 "curve": M.kernel.curve.name if M.kernel.curve is not None else None}
         if M.kernel.kind == "cauchy_like":
-            pl.add("kernel.w", M.kernel.w)
-            pl.add("kernel.v", M.kernel.v)
+            arrays += [("kernel.w", _as_saved(M.kernel.w)),
+                       ("kernel.v", _as_saved(M.kernel.v))]
+    manifest, offset = [], 0
+    for name, arr in arrays:
+        manifest.append({"name": name, "dtype": _tag(arr),
+                         "shape": list(arr.shape), "offset": offset,
+                         "nbytes": arr.nbytes})
+        offset += arr.nbytes
 
-    tr = M.tree
     header = {
         "kind": M.kind,
         "dtype": "c16" if np.dtype(M.dtype).kind == "c" else "f8",
@@ -105,15 +103,15 @@ def save_matrix(M, path) -> None:
         "kernel": kern,
         "pairs_L": [list(p) for p in M.pairs_L],
         "pairs_Lm": [list(p) for p in M.pairs_Lm],
-        "arrays": pl.manifest,
+        "arrays": manifest,
     }
     blob = json.dumps(header).encode()
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(blob)
         fh.write(b"\0")
-        for chunk in pl.chunks:
-            fh.write(chunk)
+        for _, arr in arrays:
+            fh.write(arr.tobytes())  # C order, also for a strided view
 
 
 def _read_arrays(payload: bytes, manifest) -> dict:
@@ -180,7 +178,16 @@ def load_matrix(path):
                          % (path, type(exc).__name__, exc)) from None
 
 
+def _one_of(what: str, value, allowed):
+    if not (isinstance(value, str) and value in allowed):
+        raise ValueError("damaged container header: unknown %s %r (have %s)"
+                         % (what, value, ", ".join(allowed)))
+    return value
+
+
 def _assemble(header: dict, arrays: dict):
+    cls = _KINDS[_one_of("kind", header["kind"], _KINDS)]
+    dtype = _DTYPES[_one_of("dtype", header["dtype"], _DTYPES)]
     th = header["tree"]
     for k, nd in enumerate(th["nodes"]):
         for key in _NODE_KEYS:
@@ -193,7 +200,8 @@ def _assemble(header: dict, arrays: dict):
                       row_start=nd["rows"][0], row_stop=nd["rows"][1],
                       col_start=nd["cols"][0], col_stop=nd["cols"][1])
              for k, nd in enumerate(th["nodes"])]
-    tree = ClusterTree(nodes=nodes, mode=th["mode"], nu0=th["nu0"],
+    mode = _one_of("tree mode", th["mode"], _MODES)
+    tree = ClusterTree(nodes=nodes, mode=mode, nu0=th["nu0"],
                        tau_default=th["tau_default"],
                        perm_row=arrays["perm_row"], perm_col=arrays["perm_col"],
                        points_row=arrays["points_row"],
@@ -218,10 +226,8 @@ def _assemble(header: dict, arrays: dict):
                              basis=ph["basis"])
     except ValueError as exc:
         raise ValueError("damaged container header: %s" % exc) from None
-    dtype = np.complex128 if header["dtype"] == "c16" else np.float64
     pairs_L = [tuple(p) for p in header["pairs_L"]]
     pairs_Lm = [tuple(p) for p in header["pairs_Lm"]]
-    cls = HssMatrix if header["kind"] == "hss" else H2Matrix
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"), role="col")

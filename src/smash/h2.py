@@ -31,8 +31,12 @@ def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
     the current index set; parents work on the union of their children's
     skeletons.  A node's column factor is its row factor, compressed once,
     where ``one_basis`` holds.  Couplings are exact kernel entries at
-    skeleton pairs.  Runs serially on one BLAS thread."""
+    skeleton pairs.  Takes the Taylor basis only.  Runs serially on one BLAS
+    thread."""
     params = params or BuildParams()
+    if params.basis != "taylor":
+        raise ValueError("H2 construction takes the Taylor basis only, not "
+                         "basis %r" % params.basis)
     if tree.mode != "2d" and tree.dim != 1:
         raise ValueError("H2 construction expects a '2d'-mode tree")
     block = make_block_evaluator(kernel, X, Y, tree)

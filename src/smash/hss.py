@@ -28,10 +28,13 @@ from itertools import accumulate
 import numpy as np
 
 from ._threads import map_nodes, one_blas_thread, trim_heap
+from .apply import matvec_nodewise
 from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
 from .kernel import KernelSpec, kernel_block
 from .lowrank import (_box_center_scalar, compr, interp_basis, taylor_basis,
                       truncated_svd)
+
+_COLUMN_BLOCK = 512  # identity columns per apply in dense reconstruction
 
 
 @dataclass
@@ -42,9 +45,14 @@ class BuildParams:
     r: int = 20
     tau: float = 0.6
     eps_svd: float = 0.0
-    basis: str = None  # "taylor" (the default, also for None) | "interp"
+    basis: str = "taylor"  # or "interp"; None reads as "taylor"
 
     def __post_init__(self):
+        if self.basis is None:
+            self.basis = "taylor"
+        if self.basis not in ("taylor", "interp"):
+            raise ValueError("build parameter basis must be 'taylor' or "
+                             "'interp', got %r" % (self.basis,))
         # outside these ranges a build either fails far from the cause or
         # returns a wrong matrix without complaint; NaN fails every test
         for name, ok, need in (
@@ -328,27 +336,23 @@ class _StructuredMatrix:
 
     # -- dense reconstruction ---------------------------------------------------
 
-    def _basis_big(self, i: int, side: str) -> np.ndarray:
-        fac = self.rowfac if side == "row" else self.colfac
-        if self.tree.is_leaf(i):
-            return fac[i].expand()
-        kids = self.tree.nodes[i].children
-        return np.vstack([self._basis_big(c, side) @ T
-                          for c, T in zip(kids, self.transfers(i, side))])
+    def column_blocks(self, cols=None):
+        """(c, the columns c of the represented matrix) for consecutive
+        chunks c of cols, every column by default: the matrix applied to
+        512 identity columns at a time, in caller ordering."""
+        cols = np.arange(self.n_col) if cols is None else np.asarray(cols)
+        for a in range(0, cols.size, _COLUMN_BLOCK):
+            c = cols[a:a + _COLUMN_BLOCK]
+            E = np.zeros((self.n_col, c.size))
+            E[c, np.arange(c.size)] = 1.0
+            yield c, matvec_nodewise(self, E)
 
     def todense(self) -> np.ndarray:
         """Assemble the represented matrix, in caller ordering."""
-        out = np.zeros(self.shape, dtype=self.dtype)
-        tr = self.tree
-        for i, j in self.pairs_L:
-            blk = self._basis_big(i, "row") @ self.B(i, j) @ self._basis_big(j, "col").T
-            out[np.ix_(tr.row_range(i), tr.col_range(j))] = blk
-        for i, j in self.pairs_Lm:
-            out[np.ix_(tr.row_range(i), tr.col_range(j))] = self.NF(i, j)
-        inv = np.ix_(tr.perm_row, tr.perm_col)
-        res = np.empty_like(out)
-        res[inv] = out
-        return res
+        out = np.empty(self.shape, dtype=self.dtype)
+        for c, blk in self.column_blocks():
+            out[:, c] = blk
+        return out
 
 
 class HssMatrix(_StructuredMatrix):
@@ -410,20 +414,14 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     elif (kernel.kind == "laplace_dlp" and side == "col"
           and params.basis != "interp"):  # v raises the interp HSS ranks
         gen = kernel._dlp_data()["v"][tree.perm_col, None]
-    if params.basis in (None, "taylor"):
-        scal = _to_scalars(pts) if pts.size else np.zeros(0)
+    scal = _to_scalars(pts) if pts.size else np.zeros(0)
 
-        def build(i, idx):
-            box = _pad_box(tree.nodes[i].box, pad)
-            return taylor_basis(_box_center_scalar(box), box.radius, scal[idx],
-                                params.r)
-    elif params.basis == "interp":
-
-        def build(i, idx):
-            box = _pad_box(tree.nodes[i].box, pad)
+    def build(i, idx):
+        box = _pad_box(tree.nodes[i].box, pad)
+        if params.basis == "interp":
             return interp_basis(box, pts[idx], params.r)
-    else:
-        raise ValueError("unknown basis %r" % params.basis)
+        return taylor_basis(_box_center_scalar(box), box.radius, scal[idx],
+                            params.r)
     real = kernel.kind == "laplace_dlp"  # a real kernel of complex points
 
     def candidate(i, idx):

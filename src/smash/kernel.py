@@ -5,8 +5,8 @@ sets, Cauchy-like matrices (w_i . v_j)/(x_i - y_j), and the Laplace
 double-layer kernel on smooth closed curves, discretized with the Nystrom
 method on the trapezoidal rule.  All three start from one Cauchy block
 C = 1/(z_s - z_t): off its diagonal the double layer is Re(C diag(v)), with
-z the curve nodes and v the outward normals as complex numbers.  Curve
-parametrizations carry analytic first and second derivatives.
+z the curve nodes and v the outward normals as complex numbers.  A curve is
+a complex function z(t) with analytic first and second derivatives.
 """
 
 from __future__ import annotations
@@ -25,72 +25,52 @@ DENSE_BUDGET_DEFAULT = 5120 * 5120
 
 @dataclass
 class CurveSpec:
-    """Parametrized curve t in [0,1] -> R^dim with analytic derivatives."""
+    """Parametrized planar curve t in [0, 1] -> z(t), with its analytic
+    derivatives dz and ddz; all three are complex functions of t."""
 
     name: str
-    fpos: object
-    fvel: object
-    facc: object
+    z: object
+    dz: object
+    ddz: object
     closed: bool = True
-    dim: int = 2
 
     def point(self, t):
-        return self.fpos(np.atleast_1d(np.asarray(t, dtype=float)))
-
-    def velocity(self, t):
-        return self.fvel(np.atleast_1d(np.asarray(t, dtype=float)))
-
-    def acceleration(self, t):
-        return self.facc(np.atleast_1d(np.asarray(t, dtype=float)))
-
-
-def _planar(fz, fdz, fddz, name, closed=True):
-    """CurveSpec from complex-valued parametrization z(t) and derivatives."""
-    def wrap(f):
-        def g(t):
-            z = f(t)
-            return np.column_stack([z.real, z.imag])
-        return g
-    return CurveSpec(name=name, fpos=wrap(fz), fvel=wrap(fdz), facc=wrap(fddz),
-                     closed=closed, dim=2)
+        """The points z(t) as an (m, 2) array of real coordinates."""
+        z = self.z(np.atleast_1d(np.asarray(t, dtype=float)))
+        return np.column_stack([z.real, z.imag])
 
 
 def _make_circle():
     w = 2 * np.pi
-    return _planar(
+    return CurveSpec(
+        "circle",
         lambda t: np.exp(1j * w * t),
         lambda t: 1j * w * np.exp(1j * w * t),
-        lambda t: -(w ** 2) * np.exp(1j * w * t),
-        "circle")
+        lambda t: -(w ** 2) * np.exp(1j * w * t))
 
 
 def _make_ramhead():
     w = 2 * np.pi
 
-    def pos(t):
+    def z(t):
         u = 4 * np.pi * t
-        return np.column_stack([
-            2 * np.cos(w * t),
-            1 + np.sin(w * t) - 1.4 * np.cos(u) ** 4,
-        ])
+        return (2 * np.cos(w * t)
+                + 1j * (1 + np.sin(w * t) - 1.4 * np.cos(u) ** 4))
 
-    def vel(t):
+    def dz(t):
         u = 4 * np.pi * t
-        return np.column_stack([
-            -2 * w * np.sin(w * t),
-            w * np.cos(w * t) + 22.4 * np.pi * np.cos(u) ** 3 * np.sin(u),
-        ])
+        return (-2 * w * np.sin(w * t)
+                + 1j * (w * np.cos(w * t)
+                        + 22.4 * np.pi * np.cos(u) ** 3 * np.sin(u)))
 
-    def acc(t):
+    def ddz(t):
         u = 4 * np.pi * t
         cu, su = np.cos(u), np.sin(u)
-        return np.column_stack([
-            -2 * w ** 2 * np.cos(w * t),
-            -w ** 2 * np.sin(w * t)
-            + 89.6 * np.pi ** 2 * (cu ** 4 - 3 * cu ** 2 * su ** 2),
-        ])
+        return (-2 * w ** 2 * np.cos(w * t)
+                + 1j * (-w ** 2 * np.sin(w * t)
+                        + 89.6 * np.pi ** 2 * (cu ** 4 - 3 * cu ** 2 * su ** 2)))
 
-    return CurveSpec(name="ramhead", fpos=pos, fvel=vel, facc=acc)
+    return CurveSpec("ramhead", z, dz, ddz)
 
 
 def _make_sunflower():
@@ -105,11 +85,11 @@ def _make_sunflower():
     def ddrho(t):
         return -2000 * np.pi ** 2 * np.cos(40 * np.pi * t)
 
-    return _planar(
+    return CurveSpec(
+        "sunflower",
         lambda t: rho(t) * np.exp(1j * w * t),
         lambda t: (drho(t) + 1j * w * rho(t)) * np.exp(1j * w * t),
-        lambda t: (ddrho(t) + 2j * w * drho(t) - w ** 2 * rho(t)) * np.exp(1j * w * t),
-        "sunflower")
+        lambda t: (ddrho(t) + 2j * w * drho(t) - w ** 2 * rho(t)) * np.exp(1j * w * t))
 
 
 def _make_honeybee():
@@ -125,31 +105,23 @@ def _make_honeybee():
     def ddrho(t):
         return -16 * np.pi ** 2 * np.sin(4 * np.pi * t)
 
-    return _planar(
+    return CurveSpec(
+        "honeybee",
         lambda t: rot * rho(t) * np.exp(1j * w * t),
         lambda t: rot * (drho(t) + 1j * w * rho(t)) * np.exp(1j * w * t),
-        lambda t: rot * (ddrho(t) + 2j * w * drho(t) - w ** 2 * rho(t)) * np.exp(1j * w * t),
-        "honeybee")
+        lambda t: rot * (ddrho(t) + 2j * w * drho(t) - w ** 2 * rho(t)) * np.exp(1j * w * t))
 
 
 def _make_snail():
     # spiral stand-in, rescaled so the curve fits the unit box
     w = 4 * np.pi
     s = 1.0 / 1.2
-    return _planar(
+    return CurveSpec(
+        "snail",
         lambda t: s * (0.2 + t) * np.exp(1j * w * t),
         lambda t: s * (1 + 1j * w * (0.2 + t)) * np.exp(1j * w * t),
         lambda t: s * (2j * w - w ** 2 * (0.2 + t)) * np.exp(1j * w * t),
-        "snail", closed=False)
-
-
-def _make_interval():
-    return CurveSpec(
-        name="interval",
-        fpos=lambda t: t[:, None].copy(),
-        fvel=lambda t: np.ones((t.size, 1)),
-        facc=lambda t: np.zeros((t.size, 1)),
-        closed=False, dim=1)
+        closed=False)
 
 
 _CURVES = {
@@ -158,7 +130,6 @@ _CURVES = {
     "sunflower": _make_sunflower,
     "honeybee": _make_honeybee,
     "snail": _make_snail,
-    "interval": _make_interval,
 }
 
 
@@ -170,20 +141,22 @@ def get_curve(name: str) -> CurveSpec:
                          % (name, ", ".join(sorted(_CURVES)))) from None
 
 
-def curve_orientation(curve: CurveSpec, m: int = 2048) -> int:
+_ORIENTATION_NODES = 2048
+_WINDING_NODES = 4096
+
+
+def curve_orientation(curve: CurveSpec) -> int:
     """+1 for counterclockwise parametrization, -1 for clockwise."""
-    t = np.arange(m) / m
-    r = curve.point(t)
-    dr = curve.velocity(t)
-    area2 = np.mean(r[:, 0] * dr[:, 1] - r[:, 1] * dr[:, 0])
+    t = np.arange(_ORIENTATION_NODES) / _ORIENTATION_NODES
+    z, dz = curve.z(t), curve.dz(t)
+    area2 = np.mean(z.real * dz.imag - z.imag * dz.real)
     return 1 if area2 > 0 else -1
 
 
-def winding_number(curve: CurveSpec, x, m: int = 4096) -> int:
+def winding_number(curve: CurveSpec, x) -> int:
     """Winding number of the curve around point x (0 means exterior)."""
-    t = np.linspace(0.0, 1.0, m + 1)
-    r = curve.point(t)
-    ang = np.unwrap(np.arctan2(r[:, 1] - x[1], r[:, 0] - x[0]))
+    z = curve.z(np.linspace(0.0, 1.0, _WINDING_NODES + 1))
+    ang = np.unwrap(np.angle(z - complex(x[0], x[1])))
     return int(round((ang[-1] - ang[0]) / (2 * np.pi)))
 
 
@@ -247,22 +220,19 @@ class KernelSpec:
 
 
 def _dlp_normals(curve: CurveSpec, t):
-    """(z, nu): the curve points at parameters t as complex numbers, and the
-    outward normals scaled by |r'(t)|, also complex.  Off the diagonal,
+    """(z, nu): the curve points at parameters t and the outward normals
+    scaled by |z'(t)|, both complex.  Off the diagonal,
     kappa(s, t) = Re(nu_t / (2 pi (z_s - z_t)))."""
-    r = curve.point(t)
-    dr = curve.velocity(t)
-    nu = curve_orientation(curve) * (dr[:, 1] - 1j * dr[:, 0])
-    return r[:, 0] + 1j * r[:, 1], nu
+    return curve.z(t), curve_orientation(curve) * (-1j * curve.dz(t))
 
 
 def _dlp_diagonal(curve: CurveSpec, t):
     """kappa(t, t), the limit on the diagonal, from the curvature."""
-    dr = curve.velocity(t)
-    ddr = curve.acceleration(t)
-    cross = dr[:, 0] * ddr[:, 1] - dr[:, 1] * ddr[:, 0]
+    dz, ddz = curve.dz(t), curve.ddz(t)
+    # real products: the complex conj(dz) * ddz rounds differently
+    cross = dz.real * ddz.imag - dz.imag * ddz.real
     return (-curve_orientation(curve) * cross
-            / (4 * np.pi * (dr[:, 0] ** 2 + dr[:, 1] ** 2)))
+            / (4 * np.pi * (dz.real ** 2 + dz.imag ** 2)))
 
 
 def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
@@ -316,7 +286,7 @@ def eval_kernel(spec: KernelSpec, x, y):
     if spec.kind == "laplace_dlp":
         s, t = float(x), float(y)
         if s == t:
-            return float(_dlp_diagonal(spec.curve, t)[0])
+            return float(_dlp_diagonal(spec.curve, np.array([t]))[0])
         z, nu = _dlp_normals(spec.curve, np.array([s, t]))
         return float((nu[1] / (2 * np.pi * (z[0] - z[1]))).real)
     raise ValueError("cauchy_like has no pointwise form; use assemble_dense")
@@ -334,41 +304,19 @@ def assemble_dense(spec: KernelSpec, X, Y, budget: int = DENSE_BUDGET_DEFAULT) -
 
 
 # ---------------------------------------------------------------------------
-# Nystrom discretization of the interior Dirichlet problem
+# Dirichlet data and potential evaluation
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DirichletProblem:
-    """Interior Dirichlet data: boundary curve, exterior source x0 defining
-    u(x) = log|x - x0|, interior evaluation point xstar, quadrature count n."""
-
-    curve: CurveSpec
-    x0: tuple = (2.0, 1.5)
-    xstar: tuple = (0.0, 0.0)
-    n: int = 64
-
-
-def nystrom_system(problem: DirichletProblem):
-    """Discretized (K - I/2) sigma = u_D system.
-
-    Returns (matrix, rhs, nodes); matrix entries are kappa(t_i,t_j)/n minus
-    half the identity, rhs_i = log|r(t_i) - x0|.
-    """
-    curve, n = problem.curve, problem.n
-    if not curve.closed:
-        raise ValueError("Nystrom discretization needs a closed curve")
-    if n < 8:
-        raise ValueError("need n >= 8 quadrature nodes")
-    if winding_number(curve, problem.x0) != 0:
+def boundary_data(spec: KernelSpec, x0) -> np.ndarray:
+    """log|z(t_j) - x0| at the double layer's nodes: the Dirichlet data of
+    the harmonic function log|x - x0|, for a source x0 outside the curve."""
+    if spec.kind != "laplace_dlp":
+        raise ValueError("boundary data needs a laplace_dlp kernel")
+    if winding_number(spec.curve, x0) != 0:
         raise ValueError("source point x0 must lie outside the curve")
-    spec = KernelSpec(kind="laplace_dlp", curve=curve, nq=n)
-    A = assemble_dense(spec, None, None, budget=max(DENSE_BUDGET_DEFAULT, n * n))
-    t = spec.dlp_nodes()
-    r = curve.point(t)
-    x0 = np.asarray(problem.x0, dtype=float)
-    rhs = np.log(np.hypot(r[:, 0] - x0[0], r[:, 1] - x0[1]))
-    return A, rhs, t
+    z = spec._dlp_data()["z"]
+    return np.log(np.hypot(z.real - x0[0], z.imag - x0[1]))
 
 
 def evaluate_potential(curve: CurveSpec, sigma, x) -> float:

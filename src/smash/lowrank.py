@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-_DEFICIENCY_RTOL = 1e-14
+_DEFICIENCY_RTOL = 1e-14  # rank cut: R11 diagonal against its first entry
+_SWAP_BOUND = 2.0         # the bound s on the interpolation coefficients
+_MAX_SWAPS = 200
 
 
 # ---------------------------------------------------------------------------
@@ -160,22 +162,14 @@ class SrrqrResult:
     swaps: int
 
 
-def _numerical_rank(rdiag: np.ndarray, k: int, rtol: float) -> int:
-    if rdiag.size == 0 or rdiag[0] == 0:
-        return 0
-    ok = np.abs(rdiag) > rtol * abs(rdiag[0])
-    return int(min(k, np.count_nonzero(ok)))
-
-
-def srrqr(M: np.ndarray, k: int = None, s: float = 2.0, rtol: float = _DEFICIENCY_RTOL,
-          max_swaps: int = 200) -> SrrqrResult:
+def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
     """Column-pivoted QR with bounded-entry postprocessing; R only.
 
     After the initial pivoted factorization, any entry of W = R11^{-1} R12
-    larger than s triggers a column swap and refactorization, so the returned
-    factorization satisfies max|W| <= s.  The rank k is capped at the
-    numerical rank (trailing R11 diagonal below rtol times the leading one);
-    pass k=None for rank detection alone.
+    larger than s = 2 triggers a column swap and refactorization, so the
+    returned factorization satisfies max|W| <= s.  The rank k is capped at
+    the numerical rank (trailing R11 diagonal below 1e-14 times the leading
+    one); pass k=None for rank detection alone.
     """
     M = np.asarray(M)
     m, n = M.shape
@@ -186,15 +180,17 @@ def srrqr(M: np.ndarray, k: int = None, s: float = 2.0, rtol: float = _DEFICIENC
     R, piv = sla.qr(M, mode="r", pivoting=True)
     R = R[:kmax]
     k = kmax if k is None else min(k, kmax)
-    k = _numerical_rank(np.diag(R), k, rtol)
+    d = np.abs(np.diag(R))  # not empty: kmax > 0
+    k = int(min(k, np.count_nonzero(d > _DEFICIENCY_RTOL * d[0])))
     swaps = 0
     while True:
         W = (sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
              if 0 < k < n else np.empty((k, n - k), dtype=R.dtype))
-        if W.size == 0 or np.max(np.abs(W)) <= s:
+        if W.size == 0 or np.max(np.abs(W)) <= _SWAP_BOUND:
             break
-        if swaps >= max_swaps:
-            raise RuntimeError("srrqr swap loop exceeded %d iterations" % max_swaps)
+        if swaps >= _MAX_SWAPS:
+            raise RuntimeError("srrqr swap loop exceeded %d iterations"
+                               % _MAX_SWAPS)
         i, j = np.unravel_index(np.argmax(np.abs(W)), W.shape)
         piv = piv.copy()
         piv[i], piv[k + j] = piv[k + j], piv[i]

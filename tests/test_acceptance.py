@@ -254,7 +254,7 @@ def test_criterion_8a_bounded_interpolation_entries():
     worst = 0.0
     for _ in range(1000):
         A = rng.standard_normal((20, 12))
-        res = srrqr(A, k=6, s=2.0)
+        res = srrqr(A, k=6)
         W = sla.solve_triangular(res.R11, res.R12, lower=False)
         worst = max(worst, float(np.max(np.abs(W))))
     print("criterion 8a: max coefficient %.4f over 1000 draws" % worst)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import smash
-from smash.bench import (BoundInputs, as_mib, choose_params, doubling_ratios,
-                         eps_rank, error_bound, rank_caps, storage_report,
-                         timed_median)
+from smash.bench import (BoundInputs, amax_error, as_mib, choose_params,
+                         doubling_ratios, eps_rank, error_bound, rank_caps,
+                         storage_report, timed_median)
 
-from conftest import build_grid_h2_400, build_interval_hss
+from conftest import build_grid_h2_400, build_interval_hss, dense_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +189,14 @@ def test_kept_bytes_are_the_block_rows_an_apply_evaluated():
         off // 2)
 
 
+def test_amax_error_reads_every_column_within_the_budget(cauchy_hss_400):
+    M, spec, X, Y = cauchy_hss_400
+    worst = float(np.max(np.abs(dense_oracle(spec, X, Y) - M.todense())))
+    assert amax_error(M, spec, X, Y) == (worst, True)
+    # past the budget, seeded columns; here enough to cover every column
+    assert amax_error(M, spec, X, Y, budget=400 * 399) == (worst, False)
+
+
 def test_single_leaf_stores_exactly_the_dense_block():
     M, _, _, _ = build_interval_hss(10)
     rep = storage_report(M)
@@ -219,7 +227,7 @@ def test_compression_wins_at_scale():
 # ---------------------------------------------------------------------------
 
 def test_timed_median_returns_result_and_time():
-    t, out = timed_median(lambda: sum(range(1000)), reps=3)
+    t, out = timed_median(lambda: sum(range(1000)))
     assert out == 499500
     assert t >= 0.0
 

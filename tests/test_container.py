@@ -236,6 +236,49 @@ def edit_header(path, change):
     path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
 
 
+def test_header_without_basis_loads_as_taylor(tmp_path):
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h["params"].update(basis=None))
+    assert smash.load_matrix(path).params.basis == "taylor"
+
+
+def _compressed_case(case):
+    """One factor per node and two on HSS, one on H2, a sum of scalings,
+    or a complex scaling whose real column factors stay real."""
+    if case == "hss-one-factor":
+        return build_one_set_hss(smash.bench.grid_points(16))[0]
+    if case == "h2":
+        return build_grid_h2_400()[0]
+    n = 200
+    rng = np.random.default_rng(5)
+    B, _, _, _ = build_interval_hss(n, nu0=32)
+    if case == "hss-two-factors":
+        return B
+    if case == "sum-of-scalings":
+        return smash.hss_add(B, smash.diag_scale(B, rng.random(n),
+                                                 rng.random(n)))
+    return smash.diag_scale(B, rng.random(n) + 1j * rng.random(n),
+                            rng.random(n))
+
+
+@pytest.mark.parametrize("case", ["hss-one-factor", "hss-two-factors", "h2",
+                                  "sum-of-scalings", "complex-scaling"])
+def test_compressed_bytes_are_the_saved_arrays(tmp_path, case):
+    M = _compressed_case(case)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    arrays = []
+    edit_header(path, lambda h: arrays.extend(h["arrays"]))
+    saved = sum(e["nbytes"] for e in arrays if e["name"] not in (
+        "perm_row", "perm_col", "points_row", "points_col", "kernel.w",
+        "kernel.v"))
+    rep = smash.storage_report(M)
+    assert rep.compressed_bytes == saved
+    assert sum(rep.breakdown.values()) == saved
+
+
 def test_header_with_old_cache_flag_still_loads(tmp_path):
     # earlier versions wrote a "use_cache" entry into every header
     M, _, _, _ = build_interval_hss(100, nu0=32)
@@ -360,6 +403,13 @@ _DAMAGE = {
     "tau_past_one": (lambda h: h["params"].update(tau=1.5), "parameter tau "),
     "svd_cut_nan": (lambda h: h["params"].update(eps_svd=float("nan")),
                     "parameter eps_svd "),
+    "unknown_basis": (lambda h: h["params"].update(basis="cheb"),
+                      "parameter basis "),
+    # values read by name: none may stand in for another
+    "unknown_kind": (lambda h: h.update(kind="banana"), "kind 'banana'"),
+    "unknown_dtype": (lambda h: h.update(dtype="f4"), "dtype 'f4'"),
+    "unknown_tree_mode": (lambda h: h["tree"].update(mode="quad"),
+                          "tree mode 'quad'"),
 }
 
 

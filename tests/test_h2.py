@@ -52,6 +52,16 @@ def test_no_admissible_pairs_degenerates_to_dense_blocks():
     np.testing.assert_array_equal(M.todense(), grid_dense(spec, X))
 
 
+def test_h2_refuses_the_interp_basis():
+    # on the double layer the interp basis returned wrong matrices without
+    # complaint (relerr 0.15 on the sunflower), and no caller builds H2 on it
+    X = smash.bench.grid_points(8)
+    tree = smash.build_tree(X, nu0=16, mode="2d", tau=0.65)
+    with pytest.raises(ValueError, match="basis 'interp'"):
+        smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
+                       smash.BuildParams(r=10, tau=0.65, basis="interp"))
+
+
 def test_grid_matvec_matches_dense_oracle(grid_h2_400):
     M, spec, X = grid_h2_400
     A = grid_dense(spec, X)

@@ -90,10 +90,16 @@ def test_coincident_points_without_dx_refused():
     ("r", 0), ("r", 2.5), ("r", True), ("tau", 0.0), ("tau", 1.0),
     ("tau", float("nan")), ("tau", float("inf")), ("eps_svd", -1e-12),
     ("eps_svd", 1.0), ("eps_svd", float("nan")), ("tau", "0.6"),
+    ("basis", "chebyshev"), ("basis", 1),
 ])
 def test_build_params_refuse_values_that_wreck_the_result(field, value):
     with pytest.raises(ValueError, match="build parameter %s " % field):
         smash.BuildParams(**{field: value})
+
+
+def test_build_params_read_no_basis_as_taylor():
+    assert smash.BuildParams().basis == "taylor"
+    assert smash.BuildParams(basis=None).basis == "taylor"
 
 
 def test_build_params_take_the_edges_of_their_ranges():

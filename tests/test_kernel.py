@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import smash
-from smash.kernel import (DirichletProblem, assemble_dense, curve_orientation,
-                          evaluate_potential, kernel_block, nystrom_system,
-                          winding_number)
+from smash.kernel import (assemble_dense, boundary_data, curve_orientation,
+                          evaluate_potential, kernel_block, winding_number)
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +82,8 @@ def test_curve_velocity_matches_finite_differences(name):
     c = smash.get_curve(name)
     t = np.linspace(0.05, 0.95, 7)
     h = 1e-6
-    fd = (c.point(t + h) - c.point(t - h)) / (2 * h)
-    np.testing.assert_allclose(c.velocity(t), fd, rtol=1e-6, atol=1e-6)
+    fd = (c.z(t + h) - c.z(t - h)) / (2 * h)
+    np.testing.assert_allclose(c.dz(t), fd, rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("name", ["circle", "ramhead", "sunflower",
@@ -93,8 +92,8 @@ def test_curve_acceleration_matches_finite_differences(name):
     c = smash.get_curve(name)
     t = np.linspace(0.05, 0.95, 7)
     h = 1e-5
-    fd = (c.point(t + h) - 2 * c.point(t) + c.point(t - h)) / h ** 2
-    np.testing.assert_allclose(c.acceleration(t), fd, rtol=1e-3, atol=1e-3)
+    fd = (c.z(t + h) - 2 * c.z(t) + c.z(t - h)) / h ** 2
+    np.testing.assert_allclose(c.ddz(t), fd, rtol=1e-3, atol=1e-3)
 
 
 def test_unknown_curve_rejected():
@@ -217,9 +216,8 @@ def _dlp_block_geometric(spec, rows, cols):
     kappa(s, t) = -(d . nu_t) / (2 pi |d|^2), d = r(t) - r(s)."""
     t = spec.dlp_nodes()
     r = spec.curve.point(t)
-    dr = spec.curve.velocity(t)
-    nu_w = curve_orientation(spec.curve) * np.column_stack(
-        [dr[:, 1], -dr[:, 0]])
+    dz = spec.curve.dz(t)
+    nu_w = curve_orientation(spec.curve) * np.column_stack([dz.imag, -dz.real])
     rs, rt, nw = r[rows], r[cols], nu_w[cols]
     dx = rt[None, :, 0] - rs[:, None, 0]
     dy = rt[None, :, 1] - rs[:, None, 1]
@@ -284,17 +282,18 @@ def test_cauchy_block_matches_reciprocal_of_differences(dim, shape):
 def test_circle_row_sums_give_minus_one_after_identity_shift():
     # the double layer of a constant density is constant inside, which
     # pins every row sum of the shifted system matrix to exactly -1
-    prob = DirichletProblem(curve=smash.get_curve("circle"), n=16)
-    A, rhs, t = nystrom_system(prob)
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("circle"),
+                            nq=16)
+    A = assemble_dense(spec, None, None)
     np.testing.assert_allclose(A @ np.ones(16), -np.ones(16), atol=1e-13)
     assert A.shape == (16, 16) and np.all(np.isfinite(A))
-    np.testing.assert_allclose(t, np.arange(16) / 16.0)
+    np.testing.assert_allclose(spec.dlp_nodes(), np.arange(16) / 16.0)
 
 
 def test_boundary_data_value_at_first_node():
-    prob = DirichletProblem(curve=smash.get_curve("circle"), x0=(2.0, 1.5),
-                            n=8)
-    _, rhs, _ = nystrom_system(prob)
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("circle"),
+                            nq=8)
+    rhs = boundary_data(spec, (2.0, 1.5))
     assert rhs[0] == pytest.approx(np.log(np.sqrt(3.25)), rel=1e-12)
 
 
@@ -316,14 +315,15 @@ def test_exterior_evaluation_point_rejected():
 
 
 def test_interior_source_point_rejected():
-    with pytest.raises(ValueError):
-        nystrom_system(DirichletProblem(curve=smash.get_curve("circle"),
-                                        x0=(0.1, 0.0), n=16))
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("circle"),
+                            nq=16)
+    with pytest.raises(ValueError, match="outside the curve"):
+        boundary_data(spec, (0.1, 0.0))
 
 
 def test_open_curve_has_no_nystrom_system():
-    with pytest.raises(ValueError):
-        nystrom_system(DirichletProblem(curve=smash.get_curve("snail"), n=16))
+    with pytest.raises(ValueError, match="closed curve"):
+        smash.KernelSpec("laplace_dlp", curve=smash.get_curve("snail"), nq=16)
 
 
 @pytest.mark.parametrize("name,xstar,n,tol", [
@@ -335,9 +335,9 @@ def test_dirichlet_solve_reproduces_harmonic_potential(name, xstar, n, tol):
     # recovered interior potential has a closed-form reference value; the
     # wigglier ram head needs more quadrature nodes than the circle
     curve = smash.get_curve(name)
-    prob = DirichletProblem(curve=curve, x0=(2.0, 1.5), xstar=xstar, n=n)
-    A, rhs, _ = nystrom_system(prob)
-    sigma = np.linalg.solve(A, rhs)
+    spec = smash.KernelSpec("laplace_dlp", curve=curve, nq=n)
+    sigma = np.linalg.solve(assemble_dense(spec, None, None),
+                            boundary_data(spec, (2.0, 1.5)))
     u = evaluate_potential(curve, sigma, xstar)
     exact = np.log(np.hypot(xstar[0] - 2.0, xstar[1] - 1.5))
     assert u == pytest.approx(exact, abs=tol)

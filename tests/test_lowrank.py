@@ -174,7 +174,7 @@ def test_rank_one_matrix_detected():
 @given(st.integers(0, 2 ** 31 - 1))
 def test_interpolation_coefficients_bounded_by_s(seed):
     M = np.random.default_rng(seed).standard_normal((20, 12))
-    res = srrqr(M, k=6, s=2.0)
+    res = srrqr(M, k=6)
     W = sla.solve_triangular(res.R11, res.R12, lower=False)
     assert np.max(np.abs(W)) <= 2.0 + 1e-12
 
