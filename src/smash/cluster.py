@@ -6,11 +6,14 @@ row/column point lists.  Boxes are subdivided by coordinate midpoint until a
 node holds at most ``nu0`` points of each role; empty halves are discarded by
 shrinking the node's box, so every internal node has the full complement of
 children (2 in "binary" mode, up to 2^d in "2d" mode).
+
+The H2 block partition is decided level by level on arrays of node pairs,
+in the depth-first order of a recursion from the root pair: block rows, and
+so the matvec's rounding, follow that order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -91,27 +94,28 @@ class Box:
         computed once."""
         return 0.5 * float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
 
-    def contains(self, pts: np.ndarray, slack: float = 1e-12) -> bool:
-        if pts.size == 0:
-            return True
-        lo = np.asarray(self.lo) - slack
-        hi = np.asarray(self.hi) + slack
-        return bool(np.all(pts >= lo) and np.all(pts <= hi))
+
+def _center_distance(d: np.ndarray) -> np.ndarray:
+    """sqrt(d.dot(d)) for each row of the (k, dim) array ``d``, bit for bit:
+    a stacked matmul calls ndarray.dot's kernel, where d0*d0 + d1*d1 or
+    einsum may round otherwise (fused multiply-add)."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+
+
+def _separated(d: np.ndarray, radii: np.ndarray, tau: float) -> np.ndarray:
+    """Admissibility test of k box pairs with (k, dim) center differences
+    ``d``: each radius sum is at most tau times the center distance, which
+    is np.linalg.norm's bit for bit, since trees of points on curves have
+    exact ties.  Boxes with one center are never separated, not even two
+    zero-radius boxes (a leaf of coincident points, paired with itself)."""
+    dist = _center_distance(d)
+    return (dist > 0) & (radii <= tau * dist)
 
 
 def well_separated(box_a: Box, box_b: Box, tau: float) -> bool:
-    """Admissibility test: the boxes' radii sum to at most tau times the
-    distance between their centers.
-
-    The distance is sqrt(d.dot(d)), the arithmetic of np.linalg.norm, bit
-    for bit: trees of points on curves have pairs where both sides are
-    exactly equal, so a distance one ulp off changes the partition.  Boxes
-    with one center are never separated, not even two zero-radius boxes
-    (a leaf of coincident points, paired with itself).
-    """
-    d = box_a.center - box_b.center
-    dist = math.sqrt(d.dot(d))
-    return dist > 0 and box_a.radius + box_b.radius <= tau * dist
+    """The admissibility test of one box pair; see ``_separated``."""
+    return bool(_separated((box_a.center - box_b.center)[None],
+                           np.array([box_a.radius + box_b.radius]), tau)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,14 +224,11 @@ class ClusterTree:
         assert root.level == 1
         assert root.row_start == 0 and root.row_stop == self.n_row
         assert root.col_start == 0 and root.col_stop == self.n_col
-        assert sorted(self.perm_row.tolist()) == list(range(self.n_row))
-        assert sorted(self.perm_col.tolist()) == list(range(self.n_col))
+        assert np.array_equal(np.sort(self.perm_row), np.arange(self.n_row))
+        assert np.array_equal(np.sort(self.perm_col), np.arange(self.n_col))
         for nd in self.nodes:
             assert nd.row_stop >= nd.row_start and nd.col_stop >= nd.col_start
             assert nd.n_row + nd.n_col > 0, "empty node %d" % nd.index
-            pts_r = self.points_row[nd.row_start:nd.row_stop]
-            pts_c = self.points_col[nd.col_start:nd.col_stop]
-            assert nd.box.contains(pts_r) and nd.box.contains(pts_c)
             if nd.is_leaf:
                 assert nd.n_row <= self.nu0 and nd.n_col <= self.nu0
             else:
@@ -242,9 +243,25 @@ class ClusterTree:
                     assert ch.parent == nd.index
                     assert ch.level == nd.level + 1
                     assert ch.index < nd.index  # postorder
-                    assert ch.row_start == r and ch.col_start == c
+                    assert ch.row_start == r and ch.col_start == c, \
+                        "children do not tile node %d" % nd.index
                     r, c = ch.row_stop, ch.col_stop
                 assert r == nd.row_stop and c == nd.col_stop
+        lo = np.array([nd.box.lo for nd in self.nodes]) - 1e-12
+        hi = np.array([nd.box.hi for nd in self.nodes]) + 1e-12
+        ranges = np.array([(nd.row_start, nd.row_stop, nd.col_start, nd.col_stop)
+                           for nd in self.nodes])
+        for pts, cuts in ((self.points_row, ranges[:, :2]),
+                          (self.points_col, ranges[:, 2:])):
+            # a node's extremes are the even reductions; the extra row lets a
+            # cut reach n
+            live = cuts[:, 1] > cuts[:, 0]
+            if live.any():
+                padded = np.vstack([pts, pts[:1]])
+                low = np.minimum.reduceat(padded, cuts[live].ravel())[::2]
+                high = np.maximum.reduceat(padded, cuts[live].ravel())[::2]
+                assert np.all(low >= lo[live]) and np.all(high <= hi[live]), \
+                    "point outside a box"
 
 
 def _split_once(box: Box, axis: int, xs: np.ndarray, ys: np.ndarray,
@@ -367,6 +384,13 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
 # ---------------------------------------------------------------------------
 
 
+def _boxes(nodes):
+    """Box.center and Box.radius of every node as arrays, bit for bit."""
+    lo = np.array([nd.box.lo for nd in nodes])
+    hi = np.array([nd.box.hi for nd in nodes])
+    return (lo + hi) / 2.0, 0.5 * _center_distance(hi - lo)
+
+
 def nearfield_set(tree: ClusterTree, i: int, tau: float = None) -> list:
     """Nodes whose interaction with ``i`` is not resolved by the farfield
     expansion: non-separated siblings, plus the non-separated children (or the
@@ -377,18 +401,18 @@ def nearfield_set(tree: ClusterTree, i: int, tau: float = None) -> list:
     cache = tree._nearfield_cache.get(tau)
     if cache is None:
         nodes = tree.nodes
+        cen, rad = _boxes(nodes)
         cache = {tree.root: []}
         order = sorted(range(len(nodes)), key=lambda k: nodes[k].level)
         for j in order:
             if j == tree.root:
                 continue
-            box = nodes[j].box
             p = nodes[j].parent
             cand = [c for c in nodes[p].children if c != j]
             for k in cache[p]:
                 cand.extend(nodes[k].children or (k,))
-            cache[j] = [k for k in cand
-                        if not well_separated(box, nodes[k].box, tau)]
+            far = _separated(cen[j] - cen[cand], rad[j] + rad[cand], tau)
+            cache[j] = np.array(cand)[~far].tolist()
         tree._nearfield_cache[tau] = cache
     return list(cache[i])
 
@@ -398,9 +422,11 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
 
     For "h2" the partition descends from the root pair: a well-separated pair
     joins L; a pair of leaves that is not separated joins Lminus; otherwise
-    the deeper-splittable side is refined (both sides at once when neither is
-    a leaf, keeping the levels aligned).  For "hss" L holds all sibling pairs
-    and Lminus the leaf diagonal.
+    it splits into the pairs of its sides' children, a leaf side standing for
+    itself.  This runs level by level on arrays of node pairs and returns
+    them in the depth-first order of that recursion: block rows, and so the
+    matvec's rounding, follow it.  For "hss" L holds all sibling pairs and
+    Lminus the leaf diagonal.
     """
     if tau is None:
         tau = tree.tau_default
@@ -420,24 +446,42 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
         raise ValueError("structure must be 'hss' or 'h2'")
 
     nodes = tree.nodes
+    n = len(nodes)
+    cen, rad = _boxes(nodes)
+    leaf = np.array([nd.is_leaf for nd in nodes])
+    # the sides a node splits into: its children, or itself for a leaf
+    sides = [nd.children or (nd.index,) for nd in nodes]
+    n_sides = np.array([len(c) for c in sides])
+    first = np.cumsum(n_sides) - n_sides
+    flat = np.array([c for cs in sides for c in cs])
 
-    def rec(i, j):
-        a, b = nodes[i], nodes[j]
-        if well_separated(a.box, b.box, tau):
-            L.append((i, j))
-            return
-        if not (a.children or b.children):
-            Lm.append((i, j))
-        elif not a.children:
-            for cj in b.children:
-                rec(i, cj)
-        elif not b.children:
-            for ci in a.children:
-                rec(ci, j)
-        else:
-            for ci in a.children:
-                for cj in b.children:
-                    rec(ci, cj)
+    # top down: each level's pairs in the recursion's (depth-first) order
+    # among themselves; a pair that stops is coded (i n + j) 2 + [dense]
+    levels = []
+    I = J = np.array([tree.root])
+    while I.size:
+        adm = _separated(cen[I] - cen[J], rad[I] + rad[J], tau)
+        stop = adm | (leaf[I] & leaf[J])
+        count = np.where(stop, 0, n_sides[I] * n_sides[J])
+        start = np.concatenate(([0], np.cumsum(count)))
+        levels.append((start, stop, (I[stop] * n + J[stop]) * 2 + ~adm[stop]))
+        p = np.repeat(np.arange(I.size), count)
+        qi, qj = np.divmod(np.arange(p.size) - start[p], n_sides[J[p]])
+        I, J = flat[first[I[p]] + qi], flat[first[J[p]] + qj]
 
-    rec(tree.root, tree.root)
+    # bottom up: seq holds the stopped pairs below a level in depth-first
+    # order, at[k] where pair k's descendants begin in it; a stopped pair
+    # goes in where those of the next split pair of its level begin
+    seq = np.zeros(0, dtype=np.int64)
+    at = np.zeros(1, dtype=np.int64)
+    while levels:
+        start, stop, codes = levels.pop()
+        at = at[start]
+        seq = np.insert(seq, at[:-1][stop], codes)
+        at += np.concatenate(([0], np.cumsum(stop)))
+    ids = np.arange(n).astype(object)  # one int object per node, for all pairs
+    ij = ids[np.stack(np.divmod(seq >> 1, n))]
+    dense = (seq & 1).astype(bool)
+    L = list(zip(*ij[:, ~dense].tolist()))
+    Lm = list(zip(*ij[:, dense].tolist()))
     return L, Lm

@@ -1,11 +1,14 @@
 """Adaptive cluster tree, separation predicate, nearfield sets, and the
 admissible/inadmissible block partitions."""
 
+import math
+
 import numpy as np
 import pytest
 
 import smash
-from smash.cluster import Box, leaf_sets, nearfield_set, well_separated
+from smash.cluster import (Box, _boxes, _center_distance, _separated,
+                           leaf_sets, nearfield_set, well_separated)
 
 
 def uniform_1d(n, lo=0.0, hi=1.0):
@@ -404,9 +407,104 @@ def test_admissibility_matches_norm_reference_on_a_tree_with_exact_ties():
         assert nearfield_set(tree, i, tau) == ref[i], i
 
 
-def test_h2_partition_matches_norm_reference_on_grid():
-    tau = 0.65
-    tree = smash.build_tree(smash.bench.grid_points(32), nu0=50, mode="2d",
-                            tau=tau)
+def _clustered_points():
+    # a dense cluster near one corner and a lone far point: the boxes around
+    # the cluster shrink many times before a split separates its points
+    rng = np.random.default_rng(11)
+    pts = np.vstack([1e-3 * rng.random((600, 2)), 0.3 + 0.1 * rng.random((60, 2)),
+                     [[1.0, 1.0]]])
+    return smash.PointSet(pts)
+
+
+def _partition_trees():
+    """(tree, tau) cases for the H2 partition, built on demand."""
+    curve = smash.bench.curve_points
+    pair = smash.bench.cauchy_pair
+    rng = np.random.default_rng(7)
+    return {
+        "grid": lambda: (smash.build_tree(smash.bench.grid_points(32), nu0=50,
+                                          mode="2d"), 0.65),
+        # the tree of the tie test above, and its 2d-mode counterpart
+        "sunflower-ties": lambda: (smash.build_tree(
+            curve("sunflower", 2560), nu0=50), 0.6),
+        "sunflower-2d": lambda: (smash.build_tree(
+            curve("sunflower", 2560), nu0=50, mode="2d"), 0.6),
+        "clustered": lambda: (smash.build_tree(_clustered_points(), nu0=8,
+                                               mode="2d"), 0.65),
+        "interval-1d": lambda: (smash.build_tree(uniform_1d(700), nu0=6), 0.5),
+        "pair-interval": lambda: (smash.build_tree(*pair("interval", 900, rng),
+                                                   nu0=20), 0.6),
+        "pair-honeybee": lambda: (smash.build_tree(*pair("honeybee", 1600, rng),
+                                                   nu0=30, mode="2d"), 0.6),
+        "single-leaf": lambda: (smash.build_tree(uniform_1d(30), nu0=50), 0.6),
+    }
+
+
+@pytest.mark.parametrize("case", list(_partition_trees()))
+def test_h2_partition_matches_recursive_reference_in_order(case):
+    """The level-wise partition returns the recursion's pairs in the
+    recursion's order: block rows take their sources in this order."""
+    tree, tau = _partition_trees()[case]()
     ref = _reference_h2(tree, _reference_separated(tree, tau))
     assert leaf_sets(tree, tau, "h2") == ref
+    if case == "single-leaf":
+        assert ref == ([], [(tree.root, tree.root)])
+    if case == "clustered":
+        # some node's box shrank below the half of its parent's box
+        assert any(np.any(np.subtract(nd.box.hi, nd.box.lo) < 0.5 * np.subtract(
+            tree.nodes[nd.parent].box.hi, tree.nodes[nd.parent].box.lo))
+            for nd in tree.nodes if nd.parent >= 0)
+
+
+def test_array_distance_is_the_dot_distance_on_the_tie_tree():
+    """On every node pair of the sunflower tie tree the array distance is
+    sqrt(d.dot(d)) bit for bit, the array centers and radii are the boxes',
+    and well_separated gives the array test's answer."""
+    tau = 0.6
+    tree = smash.build_tree(smash.bench.curve_points("sunflower", 2560),
+                            nu0=50, tau=tau)
+    cen, rad = _boxes(tree.nodes)
+    assert cen.tobytes() == np.array([nd.box.center for nd in tree.nodes]).tobytes()
+    assert rad.tobytes() == np.array([nd.box.radius for nd in tree.nodes]).tobytes()
+    I, J = (a.ravel() for a in np.indices((len(cen), len(cen))))
+    d = cen[I] - cen[J]
+    dist = _center_distance(d)
+    want = np.array([math.sqrt(x.dot(x)) for x in d])
+    assert dist.tobytes() == want.tobytes()
+    sep = _separated(d, rad[I] + rad[J], tau)
+    for k, (i, j) in enumerate(zip(I, J)):
+        assert well_separated(tree.nodes[i].box, tree.nodes[j].box,
+                              tau) == sep[k], (i, j)
+
+
+# ---------------------------------------------------------------------------
+# ClusterTree.verify refuses broken trees
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("role", ["row", "col"])
+def test_verify_refuses_a_point_outside_its_box(role):
+    rng = np.random.default_rng(9)
+    X = smash.PointSet(rng.random((200, 2)))
+    Y = smash.PointSet(rng.random((150, 2)), role="col")
+    tree = smash.build_tree(X, Y, nu0=10, mode="2d")
+    pts = tree.points_row if role == "row" else tree.points_col
+    nd = next(nd for nd in tree.nodes
+              if nd.is_leaf and getattr(nd, "n_" + role) > 0)
+    own = pts[getattr(nd, role + "_start"):getattr(nd, role + "_stop")]
+    # shrink the box so that the leaf's top point lies 1e-6 above it
+    hi = list(nd.box.hi)
+    hi[1] = own[:, 1].max() - 1e-6
+    nd.box = Box.of(nd.box.lo, hi)
+    with pytest.raises(AssertionError, match="outside a box"):
+        tree.verify()
+
+
+def test_verify_refuses_children_that_do_not_tile_their_parent():
+    tree = smash.build_tree(uniform_1d(32), nu0=4)
+    parent = next(nd for nd in tree.nodes if not nd.is_leaf
+                  and all(tree.is_leaf(c) for c in nd.children))
+    # the second child drops its first point: still inside its box and
+    # under the leaf size, but a gap opens between the two children
+    tree.nodes[parent.children[1]].row_start += 1
+    with pytest.raises(AssertionError, match="tile"):
+        tree.verify()
