@@ -6,7 +6,7 @@ rank-revealing interpolative compression, and provides fast matvec,
 a ULV-style direct solver, and benchmark drivers.
 """
 
-from .cluster import Box, ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set, well_separated
+from .cluster import ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set
 from .kernel import CurveSpec, KernelSpec, assemble_dense, eval_kernel, get_curve
 from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases, truncated_svd
 from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundInputs",
     "BuildParams",
-    "Box",
     "ClusterTree",
     "CurveSpec",
     "H2Matrix",
@@ -57,5 +56,4 @@ __all__ = [
     "truncated_svd",
     "ulv_factor",
     "ulv_solve",
-    "well_separated",
 ]

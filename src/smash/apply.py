@@ -316,14 +316,21 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
 
 def read_vector(path) -> np.ndarray:
     """Load a vector: raw little-endian float64 for .bin/.f64 files, one
-    number per line otherwise (complex entries accepted)."""
+    number per line otherwise (complex entries accepted).  A NaN or an
+    infinite entry raises ValueError naming the file and the first one."""
     p = str(path)
     if p.endswith((".bin", ".f64")):
-        return np.fromfile(p, dtype="<f8")
-    try:
-        return np.loadtxt(p, dtype=float, ndmin=1)
-    except ValueError:
-        return np.loadtxt(p, dtype=complex, ndmin=1)
+        vec = np.fromfile(p, dtype="<f8")
+    else:
+        try:
+            vec = np.loadtxt(p, dtype=float, ndmin=1)
+        except ValueError:
+            vec = np.loadtxt(p, dtype=complex, ndmin=1)
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError("%s: entry %d is %s; vector entries must be finite"
+                         % (p, bad[0], vec.flat[bad[0]]))
+    return vec
 
 
 def write_vector(path, vec) -> None:

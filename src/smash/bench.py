@@ -293,18 +293,27 @@ def dense_matvec(spec: KernelSpec, X, Y, q, rows=None) -> np.ndarray:
 SAMPLE_ROWS = 512
 
 
+def rel_error(x, ref) -> float:
+    """||x - ref|| / ||ref||, or ||x - ref|| where ref is zero: the error
+    relative to a nonzero reference, else the absolute error."""
+    err = np.linalg.norm(x - ref)
+    scale = np.linalg.norm(ref)
+    return float(err / scale if scale else err)
+
+
 def matvec_relerr(spec: KernelSpec, X, Y, q, z,
                   budget: int = DENSE_BUDGET_DEFAULT, seed: int = 0):
-    """(relerr, rows): ||z - A q|| / ||A q|| and the number of rows of A it
-    was measured on.  That is every row while A's entries fit the budget,
-    else SAMPLE_ROWS seeded rows, each evaluated in full at O(n) cost."""
+    """(relerr, rows): ||z - A q|| / ||A q|| (``rel_error``) and the number
+    of rows of A it was measured on.  That is every row while A's entries
+    fit the budget, else SAMPLE_ROWS seeded rows, each evaluated in full at
+    O(n) cost."""
     n_row = z.shape[0]
     rows = np.arange(n_row)
     if n_row * np.shape(q)[0] > budget:
         rng = np.random.default_rng([seed, n_row, SAMPLE_ROWS])
         rows = np.sort(rng.choice(n_row, min(SAMPLE_ROWS, n_row), replace=False))
     zd = dense_matvec(spec, X, Y, q, rows=rows)
-    return float(np.linalg.norm(z[rows] - zd) / np.linalg.norm(zd)), rows.size
+    return rel_error(z[rows], zd), rows.size
 
 
 AMAX_SAMPLE = 10 ** 6
@@ -522,9 +531,8 @@ def _exp_cauchy_solve(sizes, seed, dense_budget):
             u = rng.random(n)
             b = dense_matvec(spec, X, Y, u)
             t_sol, uh = timed_median(lambda: ulv_solve(ulv_factor(M), b))
-            forward = float(np.linalg.norm(uh - u) / np.linalg.norm(u))
-            residual = float(np.linalg.norm(dense_matvec(spec, X, Y, uh) - b)
-                             / np.linalg.norm(b))
+            forward = rel_error(uh, u)
+            residual = rel_error(dense_matvec(spec, X, Y, uh), b)
             rows.append(dict(curve=geometry, n=n, forward=forward,
                              residual=residual, t_constr=t_constr,
                              t_sol=t_sol, seed=seed, r=bp.r, tau=bp.tau))

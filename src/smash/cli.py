@@ -163,9 +163,8 @@ def cmd_solve(args):
     x = ulv_solve(F, b)
     info["t_solve"] = time.perf_counter() - t0
     if u is not None:
-        info["forward"] = float(np.linalg.norm(x - u) / np.linalg.norm(u))
-    res = matvec_nodewise(M, x) - b
-    info["residual"] = float(np.linalg.norm(res) / np.linalg.norm(b))
+        info["forward"] = bench.rel_error(x, u)
+    info["residual"] = bench.rel_error(matvec_nodewise(M, x), b)
     if args.out:
         write_vector(args.out, x)
         info["saved"] = args.out

@@ -1,9 +1,10 @@
 """Spatial cluster trees over point sets.
 
 Row points (sources of matrix rows) and column points share one tree: every
-node owns an axis-aligned box and contiguous ranges into the tree-ordered
-row/column point lists.  Boxes are subdivided by coordinate midpoint until a
-node holds at most ``nu0`` points of each role; empty halves are discarded by
+node has an axis-aligned box, row k of the tree's (nodes, d) arrays ``lo``
+and ``hi``, and contiguous ranges into the tree-ordered row/column point
+lists.  Each box is subdivided at its coordinate midpoints until a node
+holds at most ``nu0`` points of each role; empty halves are discarded by
 shrinking the node's box, so every internal node has the full complement of
 children (2 in "binary" mode, up to 2^d in "2d" mode).
 
@@ -14,7 +15,7 @@ so the matvec's rounding, follow that order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,36 +66,6 @@ def _to_scalars(coords: np.ndarray) -> np.ndarray:
     raise ValueError("Cauchy kernels need points in R^1 or R^2")
 
 
-@dataclass(frozen=True)
-class Box:
-    """Axis-aligned box given by lower/upper corners."""
-
-    lo: tuple
-    hi: tuple
-
-    @staticmethod
-    def of(lo, hi) -> "Box":
-        return Box(tuple(float(v) for v in np.atleast_1d(lo)),
-                   tuple(float(v) for v in np.atleast_1d(hi)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
-    @cached_property
-    def center(self) -> np.ndarray:
-        """The box midpoint, computed once; read-only."""
-        c = (np.asarray(self.lo) + np.asarray(self.hi)) / 2.0
-        c.flags.writeable = False
-        return c
-
-    @cached_property
-    def radius(self) -> float:
-        """Half the box diagonal (distance from center to a corner),
-        computed once."""
-        return 0.5 * float(np.linalg.norm(np.asarray(self.hi) - np.asarray(self.lo)))
-
-
 def _center_distance(d: np.ndarray) -> np.ndarray:
     """sqrt(d.dot(d)) for each row of the (k, dim) array ``d``, bit for bit:
     a stacked matmul calls ndarray.dot's kernel, where d0*d0 + d1*d1 or
@@ -106,16 +77,10 @@ def _separated(d: np.ndarray, radii: np.ndarray, tau: float) -> np.ndarray:
     """Admissibility test of k box pairs with (k, dim) center differences
     ``d``: each radius sum is at most tau times the center distance, which
     is np.linalg.norm's bit for bit, since trees of points on curves have
-    exact ties.  Boxes with one center are never separated, not even two
+    exact ties.  A pair with one center is never separated, not even two
     zero-radius boxes (a leaf of coincident points, paired with itself)."""
     dist = _center_distance(d)
     return (dist > 0) & (radii <= tau * dist)
-
-
-def well_separated(box_a: Box, box_b: Box, tau: float) -> bool:
-    """The admissibility test of one box pair; see ``_separated``."""
-    return bool(_separated((box_a.center - box_b.center)[None],
-                           np.array([box_a.radius + box_b.radius]), tau)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +92,6 @@ def well_separated(box_a: Box, box_b: Box, tau: float) -> bool:
 class TreeNode:
     index: int
     level: int
-    box: Box
     parent: int = -1
     children: tuple = ()
     row_start: int = 0
@@ -153,8 +117,9 @@ class ClusterTree:
     """Postordered cluster tree shared by row and column points.
 
     ``perm_row[p]`` is the original index of the row point at tree position
-    ``p``; ``points_row`` holds the tree-ordered coordinates.  The root is the
-    last node (postorder), at level 1.
+    ``p``; ``points_row`` holds the tree-ordered coordinates.  Row k of the
+    (nodes, d) arrays ``lo`` and ``hi`` holds node k's box corners.  The root
+    is the last node (postorder), at level 1.
     """
 
     nodes: list
@@ -165,9 +130,21 @@ class ClusterTree:
     perm_col: np.ndarray
     points_row: np.ndarray
     points_col: np.ndarray
-    _nearfield_cache: dict = field(default_factory=dict, repr=False)
+    lo: np.ndarray
+    hi: np.ndarray
 
     # -- basic accessors ----------------------------------------------------
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """Each node's box midpoint, (nodes, d); computed once."""
+        return (self.lo + self.hi) / 2.0
+
+    @cached_property
+    def radius(self) -> np.ndarray:
+        """Half of each node's box diagonal, np.linalg.norm's bit for bit;
+        computed once."""
+        return 0.5 * _center_distance(self.hi - self.lo)
 
     @property
     def root(self) -> int:
@@ -175,7 +152,7 @@ class ClusterTree:
 
     @property
     def dim(self) -> int:
-        return self.nodes[self.root].box.dim
+        return self.lo.shape[1]
 
     @property
     def n_levels(self) -> int:
@@ -219,65 +196,96 @@ class ClusterTree:
     # -- invariant check ----------------------------------------------------
 
     def verify(self):
-        """Raise AssertionError if any structural invariant is violated."""
-        root = self.nodes[self.root]
-        assert root.level == 1
-        assert root.row_start == 0 and root.row_stop == self.n_row
-        assert root.col_start == 0 and root.col_stop == self.n_col
-        assert np.array_equal(np.sort(self.perm_row), np.arange(self.n_row))
-        assert np.array_equal(np.sort(self.perm_col), np.arange(self.n_col))
-        for nd in self.nodes:
-            assert nd.row_stop >= nd.row_start and nd.col_stop >= nd.col_start
-            assert nd.n_row + nd.n_col > 0, "empty node %d" % nd.index
+        """Raise ValueError naming the first broken invariant; build_tree
+        and load_matrix both run this one check.  Points and boxes share a
+        dimension, the root at level 1 spans every point, the permutations
+        are permutations, every node holds a point, leaves hold at most nu0
+        points of each role and other nodes more, each listed child names
+        its lister as parent and sits one level below it and before it
+        (postorder), children tile their parent's ranges in order, and each
+        point lies in its nodes' boxes (1e-12 slack)."""
+        nodes = self.nodes
+        d = self.points_row.shape[1:]
+        if not (len(d) == 1 and self.points_col.shape[1:] == d
+                and self.lo.shape == self.hi.shape == (len(nodes),) + d):
+            raise ValueError("the points and the boxes of the %d nodes do not "
+                             "share one dimension" % len(nodes))
+        root = nodes[self.root]
+        if (root.row_start, root.row_stop, root.col_start, root.col_stop) != (
+                0, self.n_row, 0, self.n_col) or root.level != 1:
+            raise ValueError("the root spans rows %s:%s and columns %s:%s of "
+                             "%d x %d points, at level %r"
+                             % (root.row_start, root.row_stop, root.col_start,
+                                root.col_stop, self.n_row, self.n_col,
+                                root.level))
+        for name, perm, n in (("perm_row", self.perm_row, self.n_row),
+                              ("perm_col", self.perm_col, self.n_col)):
+            if not _is_permutation(perm, n):
+                raise ValueError("%r is not a permutation of range(%d)"
+                                 % (name, n))
+        for k, nd in enumerate(nodes):
+            if nd.n_row + nd.n_col <= 0:
+                raise ValueError("node %d holds no point" % k)
+            if nd.is_leaf != (max(nd.n_row, nd.n_col) <= self.nu0):
+                raise ValueError("node %d is %s and holds %d x %d points, "
+                                 "with nu0 = %r"
+                                 % (k, "a leaf" if nd.is_leaf else "not a leaf",
+                                    nd.n_row, nd.n_col, self.nu0))
             if nd.is_leaf:
-                assert nd.n_row <= self.nu0 and nd.n_col <= self.nu0
-            else:
-                assert max(nd.n_row, nd.n_col) > self.nu0
-                assert len(nd.children) >= 2
-                if self.mode == "binary":
-                    assert len(nd.children) == 2
-                # children tile the parent ranges contiguously, in order
-                r, c = nd.row_start, nd.col_start
-                for ci in nd.children:
-                    ch = self.nodes[ci]
-                    assert ch.parent == nd.index
-                    assert ch.level == nd.level + 1
-                    assert ch.index < nd.index  # postorder
-                    assert ch.row_start == r and ch.col_start == c, \
-                        "children do not tile node %d" % nd.index
-                    r, c = ch.row_stop, ch.col_stop
-                assert r == nd.row_stop and c == nd.col_stop
-        lo = np.array([nd.box.lo for nd in self.nodes]) - 1e-12
-        hi = np.array([nd.box.hi for nd in self.nodes]) + 1e-12
+                continue
+            if len(nd.children) < 2 or (self.mode == "binary"
+                                        and len(nd.children) != 2):
+                raise ValueError("node %d of a %s tree has %d children"
+                                 % (k, self.mode, len(nd.children)))
+            for c in nd.children:
+                if not (type(c) is int and 0 <= c < k and nodes[c].parent == k
+                        and nodes[c].level == nd.level + 1):
+                    raise ValueError("node %d lists %r, which is not its child"
+                                     % (k, c))
+            for lo, hi in (("row_start", "row_stop"), ("col_start", "col_stop")):
+                # parent start, each child's start and stop, parent stop: a
+                # tiling meets each edge twice in a row and never goes back
+                edges = [getattr(nd, lo)]
+                for c in nd.children:
+                    edges += [getattr(nodes[c], lo), getattr(nodes[c], hi)]
+                edges.append(getattr(nd, hi))
+                if edges[0::2] != edges[1::2] or edges != sorted(edges):
+                    raise ValueError("the children of node %d do not tile its "
+                                     "%s range" % (k, lo[:3]))
+        lo, hi = self.lo - 1e-12, self.hi + 1e-12
         ranges = np.array([(nd.row_start, nd.row_stop, nd.col_start, nd.col_stop)
-                           for nd in self.nodes])
-        for pts, cuts in ((self.points_row, ranges[:, :2]),
-                          (self.points_col, ranges[:, 2:])):
+                           for nd in nodes])
+        for role, pts, cuts in (("row", self.points_row, ranges[:, :2]),
+                                ("column", self.points_col, ranges[:, 2:])):
             # a node's extremes are the even reductions; the extra row lets a
             # cut reach n
-            live = cuts[:, 1] > cuts[:, 0]
-            if live.any():
+            live = np.flatnonzero(cuts[:, 1] > cuts[:, 0])
+            if live.size:
                 padded = np.vstack([pts, pts[:1]])
                 low = np.minimum.reduceat(padded, cuts[live].ravel())[::2]
                 high = np.maximum.reduceat(padded, cuts[live].ravel())[::2]
-                assert np.all(low >= lo[live]) and np.all(high <= hi[live]), \
-                    "point outside a box"
+                inside = np.all((low >= lo[live]) & (high <= hi[live]), axis=1)
+                if not inside.all():
+                    raise ValueError("%s point outside a box, at node %d"
+                                     % (role, live[inside.argmin()]))
 
 
-def _split_once(box: Box, axis: int, xs: np.ndarray, ys: np.ndarray,
-                px: np.ndarray, py: np.ndarray):
-    """Split box at the midpoint of ``axis``; returns ((box, xs, ys), ...) for
-    the low and high halves.  Points on the midplane go low."""
-    lo = np.asarray(box.lo)
-    hi = np.asarray(box.hi)
+def _is_permutation(p: np.ndarray, n: int) -> bool:
+    """An integer array of shape (n,) that holds each of 0..n-1 once."""
+    return (p.shape == (n,) and p.dtype.kind == "i"
+            and np.array_equal(np.sort(p), np.arange(n)))
+
+
+def _split_once(lo, hi, xs, ys, axis: int, px: np.ndarray, py: np.ndarray):
+    """Split the box lo..hi at the midpoint of ``axis``; returns the low and
+    the high half, each as (lo, hi, xs, ys).  Points on the midplane go
+    low."""
     mid = 0.5 * (lo[axis] + hi[axis])
-    x_low = px[xs, axis] <= mid if xs.size else np.zeros(0, bool)
-    y_low = py[ys, axis] <= mid if ys.size else np.zeros(0, bool)
+    x_low = px[xs, axis] <= mid
+    y_low = py[ys, axis] <= mid
     hi_l = hi.copy(); hi_l[axis] = mid
     lo_h = lo.copy(); lo_h[axis] = mid
-    low = (Box.of(lo, hi_l), xs[x_low], ys[y_low])
-    high = (Box.of(lo_h, hi), xs[~x_low], ys[~y_low])
-    return low, high
+    return (lo, hi_l, xs[x_low], ys[y_low]), (lo_h, hi, xs[~x_low], ys[~y_low])
 
 
 def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
@@ -308,14 +316,15 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
         raise ValueError("row/column point dimensions differ")
 
     allpts = np.vstack([px, py])
-    root_box = Box.of(allpts.min(axis=0), allpts.max(axis=0))
     d = px.shape[1]
 
     nodes: list = []
+    los: list = []
+    his: list = []
     perm_row: list = []
     perm_col: list = []
 
-    def emit(level, box, xs, ys, children):
+    def emit(level, lo, hi, xs, ys, children):
         idx = len(nodes)
         if children:
             rs = nodes[children[0]].row_start
@@ -329,44 +338,44 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
             perm_row.extend(xs.tolist())
             perm_col.extend(ys.tolist())
             re, ce = len(perm_row), len(perm_col)
-        nodes.append(TreeNode(index=idx, level=level, box=box,
-                              children=tuple(children),
+        nodes.append(TreeNode(index=idx, level=level, children=tuple(children),
                               row_start=rs, row_stop=re,
                               col_start=cs, col_stop=ce))
+        los.append(lo)
+        his.append(hi)
         return idx
 
-    def recurse(level, box, xs, ys, axis):
+    def recurse(level, lo, hi, xs, ys, axis):
         count = max(xs.size, ys.size)
         if count <= nu0:
-            return emit(level, box, xs, ys, ())
+            return emit(level, lo, hi, xs, ys, ())
         here = np.vstack([px[xs], py[ys]])
         if np.all(here == here[0]):
             raise ValueError("%d points coincide at %s, more than the leaf "
                              "size nu0 = %d" % (count, here[0].tolist(), nu0))
         for _ in range(_MAX_SHRINKS):
             if mode == "binary":
-                parts = list(_split_once(box, axis, xs, ys, px, py))
+                parts = _split_once(lo, hi, xs, ys, axis, px, py)
                 next_axis = (axis + 1) % d
             else:  # 2d: bisect every axis at once
-                parts = [(box, xs, ys)]
+                parts = [(lo, hi, xs, ys)]
                 for ax in range(d):
-                    nxt = []
-                    for b, x_, y_ in parts:
-                        nxt.extend(_split_once(b, ax, x_, y_, px, py))
-                    parts = nxt
+                    parts = [half for part in parts
+                             for half in _split_once(*part, ax, px, py)]
                 next_axis = axis
-            live = [(b, x_, y_) for b, x_, y_ in parts if x_.size + y_.size > 0]
+            live = [part for part in parts if part[2].size + part[3].size > 0]
             if len(live) > 1:
-                kids = [recurse(level + 1, b, x_, y_, next_axis) for b, x_, y_ in live]
-                return emit(level, box, xs, ys, kids)
+                kids = [recurse(level + 1, *part, next_axis) for part in live]
+                return emit(level, lo, hi, xs, ys, kids)
             # every point landed in one sub-box: shrink and retry
-            box = live[0][0]
+            lo, hi = live[0][:2]
             axis = next_axis
         raise ValueError("%d points near %s lie too close together for %d "
                          "box subdivisions to separate them"
                          % (count, here[0].tolist(), _MAX_SHRINKS))
 
-    recurse(1, root_box, np.arange(px.shape[0]), np.arange(py.shape[0]), 0)
+    recurse(1, allpts.min(axis=0), allpts.max(axis=0), np.arange(px.shape[0]),
+            np.arange(py.shape[0]), 0)
 
     tree = ClusterTree(
         nodes=nodes, mode=mode, nu0=nu0, tau_default=tau,
@@ -374,6 +383,7 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
         perm_col=np.asarray(perm_col, dtype=np.int64),
         points_row=px[perm_row] if perm_row else px[:0],
         points_col=py[perm_col] if perm_col else py[:0],
+        lo=np.array(los), hi=np.array(his),
     )
     tree.verify()
     return tree
@@ -384,37 +394,25 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
 # ---------------------------------------------------------------------------
 
 
-def _boxes(nodes):
-    """Box.center and Box.radius of every node as arrays, bit for bit."""
-    lo = np.array([nd.box.lo for nd in nodes])
-    hi = np.array([nd.box.hi for nd in nodes])
-    return (lo + hi) / 2.0, 0.5 * _center_distance(hi - lo)
-
-
-def nearfield_set(tree: ClusterTree, i: int, tau: float = None) -> list:
-    """Nodes whose interaction with ``i`` is not resolved by the farfield
-    expansion: non-separated siblings, plus the non-separated children (or the
-    nodes themselves, for leaves) of the parent's nearfield members.
-    Computed top-down once per tau and cached; the root's set is empty."""
+def nearfield_set(tree: ClusterTree, tau: float = None) -> list:
+    """Every node's nearfield, the nodes whose interaction with it the
+    farfield expansion does not resolve, as a list indexed by node: the
+    non-separated siblings, then the non-separated children (or the nodes
+    themselves, for leaves) of the parent's nearfield members.  One pass
+    from the root down, parents before children (postorder puts each parent
+    after its children); the root's set is empty."""
     if tau is None:
         tau = tree.tau_default
-    cache = tree._nearfield_cache.get(tau)
-    if cache is None:
-        nodes = tree.nodes
-        cen, rad = _boxes(nodes)
-        cache = {tree.root: []}
-        order = sorted(range(len(nodes)), key=lambda k: nodes[k].level)
-        for j in order:
-            if j == tree.root:
-                continue
-            p = nodes[j].parent
-            cand = [c for c in nodes[p].children if c != j]
-            for k in cache[p]:
-                cand.extend(nodes[k].children or (k,))
-            far = _separated(cen[j] - cen[cand], rad[j] + rad[cand], tau)
-            cache[j] = np.array(cand)[~far].tolist()
-        tree._nearfield_cache[tau] = cache
-    return list(cache[i])
+    nodes, cen, rad = tree.nodes, tree.center, tree.radius
+    near = [[] for _ in nodes]
+    for j in range(tree.root - 1, -1, -1):
+        p = nodes[j].parent
+        cand = [c for c in nodes[p].children if c != j]
+        for k in near[p]:
+            cand.extend(nodes[k].children or (k,))
+        far = _separated(cen[j] - cen[cand], rad[j] + rad[cand], tau)
+        near[j] = np.array(cand)[~far].tolist()
+    return near
 
 
 def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
@@ -445,9 +443,8 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
     if structure != "h2":
         raise ValueError("structure must be 'hss' or 'h2'")
 
-    nodes = tree.nodes
+    nodes, cen, rad = tree.nodes, tree.center, tree.radius
     n = len(nodes)
-    cen, rad = _boxes(nodes)
     leaf = np.array([nd.is_leaf for nd in nodes])
     # the sides a node splits into: its children, or itself for a leaf
     sides = [nd.children or (nd.index,) for nd in nodes]

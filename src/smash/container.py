@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .cluster import Box, ClusterTree, PointSet, TreeNode
+from .cluster import ClusterTree, PointSet, TreeNode, _is_permutation
 from .h2 import H2Matrix
 from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
                   no_kernel_block, one_basis)
@@ -86,6 +86,7 @@ def save_matrix(M, path) -> None:
                          "nbytes": arr.nbytes})
         offset += arr.nbytes
 
+    lo, hi = tr.lo.tolist(), tr.hi.tolist()
     header = {
         "kind": M.kind,
         "dtype": "c16" if np.dtype(M.dtype).kind == "c" else "f8",
@@ -95,10 +96,10 @@ def save_matrix(M, path) -> None:
             "mode": tr.mode, "nu0": tr.nu0, "tau_default": tr.tau_default,
             "nodes": [{"level": nd.level, "parent": nd.parent,
                        "children": list(nd.children),
-                       "lo": list(nd.box.lo), "hi": list(nd.box.hi),
+                       "lo": lo[k], "hi": hi[k],
                        "rows": [nd.row_start, nd.row_stop],
                        "cols": [nd.col_start, nd.col_stop]}
-                      for nd in tr.nodes],
+                      for k, nd in enumerate(tr.nodes)],
         },
         "kernel": kern,
         "pairs_L": [list(p) for p in M.pairs_L],
@@ -172,7 +173,8 @@ def load_matrix(path):
                              % (key, path))
     try:
         return _assemble(header, _read_arrays(raw[cut + 1:], header["arrays"]))
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError,
+            OverflowError) as exc:
         # any other malformed value in the header is still bad input
         raise ValueError("damaged container %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
@@ -196,7 +198,6 @@ def _assemble(header: dict, arrays: dict):
                                  "no %r entry" % (k, key))
     nodes = [TreeNode(index=k, level=nd["level"], parent=nd["parent"],
                       children=tuple(nd["children"]),
-                      box=Box.of(nd["lo"], nd["hi"]),
                       row_start=nd["rows"][0], row_stop=nd["rows"][1],
                       col_start=nd["cols"][0], col_stop=nd["cols"][1])
              for k, nd in enumerate(th["nodes"])]
@@ -205,12 +206,13 @@ def _assemble(header: dict, arrays: dict):
                        tau_default=th["tau_default"],
                        perm_row=arrays["perm_row"], perm_col=arrays["perm_col"],
                        points_row=arrays["points_row"],
-                       points_col=arrays["points_col"])
-    for name, perm, n in (("perm_row", tree.perm_row, tree.n_row),
-                          ("perm_col", tree.perm_col, tree.n_col)):
-        if not _is_permutation(perm, n):
-            raise ValueError("damaged container: %r is not a permutation of "
-                             "range(%d)" % (name, n))
+                       points_col=arrays["points_col"],
+                       lo=np.array([nd["lo"] for nd in th["nodes"]], dtype=float),
+                       hi=np.array([nd["hi"] for nd in th["nodes"]], dtype=float))
+    try:
+        tree.verify()
+    except ValueError as exc:
+        raise ValueError("damaged container: %s" % exc) from None
 
     kernel = None
     kh = header["kernel"]
@@ -281,39 +283,11 @@ def _no_factor(i, side: str) -> ValueError:
 
 
 def _check_structure(M) -> None:
-    """Cross-checks of a header that parsed: the root spans every point,
-    children come before their parent and tile its row and column ranges,
+    """Cross-checks of a header whose tree passed ``ClusterTree.verify``:
     every non-root node has both factors, every factor and coupling pair
     names a node with a skeleton, and each factor fits the labels it
     interpolates."""
     tr = M.tree
-    nodes = tr.nodes
-    root = nodes[tr.root]
-    if (root.row_start, root.row_stop, root.col_start, root.col_stop) != (
-            0, tr.n_row, 0, tr.n_col):
-        raise ValueError("damaged container: the root spans rows %s:%s and "
-                         "columns %s:%s of %d x %d points"
-                         % (root.row_start, root.row_stop, root.col_start,
-                            root.col_stop, tr.n_row, tr.n_col))
-    for nd in nodes:
-        for c in nd.children:
-            if not (type(c) is int and 0 <= c < nd.index
-                    and nodes[c].parent == nd.index):
-                raise ValueError("damaged container: node %d lists %r, which "
-                                 "is not its child" % (nd.index, c))
-        if not nd.children:
-            continue
-        for lo, hi in (("row_start", "row_stop"), ("col_start", "col_stop")):
-            # parent start, each child's start and stop, parent stop: a
-            # tiling meets each edge twice in a row and never goes back
-            edges = [getattr(nd, lo)]
-            for c in nd.children:
-                edges += [getattr(nodes[c], lo), getattr(nodes[c], hi)]
-            edges.append(getattr(nd, hi))
-            if edges[0::2] != edges[1::2] or edges != sorted(edges):
-                raise ValueError("damaged container: the children of node %d "
-                                 "do not tile its %s range"
-                                 % (nd.index, lo[:3]))
     for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
                               (M.colfac, M.skel_col, "column")):
         for i in sorted(set(range(tr.root)).union(facs)):  # children first
@@ -335,10 +309,6 @@ def _same(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes, dtypes and bytes: equal entries, for index arrays."""
     return a.shape == b.shape and a.dtype == b.dtype and (
         a.tobytes() == b.tobytes())
-
-
-def _is_permutation(p: np.ndarray, n: int) -> bool:
-    return p.shape == (n,) and _same(np.sort(p), np.arange(n))
 
 
 def _check_factor(tr, i, fac, skels, side) -> None:

@@ -29,10 +29,10 @@ import numpy as np
 
 from ._threads import map_nodes, one_blas_thread, trim_heap
 from .apply import matvec_nodewise
-from .cluster import Box, ClusterTree, _to_scalars, leaf_sets, nearfield_set
+from .cluster import (ClusterTree, _center_distance, _to_scalars, leaf_sets,
+                      nearfield_set)
 from .kernel import KernelSpec, kernel_block
-from .lowrank import (_box_center_scalar, compr, interp_basis, taylor_basis,
-                      truncated_svd)
+from .lowrank import compr, interp_basis, taylor_basis, truncated_svd
 
 _COLUMN_BLOCK = 512  # identity columns per apply in dense reconstruction
 
@@ -64,15 +64,6 @@ class BuildParams:
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not ok(v):
                 raise ValueError("build parameter %s must be %s, got %r"
                                  % (name, need, v))
-
-
-def _pad_box(box: Box, pad: float) -> Box:
-    lo = np.asarray(box.lo, dtype=float).copy()
-    hi = np.asarray(box.hi, dtype=float).copy()
-    thin = hi - lo < pad
-    lo[thin] -= pad / 2
-    hi[thin] += pad / 2
-    return Box.of(lo, hi)
 
 
 def no_kernel_block(rows, cols):
@@ -402,8 +393,13 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     Lagrange polynomials) is scaled for Cauchy-like kernels only.
     """
     pts = tree.points_row if side == "row" else tree.points_col
-    diam = 2 * tree.nodes[tree.root].box.radius
+    diam = 2 * tree.radius[tree.root]
     pad = max(1e-9 * diam, 1e-300)
+    # every node's box, each side thinner than pad widened to pad
+    lo, hi = tree.lo.copy(), tree.hi.copy()
+    thin = hi - lo < pad
+    lo[thin] -= pad / 2
+    hi[thin] += pad / 2
     gen = None  # the generator columns, in tree order
     if kernel.kind == "cauchy_like":
         rows = (kernel.w.shape[0], kernel.v.shape[0])
@@ -416,12 +412,18 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
         gen = kernel._dlp_data()["v"][tree.perm_col, None]
     scal = _to_scalars(pts) if pts.size else np.zeros(0)
 
-    def build(i, idx):
-        box = _pad_box(tree.nodes[i].box, pad)
-        if params.basis == "interp":
-            return interp_basis(box, pts[idx], params.r)
-        return taylor_basis(_box_center_scalar(box), box.radius, scal[idx],
-                            params.r)
+    if params.basis == "interp":
+        def build(i, idx):
+            return interp_basis(lo[i], hi[i], pts[idx], params.r)
+    else:
+        # x + 1j*y is complex(x, y) unless x is -0.0, and the midpoint of a
+        # side no thinner than pad is not
+        cen = _to_scalars((lo + hi) / 2.0)
+        rad = 0.5 * _center_distance(hi - lo)
+
+        def build(i, idx):
+            return taylor_basis(cen[i], rad[i], scal[idx], params.r)
+
     real = kernel.kind == "laplace_dlp"  # a real kernel of complex points
 
     def candidate(i, idx):
@@ -507,12 +509,11 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     bcol = (None if one_basis("hss", tree, kernel)
             else _basis_builder(tree, kernel, params, "col"))
 
+    near = nearfield_set(tree, params.tau)
     for level in range(tree.n_levels, 1, -1):
         nodes = tree.level_nodes(level)
-        # the nearfield cache fills on this thread, before the map
-        near = [nearfield_set(tree, i, params.tau) for i in nodes]
         facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol),
-                         zip(nodes, near))
+                         [(i, near[i]) for i in nodes])
         for i, pair in zip(nodes, facs):
             M._store(i, *pair)
     trim_heap()

@@ -70,13 +70,14 @@ def taylor_coupling(center_a, delta_a: float, center_b, delta_b: float, r: int):
     return T
 
 
-def taylor_bases(box_a, box_b, pts_a, pts_b, r: int):
-    """(U, T, V) with U T V^T approximating 1/(x-y) on a well-separated box
-    pair; points are scalars (complex for planar sets)."""
-    ca, cb = _box_center_scalar(box_a), _box_center_scalar(box_b)
-    U = taylor_basis(ca, box_a.radius, np.asarray(pts_a), r)
-    V = taylor_basis(cb, box_b.radius, np.asarray(pts_b), r)
-    T = taylor_coupling(ca, box_a.radius, cb, box_b.radius, r)
+def taylor_bases(center_a, delta_a: float, center_b, delta_b: float,
+                 pts_a, pts_b, r: int):
+    """(U, T, V) with U T V^T approximating 1/(x-y) on a well-separated pair
+    of boxes, given by their centers and radii; centers and points are
+    scalars (complex for planar sets)."""
+    U = taylor_basis(center_a, delta_a, np.asarray(pts_a), r)
+    V = taylor_basis(center_b, delta_b, np.asarray(pts_b), r)
+    T = taylor_coupling(center_a, delta_a, center_b, delta_b, r)
     return U, T, V
 
 
@@ -86,15 +87,6 @@ def taylor_tail_bound(tau: float, r: int) -> float:
     if not 0 < tau < 1:
         raise ValueError("tau must lie in (0, 1)")
     return (1 + tau) * tau ** r / (1 - tau)
-
-
-def _box_center_scalar(box):
-    c = box.center
-    if c.size == 1:
-        return float(c[0])
-    if c.size == 2:
-        return complex(c[0], c[1])
-    raise ValueError("Taylor basis supports 1-d or planar boxes only")
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +114,13 @@ def _lagrange_cols(x: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return L
 
 
-def interp_basis(box, pts: np.ndarray, r: int) -> np.ndarray:
-    """Lagrange cardinal basis at Chebyshev points of the box, evaluated at
-    pts; in 2-d a tensor grid of ceil(sqrt(r))^2 nodes is trimmed back to r
-    columns by total degree."""
+def interp_basis(lo, hi, pts: np.ndarray, r: int) -> np.ndarray:
+    """Lagrange cardinal basis at Chebyshev points of the box with corners
+    lo and hi, evaluated at pts; in 2-d a tensor grid of ceil(sqrt(r))^2
+    nodes is trimmed back to r columns by total degree."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    lo = np.asarray(box.lo, dtype=float)
-    hi = np.asarray(box.hi, dtype=float)
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
     scale = max(np.max(hi - lo), 1.0)
     for a, b in zip(lo, hi):
         if not b - a > 1e-14 * scale:

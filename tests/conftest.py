@@ -22,6 +22,16 @@ def interval_pair(n, seed=0):
     return smash.PointSet(x), smash.PointSet(y, role="col")
 
 
+def center_radius(lo, hi):
+    """(center, radius) of the box with corners lo and hi: its midpoint, a
+    complex number for a planar box, and half its diagonal."""
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
+    c = (lo + hi) / 2.0
+    return (complex(*c) if c.size == 2 else float(c[0]),
+            0.5 * float(np.linalg.norm(hi - lo)))
+
+
 def dense_oracle(spec, X, Y):
     from smash.kernel import kernel_block
     return kernel_block(spec, X, Y, np.arange(X.n), np.arange(Y.n))

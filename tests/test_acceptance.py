@@ -26,7 +26,7 @@ from smash.kernel import (KernelSpec, evaluate_potential, get_curve,
                           kernel_block)
 from smash.lowrank import (compr, srrqr, taylor_bases, taylor_tail_bound)
 
-from conftest import build_interval_hss, dense_oracle
+from conftest import build_interval_hss, center_radius, dense_oracle
 
 norm = np.linalg.norm
 
@@ -278,7 +278,6 @@ def test_criterion_8b_exact_rank_compression():
 
 @pytest.mark.parametrize("r", [5, 10, 20])
 def test_criterion_8c_farfield_expansion_bound(r):
-    from smash.cluster import Box
     rng = np.random.default_rng(r)
     for _ in range(100):
         ca = rng.uniform(-5, 5)
@@ -286,11 +285,11 @@ def test_criterion_8c_farfield_expansion_bound(r):
         db = rng.uniform(0.1, 1.0)
         tau = rng.uniform(0.3, 0.65)
         cb = ca + (da + db) / tau * rng.choice([-1.0, 1.0])
-        box_a = Box.of((ca - da,), (ca + da,))
-        box_b = Box.of((cb - db,), (cb + db,))
+        box_a = center_radius((ca - da,), (ca + da,))
+        box_b = center_radius((cb - db,), (cb + db,))
         xs = rng.uniform(ca - da, ca + da, 15)
         ys = rng.uniform(cb - db, cb + db, 15)
-        U, T, V = taylor_bases(box_a, box_b, xs, ys, r)
+        U, T, V = taylor_bases(*box_a, *box_b, xs, ys, r)
         err = np.max(np.abs(U @ T @ V.T - 1.0 / (xs[:, None] - ys[None, :]))
                      * np.abs(xs[:, None] - ys[None, :]))
         assert err <= taylor_tail_bound(tau, r) * 1.000001

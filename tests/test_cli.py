@@ -123,6 +123,32 @@ def test_matvec_rejects_mismatched_vector(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["matvec", "solve"])
+def test_non_finite_vector_exits_2_naming_the_entry(tmp_path, capsys,
+                                                    command, bad):
+    # matvec once printed relerr=nan and exited 0
+    qfile = str(tmp_path / "q.txt")
+    q = np.ones(400)
+    q[7] = bad
+    write_vector(qfile, q)
+    assert main([command, "--n", "400", "--vec", qfile]) == 2
+    err = capsys.readouterr().err
+    assert "q.txt: entry 7 is" in err and "finite" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command, named", [("matvec", "relerr"),
+                                            ("solve", "residual")])
+def test_zero_vector_gives_zero_error_without_warning(tmp_path, capsys,
+                                                      command, named):
+    # a zero reference once gave 0/0: nan and a RuntimeWarning
+    qfile = str(tmp_path / "zeros.txt")
+    write_vector(qfile, np.zeros(400))
+    assert main([command, "--n", "400", "--vec", qfile]) == 0
+    assert "%s=0\n" % named in capsys.readouterr().out
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -2,18 +2,39 @@
 admissible/inadmissible block partitions."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import smash
-from smash.cluster import (Box, _boxes, _center_distance, _separated,
-                           leaf_sets, nearfield_set, well_separated)
+from smash.cluster import _center_distance, _separated, leaf_sets, nearfield_set
 
 
 def uniform_1d(n, lo=0.0, hi=1.0):
     pts = lo + (hi - lo) * (np.arange(n) + 0.5) / n
     return smash.PointSet(pts.reshape(-1, 1))
+
+
+def box(lo, hi):
+    """(center, radius) of the box lo..hi, computed as a tree computes them."""
+    lo, hi = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    return ((lo + hi) / 2.0)[0], 0.5 * _center_distance(hi - lo)[0]
+
+
+def separated(a, b, tau):
+    """The admissibility test of the one box pair a, b, each (center,
+    radius)."""
+    return bool(_separated((a[0] - b[0])[None], np.array([a[1] + b[1]]),
+                           tau)[0])
+
+
+def tree_separated(tree, i, j, tau):
+    """The admissibility test of the node pair i, j of a tree."""
+    return separated((tree.center[i], tree.radius[i]),
+                     (tree.center[j], tree.radius[j]), tau)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +65,7 @@ def test_clustered_points_shrink_box_and_stay_binary():
     tree = smash.build_tree(pts, nu0=2)
     assert tree.n_levels == 3
     for nd in tree.nodes:
-        assert nd.box.hi[0] <= 0.5 + 1e-12
+        assert tree.hi[nd.index][0] <= 0.5 + 1e-12
         if not nd.is_leaf:
             assert len(nd.children) == 2
     tree.verify()
@@ -143,28 +164,28 @@ def test_non_finite_points_rejected(bad):
 
 
 # ---------------------------------------------------------------------------
-# well_separated
+# the admissibility test
 # ---------------------------------------------------------------------------
 
 def test_separated_unit_intervals():
-    a = Box.of((0.0,), (1.0,))
-    b = Box.of((2.0,), (3.0,))
-    assert well_separated(a, b, 0.5)
+    a = box((0.0,), (1.0,))
+    b = box((2.0,), (3.0,))
+    assert separated(a, b, 0.5)
 
 
 def test_identical_boxes_never_separated():
-    a = Box.of((0.0,), (1.0,))
-    assert not well_separated(a, a, 0.5)
+    a = box((0.0,), (1.0,))
+    assert not separated(a, a, 0.5)
 
 
 def test_zero_radius_box_not_separated_from_itself():
     # 0 + 0 <= tau * 0 holds, but a node paired with itself is never a
     # coupling: coincident points in one leaf give such a box
-    a = Box.of((0.5, 0.5), (0.5, 0.5))
-    assert a.radius == 0.0
-    assert not well_separated(a, a, 0.5)
-    assert not well_separated(a, Box.of((0.5, 0.5), (0.5, 0.5)), 0.99)
-    assert well_separated(a, Box.of((1.5, 0.5), (1.5, 0.5)), 0.5)
+    a = box((0.5, 0.5), (0.5, 0.5))
+    assert a[1] == 0.0
+    assert not separated(a, a, 0.5)
+    assert not separated(a, box((0.5, 0.5), (0.5, 0.5)), 0.99)
+    assert separated(a, box((1.5, 0.5), (1.5, 0.5)), 0.5)
 
 
 def test_one_point_set_needs_equal_points_in_equal_order():
@@ -181,11 +202,11 @@ def test_one_point_set_needs_equal_points_in_equal_order():
 
 
 def test_adjacent_unit_intervals_not_separated_at_half():
-    a = Box.of((0.0,), (1.0,))
-    b = Box.of((1.0,), (2.0,))
+    a = box((0.0,), (1.0,))
+    b = box((1.0,), (2.0,))
     # delta_a + delta_b = 1 > 0.5 * |a - b| = 0.5
-    assert not well_separated(a, b, 0.5)
-    assert well_separated(a, b, 1.0)
+    assert not separated(a, b, 0.5)
+    assert separated(a, b, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,14 +215,14 @@ def test_adjacent_unit_intervals_not_separated_at_half():
 
 def test_nearfield_of_root_is_empty():
     tree = smash.build_tree(uniform_1d(32), nu0=4)
-    assert nearfield_set(tree, tree.root) == []
+    assert nearfield_set(tree)[tree.root] == []
 
 
 def test_nearfield_of_root_child_is_its_sibling():
     tree = smash.build_tree(uniform_1d(32), nu0=4, tau=0.5)
     c1, c2 = tree.nodes[tree.root].children
-    assert nearfield_set(tree, c1, tau=0.5) == [c2]
-    assert nearfield_set(tree, c2, tau=0.5) == [c1]
+    assert nearfield_set(tree, tau=0.5)[c1] == [c2]
+    assert nearfield_set(tree, tau=0.5)[c2] == [c1]
 
 
 def test_uniform_interval_nearfield_has_at_most_two_nodes():
@@ -209,14 +230,14 @@ def test_uniform_interval_nearfield_has_at_most_two_nodes():
     for nd in tree.nodes:
         if nd.index == tree.root:
             continue
-        assert len(nearfield_set(tree, nd.index, tau=0.5)) <= 2
+        assert len(nearfield_set(tree, tau=0.5)[nd.index]) <= 2
 
 
 def test_nearfield_members_are_actually_near():
     tree = smash.build_tree(uniform_1d(64), nu0=4, tau=0.5)
     for nd in tree.nodes:
-        for k in nearfield_set(tree, nd.index, tau=0.5):
-            assert not well_separated(nd.box, tree.nodes[k].box, 0.5)
+        for k in nearfield_set(tree, tau=0.5)[nd.index]:
+            assert not tree_separated(tree, nd.index, k, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +272,7 @@ def brute_force_h2(tree, tau):
     sep = {}
     for a in tree.nodes:
         for b in tree.nodes:
-            sep[a.index, b.index] = well_separated(a.box, b.box, tau)
+            sep[a.index, b.index] = tree_separated(tree, a.index, b.index, tau)
 
     def parent(i):
         return tree.nodes[i].parent
@@ -317,8 +338,7 @@ def test_admissible_pairs_have_separated_descendants():
     for i, j in L:
         for a in descendants(i):
             for b in descendants(j):
-                assert well_separated(tree.nodes[a].box, tree.nodes[b].box,
-                                      0.5)
+                assert tree_separated(tree, a, b, 0.5)
 
 
 def test_hss_structure_requires_binary_tree():
@@ -333,9 +353,9 @@ def test_hss_structure_requires_binary_tree():
 # ---------------------------------------------------------------------------
 
 def _reference_separated(tree, tau):
-    """well_separated recomputed from each box's lo/hi with np.linalg.norm."""
-    lo = [np.asarray(nd.box.lo) for nd in tree.nodes]
-    hi = [np.asarray(nd.box.hi) for nd in tree.nodes]
+    """The admissibility test recomputed from each box's lo/hi with
+    np.linalg.norm."""
+    lo, hi = list(tree.lo), list(tree.hi)
     rad = [0.5 * float(np.linalg.norm(h - l)) for l, h in zip(lo, hi)]
     cen = [(l + h) / 2.0 for l, h in zip(lo, hi)]
 
@@ -400,11 +420,13 @@ def test_admissibility_matches_norm_reference_on_a_tree_with_exact_ties():
         for b in tree.nodes:
             want, tie = sep(a.index, b.index)
             ties += tie
-            assert well_separated(a.box, b.box, tau) == want, (a.index, b.index)
+            assert tree_separated(tree, a.index, b.index, tau) == want, (
+                a.index, b.index)
     assert ties > 0 and sep(23, 108) == (True, True)
     ref = _reference_nearfield(tree, sep)
+    near = nearfield_set(tree, tau)
     for i in range(len(tree.nodes)):
-        assert nearfield_set(tree, i, tau) == ref[i], i
+        assert near[i] == ref[i], i
 
 
 def _clustered_points():
@@ -451,30 +473,33 @@ def test_h2_partition_matches_recursive_reference_in_order(case):
         assert ref == ([], [(tree.root, tree.root)])
     if case == "clustered":
         # some node's box shrank below the half of its parent's box
-        assert any(np.any(np.subtract(nd.box.hi, nd.box.lo) < 0.5 * np.subtract(
-            tree.nodes[nd.parent].box.hi, tree.nodes[nd.parent].box.lo))
-            for nd in tree.nodes if nd.parent >= 0)
+        width = tree.hi - tree.lo
+        assert any(np.any(width[nd.index] < 0.5 * width[nd.parent])
+                   for nd in tree.nodes if nd.parent >= 0)
 
 
 def test_array_distance_is_the_dot_distance_on_the_tie_tree():
     """On every node pair of the sunflower tie tree the array distance is
-    sqrt(d.dot(d)) bit for bit, the array centers and radii are the boxes',
-    and well_separated gives the array test's answer."""
+    sqrt(d.dot(d)) bit for bit, the tree's centers and radii are those of
+    its boxes, and the array test gives the norm reference's answer."""
     tau = 0.6
     tree = smash.build_tree(smash.bench.curve_points("sunflower", 2560),
                             nu0=50, tau=tau)
-    cen, rad = _boxes(tree.nodes)
-    assert cen.tobytes() == np.array([nd.box.center for nd in tree.nodes]).tobytes()
-    assert rad.tobytes() == np.array([nd.box.radius for nd in tree.nodes]).tobytes()
+    cen, rad = tree.center, tree.radius
+    assert cen.tobytes() == np.array(
+        [(lo + hi) / 2.0 for lo, hi in zip(tree.lo, tree.hi)]).tobytes()
+    assert rad.tobytes() == np.array(
+        [0.5 * float(np.linalg.norm(hi - lo))
+         for lo, hi in zip(tree.lo, tree.hi)]).tobytes()
     I, J = (a.ravel() for a in np.indices((len(cen), len(cen))))
     d = cen[I] - cen[J]
     dist = _center_distance(d)
     want = np.array([math.sqrt(x.dot(x)) for x in d])
     assert dist.tobytes() == want.tobytes()
     sep = _separated(d, rad[I] + rad[J], tau)
+    ref = _reference_separated(tree, tau)
     for k, (i, j) in enumerate(zip(I, J)):
-        assert well_separated(tree.nodes[i].box, tree.nodes[j].box,
-                              tau) == sep[k], (i, j)
+        assert ref(i, j)[0] == sep[k], (i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -492,10 +517,8 @@ def test_verify_refuses_a_point_outside_its_box(role):
               if nd.is_leaf and getattr(nd, "n_" + role) > 0)
     own = pts[getattr(nd, role + "_start"):getattr(nd, role + "_stop")]
     # shrink the box so that the leaf's top point lies 1e-6 above it
-    hi = list(nd.box.hi)
-    hi[1] = own[:, 1].max() - 1e-6
-    nd.box = Box.of(nd.box.lo, hi)
-    with pytest.raises(AssertionError, match="outside a box"):
+    tree.hi[nd.index, 1] = own[:, 1].max() - 1e-6
+    with pytest.raises(ValueError, match="outside a box"):
         tree.verify()
 
 
@@ -506,5 +529,50 @@ def test_verify_refuses_children_that_do_not_tile_their_parent():
     # the second child drops its first point: still inside its box and
     # under the leaf size, but a gap opens between the two children
     tree.nodes[parent.children[1]].row_start += 1
-    with pytest.raises(AssertionError, match="tile"):
+    with pytest.raises(ValueError, match="tile"):
         tree.verify()
+
+
+def test_verify_refuses_a_broken_tree_under_python_O():
+    """verify raises ValueError, which python -O does not strip as it
+    strips assert statements."""
+    code = ("import numpy as np, smash\n"
+            "X = smash.PointSet(np.linspace(0, 1, 32).reshape(-1, 1))\n"
+            "tree = smash.build_tree(X, nu0=4)\n"
+            "tree.nodes[0].row_stop -= 1\n"
+            "try:\n"
+            "    tree.verify()\n"
+            "except ValueError as exc:\n"
+            "    print('refused:', exc)\n")
+    src = os.path.dirname(os.path.dirname(smash.__file__))
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert "refused:" in out.stdout and "do not tile" in out.stdout
+
+
+def _line_2d():
+    """Points on a segment in the plane: every box is thin in y."""
+    x = np.linspace(0.0, 1.0, 6350)
+    return smash.PointSet(np.column_stack([x, np.zeros_like(x)]))
+
+
+@pytest.mark.parametrize("case", ["grid2d-h2", "dlp-sunflower", "line-2d"])
+def test_tree_centers_and_radii_are_the_norm_reference(case):
+    """The tree's centers and radii, on the two benchmark trees and a 2-d
+    line, are (lo + hi) / 2 and half of np.linalg.norm(hi - lo), bit for
+    bit."""
+    tree = {
+        "grid2d-h2": lambda: smash.build_tree(smash.bench.grid_points(128),
+                                              nu0=50, mode="2d", tau=0.65),
+        "dlp-sunflower": lambda: smash.build_tree(
+            smash.bench.curve_points("sunflower", 2560), nu0=50, tau=0.6),
+        "line-2d": lambda: smash.build_tree(_line_2d(), nu0=50, mode="2d"),
+    }[case]()
+    k = len(tree.nodes)
+    assert tree.lo.shape == tree.hi.shape == tree.center.shape == (k, 2)
+    cen = np.array([(lo + hi) / 2.0 for lo, hi in zip(tree.lo, tree.hi)])
+    rad = np.array([0.5 * np.linalg.norm(hi - lo)
+                    for lo, hi in zip(tree.lo, tree.hi)])
+    assert tree.center.tobytes() == cen.tobytes()
+    assert tree.radius.tobytes() == rad.tobytes()

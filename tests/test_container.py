@@ -383,6 +383,18 @@ _DAMAGE = {
         0, 0), "not its child"),
     "root_range_not_numbers": (lambda h: h["tree"]["nodes"][-1].update(
         cols=[float("inf"), None]), "the root spans rows"),
+    # trees that only a build checked before: a leaf above the leaf size,
+    # and a box that lost its points
+    "leaf_above_nu0": (lambda h: h["tree"].update(nu0=1),
+                       "node 0 is a leaf and holds"),
+    "point_outside_its_box": (lambda h: h["tree"]["nodes"][0].update(
+        hi=h["tree"]["nodes"][0]["lo"]), "point outside a box, at node 0"),
+    "boxes_of_another_dimension": (lambda h: [
+        nd.update(lo=nd["lo"] + [0.0], hi=nd["hi"] + [0.0])
+        for nd in h["tree"]["nodes"]], "do not share one dimension"),
+    # a corner no float can hold once stopped the load with OverflowError
+    "corner_past_float_range": (lambda h: h["tree"]["nodes"][0].update(
+        lo=[10 ** 400]), "OverflowError"),
     # array contents that contradict the header: an offset moved onto the
     # bytes of another array
     "perm_on_other_bytes": (lambda h: _array(h, "rowfac.0.perm").update(

@@ -234,7 +234,7 @@ def test_cauchy_dx_on_coincident_points_in_one_zero_radius_leaf():
     X = smash.PointSet(np.tile([[0.3, 0.7]], (3, 1)))
     spec = smash.KernelSpec("cauchy", dx=2.5)
     tree = smash.build_tree(X, mode="2d", tau=0.65)
-    assert tree.nodes[tree.root].box.radius == 0.0
+    assert tree.radius[tree.root] == 0.0
     M = smash.build_h2(tree, spec, X, X)
     assert M.pairs_L == [] and M.pairs_Lm == [(tree.root, tree.root)]
     q = np.array([1.0, -2.0, 0.5])

@@ -9,7 +9,8 @@ import smash
 from smash._threads import one_blas_thread
 from smash.cluster import nearfield_set
 from smash.hss import _basis_builder, _candidate, cauchy_like_hss
-from smash.lowrank import InterpolativeFactor, compr, taylor_tail_bound
+from smash.lowrank import (InterpolativeFactor, compr, interp_basis,
+                           taylor_basis, taylor_tail_bound)
 
 from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
                       interval_pair)
@@ -186,6 +187,37 @@ def one_set_hss(request):
     return build_one_set_hss(X) + (X,)
 
 
+@pytest.mark.parametrize("basis", ["taylor", "interp"])
+def test_farfield_bases_pad_thin_boxes_as_one_node_at_a_time(basis):
+    """On a segment in the plane every box is thin in y, and an unpadded
+    interp box would be degenerate.  The builder pads all boxes at once;
+    each candidate equals, bit for bit, the basis of that node's box
+    padded on its own and measured with np.linalg.norm."""
+    x = np.linspace(0.0, 1.0, 700)
+    X = smash.PointSet(np.column_stack([x, np.full_like(x, 0.25)]))
+    tree = smash.build_tree(X, nu0=50)
+    params = smash.BuildParams(r=9, basis=basis)
+    candidate = _basis_builder(tree, smash.KernelSpec("cauchy"), params, "row")
+    root_hi, root_lo = tree.hi[tree.root], tree.lo[tree.root]
+    pad = max(1e-9 * float(np.linalg.norm(root_hi - root_lo)), 1e-300)
+    for i in range(tree.root):
+        lo, hi = tree.lo[i].copy(), tree.hi[i].copy()
+        thin = hi - lo < pad
+        assert thin[1]
+        lo[thin] -= pad / 2
+        hi[thin] += pad / 2
+        idx = tree.row_range(i)
+        if basis == "interp":
+            want = interp_basis(lo, hi, tree.points_row[idx], params.r)
+        else:
+            c = (lo + hi) / 2.0
+            z = tree.points_row[idx, 0] + 1j * tree.points_row[idx, 1]
+            want = taylor_basis(complex(c[0], c[1]),
+                                0.5 * float(np.linalg.norm(hi - lo)), z,
+                                params.r)
+        assert candidate(i, idx).tobytes() == want.tobytes(), i
+
+
 def test_one_point_set_holds_one_factor_per_node(one_set_hss):
     M, spec, _ = one_set_hss
     tr = M.tree
@@ -195,7 +227,7 @@ def test_one_point_set_holds_one_factor_per_node(one_set_hss):
         assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
         # the column compression it skips would have found the same factor
         # (on one BLAS thread, as the build runs)
-        near = nearfield_set(tr, i, M.params.tau)
+        near = nearfield_set(tr, M.params.tau)[i]
         with one_blas_thread():
             own = compr(*_candidate(M, i, near, bcol, "col"))
         for name in ("perm", "G", "skel"):

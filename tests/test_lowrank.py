@@ -8,10 +8,11 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smash.cluster import Box
 from smash.lowrank import (compr, interp_basis, srrqr,
                            taylor_bases, taylor_coupling, taylor_eta,
                            taylor_tail_bound, truncated_svd)
+
+from conftest import center_radius
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +44,14 @@ def test_taylor_expansion_meets_entrywise_tail_bound():
     # error of the degree-r expansion is then (1 + tau) tau^r / (1 - tau)
     # relative to the kernel value
     rng = np.random.default_rng(11)
-    box_a, box_b = Box.of((0.0,), (1.0,)), Box.of((2.0,), (3.0,))
+    box_a = center_radius((0.0,), (1.0,))
+    box_b = center_radius((2.0,), (3.0,))
     r = 10
     bound = taylor_tail_bound(0.5, r)
     assert bound == pytest.approx(3.0 * 2.0 ** -10)
     xs = rng.random(20)
     ys = 2.0 + rng.random(20)
-    U, T, V = taylor_bases(box_a, box_b, xs, ys, r)
+    U, T, V = taylor_bases(*box_a, *box_b, xs, ys, r)
     approx = U @ T @ V.T
     exact = 1.0 / (xs[:, None] - ys[None, :])
     relerr = np.max(np.abs(approx - exact) / np.abs(exact))
@@ -66,11 +68,11 @@ def test_taylor_bound_holds_on_random_separated_boxes(r):
         db = rng.uniform(0.1, 1.0)
         tau = rng.uniform(0.3, 0.65)
         cb = ca + (da + db) / tau * rng.choice([-1.0, 1.0])
-        box_a = Box.of((ca - da,), (ca + da,))
-        box_b = Box.of((cb - db,), (cb + db,))
+        box_a = center_radius((ca - da,), (ca + da,))
+        box_b = center_radius((cb - db,), (cb + db,))
         xs = rng.uniform(ca - da, ca + da, 15)
         ys = rng.uniform(cb - db, cb + db, 15)
-        U, T, V = taylor_bases(box_a, box_b, xs, ys, r)
+        U, T, V = taylor_bases(*box_a, *box_b, xs, ys, r)
         err = np.max(np.abs(U @ T @ V.T - 1.0 / (xs[:, None] - ys[None, :]))
                      * np.abs(xs[:, None] - ys[None, :]))
         assert err <= taylor_tail_bound(tau, r) * 1.000001
@@ -79,21 +81,22 @@ def test_taylor_bound_holds_on_random_separated_boxes(r):
 def test_taylor_basis_entries_stay_order_one():
     # the eta scaling keeps basis columns from exploding or vanishing, which
     # is what makes the later interpolative step numerically safe
-    box = Box.of((0.0,), (1.0,))
+    box = center_radius((0.0,), (1.0,))
     pts = np.linspace(0.0, 1.0, 50)
     for r in (5, 15, 30):
-        U, _, _ = taylor_bases(box, Box.of((3.0,), (4.0,)), pts, pts + 3.0, r)
+        U, _, _ = taylor_bases(*box, *center_radius((3.0,), (4.0,)), pts,
+                               pts + 3.0, r)
         mags = np.abs(U)
         assert mags.max() <= 1.5
         assert mags[:, -1].max() > 1e-3
 
 
 def test_planar_points_use_complex_arithmetic():
-    box_a = Box.of((0.0, 0.0), (1.0, 1.0))
-    box_b = Box.of((4.0, 4.0), (5.0, 5.0))
+    box_a = center_radius((0.0, 0.0), (1.0, 1.0))
+    box_b = center_radius((4.0, 4.0), (5.0, 5.0))
     za = np.array([0.2 + 0.3j, 0.8 + 0.1j])
     zb = np.array([4.5 + 4.5j])
-    U, T, V = taylor_bases(box_a, box_b, za, zb, 12)
+    U, T, V = taylor_bases(*box_a, *box_b, za, zb, 12)
     exact = 1.0 / (za[:, None] - zb[None, :])
     np.testing.assert_allclose(U @ T @ V.T, exact, rtol=1e-8)
 
@@ -103,34 +106,34 @@ def test_planar_points_use_complex_arithmetic():
 # ---------------------------------------------------------------------------
 
 def test_interpolation_rows_sum_to_one():
-    box = Box.of((0.0,), (2.0,))
+    box = ((0.0,), (2.0,))
     pts = np.random.default_rng(0).uniform(0, 2, 40).reshape(-1, 1)
-    U = interp_basis(box, pts, 9)
+    U = interp_basis(*box, pts, 9)
     np.testing.assert_allclose(U.sum(axis=1), 1.0, atol=1e-10)
 
 
 def test_point_on_interpolation_node_gives_unit_row():
-    box = Box.of((0.0,), (2.0,))
-    probe = interp_basis(box, np.array([[0.5]]), 7)
+    box = ((0.0,), (2.0,))
+    probe = interp_basis(*box, np.array([[0.5]]), 7)
     # recover the node grid from the cardinality property: evaluating at a
     # node must return a one-hot row
-    node_rows = interp_basis(box, np.array([[1.0]]), 7)
+    node_rows = interp_basis(*box, np.array([[1.0]]), 7)
     assert probe.shape == (1, 7)
     # rows evaluated exactly on nodes appear when we feed the Chebyshev
     # nodes themselves back in
     from smash.lowrank import _cheb_nodes
     nodes = _cheb_nodes(0.0, 2.0, 7).reshape(-1, 1)
-    eye = interp_basis(box, nodes, 7)
+    eye = interp_basis(*box, nodes, 7)
     np.testing.assert_allclose(eye, np.eye(7), atol=1e-12)
 
 
 def test_interpolation_reproduces_low_degree_polynomials():
-    box = Box.of((-1.0,), (1.0,))
+    box = ((-1.0,), (1.0,))
     r = 8
     from smash.lowrank import _cheb_nodes
     nodes = _cheb_nodes(-1.0, 1.0, r)
     pts = np.linspace(-1, 1, 33).reshape(-1, 1)
-    U = interp_basis(box, pts, r)
+    U = interp_basis(*box, pts, r)
     # kernel kappa(x, y) = x^(r-1) * y is degree r-1 in x
     y = 0.37
     exact = pts[:, 0] ** (r - 1) * y
@@ -139,12 +142,12 @@ def test_interpolation_reproduces_low_degree_polynomials():
 
 
 def test_planar_interpolation_keeps_r_columns():
-    box = Box.of((0.0, 0.0), (1.0, 1.0))
+    box = ((0.0, 0.0), (1.0, 1.0))
     pts = np.random.default_rng(1).random((10, 2))
     for r in (4, 9, 22):
-        assert interp_basis(box, pts, r).shape == (10, r)
+        assert interp_basis(*box, pts, r).shape == (10, r)
     # an untrimmed tensor grid (r a perfect square) is a partition of unity
-    U = interp_basis(box, pts, 9)
+    U = interp_basis(*box, pts, 9)
     np.testing.assert_allclose(U.sum(axis=1), 1.0, atol=1e-10)
 
 
