@@ -416,7 +416,8 @@ def nearfield_set(tree: ClusterTree, tau: float = None) -> list:
 
 
 def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
-    """Partition of the matrix into low-rank blocks L and dense blocks Lminus.
+    """Partition of the matrix into low-rank blocks L and dense blocks Lminus,
+    each a (p, 2) int64 array of node pairs (i, j).
 
     For "h2" the partition descends from the root pair: a well-separated pair
     joins L; a pair of leaves that is not separated joins Lminus; otherwise
@@ -424,22 +425,18 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
     itself.  This runs level by level on arrays of node pairs and returns
     them in the depth-first order of that recursion: block rows, and so the
     matvec's rounding, follow it.  For "hss" L holds all sibling pairs and
-    Lminus the leaf diagonal.
+    Lminus the leaf diagonal, both in node order.
     """
     if tau is None:
         tau = tree.tau_default
-    L: list = []
-    Lm: list = []
     if structure == "hss":
-        for nd in tree.nodes:
-            if not nd.is_leaf:
-                if len(nd.children) != 2:
-                    raise ValueError("hss structure needs a binary tree")
-                c1, c2 = nd.children
-                L.extend([(c1, c2), (c2, c1)])
-            else:
-                Lm.append((nd.index, nd.index))
-        return L, Lm
+        kids = [nd.children for nd in tree.nodes if not nd.is_leaf]
+        if any(len(c) != 2 for c in kids):
+            raise ValueError("hss structure needs a binary tree")
+        sib = np.array(kids, dtype=np.int64).reshape(-1, 2)
+        leaves = np.array(tree.leaves(), dtype=np.int64)
+        return (np.stack([sib, sib[:, ::-1]], axis=1).reshape(-1, 2),
+                np.stack([leaves, leaves], axis=1))
     if structure != "h2":
         raise ValueError("structure must be 'hss' or 'h2'")
 
@@ -455,7 +452,7 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
     # top down: each level's pairs in the recursion's (depth-first) order
     # among themselves; a pair that stops is coded (i n + j) 2 + [dense]
     levels = []
-    I = J = np.array([tree.root])
+    I = J = np.array([tree.root], dtype=np.int64)
     while I.size:
         adm = _separated(cen[I] - cen[J], rad[I] + rad[J], tau)
         stop = adm | (leaf[I] & leaf[J])
@@ -476,9 +473,6 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
         at = at[start]
         seq = np.insert(seq, at[:-1][stop], codes)
         at += np.concatenate(([0], np.cumsum(stop)))
-    ids = np.arange(n).astype(object)  # one int object per node, for all pairs
-    ij = ids[np.stack(np.divmod(seq >> 1, n))]
+    ij = np.stack(np.divmod(seq >> 1, n), axis=1)
     dense = (seq & 1).astype(bool)
-    L = list(zip(*ij[:, ~dense].tolist()))
-    Lm = list(zip(*ij[:, dense].tolist()))
-    return L, Lm
+    return ij[~dense], ij[dense]

@@ -3,10 +3,12 @@
 Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
-index arrays little-endian int64, so round trips are bit-exact.  A matrix
+index arrays little-endian int64, so round trips are bit-exact; the block
+partition is two of them, (p, 2) node pairs.  A matrix
 whose column factors are its row factors (``hss.one_basis``) is saved once:
 the payload has no "colfac" or "skel_col" entries, and the loader applies
-the same rule.  A file with another magic line is refused.
+the same rule.  A file with another magic line is refused, one of an older
+version of this format by name.
 """
 
 from __future__ import annotations
@@ -23,15 +25,17 @@ from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
 from .kernel import KernelSpec, get_curve
 from .lowrank import InterpolativeFactor
 
-_MAGIC = b"SMASH-BIN-2\n"
-_OLD_MAGIC = b"SMASH-BIN-1\n"
+_MAGIC = b"SMASH-BIN-3\n"
+_OLD_MAGIC = (b"SMASH-BIN-1\n", b"SMASH-BIN-2\n")
 
 _DT = {"f8": "<f8", "c16": "<c16", "i8": "<i8"}
 
-_HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "pairs_L",
-                "pairs_Lm", "arrays")
+_HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "arrays")
 _NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
 _TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
+# the block partition: each array's pairs, and the nodes they may name
+_PAIRS = {"pairs_L": ("coupling", "non-root nodes"),
+          "pairs_Lm": ("nearfield", "leaves")}
 # the values a header may hold, by name
 _KINDS = {"hss": HssMatrix, "h2": H2Matrix}
 _DTYPES = {"f8": np.float64, "c16": np.complex128}
@@ -71,6 +75,7 @@ def save_matrix(M, path) -> None:
     scalings; both hold interpolative factors."""
     tr = M.tree
     arrays = [(name, _as_saved(getattr(tr, name))) for name in _TREE_ARRAYS]
+    arrays += [(name, _as_saved(getattr(M, name))) for name in _PAIRS]
     arrays += stored_arrays(M)
     kern = None
     if M.kernel is not None:
@@ -102,8 +107,6 @@ def save_matrix(M, path) -> None:
                       for k, nd in enumerate(tr.nodes)],
         },
         "kernel": kern,
-        "pairs_L": [list(p) for p in M.pairs_L],
-        "pairs_Lm": [list(p) for p in M.pairs_Lm],
         "arrays": manifest,
     }
     blob = json.dumps(header).encode()
@@ -144,7 +147,7 @@ def _read_arrays(payload: bytes, manifest) -> dict:
         a = np.frombuffer(payload, dtype=_DT[tag], count=math.prod(shape),
                           offset=offset)
         out[name] = a.astype(tag).reshape(shape)  # native byte order
-    for name in _TREE_ARRAYS:
+    for name in (*_TREE_ARRAYS, *_PAIRS):
         if name not in out:
             raise ValueError("damaged container: no %r array" % name)
     return out
@@ -228,15 +231,16 @@ def _assemble(header: dict, arrays: dict):
                              basis=ph["basis"])
     except ValueError as exc:
         raise ValueError("damaged container header: %s" % exc) from None
-    pairs_L = [tuple(p) for p in header["pairs_L"]]
-    pairs_Lm = [tuple(p) for p in header["pairs_Lm"]]
+    leaf = np.array([nd.is_leaf for nd in nodes])
+    pairs = [_pairs(arrays[name], name, mask) for name, mask in (
+        ("pairs_L", np.arange(leaf.size) != tree.root), ("pairs_Lm", leaf))]
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"), role="col")
         block = make_block_evaluator(kernel, X, Y, tree)
     else:
         block = no_kernel_block
-    M = cls(tree, params, block, pairs_L, pairs_Lm, dtype, kernel=kernel)
+    M = cls(tree, params, block, *pairs, dtype, kernel=kernel)
     shared = one_basis(M.kind, tree, kernel)
 
     perms = []
@@ -259,7 +263,7 @@ def _assemble(header: dict, arrays: dict):
             M.Dblocks[int(parts[1])] = arr
         elif parts[0] == "B":
             M.B_dense[(int(parts[1]), int(parts[2]))] = arr
-        elif name not in _TREE_ARRAYS + ("kernel.w", "kernel.v"):
+        elif name not in (*_TREE_ARRAYS, *_PAIRS, "kernel.w", "kernel.v"):
             raise ValueError("unknown container entry %r" % name)
     # an interpolative factor's skeleton is the node's stored skeleton
     for prefix, i, perm in perms:
@@ -273,8 +277,24 @@ def _assemble(header: dict, arrays: dict):
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)
-    _check_structure(M)
+    _check_structure(M, shared)
     return M
+
+
+def _pairs(arr: np.ndarray, name: str, allowed: np.ndarray) -> np.ndarray:
+    """The saved pairs ``name``, refused by name unless a (p, 2) int64 array
+    of the ids of nodes where the mask ``allowed`` holds."""
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype != np.int64:
+        raise ValueError("damaged container: %r is a %s array of shape %s, "
+                         "not (p, 2) int64" % (name, arr.dtype, arr.shape))
+    inside = (arr >= 0) & (arr < allowed.size)
+    bad = ~(inside & allowed[np.where(inside, arr, 0)]).all(axis=1)
+    if bad.any():
+        kind, nodes = _PAIRS[name]
+        raise ValueError("damaged container: %r holds the %s pair (%d, %d), "
+                         "which is not a pair of %s"
+                         % (name, kind, *arr[bad][0], nodes))
+    return arr
 
 
 def _no_factor(i, side: str) -> ValueError:
@@ -282,27 +302,17 @@ def _no_factor(i, side: str) -> ValueError:
                       "skeleton" % (i, side, side))
 
 
-def _check_structure(M) -> None:
-    """Cross-checks of a header whose tree passed ``ClusterTree.verify``:
-    every non-root node has both factors, every factor and coupling pair
-    names a node with a skeleton, and each factor fits the labels it
-    interpolates."""
+def _check_structure(M, shared: bool) -> None:
+    """Cross-checks of a file whose tree passed ``ClusterTree.verify``:
+    every non-root node has both factors (one, checked once, where they are
+    ``shared``), and each factor fits the labels it interpolates."""
     tr = M.tree
-    for facs, skels, side in ((M.rowfac, M.skel_row, "row"),
-                              (M.colfac, M.skel_col, "column")):
+    sides = [(M.rowfac, M.skel_row, "row"), (M.colfac, M.skel_col, "column")]
+    for facs, skels, side in sides[:1 if shared else 2]:
         for i in sorted(set(range(tr.root)).union(facs)):  # children first
             if i not in facs or i not in skels:
                 raise _no_factor(i, side)
             _check_factor(tr, i, facs[i], skels, side)
-    for i, j in M.pairs_L:
-        if i not in M.skel_row or j not in M.skel_col:
-            raise ValueError("damaged container: coupling pair (%r, %r) names "
-                             "a node with no skeleton" % (i, j))
-    leaves = set(tr.leaves())
-    for i, j in M.pairs_Lm:
-        if i not in leaves or j not in leaves:
-            raise ValueError("damaged container: nearfield pair (%r, %r) "
-                             "names a node that is not a leaf" % (i, j))
 
 
 def _same(a: np.ndarray, b: np.ndarray) -> bool:

@@ -105,16 +105,28 @@ class BlockRow:
         return self.A[:, self.edges[k]:self.edges[k + 1]]
 
 
-def _by_target(pairs, mirrored: bool):
-    """(mirrored, {i: (j, ...)}): pairs (i, j) grouped by i, in order of
-    appearance; mirrored, only the pairs with i <= j, each (i, i) first."""
+def _by_target(pairs: np.ndarray, mirrored: bool):
+    """(mirrored, {i: (j, ...)}): the (p, 2) pairs (i, j) grouped by i, in
+    order of appearance; mirrored, only the pairs with i <= j, each (i, i)
+    first.  A stable sort on the position where each pair's i first
+    appears keeps both orders."""
     if mirrored:
-        pairs = ([(i, j) for i, j in pairs if i == j]
-                 + [(i, j) for i, j in pairs if i < j])
-    out = {}
-    for i, j in pairs:
-        out.setdefault(i, []).append(j)
-    return mirrored, {i: tuple(js) for i, js in out.items()}
+        i, j = pairs.T
+        pairs = np.concatenate([pairs[i == j], pairs[i < j]])
+    _, first, group = np.unique(pairs[:, 0], return_index=True,
+                                return_inverse=True)
+    i, j = pairs[np.argsort(first[group.ravel()], kind="stable")].T
+    starts = np.flatnonzero(np.diff(i, prepend=-1))
+    edges, js = np.append(starts, i.size).tolist(), j.tolist()
+    return mirrored, {a: tuple(js[s:e]) for a, s, e in
+                      zip(i[starts].tolist(), edges, edges[1:])}
+
+
+def _mirrored_pairs(pairs: np.ndarray, n: int) -> bool:
+    """Whether the (p, 2) pairs of ids below n hold the mirror (j, i) of
+    each pair: the sorted codes i n + j and j n + i agree."""
+    i, j = pairs.T
+    return np.array_equal(np.sort(i * n + j), np.sort(j * n + i))
 
 
 def _equal_points_split(tree: ClusterTree) -> bool:
@@ -158,8 +170,8 @@ class _StructuredMatrix:
         self.kernel = kernel
         self.dtype = dtype
         self._block = block          # (tree-order rows, cols) -> exact entries
-        self.pairs_L = list(pairs_L)
-        self.pairs_Lm = list(pairs_Lm)
+        self.pairs_L = np.asarray(pairs_L, dtype=np.int64).reshape(-1, 2)
+        self.pairs_Lm = np.asarray(pairs_Lm, dtype=np.int64).reshape(-1, 2)
         self.rowfac = {}
         self.colfac = {}
         self.skel_row = {}
@@ -248,7 +260,7 @@ class _StructuredMatrix:
         test, ``_mirrors_nearfield``."""
         return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
                 and one_basis(self.kind, self.tree, self.kernel)
-                and set(self.pairs_L) == {(j, i) for i, j in self.pairs_L})
+                and _mirrored_pairs(self.pairs_L, len(self.tree.nodes)))
 
     def _mirrors_nearfield(self) -> bool:
         """Whether, given antisymmetric couplings, every nearfield block
@@ -260,7 +272,7 @@ class _StructuredMatrix:
         points."""
         tr = self.tree
         return (tr.one_point_set()
-                and set(self.pairs_Lm) == {(j, i) for i, j in self.pairs_Lm}
+                and _mirrored_pairs(self.pairs_Lm, len(tr.nodes))
                 and not _equal_points_split(tr))
 
     def _kept_rows(self):
@@ -551,7 +563,7 @@ def hss_add(A: HssMatrix, B: HssMatrix) -> HssMatrix:
     for i in tr.leaves():
         out.Dblocks[i] = (A.NF(i, i) + B.NF(i, i)).astype(dtype)
     couplings = {(i, j): _blkdiag(A.B(i, j), B.B(i, j), dtype)
-                 for i, j in A.pairs_L}
+                 for i, j in A.pairs_L.tolist()}
     return _recompress(out, raw, couplings)
 
 
@@ -587,7 +599,7 @@ def diag_scale(M: HssMatrix, dl, dr) -> HssMatrix:
     for i in tr.leaves():
         rr, cc = tr.row_range(i), tr.col_range(i)
         out.Dblocks[i] = dlt[rr][:, None] * M.NF(i, i) * drt[cc][None, :]
-    couplings = {(i, j): M.B(i, j) for i, j in M.pairs_L}
+    couplings = {(i, j): M.B(i, j) for i, j in M.pairs_L.tolist()}
     return _recompress(out, raw, couplings)
 
 

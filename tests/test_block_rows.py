@@ -74,7 +74,7 @@ def test_blocks_are_views_into_their_rows(grid_h2_400):
                 assert np.shares_memory(get(i, j), row.A)
             np.testing.assert_array_equal(
                 row.A, np.hstack([get(i, j) for j in row.sources]))
-        mirrored = set(pairs) - kept
+        mirrored = set(map(tuple, pairs.tolist())) - kept
         assert len(mirrored) == n_mirrored
         for i, j in mirrored:
             assert (j, i) in kept
@@ -218,3 +218,32 @@ def test_nearfield_is_mirrored_only_where_leaves_keep_equal_points(
     if split:  # both blocks hold dx where the two copies meet
         low, high = holders
         assert not np.array_equal(M.NF(high, low), -M.NF(low, high).T)
+
+
+def _by_target_loop(pairs, mirrored):
+    """The grouping of ``hss._by_target`` as a loop over pair tuples: the
+    reference its array form must match, rows and order."""
+    pairs = [tuple(p) for p in pairs.tolist()]
+    if mirrored:
+        pairs = ([(i, j) for i, j in pairs if i == j]
+                 + [(i, j) for i, j in pairs if i < j])
+    out = {}
+    for i, j in pairs:
+        out.setdefault(i, []).append(j)
+    return mirrored, {i: tuple(js) for i, js in out.items()}
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_grouping_by_target_matches_the_loop(grid_h2_400, mirrored):
+    # the partition's own order, a shuffle of it, and a one-sided part
+    M = grid_h2_400[0]
+    n = len(M.tree.nodes)
+    shuffled = np.random.default_rng(3).permutation(M.pairs_L)
+    for pairs in (M.pairs_L, M.pairs_Lm, shuffled, M.pairs_L[::3],
+                  np.zeros((0, 2), dtype=np.int64)):
+        got = hss._by_target(pairs, mirrored)
+        assert got == _by_target_loop(pairs, mirrored)
+        assert list(got[1]) == list(_by_target_loop(pairs, mirrored)[1])
+        ref = {(i, j) for i, j in pairs.tolist()}
+        assert hss._mirrored_pairs(pairs, n) == (
+            ref == {(j, i) for i, j in ref})

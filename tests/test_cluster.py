@@ -252,17 +252,17 @@ def test_hss_leaf_sets_are_sibling_pairs_plus_diagonal():
         if not nd.is_leaf:
             c1, c2 = nd.children
             sib |= {(c1, c2), (c2, c1)}
-    assert set(L) == sib
-    assert set(Lm) == {(i, i) for i in tree.leaves()}
+    assert set(map(tuple, L.tolist())) == sib
+    assert set(map(tuple, Lm.tolist())) == {(i, i) for i in tree.leaves()}
 
 
 def test_h2_depth_two_adjacent_boxes_all_dense():
     tree = smash.build_tree(uniform_1d(8), nu0=4, tau=0.5)
     assert tree.n_levels == 2
     L, Lm = leaf_sets(tree, tau=0.5, structure="h2")
-    assert L == []
+    assert L.tolist() == []
     kids = tree.nodes[tree.root].children
-    assert set(Lm) == {(i, j) for i in kids for j in kids}
+    assert set(map(tuple, Lm.tolist())) == {(i, j) for i in kids for j in kids}
 
 
 def brute_force_h2(tree, tau):
@@ -300,8 +300,8 @@ def test_h2_leaf_sets_match_brute_force_enumeration():
     tree = smash.build_tree(uniform_1d(16), nu0=2, tau=0.5)
     L, Lm = leaf_sets(tree, tau=0.5, structure="h2")
     Lb, Lmb = brute_force_h2(tree, 0.5)
-    assert set(L) == set(Lb)
-    assert set(Lm) == set(Lmb)
+    assert set(map(tuple, L.tolist())) == set(Lb)
+    assert set(map(tuple, Lm.tolist())) == set(Lmb)
 
 
 @pytest.mark.parametrize("structure", ["hss", "h2"])
@@ -319,7 +319,7 @@ def test_leaf_sets_tile_the_matrix_exactly_once(structure):
 def test_h2_admissibility_is_symmetric_for_shared_points():
     tree = smash.build_tree(uniform_1d(32), nu0=2, tau=0.5)
     L, _ = leaf_sets(tree, tau=0.5, structure="h2")
-    Ls = set(L)
+    Ls = set(map(tuple, L.tolist()))
     assert all((j, i) in Ls for i, j in Ls)
 
 
@@ -468,7 +468,9 @@ def test_h2_partition_matches_recursive_reference_in_order(case):
     recursion's order: block rows take their sources in this order."""
     tree, tau = _partition_trees()[case]()
     ref = _reference_h2(tree, _reference_separated(tree, tau))
-    assert leaf_sets(tree, tau, "h2") == ref
+    got = leaf_sets(tree, tau, "h2")
+    assert all(a.dtype == np.int64 and a.shape[1:] == (2,) for a in got)
+    assert tuple(list(map(tuple, a.tolist())) for a in got) == ref
     if case == "single-leaf":
         assert ref == ([], [(tree.root, tree.root)])
     if case == "clustered":

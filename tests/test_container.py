@@ -32,12 +32,28 @@ def test_round_trip_preserves_structure(tmp_path):
     smash.save_matrix(M, path)
     M2 = smash.load_matrix(path)
     assert M2.kind == "hss"
-    assert M2.pairs_L == M.pairs_L and M2.pairs_Lm == M.pairs_Lm
+    assert M2.pairs_L.tolist() == M.pairs_L.tolist()
+    assert M2.pairs_Lm.tolist() == M.pairs_Lm.tolist()
     assert M2.params == M.params
     for i in M.skel_row:
         np.testing.assert_array_equal(M2.skel_row[i], M.skel_row[i])
     for i in M.tree.leaves():
         np.testing.assert_array_equal(M2.Dblocks[i], M.Dblocks[i])
+
+
+@pytest.mark.parametrize("build", [lambda: build_interval_hss(300, nu0=32)[0],
+                                   lambda: build_grid_h2_400()[0]],
+                         ids=["hss", "h2"])
+def test_pairs_are_saved_as_int64_arrays_and_reload_equal(tmp_path, build):
+    M = build()
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    assert {"pairs_L", "pairs_Lm"} <= set(_names(path))
+    M2 = smash.load_matrix(path)
+    for name in ("pairs_L", "pairs_Lm"):
+        a, b = getattr(M2, name), getattr(M, name)
+        assert a.dtype == np.int64 and a.shape[1:] == (2,)
+        assert np.array_equal(a, b)
 
 
 def test_h2_round_trip(tmp_path, grid_h2_400):
@@ -75,6 +91,20 @@ def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
     q = np.random.default_rng(8).random(X.n)
     assert (smash.matvec_nodewise(M, q).tobytes()
             == smash.matvec_nodewise(M2, q).tobytes())
+
+
+def test_shared_factor_is_checked_once_on_load(tmp_path, grid_h2_400,
+                                              monkeypatch):
+    M = grid_h2_400[0]
+    path = tmp_path / "g.smash"
+    smash.save_matrix(M, path)
+    checked = []
+    check = smash.container._check_factor
+    monkeypatch.setattr(smash.container, "_check_factor",
+                        lambda tr, i, *rest: checked.append(i) or check(
+                            tr, i, *rest))
+    smash.load_matrix(path)
+    assert sorted(checked) == sorted(M.rowfac)
 
 
 def test_h2_double_layer_saves_both_factors_and_reloads_bitwise(tmp_path):
@@ -228,12 +258,27 @@ def test_cauchy_like_round_trip_reloads_generators(tmp_path):
 
 
 def edit_header(path, change):
-    """Rewrite a saved container's JSON header through change(header)."""
+    """Rewrite a saved container's JSON header through change(header); the
+    arrays that change gives new contents (``_put``) are appended to the
+    payload."""
     raw = path.read_bytes()
     head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
     header = json.loads(raw[head:cut])
     change(header)
-    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
+    tail = b""
+    for name, arr in header.pop("_put", []):
+        _array(header, name).update(
+            dtype="i8", shape=list(arr.shape), nbytes=arr.nbytes,
+            offset=len(raw) - cut - 1 + len(tail))
+        tail += arr.tobytes()
+    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:]
+                     + tail)
+
+
+def _put(header, name, values):
+    """Give the saved array ``name`` the int64 contents ``values``."""
+    header.setdefault("_put", []).append(
+        (name, np.asarray(values, dtype="<i8")))
 
 
 def test_header_without_basis_loads_as_taylor(tmp_path):
@@ -272,8 +317,8 @@ def test_compressed_bytes_are_the_saved_arrays(tmp_path, case):
     arrays = []
     edit_header(path, lambda h: arrays.extend(h["arrays"]))
     saved = sum(e["nbytes"] for e in arrays if e["name"] not in (
-        "perm_row", "perm_col", "points_row", "points_col", "kernel.w",
-        "kernel.v"))
+        "perm_row", "perm_col", "points_row", "points_col", "pairs_L",
+        "pairs_Lm", "kernel.w", "kernel.v"))
     rep = smash.storage_report(M)
     assert rep.compressed_bytes == saved
     assert sum(rep.breakdown.values()) == saved
@@ -290,17 +335,18 @@ def test_header_with_old_cache_flag_still_loads(tmp_path):
                                   smash.matvec_nodewise(smash.load_matrix(path), q))
 
 
-def _old_magic(path):
-    """A fresh save with the magic line of the format's first version."""
+def _old_magic(path, version=1):
+    """A fresh save with the magic line of an earlier version of the
+    format, the first by default."""
     raw = path.read_bytes()
-    path.write_bytes(b"SMASH-BIN-1\n" + raw[raw.index(b"\n") + 1:])
+    path.write_bytes(b"SMASH-BIN-%d\n" % version + raw[raw.index(b"\n") + 1:])
 
 
 def test_container_from_an_older_version_is_refused_by_name(tmp_path):
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    assert path.read_bytes().startswith(b"SMASH-BIN-2\n")
+    assert path.read_bytes().startswith(b"SMASH-BIN-3\n")
     _old_magic(path)
     with pytest.raises(ValueError, match="older version.*rebuild the matrix"):
         smash.load_matrix(path)
@@ -315,6 +361,18 @@ def test_container_from_an_older_version_exits_with_input_code(tmp_path,
     capsys.readouterr()
     assert main(["matvec", "--load", str(path)]) == 2
     assert "rebuild the matrix" in capsys.readouterr().err
+
+
+def test_container_with_pairs_in_its_header_exits_with_input_code(tmp_path,
+                                                                  capsys):
+    # the second version held the block partition in the JSON header
+    from smash.cli import main
+    path = tmp_path / "m.smash"
+    assert main(["build", "--n", "100", "--out", str(path)]) == 0
+    _old_magic(path, 2)
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    assert "older version" in capsys.readouterr().err
 
 
 def test_saved_interpolative_factor_stores_skeleton_once(tmp_path):
@@ -368,8 +426,21 @@ _DAMAGE = {
     "shape_bytes": (lambda h: _array(h, "D.0").update(shape=[1, 1]), "'D.0'"),
     "past_end": (lambda h: _array(h, "D.0").update(offset=10 ** 9), "'D.0'"),
     # well-formed headers that contradict themselves
-    "pair_without_skeleton": (lambda h: h["pairs_L"].append(
-        [len(h["tree"]["nodes"]) - 1, 0]), "coupling pair"),
+    "pair_without_skeleton": (lambda h: _put(h, "pairs_L", [
+        [len(h["tree"]["nodes"]) - 1, 0]]), "coupling pair"),
+    # the block partition, saved as two (p, 2) int64 arrays of node ids
+    "pairs_three_columns": (lambda h: _put(h, "pairs_L", np.zeros((2, 3))),
+                            "'pairs_L'"),
+    "pairs_as_floats": (lambda h: _array(h, "pairs_L").update(dtype="f8"),
+                        "'pairs_L'"),
+    "pair_past_the_tree": (lambda h: _put(h, "pairs_Lm", [
+        [0, len(h["tree"]["nodes"])]]), "'pairs_Lm' holds the nearfield pair (0, "),
+    "pair_of_negative_node": (lambda h: _put(h, "pairs_L", [[0, -1]]),
+                              "'pairs_L' holds the coupling pair (0, -1)"),
+    "no_pairs_L": (lambda h: h.update(arrays=[
+        e for e in h["arrays"] if e["name"] != "pairs_L"]), "'pairs_L'"),
+    "nearfield_pair_of_inner_node": (lambda h: _put(h, "pairs_Lm", [
+        [len(h["tree"]["nodes"]) - 1, 0]]), "nearfield pair"),
     "factor_without_skeleton": (lambda h: h.update(arrays=[
         e for e in h["arrays"] if e["name"] != "skel_row.0"]),
         "node 0 has no row factor"),
