@@ -4,7 +4,8 @@ Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
 index arrays little-endian int64, so round trips are bit-exact; the block
-partition is two of them, (p, 2) node pairs.  A matrix
+partition is two of them, (p, 2) node pairs, which the loader compares pair
+for pair with the partition ``leaf_sets`` gives the saved tree.  A matrix
 whose column factors are its row factors (``hss.one_basis``) is saved once:
 the payload has no "colfac" or "skel_col" entries, and the loader applies
 the same rule.  A file with another magic line is refused, one of an older
@@ -18,7 +19,8 @@ import math
 
 import numpy as np
 
-from .cluster import ClusterTree, PointSet, TreeNode, _is_permutation
+from .cluster import (ClusterTree, PointSet, TreeNode, _is_permutation,
+                      leaf_sets)
 from .h2 import H2Matrix
 from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
                   no_kernel_block, one_basis)
@@ -234,6 +236,7 @@ def _assemble(header: dict, arrays: dict):
     leaf = np.array([nd.is_leaf for nd in nodes])
     pairs = [_pairs(arrays[name], name, mask) for name, mask in (
         ("pairs_L", np.arange(leaf.size) != tree.root), ("pairs_Lm", leaf))]
+    _check_partition(pairs, leaf_sets(tree, params.tau, cls.kind))
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"), role="col")
@@ -295,6 +298,24 @@ def _pairs(arr: np.ndarray, name: str, allowed: np.ndarray) -> np.ndarray:
                          "which is not a pair of %s"
                          % (name, kind, *arr[bad][0], nodes))
     return arr
+
+
+def _check_partition(saved, partition) -> None:
+    """Refuse saved pairs that are not, pair for pair and in order, the
+    block partition ``leaf_sets`` gives the tree: a pair held twice adds its
+    block twice, a dropped one loses it, and another order changes the
+    rounding of the matvec."""
+    for name, arr, want in zip(_PAIRS, saved, partition):
+        if np.array_equal(arr, want):
+            continue
+        m = min(len(arr), len(want))
+        at = np.flatnonzero((arr[:m] != want[:m]).any(axis=1))
+        at = int(at[0]) if at.size else m
+        held, due = (("the pair (%d, %d)" % tuple(a[at]) if at < len(a)
+                      else "no pair") for a in (arr, want))
+        raise ValueError("damaged container: %r is not the block partition "
+                         "of its tree: at position %d it holds %s, where the "
+                         "partition has %s" % (name, at, held, due))
 
 
 def _no_factor(i, side: str) -> ValueError:

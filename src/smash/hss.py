@@ -485,7 +485,7 @@ def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
         Anear = (M._block(ibar, labels) if side == "row"
                  else M._block(labels, ibar).T)
         cand.append(truncated_svd(Anear, M.params.eps_svd).S)
-    return np.hstack(cand), ibar
+    return (cand[0] if len(cand) == 1 else np.hstack(cand)), ibar
 
 
 def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):

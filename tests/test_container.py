@@ -515,6 +515,61 @@ def test_damaged_manifest_rejected_by_name(tmp_path, saved_container, case):
     assert named in str(info.value)
 
 
+# the saved partition edited three ways; each first differs at position 1
+_PARTITION_EDITS = {
+    "duplicated": lambda P: np.insert(P, 1, P[0], axis=0),
+    "dropped": lambda P: np.delete(P, 1, axis=0),
+    "reordered": lambda P: P[[0, 2, 1, *range(3, len(P))]],
+}
+
+
+def _partition_case(tmp_path, structure, edit):
+    """A saved HSS (its leaf diagonal) or H2 (its couplings) file whose
+    pairs were edited: (path, name of the edited array)."""
+    if structure == "hss":
+        M, name = build_interval_hss(100, nu0=32)[0], "pairs_Lm"
+    else:
+        M, name = build_grid_h2_400()[0], "pairs_L"
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    edited = _PARTITION_EDITS[edit](getattr(M, name))
+    edit_header(path, lambda h: _put(h, name, edited))
+    return path, name
+
+
+@pytest.mark.parametrize("edit", sorted(_PARTITION_EDITS))
+@pytest.mark.parametrize("structure", ["hss", "h2"])
+def test_partition_that_does_not_tile_the_matrix_is_refused(tmp_path,
+                                                            structure, edit):
+    path, name = _partition_case(tmp_path, structure, edit)
+    with pytest.raises(ValueError, match="%r is not the block partition of "
+                       "its tree: at position 1 " % name):
+        smash.load_matrix(path)
+
+
+def test_partition_that_does_not_tile_the_matrix_exits_with_input_code(
+        tmp_path, capsys):
+    from smash.cli import main
+    path, _ = _partition_case(tmp_path, "h2", "duplicated")
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    assert "block partition" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["sum-of-scalings", "complex-scaling"])
+def test_saved_sums_and_scalings_keep_their_partition(tmp_path, case):
+    # hss_add and diag_scale take the partition of their operand
+    M = _compressed_case(case)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    M2 = smash.load_matrix(path)
+    assert np.array_equal(M2.pairs_L, M.pairs_L)
+    assert np.array_equal(M2.pairs_Lm, M.pairs_Lm)
+    q = np.random.default_rng(6).random(M.n_col)
+    np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
+                                  smash.matvec_nodewise(M2, q))
+
+
 def _paths(obj, prefix=()):
     """Every key path into a JSON value."""
     yield prefix

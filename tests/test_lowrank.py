@@ -1,6 +1,8 @@
 """Taylor and interpolation farfield bases, rank-revealing QR with the
-bounded-coefficient guarantee, interpolative row compression, and truncated
-SVD."""
+bounded-coefficient guarantee and its direct LAPACK calls, interpolative row
+compression, and truncated SVD."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,8 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smash
+from smash import bench, container, lowrank
 from smash.lowrank import (compr, interp_basis, srrqr,
                            taylor_bases, taylor_coupling, taylor_eta,
                            taylor_tail_bound, truncated_svd)
@@ -89,6 +93,30 @@ def test_taylor_basis_entries_stay_order_one():
         mags = np.abs(U)
         assert mags.max() <= 1.5
         assert mags[:, -1].max() > 1e-3
+
+
+@pytest.mark.parametrize("r", [1, 2, 22])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_taylor_basis_matches_its_formula_bitwise(r, complex_):
+    # the factorials and the order-only part of eta come from a cache; the
+    # columns must be those of the formula evaluated afresh, bit for bit
+    rng = np.random.default_rng(r)
+    pts = rng.random(9) + (1j * rng.random(9) if complex_ else 0)
+    center, delta = (0.4 + 0.5j if complex_ else 0.4), 0.7
+    ls = np.arange(r, dtype=float)
+    base = (ls / math.e) * (2 * math.pi * r) ** (1.0 / (2 * r)) / delta
+    eta = np.ones(r)
+    eta[1:] = base[1:] ** ls[1:]
+    dz = (pts - center)[:, None]
+    pows = np.ones((pts.size, r), dtype=dz.dtype)
+    if r > 1:
+        pows[:, 1:] = np.cumprod(np.repeat(dz, r - 1, axis=1), axis=1)
+    fact = np.array([math.factorial(l) for l in range(r)], dtype=float)
+    ref = pows * (eta / fact)[None, :]
+    for _ in range(2):  # the second call reads the cache
+        got = lowrank.taylor_basis(center, delta, pts, r)
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+        assert taylor_eta(r, delta).tobytes() == eta.tobytes()
 
 
 def test_planar_points_use_complex_arithmetic():
@@ -195,6 +223,170 @@ def test_factorization_reassembles_input():
 def test_empty_matrix_handled():
     res = srrqr(np.empty((0, 5)))
     assert res.rank == 0
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK calls against scipy.linalg.qr
+# ---------------------------------------------------------------------------
+
+def _scipy_srrqr(M, k=None):
+    """srrqr with every factorization through scipy.linalg.qr: the
+    reference the direct geqp3 and geqrf calls must match bit for bit."""
+    M = np.asarray(M)
+    m, n = M.shape
+    kmax = min(m, n)
+    if kmax == 0:
+        e = np.empty((0, n), dtype=M.dtype)
+        return lowrank.SrrqrResult(np.arange(n), e[:, :0], e, M.copy(), e, 0, 0)
+    R, piv = sla.qr(M, mode="r", pivoting=True)
+    R = R[:kmax]
+    k = kmax if k is None else min(k, kmax)
+    d = np.abs(np.diag(R))
+    k = int(min(k, np.count_nonzero(d > lowrank._DEFICIENCY_RTOL * d[0])))
+    swaps = 0
+    while True:
+        W = (sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
+             if 0 < k < n else np.empty((k, n - k), dtype=R.dtype))
+        if W.size == 0 or np.max(np.abs(W)) <= lowrank._SWAP_BOUND:
+            break
+        i, j = np.unravel_index(np.argmax(np.abs(W)), W.shape)
+        piv = piv.copy()
+        piv[i], piv[k + j] = piv[k + j], piv[i]
+        R = sla.qr(M[:, piv], mode="r")[0][:kmax]
+        swaps += 1
+    return lowrank.SrrqrResult(piv, R[:k, :k], R[:k, k:], R[k:, k:], W, k,
+                               swaps)
+
+
+def _kahan(n, c=0.3):
+    """Kahan's matrix, its diagonal nudged so that column pivoting keeps
+    the given order: the pivoted QR leaves a large R11^{-1} R12 entry, and
+    so the swap loop has work to do."""
+    s = np.sqrt(1 - c * c)
+    R = np.diag(s ** np.arange(n)) @ (np.eye(n) + np.triu(-c * np.ones((n, n)), 1))
+    return R + np.diag(1e3 * np.finfo(float).eps * (n - np.arange(n)))
+
+
+def _qr_inputs():
+    rng = np.random.default_rng(21)
+
+    def draw(m, n, complex_=False):
+        M = rng.standard_normal((m, n))
+        return M + 1j * rng.standard_normal((m, n)) if complex_ else M
+
+    return {
+        "real-tall": draw(22, 16), "real-wide": draw(16, 40),
+        "real-square": draw(12, 12), "complex-tall": draw(22, 16, True),
+        "complex-wide": draw(22, 88, True), "complex-square": draw(9, 9, True),
+        "rank-deficient": draw(20, 3) @ draw(3, 14),
+        "complex-rank-deficient": draw(14, 2, True) @ draw(2, 25, True),
+        "one-row": draw(1, 7), "one-column": draw(9, 1, True),
+        "zeros": np.zeros((6, 4)),
+        # a transposed view, the layout compr hands over
+        "transposed-view": draw(30, 22, True).T,
+        # past LAPACK's crossover to blocked code, where the workspace
+        # size sets the blocking and so the bits
+        "blocked": draw(150, 170),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_qr_inputs()))
+def test_direct_qr_calls_match_scipy_qr_bitwise(case):
+    M = _qr_inputs()[case]
+    kmax = min(M.shape)
+    R, piv = lowrank._qr_r(M, kmax, pivoting=True)
+    R_ref, piv_ref = sla.qr(M, mode="r", pivoting=True)
+    assert piv.dtype == piv_ref.dtype and np.array_equal(piv, piv_ref)
+    assert R.dtype == R_ref.dtype and R.shape == (kmax, M.shape[1])
+    assert R.tobytes() == np.ascontiguousarray(R_ref[:kmax]).tobytes()
+    R = lowrank._qr_r(M, kmax, pivoting=False)
+    R_ref = sla.qr(M, mode="r")[0][:kmax]
+    assert R.tobytes() == np.ascontiguousarray(R_ref).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(_qr_inputs()))
+def test_direct_triangular_solve_matches_scipy_bitwise(case):
+    M = _qr_inputs()[case]
+    R = lowrank._qr_r(M, min(M.shape), pivoting=True)[0]
+    # k = 1 gives an F-ordered R11 as well, which scipy solves untransposed
+    ks = {k for k in (1, R.shape[0] // 2, R.shape[0]) if 0 < k < M.shape[1]}
+    for k in sorted(ks):
+        if np.abs(np.diag(R))[k - 1] == 0:
+            continue
+        W = lowrank._solve_r11(R, k)
+        ref = sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
+        assert W.dtype == ref.dtype and W.shape == ref.shape, k
+        assert W.tobytes() == ref.tobytes(), k
+
+
+def _srrqr_cases():
+    cases = {name: (M, None) for name, M in _qr_inputs().items()}
+    cases["kahan-swaps"] = (_kahan(20), 19)
+    cases["complex-kahan-swaps"] = (_kahan(30) * np.exp(0.7j), 15)
+    cases["tall-rank-cap"] = (_qr_inputs()["real-tall"], 6)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_srrqr_cases()))
+def test_srrqr_matches_the_scipy_reference_bitwise(case):
+    M, k = _srrqr_cases()[case]
+    got, ref = srrqr(M, k), _scipy_srrqr(M, k)
+    assert (got.rank, got.swaps) == (ref.rank, ref.swaps)
+    if case.endswith("swaps"):
+        assert got.swaps > 0
+    np.testing.assert_array_equal(got.perm, ref.perm)
+    for name in ("R11", "R12", "R22", "W"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # the layout picks solve_triangular's LAPACK path, so it must agree
+        assert (a.flags.c_contiguous, a.flags.f_contiguous) == (
+            b.flags.c_contiguous, b.flags.f_contiguous), name
+        assert (np.ascontiguousarray(a).tobytes()
+                == np.ascontiguousarray(b).tobytes()), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_srrqr_refuses_non_finite_input(bad, complex_):
+    M = np.random.default_rng(3).standard_normal((8, 5)) * (1 + 1j * complex_)
+    M[4, 2] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        srrqr(M)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        compr(M, np.arange(8))
+
+
+def _stored_bytes(M):
+    return [(name, arr.dtype.str, arr.shape, arr.tobytes())
+            for name, arr in container.stored_arrays(M)]
+
+
+def _grid_h2():
+    X = bench.grid_points(32)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
+    return smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
+                          smash.BuildParams(r=22, tau=0.65))
+
+
+def _sunflower_hss():
+    n = 640
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    return smash.build_hss(tree, spec, X, X, smash.BuildParams(
+        r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
+
+
+@pytest.mark.parametrize("build", [_grid_h2, _sunflower_hss],
+                         ids=["grid-h2", "sunflower-hss"])
+def test_builds_store_the_bytes_of_scipy_qr_factors(monkeypatch, build):
+    direct = _stored_bytes(build())
+    calls = []
+    monkeypatch.setattr(lowrank, "srrqr",
+                        lambda *a: calls.append(a) or _scipy_srrqr(*a))
+    assert direct == _stored_bytes(build())
+    assert calls  # every compression went through the reference
 
 
 # ---------------------------------------------------------------------------
