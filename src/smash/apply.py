@@ -13,6 +13,7 @@ rows and other unknowns pass up by label to a small dense root system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg as sla
@@ -316,11 +317,16 @@ def ulv_solve(F: UlvFactorization, b) -> np.ndarray:
 
 def read_vector(path) -> np.ndarray:
     """Load a vector: raw little-endian float64 for .bin/.f64 files, one
-    number per line otherwise (complex entries accepted).  A NaN or an
-    infinite entry raises ValueError naming the file and the first one."""
+    number per line otherwise (complex entries accepted).  A raw file whose
+    size is not a whole number of entries, or a NaN or an infinite entry,
+    raises ValueError naming the file."""
     p = str(path)
     if p.endswith((".bin", ".f64")):
-        vec = np.fromfile(p, dtype="<f8")
+        raw = Path(p).read_bytes()
+        if len(raw) % 8:
+            raise ValueError("%s: %d bytes is not a whole number of 8-byte "
+                             "float64 entries" % (p, len(raw)))
+        vec = np.frombuffer(raw, dtype="<f8").copy()
     else:
         try:
             vec = np.loadtxt(p, dtype=float, ndmin=1)

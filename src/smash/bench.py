@@ -219,10 +219,10 @@ def storage_report(M) -> StorageReport:
     """Bytes for the compressed form, dense generators, and dense A.
 
     The compressed form is the arrays ``save_matrix`` writes
-    (``container.stored_arrays``): interpolation coefficients, skeleton
-    index sets and leaf diagonal blocks, and the couplings that sums and
-    scalings store; a built matrix regenerates its couplings from the
-    kernel at skeleton points.  The generator form materializes U, V, R, W,
+    (``container.stored_arrays``): interpolation coefficients, the
+    permutations that select the skeletons, leaf diagonal blocks, and the
+    couplings that sums and scalings store; a built matrix regenerates its
+    couplings from the kernel at skeleton points.  The generator form materializes U, V, R, W,
     and B densely, both sides in full, at the matrix dtype width.
     ``kept_bytes`` is what the coupling and nearfield block rows evaluated
     by applies so far hold (an HSS leaf's nearfield row is its diagonal

@@ -3,13 +3,13 @@
 Layout: one magic line, a JSON header (tree topology, build parameters,
 kernel description, array manifest), a NUL byte, then the raw array payload.
 All floating payloads are little-endian 64-bit (complex as 128-bit pairs),
-index arrays little-endian int64, so round trips are bit-exact; the block
-partition is two of them, (p, 2) node pairs, which the loader compares pair
-for pair with the partition ``leaf_sets`` gives the saved tree.  A matrix
-whose column factors are its row factors (``hss.one_basis``) is saved once:
-the payload has no "colfac" or "skel_col" entries, and the loader applies
-the same rule.  A file with another magic line is refused, one of an older
-version of this format by name.
+index arrays little-endian int64, so round trips are bit-exact.  Only
+what the loader cannot derive is saved: it takes the block partition from
+``leaf_sets`` on the saved tree, and each node's skeleton from its factor,
+from the leaves up.  A matrix whose column factors are its row factors
+(``hss.one_basis``) is saved once: the payload has no "colfac" entries,
+and the loader applies the same rule.  A file with another magic line is
+refused, one of an older version of this format by name.
 """
 
 from __future__ import annotations
@@ -27,17 +27,14 @@ from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
 from .kernel import KernelSpec, get_curve
 from .lowrank import InterpolativeFactor
 
-_MAGIC = b"SMASH-BIN-3\n"
-_OLD_MAGIC = (b"SMASH-BIN-1\n", b"SMASH-BIN-2\n")
+_MAGIC = b"SMASH-BIN-4\n"
+_OLD_MAGIC = (b"SMASH-BIN-1\n", b"SMASH-BIN-2\n", b"SMASH-BIN-3\n")
 
 _DT = {"f8": "<f8", "c16": "<c16", "i8": "<i8"}
 
 _HEADER_KEYS = ("kind", "dtype", "params", "tree", "kernel", "arrays")
 _NODE_KEYS = ("level", "parent", "children", "lo", "hi", "rows", "cols")
 _TREE_ARRAYS = ("perm_row", "perm_col", "points_row", "points_col")
-# the block partition: each array's pairs, and the nodes they may name
-_PAIRS = {"pairs_L": ("coupling", "non-root nodes"),
-          "pairs_Lm": ("nearfield", "leaves")}
 # the values a header may hold, by name
 _KINDS = {"hss": HssMatrix, "h2": H2Matrix}
 _DTYPES = {"f8": np.float64, "c16": np.complex128}
@@ -56,17 +53,16 @@ def _tag(arr: np.ndarray) -> str:
 
 def stored_arrays(M):
     """(container name, array as saved) for each array of the compressed
-    form: each factor's "perm", "G" and "skel" (the row side only where
+    form: each factor's "perm" and "G" (the row side only where
     ``hss.one_basis`` holds), then the leaf diagonal blocks "D.i", then the
     stored couplings "B.i.j" of sums and scalings."""
     shared = one_basis(M.kind, M.tree, M.kernel)
     sides = [("row", M.rowfac)] + ([] if shared else [("col", M.colfac)])
     named = []
     for side, facs in sides:
-        for i, fac in facs.items():  # a node's skeleton is its factor's
+        for i, fac in facs.items():
             named += [("%sfac.%d.perm" % (side, i), fac.perm),
-                      ("%sfac.%d.G" % (side, i), fac.G),
-                      ("skel_%s.%d" % (side, i), fac.skel)]
+                      ("%sfac.%d.G" % (side, i), fac.G)]
     named += [("D.%d" % i, arr) for i, arr in M.Dblocks.items()]
     named += [("B.%d.%d" % ij, arr) for ij, arr in M.B_dense.items()]
     return [(name, _as_saved(arr)) for name, arr in named]
@@ -77,7 +73,6 @@ def save_matrix(M, path) -> None:
     scalings; both hold interpolative factors."""
     tr = M.tree
     arrays = [(name, _as_saved(getattr(tr, name))) for name in _TREE_ARRAYS]
-    arrays += [(name, _as_saved(getattr(M, name))) for name in _PAIRS]
     arrays += stored_arrays(M)
     kern = None
     if M.kernel is not None:
@@ -149,7 +144,7 @@ def _read_arrays(payload: bytes, manifest) -> dict:
         a = np.frombuffer(payload, dtype=_DT[tag], count=math.prod(shape),
                           offset=offset)
         out[name] = a.astype(tag).reshape(shape)  # native byte order
-    for name in (*_TREE_ARRAYS, *_PAIRS):
+    for name in _TREE_ARRAYS:
         if name not in out:
             raise ValueError("damaged container: no %r array" % name)
     return out
@@ -233,134 +228,63 @@ def _assemble(header: dict, arrays: dict):
                              basis=ph["basis"])
     except ValueError as exc:
         raise ValueError("damaged container header: %s" % exc) from None
-    leaf = np.array([nd.is_leaf for nd in nodes])
-    pairs = [_pairs(arrays[name], name, mask) for name, mask in (
-        ("pairs_L", np.arange(leaf.size) != tree.root), ("pairs_Lm", leaf))]
-    _check_partition(pairs, leaf_sets(tree, params.tau, cls.kind))
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"), role="col")
         block = make_block_evaluator(kernel, X, Y, tree)
     else:
         block = no_kernel_block
-    M = cls(tree, params, block, *pairs, dtype, kernel=kernel)
+    M = cls(tree, params, block, *leaf_sets(tree, params.tau, cls.kind),
+            dtype, kernel=kernel)
     shared = one_basis(M.kind, tree, kernel)
+    sides = [("row", M.rowfac, M.skel_row), ("col", M.colfac, M.skel_col)]
+    sides = sides[:1 if shared else 2]
 
-    perms = []
+    known = {*_TREE_ARRAYS, "kernel.w", "kernel.v"}.union(
+        "%sfac.%d.%s" % (side, i, part) for side, _, _ in sides
+        for i in range(tree.root) for part in ("perm", "G"))
     for name, arr in arrays.items():
         parts = name.split(".")
-        if shared and parts[0] in ("colfac", "skel_col"):
-            raise ValueError("damaged container: this matrix holds one "
-                             "factor per node, but the file also holds the "
-                             "column entry %r" % name)
-        if parts[0] in ("rowfac", "colfac"):
-            if parts[2] == "perm":
-                perms.append((parts[0], int(parts[1]), arr))
-            elif parts[2] != "G":
-                raise ValueError("unknown container entry %r" % name)
-        elif parts[0] == "skel_row":
-            M.skel_row[int(parts[1])] = arr
-        elif parts[0] == "skel_col":
-            M.skel_col[int(parts[1])] = arr
-        elif parts[0] == "D":
+        if parts[0] == "D":
             M.Dblocks[int(parts[1])] = arr
         elif parts[0] == "B":
             M.B_dense[(int(parts[1]), int(parts[2]))] = arr
-        elif name not in (*_TREE_ARRAYS, *_PAIRS, "kernel.w", "kernel.v"):
+        elif shared and parts[0] == "colfac":
+            raise ValueError("damaged container: this matrix holds one "
+                             "factor per node, but the file also holds the "
+                             "column entry %r" % name)
+        elif name not in known:
             raise ValueError("unknown container entry %r" % name)
-    # an interpolative factor's skeleton is the node's stored skeleton
-    for prefix, i, perm in perms:
-        facs, skels, side = ((M.rowfac, M.skel_row, "row") if prefix == "rowfac"
-                             else (M.colfac, M.skel_col, "column"))
-        if i not in skels:
-            raise _no_factor(i, side)
-        facs[i] = InterpolativeFactor(
-            nrows=perm.size, perm=perm, G=arrays["%s.%d.G" % (prefix, i)],
-            skel=skels[i])
+    for side, facs, skels in sides:
+        for i in range(tree.root):  # postorder: children before parents
+            facs[i] = _load_factor(arrays, tree, i, side, skels)
+            skels[i] = facs[i].skel
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)
-    _check_structure(M, shared)
     return M
 
 
-def _pairs(arr: np.ndarray, name: str, allowed: np.ndarray) -> np.ndarray:
-    """The saved pairs ``name``, refused by name unless a (p, 2) int64 array
-    of the ids of nodes where the mask ``allowed`` holds."""
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype != np.int64:
-        raise ValueError("damaged container: %r is a %s array of shape %s, "
-                         "not (p, 2) int64" % (name, arr.dtype, arr.shape))
-    inside = (arr >= 0) & (arr < allowed.size)
-    bad = ~(inside & allowed[np.where(inside, arr, 0)]).all(axis=1)
-    if bad.any():
-        kind, nodes = _PAIRS[name]
-        raise ValueError("damaged container: %r holds the %s pair (%d, %d), "
-                         "which is not a pair of %s"
-                         % (name, kind, *arr[bad][0], nodes))
-    return arr
-
-
-def _check_partition(saved, partition) -> None:
-    """Refuse saved pairs that are not, pair for pair and in order, the
-    block partition ``leaf_sets`` gives the tree: a pair held twice adds its
-    block twice, a dropped one loses it, and another order changes the
-    rounding of the matvec."""
-    for name, arr, want in zip(_PAIRS, saved, partition):
-        if np.array_equal(arr, want):
-            continue
-        m = min(len(arr), len(want))
-        at = np.flatnonzero((arr[:m] != want[:m]).any(axis=1))
-        at = int(at[0]) if at.size else m
-        held, due = (("the pair (%d, %d)" % tuple(a[at]) if at < len(a)
-                      else "no pair") for a in (arr, want))
-        raise ValueError("damaged container: %r is not the block partition "
-                         "of its tree: at position %d it holds %s, where the "
-                         "partition has %s" % (name, at, held, due))
-
-
-def _no_factor(i, side: str) -> ValueError:
-    return ValueError("damaged container: node %r has no %s factor or no %s "
-                      "skeleton" % (i, side, side))
-
-
-def _check_structure(M, shared: bool) -> None:
-    """Cross-checks of a file whose tree passed ``ClusterTree.verify``:
-    every non-root node has both factors (one, checked once, where they are
-    ``shared``), and each factor fits the labels it interpolates."""
-    tr = M.tree
-    sides = [(M.rowfac, M.skel_row, "row"), (M.colfac, M.skel_col, "column")]
-    for facs, skels, side in sides[:1 if shared else 2]:
-        for i in sorted(set(range(tr.root)).union(facs)):  # children first
-            if i not in facs or i not in skels:
-                raise _no_factor(i, side)
-            _check_factor(tr, i, facs[i], skels, side)
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    """Equal shapes, dtypes and bytes: equal entries, for index arrays."""
-    return a.shape == b.shape and a.dtype == b.dtype and (
-        a.tobytes() == b.tobytes())
-
-
-def _check_factor(tr, i, fac, skels, side) -> None:
-    """Node i's factor against the labels it interpolates: the leaf's point
-    range, or its children's stacked skeletons."""
-    if not (type(i) is int and 0 <= i < tr.root):
-        raise ValueError("damaged container: a %s factor names node %r, "
-                         "which is not a non-root node" % (side, i))
-    name = "%sfac.%d." % (side[:3], i)  # "row" or "col"
-    ibar = _intermediate(tr, i, skels, side)
-    skel = skels[i]
-    k = skel.size
-    if not _is_permutation(fac.perm, ibar.size):
+def _load_factor(arrays: dict, tree: ClusterTree, i: int, side: str,
+                 skels: dict) -> InterpolativeFactor:
+    """Node i's factor on one side ("row" or "col") from its saved "perm"
+    and "G", checked against the labels it interpolates: the leaf's point
+    range, or its children's skeletons.  Its skeleton is the labels that
+    the first G.shape[1] entries of perm select."""
+    name = "%sfac.%d." % (side, i)
+    if name + "perm" not in arrays or name + "G" not in arrays:
+        raise ValueError("damaged container: node %d has no %s factor"
+                         % (i, "row" if side == "row" else "column"))
+    perm, G = arrays[name + "perm"], arrays[name + "G"]
+    ibar = _intermediate(tree, i, skels, side)
+    if not _is_permutation(perm, ibar.size):
         raise ValueError("damaged container: %r is not a permutation of "
                          "range(%d)" % (name + "perm", ibar.size))
-    if fac.G.shape != (ibar.size - k, k):
-        raise ValueError("damaged container: %r has shape %s, not (%d, %d)"
-                         % (name + "G", fac.G.shape, ibar.size - k, k))
-    if not _same(skel, ibar[fac.perm[:k]]):
-        raise ValueError("damaged container: 'skel_%s.%d' is not the labels "
-                         "that %r selects" % (side[:3], i, name + "perm"))
+    if G.ndim != 2 or G.shape[0] + G.shape[1] != ibar.size:
+        raise ValueError("damaged container: %r has shape %s, not (%d - k, k) "
+                         "for some rank k" % (name + "G", G.shape, ibar.size))
+    return InterpolativeFactor(nrows=ibar.size, perm=perm, G=G,
+                               skel=ibar[perm[:G.shape[1]]])
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

@@ -56,8 +56,10 @@ class BuildParams:
         # outside these ranges a build either fails far from the cause or
         # returns a wrong matrix without complaint; NaN fails every test
         for name, ok, need in (
-                ("r", lambda v: isinstance(v, numbers.Integral) and v >= 1,
-                 "an integer >= 1"),
+                # l! for l < r must be a finite double: 170! is, 171! is not
+                ("r", lambda v: (isinstance(v, numbers.Integral)
+                                 and 1 <= v <= 171),
+                 "an integer expansion order in [1, 171]"),
                 ("tau", lambda v: 0 < v < 1, "in (0, 1)"),
                 ("eps_svd", lambda v: 0 <= v < 1, "in [0, 1)")):
             v = getattr(self, name)

@@ -35,6 +35,7 @@ from scipy.linalg.lapack import get_lapack_funcs
 _DEFICIENCY_RTOL = 1e-14  # rank cut: R11 diagonal against its first entry
 _SWAP_BOUND = 2.0         # the bound s on the interpolation coefficients
 _MAX_SWAPS = 200
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +56,15 @@ def _taylor_orders(r: int):
 
 
 def taylor_eta(r: int, delta: float) -> np.ndarray:
-    """Scaling factors eta_l = ((l/e) * (2 pi r)^(1/(2r)) / delta)^l, eta_0 = 1."""
+    """Scaling factors eta_l = ((l/e) * (2 pi r)^(1/(2r)) / delta)^l, eta_0 = 1.
+    Raises ValueError if one of them is past the double range."""
     if delta <= 0:
         raise ValueError("box radius must be positive")
     ls, base, _ = _taylor_orders(r)
+    # once eta_l passes 1 it grows with l, so the last one is the largest
+    if r > 1 and (r - 1) * (math.log(base[-1]) - math.log(delta)) > _LOG_MAX:
+        raise ValueError("the Taylor basis of order r = %d overflows on a box "
+                         "of radius %g; use a lower order" % (r, delta))
     out = np.ones(r)
     out[1:] = (base[1:] / delta) ** ls[1:]
     return out

@@ -161,8 +161,7 @@ def test_shared_h2_factor_counted_once(grid_h2_400):
     facs = M.rowfac.values()
     assert all(M.colfac[i] is f for i, f in M.rowfac.items())
     assert rep.breakdown["interp"] == 16 * sum(f.G.size for f in facs)
-    assert rep.breakdown["index"] == 8 * sum(f.perm.size + f.skel.size
-                                             for f in facs)
+    assert rep.breakdown["index"] == 8 * sum(f.perm.size for f in facs)
 
 
 def test_kept_bytes_are_the_block_rows_an_apply_evaluated():

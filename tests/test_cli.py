@@ -60,6 +60,22 @@ def test_parameter_that_would_wreck_the_result_exits_2(flags, named, capsys):
     assert "build parameter %s " % named in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["build", "matvec", "solve"])
+@pytest.mark.parametrize("flags, order", [
+    (["--order", "200", "--n", "200"], "200"),
+    (["--n", "100", "--tol", "1e-300"], "1332"),  # choose_params' order
+    (["--order", "160", "--n", "400"], "160"),
+], ids=["order-200", "tol-1e-300", "order-160"])
+def test_order_the_taylor_basis_cannot_evaluate_exits_2(command, flags, order,
+                                                        capsys):
+    # l! past l = 170 once ended in an OverflowError traceback, and a scaling
+    # past the double range in srrqr's refusal of infs after RuntimeWarnings
+    assert main([command] + flags) == 2
+    err = capsys.readouterr().err
+    assert "order" in err and order in err
+
+
 # ---------------------------------------------------------------------------
 # matvec
 # ---------------------------------------------------------------------------
@@ -135,6 +151,16 @@ def test_non_finite_vector_exits_2_naming_the_entry(tmp_path, capsys,
     assert main([command, "--n", "400", "--vec", qfile]) == 2
     err = capsys.readouterr().err
     assert "q.txt: entry 7 is" in err and "finite" in err
+
+
+def test_raw_vector_with_a_stray_byte_exits_2_naming_the_file(tmp_path,
+                                                              capsys):
+    # 100 doubles and one byte more once loaded as 100 entries
+    qfile = tmp_path / "q.bin"
+    qfile.write_bytes(np.ones(100).tobytes() + b"\0")
+    assert main(["matvec", "--n", "100", "--vec", str(qfile)]) == 2
+    err = capsys.readouterr().err
+    assert "q.bin: 801 bytes" in err
 
 
 @pytest.mark.filterwarnings("error")

@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import smash
+from smash.cluster import leaf_sets
 from smash.hss import cauchy_like_hss
 
 from conftest import (build_grid_h2_400, build_interval_hss,
@@ -41,21 +42,6 @@ def test_round_trip_preserves_structure(tmp_path):
         np.testing.assert_array_equal(M2.Dblocks[i], M.Dblocks[i])
 
 
-@pytest.mark.parametrize("build", [lambda: build_interval_hss(300, nu0=32)[0],
-                                   lambda: build_grid_h2_400()[0]],
-                         ids=["hss", "h2"])
-def test_pairs_are_saved_as_int64_arrays_and_reload_equal(tmp_path, build):
-    M = build()
-    path = tmp_path / "m.smash"
-    smash.save_matrix(M, path)
-    assert {"pairs_L", "pairs_Lm"} <= set(_names(path))
-    M2 = smash.load_matrix(path)
-    for name in ("pairs_L", "pairs_Lm"):
-        a, b = getattr(M2, name), getattr(M, name)
-        assert a.dtype == np.int64 and a.shape[1:] == (2,)
-        assert np.array_equal(a, b)
-
-
 def test_h2_round_trip(tmp_path, grid_h2_400):
     M, _, X = grid_h2_400
     path = tmp_path / "g.smash"
@@ -80,8 +66,8 @@ def test_shared_h2_factor_saved_once_and_reloaded_shared(tmp_path,
     path = tmp_path / "g.smash"
     smash.save_matrix(M, path)
     names = _names(path)
-    assert "rowfac.0.G" in names and "skel_row.0" in names
-    assert not [n for n in names if n.startswith(("colfac.", "skel_col."))]
+    assert "rowfac.0.G" in names and "rowfac.0.perm" in names
+    assert not [n for n in names if n.startswith("colfac.")]
     M2 = smash.load_matrix(path)
     for i, fac in M2.rowfac.items():
         assert M2.colfac[i] is fac and M2.skel_col[i] is M2.skel_row[i]
@@ -99,10 +85,10 @@ def test_shared_factor_is_checked_once_on_load(tmp_path, grid_h2_400,
     path = tmp_path / "g.smash"
     smash.save_matrix(M, path)
     checked = []
-    check = smash.container._check_factor
-    monkeypatch.setattr(smash.container, "_check_factor",
-                        lambda tr, i, *rest: checked.append(i) or check(
-                            tr, i, *rest))
+    load = smash.container._load_factor
+    monkeypatch.setattr(smash.container, "_load_factor",
+                        lambda arrays, tr, i, *rest: checked.append(i) or load(
+                            arrays, tr, i, *rest))
     smash.load_matrix(path)
     assert sorted(checked) == sorted(M.rowfac)
 
@@ -120,8 +106,8 @@ def test_h2_double_layer_saves_both_factors_and_reloads_bitwise(tmp_path):
     smash.save_matrix(M, path)
     names = _names(path)
     for i in M.rowfac:
-        for name in ("rowfac.%d.G", "skel_row.%d", "colfac.%d.G",
-                     "skel_col.%d"):
+        for name in ("rowfac.%d.G", "rowfac.%d.perm", "colfac.%d.G",
+                     "colfac.%d.perm"):
             assert name % i in names
     M2 = smash.load_matrix(path)
     assert M2.kind == "h2" and M2.dtype == np.float64
@@ -140,13 +126,11 @@ def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
     M, _ = build_one_set_hss(smash.bench.grid_points(32))
     path = tmp_path / "g.smash"
     smash.save_matrix(M, path)
-    assert not [n for n in _names(path)
-                if n.startswith(("colfac.", "skel_col."))]
+    assert not [n for n in _names(path) if n.startswith("colfac.")]
     rep = smash.storage_report(M)
     facs = M.rowfac.values()
     assert rep.breakdown["interp"] == 16 * sum(f.G.size for f in facs)
-    assert rep.breakdown["index"] == 8 * sum(f.perm.size + f.skel.size
-                                             for f in facs)
+    assert rep.breakdown["index"] == 8 * sum(f.perm.size for f in facs)
     M2 = smash.load_matrix(path)
     assert all(M2.colfac[i] is f for i, f in M2.rowfac.items())
     q = np.random.default_rng(10).random(M.n_col)
@@ -155,10 +139,10 @@ def test_shared_hss_factor_saved_once_and_counted_once(tmp_path):
 
 
 def _share_without_column_entries(header):
-    """Drop the column factors and skeletons, as if the matrix held one
-    factor per node."""
+    """Drop the column factors, as if the matrix held one factor per
+    node."""
     header.update(arrays=[e for e in header["arrays"]
-                          if not e["name"].startswith(("colfac.", "skel_col."))])
+                          if not e["name"].startswith("colfac.")])
 
 
 def test_sharing_flag_on_two_point_sets_is_refused(tmp_path, capsys):
@@ -203,7 +187,7 @@ def test_hss_container_has_no_sharing_flag(tmp_path):
 def test_sharing_flag_with_column_entries_is_refused(tmp_path, grid_h2_400):
     # one factor per node on the grid: a column entry, here a second name
     # for the bytes of the row entry, is refused by name
-    for name in ("colfac.0.G", "skel_col.0"):
+    for name in ("colfac.0.G", "colfac.0.perm"):
         path = tmp_path / "g.smash"
         smash.save_matrix(grid_h2_400[0], path)
         edit_header(path, lambda h: h["arrays"].append(
@@ -258,27 +242,12 @@ def test_cauchy_like_round_trip_reloads_generators(tmp_path):
 
 
 def edit_header(path, change):
-    """Rewrite a saved container's JSON header through change(header); the
-    arrays that change gives new contents (``_put``) are appended to the
-    payload."""
+    """Rewrite a saved container's JSON header through change(header)."""
     raw = path.read_bytes()
     head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
     header = json.loads(raw[head:cut])
     change(header)
-    tail = b""
-    for name, arr in header.pop("_put", []):
-        _array(header, name).update(
-            dtype="i8", shape=list(arr.shape), nbytes=arr.nbytes,
-            offset=len(raw) - cut - 1 + len(tail))
-        tail += arr.tobytes()
-    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:]
-                     + tail)
-
-
-def _put(header, name, values):
-    """Give the saved array ``name`` the int64 contents ``values``."""
-    header.setdefault("_put", []).append(
-        (name, np.asarray(values, dtype="<i8")))
+    path.write_bytes(raw[:head] + json.dumps(header).encode() + raw[cut:])
 
 
 def test_header_without_basis_loads_as_taylor(tmp_path):
@@ -317,8 +286,8 @@ def test_compressed_bytes_are_the_saved_arrays(tmp_path, case):
     arrays = []
     edit_header(path, lambda h: arrays.extend(h["arrays"]))
     saved = sum(e["nbytes"] for e in arrays if e["name"] not in (
-        "perm_row", "perm_col", "points_row", "points_col", "pairs_L",
-        "pairs_Lm", "kernel.w", "kernel.v"))
+        "perm_row", "perm_col", "points_row", "points_col", "kernel.w",
+        "kernel.v"))
     rep = smash.storage_report(M)
     assert rep.compressed_bytes == saved
     assert sum(rep.breakdown.values()) == saved
@@ -335,9 +304,9 @@ def test_header_with_old_cache_flag_still_loads(tmp_path):
                                   smash.matvec_nodewise(smash.load_matrix(path), q))
 
 
-def _old_magic(path, version=1):
+def _old_magic(path, version):
     """A fresh save with the magic line of an earlier version of the
-    format, the first by default."""
+    format."""
     raw = path.read_bytes()
     path.write_bytes(b"SMASH-BIN-%d\n" % version + raw[raw.index(b"\n") + 1:])
 
@@ -346,21 +315,25 @@ def test_container_from_an_older_version_is_refused_by_name(tmp_path):
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    assert path.read_bytes().startswith(b"SMASH-BIN-3\n")
-    _old_magic(path)
-    with pytest.raises(ValueError, match="older version.*rebuild the matrix"):
-        smash.load_matrix(path)
+    assert path.read_bytes().startswith(b"SMASH-BIN-4\n")
+    for version in (1, 2, 3):
+        _old_magic(path, version)
+        with pytest.raises(ValueError,
+                           match="older version.*rebuild the matrix"):
+            smash.load_matrix(path)
 
 
 def test_container_from_an_older_version_exits_with_input_code(tmp_path,
                                                                 capsys):
+    # the third version saved the block partition and the skeletons
     from smash.cli import main
     path = tmp_path / "m.smash"
     assert main(["build", "--n", "100", "--out", str(path)]) == 0
-    _old_magic(path)
-    capsys.readouterr()
-    assert main(["matvec", "--load", str(path)]) == 2
-    assert "rebuild the matrix" in capsys.readouterr().err
+    for version in (1, 3):
+        _old_magic(path, version)
+        capsys.readouterr()
+        assert main(["matvec", "--load", str(path)]) == 2
+        assert "rebuild the matrix" in capsys.readouterr().err
 
 
 def test_container_with_pairs_in_its_header_exits_with_input_code(tmp_path,
@@ -376,13 +349,34 @@ def test_container_with_pairs_in_its_header_exits_with_input_code(tmp_path,
 
 
 def test_saved_interpolative_factor_stores_skeleton_once(tmp_path):
+    # as a factor's perm and rank: the loader derives the labels
     M, _, _, _ = build_interval_hss(100, nu0=32)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    names = []
-    edit_header(path, lambda h: names.extend(e["name"] for e in h["arrays"]))
-    assert not [n for n in names if n.endswith(".skel")]
-    assert "skel_row.0" in names and "rowfac.0.perm" in names
+    names = _names(path)
+    assert not [n for n in names if n.endswith(".skel")
+                or n.startswith(("skel_", "pairs_"))]
+    assert {"rowfac.0.perm", "rowfac.0.G", "colfac.0.perm"} <= set(names)
+
+
+@pytest.mark.parametrize("name", ["skel_row.0", "skel_col.1", "pairs_L",
+                                  "pairs_Lm"])
+def test_entry_an_older_version_saved_is_refused_by_name(tmp_path, capsys,
+                                                         name):
+    # the third version saved the block partition and the skeletons; an
+    # entry left over from it is an unknown entry, here on the bytes of a
+    # permutation
+    M, _, _, _ = build_interval_hss(100, nu0=32)
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h["arrays"].append(
+        dict(_array(h, "rowfac.1.perm"), name=name)))
+    with pytest.raises(ValueError, match="unknown container entry %r" % name):
+        smash.load_matrix(path)
+    from smash.cli import main
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    assert repr(name) in capsys.readouterr().err
 
 
 def test_factor_form_without_kernel_reports_missing_blocks(tmp_path):
@@ -416,6 +410,14 @@ def _array(header, name):
     return next(e for e in header["arrays"] if e["name"] == name)
 
 
+def _drop_a_column_of_G(header):
+    """Node 0's G one column narrower, so that its two sides no longer add
+    up to the node's labels."""
+    e = _array(header, "rowfac.0.G")
+    rows, cols = e["shape"]
+    e.update(shape=[rows, cols - 1], nbytes=e["nbytes"] // cols * (cols - 1))
+
+
 # (edit of the header, text the error must contain)
 _DAMAGE = {
     "dtype_tag": (lambda h: _array(h, "D.0").update(dtype="zz"), "'D.0'"),
@@ -425,27 +427,13 @@ _DAMAGE = {
     "arrays_type": (lambda h: h.update(arrays={"perm_row": 0}), "'arrays'"),
     "shape_bytes": (lambda h: _array(h, "D.0").update(shape=[1, 1]), "'D.0'"),
     "past_end": (lambda h: _array(h, "D.0").update(offset=10 ** 9), "'D.0'"),
-    # well-formed headers that contradict themselves
-    "pair_without_skeleton": (lambda h: _put(h, "pairs_L", [
-        [len(h["tree"]["nodes"]) - 1, 0]]), "coupling pair"),
-    # the block partition, saved as two (p, 2) int64 arrays of node ids
-    "pairs_three_columns": (lambda h: _put(h, "pairs_L", np.zeros((2, 3))),
-                            "'pairs_L'"),
-    "pairs_as_floats": (lambda h: _array(h, "pairs_L").update(dtype="f8"),
-                        "'pairs_L'"),
-    "pair_past_the_tree": (lambda h: _put(h, "pairs_Lm", [
-        [0, len(h["tree"]["nodes"])]]), "'pairs_Lm' holds the nearfield pair (0, "),
-    "pair_of_negative_node": (lambda h: _put(h, "pairs_L", [[0, -1]]),
-                              "'pairs_L' holds the coupling pair (0, -1)"),
-    "no_pairs_L": (lambda h: h.update(arrays=[
-        e for e in h["arrays"] if e["name"] != "pairs_L"]), "'pairs_L'"),
-    "nearfield_pair_of_inner_node": (lambda h: _put(h, "pairs_Lm", [
-        [len(h["tree"]["nodes"]) - 1, 0]]), "nearfield pair"),
+    # well-formed headers that contradict themselves; a factor without its
+    # perm has no skeleton either
     "factor_without_skeleton": (lambda h: h.update(arrays=[
-        e for e in h["arrays"] if e["name"] != "skel_row.0"]),
+        e for e in h["arrays"] if e["name"] != "rowfac.0.perm"]),
         "node 0 has no row factor"),
     "factor_of_unknown_node": (lambda h: _array(h, "rowfac.0.perm").update(
-        name="rowfac.99.perm"), "node 99 has no row factor"),
+        name="rowfac.99.perm"), "entry 'rowfac.99.perm'"),
     "unknown_factor_entry": (lambda h: h["arrays"].append(dict(
         _array(h, "rowfac.0.G"), name="rowfac.0.X")), "entry 'rowfac.0.X'"),
     "children_not_tiling": (lambda h: h["tree"]["nodes"][0]["rows"].__setitem__(
@@ -472,12 +460,12 @@ _DAMAGE = {
         offset=_array(h, "D.0")["offset"]), "'rowfac.0.perm'"),
     "tree_perm_on_points": (lambda h: _array(h, "perm_row").update(
         offset=_array(h, "points_row")["offset"]), "'perm_row'"),
-    "skel_not_labels": (lambda h: _array(h, "skel_col.1").update(
-        offset=_array(h, "colfac.1.perm")["offset"]), "'skel_col.1' is"),
+    "G_column_dropped": (_drop_a_column_of_G, "'rowfac.0.G' has shape"),
+    # node 0's transposed G still adds up to its labels, but it hands its
+    # parent, node 2, another number of skeleton labels than its perm holds
     "G_transposed": (lambda h: _array(h, "colfac.0.G").update(
-        shape=_array(h, "colfac.0.G")["shape"][::-1]), "'colfac.0.G'"),
-    "skel_row_not_factor_skel": (lambda h: _array(h, "skel_row.1").update(
-        offset=_array(h, "rowfac.1.perm")["offset"]), "'skel_row.1'"),
+        shape=_array(h, "colfac.0.G")["shape"][::-1]),
+        "'colfac.2.perm' is not a permutation"),
     # one factor per node on two point sets would apply wrongly
     "shared_flag_on_two_point_sets": (_share_without_column_entries,
                                       "node 0 has no column factor"),
@@ -515,45 +503,24 @@ def test_damaged_manifest_rejected_by_name(tmp_path, saved_container, case):
     assert named in str(info.value)
 
 
-# the saved partition edited three ways; each first differs at position 1
-_PARTITION_EDITS = {
-    "duplicated": lambda P: np.insert(P, 1, P[0], axis=0),
-    "dropped": lambda P: np.delete(P, 1, axis=0),
-    "reordered": lambda P: P[[0, 2, 1, *range(3, len(P))]],
-}
-
-
-def _partition_case(tmp_path, structure, edit):
-    """A saved HSS (its leaf diagonal) or H2 (its couplings) file whose
-    pairs were edited: (path, name of the edited array)."""
-    if structure == "hss":
-        M, name = build_interval_hss(100, nu0=32)[0], "pairs_Lm"
-    else:
-        M, name = build_grid_h2_400()[0], "pairs_L"
+@pytest.mark.parametrize("case", ["hss-one-factor", "hss-two-factors", "h2",
+                                  "sum-of-scalings", "complex-scaling"])
+def test_reloaded_partition_and_skeletons_are_derived(tmp_path, case):
+    # neither is saved: the partition comes from leaf_sets on the saved
+    # tree, and each skeleton from its node's factor
+    M = _compressed_case(case)
     path = tmp_path / "m.smash"
     smash.save_matrix(M, path)
-    edited = _PARTITION_EDITS[edit](getattr(M, name))
-    edit_header(path, lambda h: _put(h, name, edited))
-    return path, name
-
-
-@pytest.mark.parametrize("edit", sorted(_PARTITION_EDITS))
-@pytest.mark.parametrize("structure", ["hss", "h2"])
-def test_partition_that_does_not_tile_the_matrix_is_refused(tmp_path,
-                                                            structure, edit):
-    path, name = _partition_case(tmp_path, structure, edit)
-    with pytest.raises(ValueError, match="%r is not the block partition of "
-                       "its tree: at position 1 " % name):
-        smash.load_matrix(path)
-
-
-def test_partition_that_does_not_tile_the_matrix_exits_with_input_code(
-        tmp_path, capsys):
-    from smash.cli import main
-    path, _ = _partition_case(tmp_path, "h2", "duplicated")
-    capsys.readouterr()
-    assert main(["matvec", "--load", str(path)]) == 2
-    assert "block partition" in capsys.readouterr().err
+    M2 = smash.load_matrix(path)
+    pairs_L, pairs_Lm = leaf_sets(M2.tree, M2.params.tau, M2.kind)
+    assert np.array_equal(M2.pairs_L, pairs_L)
+    assert np.array_equal(M2.pairs_Lm, pairs_Lm)
+    for built, loaded in ((M.skel_row, M2.skel_row),
+                          (M.skel_col, M2.skel_col)):
+        assert sorted(loaded) == sorted(built)
+        for i, skel in built.items():
+            assert loaded[i].dtype == skel.dtype
+            assert loaded[i].tobytes() == skel.tobytes()
 
 
 @pytest.mark.parametrize("case", ["sum-of-scalings", "complex-scaling"])

@@ -88,7 +88,7 @@ def test_coincident_points_without_dx_refused():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("r", 0), ("r", 2.5), ("r", True), ("tau", 0.0), ("tau", 1.0),
+    ("r", 0), ("r", 2.5), ("r", True), ("r", 172), ("tau", 0.0), ("tau", 1.0),
     ("tau", float("nan")), ("tau", float("inf")), ("eps_svd", -1e-12),
     ("eps_svd", 1.0), ("eps_svd", float("nan")), ("tau", "0.6"),
     ("basis", "chebyshev"), ("basis", 1),

@@ -28,6 +28,14 @@ def test_zeroth_scaling_factor_is_one():
         assert taylor_eta(8, delta)[0] == 1.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_scaling_past_the_double_range_is_refused_naming_order_and_radius():
+    # eta_159 on a box of radius 0.06 is about 1e440
+    with pytest.raises(ValueError, match=r"order r = 160 .* radius 0\.06;"):
+        taylor_eta(160, 0.06)
+    assert np.isfinite(taylor_eta(171, 3.0)).all()
+
+
 def test_zeroth_coupling_coefficient_is_inverse_center_gap():
     ca, cb = 0.5, 2.5
     T = taylor_coupling(ca, 0.5, cb, 0.5, 6)
