@@ -220,14 +220,16 @@ class SrrqrResult:
     swaps: int
 
 
-def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
+def srrqr(M: np.ndarray, k: int = None,
+          rtol: float = _DEFICIENCY_RTOL) -> SrrqrResult:
     """Column-pivoted QR with bounded-entry postprocessing; R only.
 
     After the initial pivoted factorization, any entry of W = R11^{-1} R12
     larger than s = 2 triggers a column swap and refactorization, so the
     returned factorization satisfies max|W| <= s.  The rank k is capped at
-    the numerical rank (trailing R11 diagonal below 1e-14 times the leading
-    one); pass k=None for rank detection alone.
+    the number of pivots of the initial factorization whose R diagonal
+    exceeds rtol times the leading one (1e-14 by default, the numerical
+    rank); pass k=None for that cut alone.
     """
     M = np.asarray(M)
     m, n = M.shape
@@ -240,7 +242,7 @@ def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
     R, piv = _qr_r(M, kmax, pivoting=True)
     k = kmax if k is None else min(k, kmax)
     d = np.abs(np.diag(R))  # not empty: kmax > 0
-    k = int(min(k, np.count_nonzero(d > _DEFICIENCY_RTOL * d[0])))
+    k = int(min(k, np.count_nonzero(d > rtol * d[0])))
     swaps = 0
     while True:
         W = (_solve_r11(R, k) if 0 < k < n
@@ -300,18 +302,20 @@ class InterpolativeFactor:
         return X
 
 
-def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
+def compr(C: np.ndarray, ibar: np.ndarray,
+          rtol: float = _DEFICIENCY_RTOL) -> InterpolativeFactor:
     """Interpolative row compression of C, labeling rows by ibar.
 
-    The cut keeps the full numerical rank, so the skeleton reproduces C to
-    working precision; C with no columns (or all zeros) yields an empty
-    skeleton.
+    The skeleton keeps the pivots of C^T whose R diagonal exceeds rtol
+    times the leading one.  The default cut keeps the full numerical rank,
+    so the skeleton reproduces C to working precision; C with no columns
+    (or all zeros) yields an empty skeleton.
     """
     C = np.asarray(C)
     ibar = np.asarray(ibar, dtype=np.int64)
     if C.shape[0] != ibar.size:
         raise ValueError("row labels do not match C")
-    res = srrqr(C.T)
+    res = srrqr(C.T, rtol=rtol)
     k = res.rank
     return InterpolativeFactor(
         nrows=C.shape[0],

@@ -2,18 +2,22 @@
 nested bases, reconstruction accuracy, and the structured sum / diagonal
 scaling operations."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import smash
+from smash import lowrank
 from smash._threads import one_blas_thread
 from smash.cluster import nearfield_set
-from smash.hss import _basis_builder, _candidate, cauchy_like_hss
-from smash.lowrank import (InterpolativeFactor, compr, interp_basis,
-                           taylor_basis, taylor_tail_bound)
+from smash.hss import _basis_builder, _compress, cauchy_like_hss
+from smash.lowrank import (InterpolativeFactor, interp_basis, taylor_basis,
+                           taylor_tail_bound)
 
 from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
-                      interval_pair)
+                      interval_pair, stored_bytes)
 
 
 def dense_in_caller_order(spec, X, Y):
@@ -173,6 +177,64 @@ def test_build_hss_on_cauchy_like_kernel_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
+# nearfield compression: one tolerance-cut ID per node pass, no SVD
+# ---------------------------------------------------------------------------
+
+def _sunflower_dlp(basis, n=640, eps_svd=1e-11):
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    return tree, spec, X, X, smash.BuildParams(r=25, tau=0.6, eps_svd=eps_svd,
+                                               basis=basis)
+
+
+def _honeybee_cauchy_like(n=600):
+    rng = np.random.default_rng(14)
+    X, Y = smash.bench.cauchy_pair("honeybee", n, rng)
+    spec = smash.KernelSpec("cauchy_like", w=rng.random((n, 2)),
+                            v=rng.random((n, 2)))
+    tree = smash.build_tree(X, Y, nu0=50, tau=0.6)
+    return tree, spec, X, Y, smash.BuildParams(
+        r=smash.bench.choose_params(1e-10).r, tau=0.6, eps_svd=1e-9)
+
+
+_NO_SVD = {"sunflower-dlp-interp": lambda: _sunflower_dlp("interp"),
+           "sunflower-dlp-taylor": lambda: _sunflower_dlp("taylor"),
+           "honeybee-cauchy-like": _honeybee_cauchy_like}
+
+
+@pytest.mark.parametrize("case", sorted(_NO_SVD))
+def test_build_calls_no_svd_and_meets_the_dense_oracle(monkeypatch, case):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the build called an SVD")
+
+    for owner in (np.linalg, sla):
+        monkeypatch.setattr(owner, "svd", refuse)
+    for owner in (lowrank, smash.hss):
+        monkeypatch.setattr(owner, "truncated_svd", refuse)
+    tree, spec, X, Y, params = _NO_SVD[case]()
+    M = smash.build_hss(tree, spec, X, Y, params)
+    q = np.random.default_rng(5).random(M.n_col)
+    ref = smash.bench.dense_matvec(spec, X, Y, q)
+    z = smash.matvec_nodewise(M, q)
+    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_zero_eps_svd_cuts_at_the_numerical_rank(monkeypatch):
+    cuts = []
+    real = smash.hss.compr
+    monkeypatch.setattr(smash.hss, "compr", lambda C, ibar, rtol: (
+        cuts.append(rtol) or real(C, ibar, rtol)))
+    tree, spec, X, Y, params = _sunflower_dlp("interp", n=320, eps_svd=0.0)
+    zero = smash.build_hss(tree, spec, X, Y, params)
+    assert cuts and set(cuts) == {1e-14}
+    floor = smash.build_hss(tree, spec, X, Y, dataclasses.replace(
+        params, eps_svd=1e-14))
+    assert stored_bytes(zero) == stored_bytes(floor)
+
+
+# ---------------------------------------------------------------------------
 # one basis per node on one point set
 # ---------------------------------------------------------------------------
 
@@ -229,7 +291,7 @@ def test_one_point_set_holds_one_factor_per_node(one_set_hss):
         # (on one BLAS thread, as the build runs)
         near = nearfield_set(tr, M.params.tau)[i]
         with one_blas_thread():
-            own = compr(*_candidate(M, i, near, bcol, "col"))
+            own = _compress(M, i, near, bcol, "col")
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)

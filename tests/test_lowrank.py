@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smash
-from smash import bench, container, lowrank
+from smash import bench, lowrank
 from smash.lowrank import (compr, interp_basis, srrqr,
                            taylor_bases, taylor_coupling, taylor_eta,
                            taylor_tail_bound, truncated_svd)
 
-from conftest import center_radius
+from conftest import center_radius, stored_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_empty_matrix_handled():
 # the direct LAPACK calls against scipy.linalg.qr
 # ---------------------------------------------------------------------------
 
-def _scipy_srrqr(M, k=None):
+def _scipy_srrqr(M, k=None, rtol=lowrank._DEFICIENCY_RTOL):
     """srrqr with every factorization through scipy.linalg.qr: the
     reference the direct geqp3 and geqrf calls must match bit for bit."""
     M = np.asarray(M)
@@ -250,7 +250,7 @@ def _scipy_srrqr(M, k=None):
     R = R[:kmax]
     k = kmax if k is None else min(k, kmax)
     d = np.abs(np.diag(R))
-    k = int(min(k, np.count_nonzero(d > lowrank._DEFICIENCY_RTOL * d[0])))
+    k = int(min(k, np.count_nonzero(d > rtol * d[0])))
     swaps = 0
     while True:
         W = (sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
@@ -364,11 +364,6 @@ def test_srrqr_refuses_non_finite_input(bad, complex_):
         compr(M, np.arange(8))
 
 
-def _stored_bytes(M):
-    return [(name, arr.dtype.str, arr.shape, arr.tobytes())
-            for name, arr in container.stored_arrays(M)]
-
-
 def _grid_h2():
     X = bench.grid_points(32)
     tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
@@ -389,11 +384,12 @@ def _sunflower_hss():
 @pytest.mark.parametrize("build", [_grid_h2, _sunflower_hss],
                          ids=["grid-h2", "sunflower-hss"])
 def test_builds_store_the_bytes_of_scipy_qr_factors(monkeypatch, build):
-    direct = _stored_bytes(build())
+    direct = stored_bytes(build())
     calls = []
     monkeypatch.setattr(lowrank, "srrqr",
-                        lambda *a: calls.append(a) or _scipy_srrqr(*a))
-    assert direct == _stored_bytes(build())
+                        lambda *a, **kw: (calls.append(a)
+                                          or _scipy_srrqr(*a, **kw)))
+    assert direct == stored_bytes(build())
     assert calls  # every compression went through the reference
 
 
@@ -485,6 +481,48 @@ def test_implicit_apply_matches_expanded_factor(k, complex_):
     Q = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
     np.testing.assert_allclose(f.apply(Z), X @ Z, rtol=1e-14, atol=1e-14)
     np.testing.assert_allclose(f.apply_t(Q), X.T @ Q, rtol=1e-14, atol=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# tolerance cut of the rank
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("m, n, complex_", [
+    (40, 120, False), (120, 40, False), (60, 60, True)],
+    ids=["wide", "tall", "complex-square"])
+def test_cut_keeps_exactly_the_pivots_above_rtol(m, n, complex_, rtol):
+    M = _graded(m, n, min(m, n), complex_, seed=m + n)
+    d = np.abs(np.diag(sla.qr(M, mode="r", pivoting=True)[0]))
+    keep = int(np.count_nonzero(d > rtol * d[0]))
+    assert 0 < keep < min(m, n)
+    res = srrqr(M, rtol=rtol)
+    assert res.rank == keep
+    assert np.max(np.abs(res.W)) <= lowrank._SWAP_BOUND
+    # compr cuts the rows of C the same way: its rows are M's columns
+    f = compr(M.T, np.arange(n) + 100, rtol)
+    assert f.rank == keep
+    assert np.max(np.abs(f.G)) <= lowrank._SWAP_BOUND
+    np.testing.assert_array_equal(f.skel, 100 + f.skel_local)
+
+
+@pytest.mark.parametrize("case", sorted(_srrqr_cases()))
+def test_default_cut_gives_the_bits_of_the_call_without_it(case):
+    M, k = _srrqr_cases()[case]
+    rtol = lowrank._DEFICIENCY_RTOL
+    a, b = srrqr(M, k), srrqr(M, k, rtol=rtol)
+    assert (a.rank, a.swaps) == (b.rank, b.swaps)
+    for name in ("perm", "R11", "R12", "R22", "W"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
+    # a looser cut runs the same direct calls as the scipy reference
+    got, ref = srrqr(M, k, rtol=1e-6), _scipy_srrqr(M, k, rtol=1e-6)
+    assert (got.rank, got.swaps) == (ref.rank, ref.swaps)
+    assert got.W.tobytes() == np.ascontiguousarray(ref.W).tobytes()
+    C, ibar = np.asarray(M).T, np.arange(np.shape(M)[1])
+    f, g = compr(C, ibar), compr(C, ibar, rtol)
+    for name in ("perm", "G", "skel"):
+        assert getattr(f, name).tobytes() == getattr(g, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ def test_traced_hss_grid_build_compresses_each_node_once(monkeypatch):
     finally:
         tracer.restore()
     # one point set and an antisymmetric kernel: one factor per node, from
-    # one nearfield SVD and one compression
+    # one compression and no nearfield SVD
     assert tracer.calls("hss.build_hss", ("setup",)) == 1
     assert tracer.calls("lowrank.compr", ("setup",)) == tree.root
-    assert tracer.calls("lowrank.truncated_svd", ("setup",)) == tree.root
+    assert tracer.calls("lowrank.truncated_svd", ("setup",)) == 0
