@@ -221,9 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="farfield expansion order / interpolation "
                               "point count (default from --tol)")
     problem.add_argument("--svd-tol", type=float, default=None,
-                         help="HSS rank cut: relative pivot of each node's "
-                              "interpolative decomposition, at least 1e-14 "
-                              "(default tol/10)")
+                         help="HSS nearfield cutoff, the pivoted-QR cut of "
+                              "each node's nearfield columns (default tol/10)")
 
     p = argparse.ArgumentParser(
         prog="smash",

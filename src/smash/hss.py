@@ -3,9 +3,7 @@
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
 skeletons of its children (the per-child transfer blocks).  An HSS node's
-basis comes from one interpolative decomposition of the analytic farfield
-basis next to the triangular core of its sampled nearfield block, cut at the
-relative pivot ``eps_svd``; no SVD is taken.  One rule
+candidate adds columns spanning its nearfield block (no SVD).  One rule
 (``one_basis``) decides for both builders and the container when a node's
 column basis is its row basis, compressed once, held once and saved once.
 Every basis is an interpolative factor, applied without forming it: built
@@ -29,7 +27,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import lowrank
 from ._threads import map_nodes, one_blas_thread, trim_heap
@@ -37,7 +34,7 @@ from .apply import matvec_nodewise
 from .cluster import (ClusterTree, _center_distance, _to_scalars, leaf_sets,
                       nearfield_set)
 from .kernel import KernelSpec, kernel_block
-from .lowrank import _DEFICIENCY_RTOL, compr, interp_basis, taylor_basis
+from .lowrank import compr, interp_basis, range_columns, taylor_basis
 
 # not called here: the benchmark's layer tracer wraps hss.truncated_svd
 truncated_svd = lowrank.truncated_svd
@@ -47,13 +44,9 @@ _COLUMN_BLOCK = 512  # identity columns per apply in dense reconstruction
 
 @dataclass
 class BuildParams:
-    """Construction knobs: expansion order r, admissibility tau, HSS rank
-    cut eps_svd, and farfield basis kind.
-
-    ``eps_svd`` keeps its name from the nearfield SVD it once truncated; it
-    is now the relative pivot cut of each HSS node's interpolative
-    decomposition, no lower than 1e-14 (0 cuts there).  H2 bases keep the
-    full numerical rank whatever its value."""
+    """Construction knobs: expansion order r, admissibility tau, HSS
+    nearfield cutoff eps_svd (the cut of ``range_columns``; named for the
+    SVD it replaced), and farfield basis kind."""
 
     r: int = 20
     tau: float = 0.6
@@ -485,46 +478,30 @@ def _intermediate(tree, i, skels, side):
 
 def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
     """(C, ibar) for compressing node i's rows ("row") or columns ("col"):
-    the farfield basis F over the node's labels ibar, next to the triangular
-    core of its block against the nearfield neighbors' current labels (the
-    column side takes that block transposed).  With both, each is scaled to
-    a largest entry of one, and one that is all zeros is left out.  A wide
-    block A = L Q^H, with L = R^H from the QR of A^H, has the row space of
-    its square core L, so only R is formed.  Reads only the skeletons of
-    earlier levels, so the nodes of one level are independent."""
+    the farfield basis over the node's labels ibar, next to the columns
+    spanning its block against the nearfield neighbors' current labels to
+    eps_svd (``range_columns``; the column side takes that block
+    transposed).  Reads only the skeletons of earlier levels, so the nodes
+    of one level are independent."""
     skels = {"row": M.skel_row, "col": M.skel_col}
     other = "col" if side == "row" else "row"
     ibar = _intermediate(M.tree, i, skels[side], side)
-    F = basis(i, ibar)
+    cand = [basis(i, ibar)]
     labels = [_intermediate(M.tree, j, skels[other], other) for j in near]
     labels = [x for x in labels if x.size]
-    if not (labels and ibar.size):
-        return F, ibar
-    labels = np.concatenate(labels)
-    A = (M._block(ibar, labels) if side == "row"
-         else M._block(labels, ibar).T)
-    # "raw" returns the economic R without forming Q; scipy's QR releases
-    # the interpreter lock, so the nodes of one level overlap here, where
-    # np.linalg.qr holds it
-    core = (sla.qr(A.conj().T, mode="raw")[1].conj().T
-            if A.shape[0] < A.shape[1] else A)
-    C = [p / np.max(np.abs(p)) for p in (F, core) if np.any(p)]
-    return (np.hstack(C) if C else F), ibar
-
-
-def _compress(M: HssMatrix, i: int, near: list, basis, side: str):
-    """Node i's factor on one side: one interpolative decomposition of its
-    candidate, keeping the pivots above eps_svd (at least 1e-14) times the
-    leading one."""
-    return compr(*_candidate(M, i, near, basis, side),
-                 rtol=max(M.params.eps_svd, _DEFICIENCY_RTOL))
+    if labels and ibar.size:
+        labels = np.concatenate(labels)
+        Anear = (M._block(ibar, labels) if side == "row"
+                 else M._block(labels, ibar).T)
+        cand.append(range_columns(Anear, M.params.eps_svd))
+    return (cand[0] if len(cand) == 1 else np.hstack(cand)), ibar
 
 
 def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
     """Row and column factors of node i; one factor where bcol is None."""
-    row = _compress(M, i, near, brow, "row")
+    row = compr(*_candidate(M, i, near, brow, "row"))
     return row, (row if bcol is None
-                 else _compress(M, i, near, bcol, "col"))
+                 else compr(*_candidate(M, i, near, bcol, "col")))
 
 
 @one_blas_thread()
@@ -533,12 +510,12 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     """Bottom-up HSS construction.
 
     Per node, the row basis candidate pairs the analytic farfield basis of the
-    node's box with the triangular core of the block row against the
-    nearfield neighbors' current index sets; one interpolative decomposition
-    of the pair, keeping the pivots above eps_svd times the leading one,
-    yields the skeleton and the interpolation coefficients.  The column pass
-    mirrors it unless one factor serves both sides (``one_basis``).  Leaves
-    keep exact diagonal blocks.  The nodes of a level run on up to two cores
+    node's box with columns spanning the block row against the nearfield
+    neighbors' current index sets to eps_svd (``range_columns``, no SVD);
+    interpolative compression of the pair yields the skeleton and the
+    interpolation coefficients.  The column pass mirrors it unless one
+    factor serves both sides (``one_basis``).  Leaves keep exact diagonal
+    blocks.  The nodes of a level run on up to two cores
     with one BLAS thread each; the factors are stored in level order, so the
     result does not depend on the core count.
     """

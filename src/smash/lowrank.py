@@ -1,5 +1,6 @@
 """Low-rank tools: scaled Taylor and Lagrange farfield bases, strong
-rank-revealing QR, and row interpolative compression.
+rank-revealing QR, row interpolative compression, and the columns that span
+a nearfield block to a tolerance.
 
 The Taylor basis for 1/(x-y) uses per-order scaling factors eta so that basis
 entries stay O(1) on the box; the coupling table that reproduces the kernel is
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import get_lapack_funcs
 
 _DEFICIENCY_RTOL = 1e-14  # rank cut: R11 diagonal against its first entry
@@ -220,16 +220,14 @@ class SrrqrResult:
     swaps: int
 
 
-def srrqr(M: np.ndarray, k: int = None,
-          rtol: float = _DEFICIENCY_RTOL) -> SrrqrResult:
+def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
     """Column-pivoted QR with bounded-entry postprocessing; R only.
 
     After the initial pivoted factorization, any entry of W = R11^{-1} R12
     larger than s = 2 triggers a column swap and refactorization, so the
     returned factorization satisfies max|W| <= s.  The rank k is capped at
-    the number of pivots of the initial factorization whose R diagonal
-    exceeds rtol times the leading one (1e-14 by default, the numerical
-    rank); pass k=None for that cut alone.
+    the numerical rank (trailing R11 diagonal below 1e-14 times the leading
+    one); pass k=None for rank detection alone.
     """
     M = np.asarray(M)
     m, n = M.shape
@@ -242,7 +240,7 @@ def srrqr(M: np.ndarray, k: int = None,
     R, piv = _qr_r(M, kmax, pivoting=True)
     k = kmax if k is None else min(k, kmax)
     d = np.abs(np.diag(R))  # not empty: kmax > 0
-    k = int(min(k, np.count_nonzero(d > rtol * d[0])))
+    k = int(min(k, np.count_nonzero(d > _DEFICIENCY_RTOL * d[0])))
     swaps = 0
     while True:
         W = (_solve_r11(R, k) if 0 < k < n
@@ -302,20 +300,18 @@ class InterpolativeFactor:
         return X
 
 
-def compr(C: np.ndarray, ibar: np.ndarray,
-          rtol: float = _DEFICIENCY_RTOL) -> InterpolativeFactor:
+def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
     """Interpolative row compression of C, labeling rows by ibar.
 
-    The skeleton keeps the pivots of C^T whose R diagonal exceeds rtol
-    times the leading one.  The default cut keeps the full numerical rank,
-    so the skeleton reproduces C to working precision; C with no columns
-    (or all zeros) yields an empty skeleton.
+    The cut keeps the full numerical rank, so the skeleton reproduces C to
+    working precision; C with no columns (or all zeros) yields an empty
+    skeleton.
     """
     C = np.asarray(C)
     ibar = np.asarray(ibar, dtype=np.int64)
     if C.shape[0] != ibar.size:
         raise ValueError("row labels do not match C")
-    res = srrqr(C.T, rtol=rtol)
+    res = srrqr(C.T)
     k = res.rank
     return InterpolativeFactor(
         nrows=C.shape[0],
@@ -323,6 +319,38 @@ def compr(C: np.ndarray, ibar: np.ndarray,
         G=res.W.T,
         skel=ibar[res.perm[:k]],
     )
+
+
+def _core(M: np.ndarray) -> np.ndarray:
+    """M's square core: R^H from the QR of a wide M^H (M = R^H Q^H), with
+    M's column space and singular values; M itself when not wide."""
+    m, n = M.shape
+    if m >= n:
+        return M
+    # R alone from one geqrf call, as srrqr takes it: 27 ms on a 1869 x 496
+    # block where scipy.linalg.qr(mode="raw") took 39 ms (the VM above, one
+    # BLAS thread)
+    return _qr_r(M.conj().T, m, pivoting=False).conj().T
+
+
+def range_columns(M: np.ndarray, eps: float) -> np.ndarray:
+    """Columns spanning M's column space to eps relative, without an SVD.
+
+    They are the leading pivots of a column-pivoted QR of M's core (see
+    ``_core``): the fewest whose remainder R22 has a Frobenius norm of at
+    most eps times the first pivot.  Projecting M onto them misses at most
+    eps * sigma_1 of it in that norm, where truncated_svd's cut misses
+    sigma_(k+1) <= eps * sigma_1 in the 2-norm.  The columns keep their
+    magnitudes; eps = 0 keeps every pivot with a nonzero remainder.
+    """
+    M = np.asarray(M)
+    if M.size == 0:
+        return M[:, :0]
+    core = _core(M)
+    R, piv = _qr_r(core, min(core.shape), pivoting=True)
+    # squared Frobenius norm of R[k:, k:] for each k: R is upper triangular
+    rest = np.cumsum(np.sum(np.abs(R) ** 2, axis=1)[::-1])[::-1]
+    return core[:, piv[:np.count_nonzero(rest > (eps * abs(R[0, 0])) ** 2)]]
 
 
 @dataclass
@@ -342,12 +370,8 @@ def truncated_svd(M: np.ndarray, eps: float) -> TruncatedSvd:
     m, n = M.shape
     if min(m, n) == 0:
         return TruncatedSvd(np.zeros((m, 0), dtype=M.dtype), np.zeros(0))
-    # "raw" returns the economic m x m R without forming Q ("r" pads it with
-    # n - m zero rows).  scipy's QR and numpy's SVD both release the
-    # interpreter lock, so the nodes of one build level overlap here;
-    # np.linalg.qr holds it.
-    core = sla.qr(M.conj().T, mode="raw")[1].conj().T if m < n else M
-    U, sig, _ = np.linalg.svd(core, full_matrices=False)
+    # numpy's SVD releases the interpreter lock as scipy's QR does
+    U, sig, _ = np.linalg.svd(_core(M), full_matrices=False)
     if sig[0] == 0:
         keep = 0
     else:

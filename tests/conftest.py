@@ -37,12 +37,6 @@ def dense_oracle(spec, X, Y):
     return kernel_block(spec, X, Y, np.arange(X.n), np.arange(Y.n))
 
 
-def stored_bytes(M):
-    """(name, dtype, shape, bytes) of each array a container would save."""
-    return [(name, arr.dtype.str, arr.shape, arr.tobytes())
-            for name, arr in smash.container.stored_arrays(M)]
-
-
 def build_interval_hss(n, r=21, eps_svd=1e-9, tau=0.6, nu0=50, seed=0,
                        basis=None):
     X, Y = interval_pair(n, seed=seed)

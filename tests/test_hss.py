@@ -2,8 +2,6 @@
 nested bases, reconstruction accuracy, and the structured sum / diagonal
 scaling operations."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -12,12 +10,12 @@ import smash
 from smash import lowrank
 from smash._threads import one_blas_thread
 from smash.cluster import nearfield_set
-from smash.hss import _basis_builder, _compress, cauchy_like_hss
-from smash.lowrank import (InterpolativeFactor, interp_basis, taylor_basis,
-                           taylor_tail_bound)
+from smash.hss import _basis_builder, _candidate, cauchy_like_hss
+from smash.lowrank import (InterpolativeFactor, compr, interp_basis,
+                           taylor_basis, taylor_tail_bound)
 
 from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
-                      interval_pair, stored_bytes)
+                      interval_pair)
 
 
 def dense_in_caller_order(spec, X, Y):
@@ -177,7 +175,7 @@ def test_build_hss_on_cauchy_like_kernel_matches_dense_oracle():
 
 
 # ---------------------------------------------------------------------------
-# nearfield compression: one tolerance-cut ID per node pass, no SVD
+# nearfield columns from a pivoted QR, no SVD
 # ---------------------------------------------------------------------------
 
 def _sunflower_dlp(basis, n=640, eps_svd=1e-11):
@@ -199,6 +197,15 @@ def _honeybee_cauchy_like(n=600):
         r=smash.bench.choose_params(1e-10).r, tau=0.6, eps_svd=1e-9)
 
 
+def _relerr_against_dense(case):
+    tree, spec, X, Y, params = case
+    M = smash.build_hss(tree, spec, X, Y, params)
+    q = np.random.default_rng(5).random(M.n_col)
+    ref = smash.bench.dense_matvec(spec, X, Y, q)
+    z = smash.matvec_nodewise(M, q)
+    return np.linalg.norm(z - ref) / np.linalg.norm(ref)
+
+
 _NO_SVD = {"sunflower-dlp-interp": lambda: _sunflower_dlp("interp"),
            "sunflower-dlp-taylor": lambda: _sunflower_dlp("taylor"),
            "honeybee-cauchy-like": _honeybee_cauchy_like}
@@ -213,25 +220,25 @@ def test_build_calls_no_svd_and_meets_the_dense_oracle(monkeypatch, case):
         monkeypatch.setattr(owner, "svd", refuse)
     for owner in (lowrank, smash.hss):
         monkeypatch.setattr(owner, "truncated_svd", refuse)
-    tree, spec, X, Y, params = _NO_SVD[case]()
-    M = smash.build_hss(tree, spec, X, Y, params)
-    q = np.random.default_rng(5).random(M.n_col)
-    ref = smash.bench.dense_matvec(spec, X, Y, q)
-    z = smash.matvec_nodewise(M, q)
-    assert np.linalg.norm(z - ref) <= 1e-10 * np.linalg.norm(ref)
+    assert _relerr_against_dense(_NO_SVD[case]()) <= 1e-10
 
 
-def test_zero_eps_svd_cuts_at_the_numerical_rank(monkeypatch):
-    cuts = []
-    real = smash.hss.compr
-    monkeypatch.setattr(smash.hss, "compr", lambda C, ibar, rtol: (
-        cuts.append(rtol) or real(C, ibar, rtol)))
-    tree, spec, X, Y, params = _sunflower_dlp("interp", n=320, eps_svd=0.0)
-    zero = smash.build_hss(tree, spec, X, Y, params)
-    assert cuts and set(cuts) == {1e-14}
-    floor = smash.build_hss(tree, spec, X, Y, dataclasses.replace(
-        params, eps_svd=1e-14))
-    assert stored_bytes(zero) == stored_bytes(floor)
+@pytest.mark.parametrize("basis", ["interp", "taylor"])
+def test_zero_eps_svd_keeps_the_whole_nearfield(monkeypatch, basis):
+    kept = []
+    real = smash.hss.range_columns
+
+    def recorded(A, eps):
+        C = real(A, eps)
+        kept.append((C.shape[1], min(A.shape)))
+        return C
+
+    monkeypatch.setattr(smash.hss, "range_columns", recorded)
+    # every column of every nearfield core stays, so only roundoff
+    # separates the build from the kernel
+    err = _relerr_against_dense(_sunflower_dlp(basis, n=320, eps_svd=0.0))
+    assert kept and all(k == m for k, m in kept)
+    assert err <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +298,7 @@ def test_one_point_set_holds_one_factor_per_node(one_set_hss):
         # (on one BLAS thread, as the build runs)
         near = nearfield_set(tr, M.params.tau)[i]
         with one_blas_thread():
-            own = _compress(M, i, near, bcol, "col")
+            own = compr(*_candidate(M, i, near, bcol, "col"))
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)

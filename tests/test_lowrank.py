@@ -1,6 +1,6 @@
 """Taylor and interpolation farfield bases, rank-revealing QR with the
 bounded-coefficient guarantee and its direct LAPACK calls, interpolative row
-compression, and truncated SVD."""
+compression, truncated SVD, and the range columns that replace it."""
 
 import math
 
@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smash
-from smash import bench, lowrank
-from smash.lowrank import (compr, interp_basis, srrqr,
+from smash import bench, container, lowrank
+from smash.lowrank import (compr, interp_basis, range_columns, srrqr,
                            taylor_bases, taylor_coupling, taylor_eta,
                            taylor_tail_bound, truncated_svd)
 
-from conftest import center_radius, stored_bytes
+from conftest import center_radius
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def test_empty_matrix_handled():
 # the direct LAPACK calls against scipy.linalg.qr
 # ---------------------------------------------------------------------------
 
-def _scipy_srrqr(M, k=None, rtol=lowrank._DEFICIENCY_RTOL):
+def _scipy_srrqr(M, k=None):
     """srrqr with every factorization through scipy.linalg.qr: the
     reference the direct geqp3 and geqrf calls must match bit for bit."""
     M = np.asarray(M)
@@ -250,7 +250,7 @@ def _scipy_srrqr(M, k=None, rtol=lowrank._DEFICIENCY_RTOL):
     R = R[:kmax]
     k = kmax if k is None else min(k, kmax)
     d = np.abs(np.diag(R))
-    k = int(min(k, np.count_nonzero(d > rtol * d[0])))
+    k = int(min(k, np.count_nonzero(d > lowrank._DEFICIENCY_RTOL * d[0])))
     swaps = 0
     while True:
         W = (sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)
@@ -364,6 +364,11 @@ def test_srrqr_refuses_non_finite_input(bad, complex_):
         compr(M, np.arange(8))
 
 
+def _stored_bytes(M):
+    return [(name, arr.dtype.str, arr.shape, arr.tobytes())
+            for name, arr in container.stored_arrays(M)]
+
+
 def _grid_h2():
     X = bench.grid_points(32)
     tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
@@ -384,12 +389,11 @@ def _sunflower_hss():
 @pytest.mark.parametrize("build", [_grid_h2, _sunflower_hss],
                          ids=["grid-h2", "sunflower-hss"])
 def test_builds_store_the_bytes_of_scipy_qr_factors(monkeypatch, build):
-    direct = stored_bytes(build())
+    direct = _stored_bytes(build())
     calls = []
     monkeypatch.setattr(lowrank, "srrqr",
-                        lambda *a, **kw: (calls.append(a)
-                                          or _scipy_srrqr(*a, **kw)))
-    assert direct == stored_bytes(build())
+                        lambda *a: calls.append(a) or _scipy_srrqr(*a))
+    assert direct == _stored_bytes(build())
     assert calls  # every compression went through the reference
 
 
@@ -484,48 +488,6 @@ def test_implicit_apply_matches_expanded_factor(k, complex_):
 
 
 # ---------------------------------------------------------------------------
-# tolerance cut of the rank
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("rtol", [1e-3, 1e-6, 1e-10])
-@pytest.mark.parametrize("m, n, complex_", [
-    (40, 120, False), (120, 40, False), (60, 60, True)],
-    ids=["wide", "tall", "complex-square"])
-def test_cut_keeps_exactly_the_pivots_above_rtol(m, n, complex_, rtol):
-    M = _graded(m, n, min(m, n), complex_, seed=m + n)
-    d = np.abs(np.diag(sla.qr(M, mode="r", pivoting=True)[0]))
-    keep = int(np.count_nonzero(d > rtol * d[0]))
-    assert 0 < keep < min(m, n)
-    res = srrqr(M, rtol=rtol)
-    assert res.rank == keep
-    assert np.max(np.abs(res.W)) <= lowrank._SWAP_BOUND
-    # compr cuts the rows of C the same way: its rows are M's columns
-    f = compr(M.T, np.arange(n) + 100, rtol)
-    assert f.rank == keep
-    assert np.max(np.abs(f.G)) <= lowrank._SWAP_BOUND
-    np.testing.assert_array_equal(f.skel, 100 + f.skel_local)
-
-
-@pytest.mark.parametrize("case", sorted(_srrqr_cases()))
-def test_default_cut_gives_the_bits_of_the_call_without_it(case):
-    M, k = _srrqr_cases()[case]
-    rtol = lowrank._DEFICIENCY_RTOL
-    a, b = srrqr(M, k), srrqr(M, k, rtol=rtol)
-    assert (a.rank, a.swaps) == (b.rank, b.swaps)
-    for name in ("perm", "R11", "R12", "R22", "W"):
-        x, y = getattr(a, name), getattr(b, name)
-        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), name
-    # a looser cut runs the same direct calls as the scipy reference
-    got, ref = srrqr(M, k, rtol=1e-6), _scipy_srrqr(M, k, rtol=1e-6)
-    assert (got.rank, got.swaps) == (ref.rank, ref.swaps)
-    assert got.W.tobytes() == np.ascontiguousarray(ref.W).tobytes()
-    C, ibar = np.asarray(M).T, np.arange(np.shape(M)[1])
-    f, g = compr(C, ibar), compr(C, ibar, rtol)
-    for name in ("perm", "G", "skel"):
-        assert getattr(f, name).tobytes() == getattr(g, name).tobytes(), name
-
-
-# ---------------------------------------------------------------------------
 # truncated SVD
 # ---------------------------------------------------------------------------
 
@@ -614,3 +576,66 @@ def test_wide_svd_runs_on_square_core(monkeypatch, complex_):
     monkeypatch.setattr(np.linalg, "svd", recorded)
     truncated_svd(_graded(40, 300, 40, complex_), 1e-10)
     assert seen == [(40, 40)]
+
+
+# ---------------------------------------------------------------------------
+# range columns: the nearfield cut without an SVD
+# ---------------------------------------------------------------------------
+
+def _miss(C, M):
+    """||M - Q Q^H M||_F for an orthonormal basis Q of C's columns."""
+    Q = np.linalg.qr(C)[0]
+    return np.linalg.norm(M - Q @ (Q.conj().T @ M))
+
+
+_RANGE_CASES = {"wide": (40, 300, 40, False), "tall": (300, 40, 40, False),
+                "square": (60, 60, 60, False), "complex": (40, 300, 40, True),
+                "rank-deficient": (50, 200, 23, False)}
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
+@pytest.mark.parametrize("case", sorted(_RANGE_CASES))
+def test_range_columns_are_the_fewest_pivots_within_eps(case, eps):
+    M = _graded(*_RANGE_CASES[case])
+    core = lowrank._core(M)
+    C = range_columns(M, eps)
+    k = C.shape[1]
+    assert C.dtype == M.dtype and C.shape[0] == M.shape[0]
+    # columns of the core, kept as they are
+    for c in C.T:
+        assert np.min(np.linalg.norm(core - c[:, None], axis=0)) == 0
+    # the first pivot is the core's largest column
+    cut = eps * np.max(np.linalg.norm(core, axis=0))
+    assert _miss(C, M) <= cut * (1 + 1e-6)
+    assert _miss(C[:, :-1], M) > cut
+    # the SVD's cut keeps no more: sigma_(k+1) <= ||R22||_F <= eps sigma_1
+    sig = np.linalg.svd(M, compute_uv=False)
+    assert k >= np.count_nonzero(sig > eps * sig[0])
+
+
+def test_range_columns_of_a_wide_block_pivot_its_square_core(monkeypatch):
+    seen = []
+    real = lowrank._qr_r
+
+    def recorded(M, rows, pivoting):
+        seen.append((M.shape, pivoting))
+        return real(M, rows, pivoting)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("range_columns called an SVD")
+
+    monkeypatch.setattr(lowrank, "_qr_r", recorded)
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(sla, "svd", refuse)
+    C = range_columns(_graded(40, 300, 40), 1e-10)
+    assert seen == [((300, 40), False), ((40, 40), True)]
+    assert C.shape[0] == 40
+
+
+def test_zero_cut_keeps_every_column_with_a_nonzero_remainder():
+    rng = np.random.default_rng(9)
+    for M in (rng.standard_normal((12, 30)), rng.standard_normal((30, 12))):
+        assert range_columns(M, 0.0).shape == (M.shape[0], 12)
+    assert range_columns(np.zeros((6, 9)), 0.0).shape == (6, 0)
+    assert range_columns(np.empty((0, 3)), 1e-3).shape == (0, 0)
+    assert range_columns(np.empty((3, 0)), 1e-3).shape == (3, 0)
