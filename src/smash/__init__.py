@@ -3,7 +3,7 @@
 Builds HSS and H2 approximations to kernel matrices (Cauchy, Cauchy-like,
 Laplace double-layer) by fusing analytic farfield expansions with
 rank-revealing interpolative compression, and provides fast matvec,
-a ULV-style direct solver, and benchmark drivers.
+a ULV-style direct solver, and the diagnostics of the test problems.
 """
 
 from .cluster import ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set
@@ -14,7 +14,7 @@ from .h2 import H2Matrix, build_h2
 from .apply import matvec_levelwise, matvec_nodewise, ulv_factor, ulv_solve
 from .container import load_matrix, save_matrix
 from .bench import (BoundInputs, ParamChoice, StorageReport, choose_params,
-                    eps_rank, error_bound, run_experiment, storage_report)
+                    eps_rank, error_bound, storage_report)
 
 __version__ = "0.1.0"
 
@@ -48,7 +48,6 @@ __all__ = [
     "matvec_levelwise",
     "matvec_nodewise",
     "nearfield_set",
-    "run_experiment",
     "save_matrix",
     "srrqr",
     "storage_report",

@@ -340,9 +340,16 @@ def read_vector(path) -> np.ndarray:
 
 
 def write_vector(path, vec) -> None:
+    """Save a vector in the format ``read_vector`` reads back.  A raw file
+    holds real entries only, so a vector with a nonzero imaginary part
+    raises ValueError naming the file before anything is written."""
     p = str(path)
     vec = np.asarray(vec)
     if p.endswith((".bin", ".f64")):
+        if np.any(vec.imag):
+            raise ValueError("%s: a raw float64 file cannot hold complex "
+                             "entries; write a text file, which keeps them"
+                             % p)
         np.asarray(vec.real, dtype="<f8").tofile(p)
     else:
         np.savetxt(p, vec)

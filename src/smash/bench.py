@@ -1,28 +1,22 @@
-"""Diagnostics and the quantitative studies behind the benchmark CLI.
+"""Diagnostics and the timing helpers of the acceptance tests.
 
 Provides the parameter heuristic, eps-ranks, theoretical reconstruction
-bounds, storage accounting, streaming dense oracles, and the five named
-experiments whose rows mirror the result tables.
+bounds, storage accounting, streaming dense oracles, the point sets of the
+test problems, and median timings with their growth per size doubling.
 """
 
-import csv
-import io
-import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
-from .apply import matvec_nodewise, ulv_factor, ulv_solve
-from .cluster import PointSet, build_tree
+from .apply import matvec_nodewise
+from .cluster import PointSet
 from .container import stored_arrays
-from .h2 import build_h2
-from .hss import BuildParams, build_hss
-from .kernel import (DENSE_BUDGET_DEFAULT, KernelSpec, assemble_dense,
-                     boundary_data, evaluate_potential, get_curve,
-                     kernel_block)
+from .hss import BuildParams
+from .kernel import DENSE_BUDGET_DEFAULT, KernelSpec, get_curve, kernel_block
 
 # ---------------------------------------------------------------------------
 # parameter heuristic
@@ -362,7 +356,7 @@ def curve_points(name: str, n: int) -> PointSet:
 
 
 def cauchy_pair(geometry: str, n: int, rng):
-    """Source/target point sets for the Cauchy experiments.
+    """Source/target point sets for the Cauchy test problems.
 
     interval: x_k = k/(n+1) with y a 1e-7-scale random right shift; curve
     geometries place x on the curve at the same parameters, with y either
@@ -426,244 +420,3 @@ def doubling_ratios(ns, ts):
         step = math.log2(n2 / n1)
         out.append((t2 / max(t1, 1e-12)) ** (1.0 / step))
     return out
-
-
-# ---------------------------------------------------------------------------
-# experiment reports
-# ---------------------------------------------------------------------------
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".10g")
-    return str(v)
-
-
-@dataclass
-class ExperimentReport:
-    """Named experiment output: parameter echo plus one dict per table row."""
-
-    name: str
-    params: dict
-    rows: list = field(default_factory=list)
-
-    @property
-    def columns(self):
-        cols = []
-        for row in self.rows:
-            for k in row:
-                if k not in cols:
-                    cols.append(k)
-        return cols
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.DictWriter(buf, fieldnames=self.columns, lineterminator="\n")
-        w.writeheader()
-        for row in self.rows:
-            w.writerow({k: _fmt(v) for k, v in row.items()})
-        return buf.getvalue()
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"experiment": self.name, "params": self.params, "rows": self.rows},
-            indent=2, default=float)
-
-    def write(self, path, as_json: bool = False):
-        with open(path, "w") as fh:
-            fh.write(self.to_json() if as_json else self.to_csv())
-
-
-# ---------------------------------------------------------------------------
-# named experiments
-# ---------------------------------------------------------------------------
-
-
-def _exp_h2_matvec_scaling(sizes, seed, dense_budget):
-    sizes = tuple(sizes or (1600, 6400))
-    rows = []
-    for n in sizes:
-        m = math.isqrt(n)
-        if m * m != n:
-            raise ValueError("grid sizes must be perfect squares, got %d" % n)
-        rng = np.random.default_rng([seed, n])
-        pts = grid_points(m)
-        spec = KernelSpec(kind="cauchy", dx=1.0)
-        bp = BuildParams(r=22, tau=0.65)
-
-        def construct():
-            tree = build_tree(pts, nu0=50, mode="2d", tau=bp.tau)
-            return build_h2(tree, spec, pts, pts, bp)
-
-        t_constr, M = timed_median(construct)
-        q = rng.random(n)
-        t_matvec = matvec_seconds(M, q)
-        z = matvec_nodewise(M, q)
-        relerr, checked = matvec_relerr(spec, pts, pts, q, z,
-                                        max(dense_budget, 10 ** 9), seed)
-        rep = storage_report(M)
-        rows.append(dict(n=n, relerr=relerr, relerr_rows=checked,
-                         t_constr=t_constr,
-                         t_matvec=t_matvec,
-                         compressed_mib=as_mib(rep.compressed_bytes),
-                         kept_mib=as_mib(rep.kept_bytes),
-                         seed=seed, r=bp.r, tau=bp.tau))
-    return ExperimentReport(
-        "h2_matvec_scaling",
-        dict(seed=seed, r=22, tau=0.65, nu0=50, kernel="cauchy", dx=1.0),
-        rows)
-
-
-def _exp_cauchy_solve(sizes, seed, dense_budget):
-    sizes = tuple(sizes or (1600, 3200))
-    bp = BuildParams(r=choose_params(1e-10, d=1).r, tau=0.6, eps_svd=1e-9)
-    rows = []
-    for gidx, geometry in enumerate(("interval", "honeybee", "snail")):
-        for n in sizes:
-            rng = np.random.default_rng([seed, n, gidx])
-            X, Y = cauchy_pair(geometry, n, rng)
-            w = rng.random((n, 2))
-            v = rng.random((n, 2))
-            spec = KernelSpec(kind="cauchy_like", w=w, v=v)
-            tree = build_tree(X, Y, nu0=50, mode="binary", tau=bp.tau)
-            t_constr, M = timed_median(
-                lambda: build_hss(tree, spec, X, Y, bp))
-            u = rng.random(n)
-            b = dense_matvec(spec, X, Y, u)
-            t_sol, uh = timed_median(lambda: ulv_solve(ulv_factor(M), b))
-            forward = rel_error(uh, u)
-            residual = rel_error(dense_matvec(spec, X, Y, uh), b)
-            rows.append(dict(curve=geometry, n=n, forward=forward,
-                             residual=residual, t_constr=t_constr,
-                             t_sol=t_sol, seed=seed, r=bp.r, tau=bp.tau))
-    return ExperimentReport(
-        "cauchy_solve",
-        dict(seed=seed, r=bp.r, tau=bp.tau, eps_svd=bp.eps_svd, nu0=50, p=2),
-        rows)
-
-
-_DIRICHLET_CASES = (
-    ("ramhead", (160, 320, 640), (0.1, 0.1)),
-    ("sunflower", (640, 1280, 2560, 5120), (1.5, 0.0)),
-)
-_SOURCE_POINT = (2.0, 1.5)
-
-
-def _exp_laplace_dirichlet(sizes, seed, dense_budget):
-    bp = BuildParams(r=25, tau=0.6, eps_svd=1e-11, basis="interp")
-    x0 = np.asarray(_SOURCE_POINT)
-    rows = []
-    for curve_name, default_ns, xstar in _DIRICHLET_CASES:
-        crv = get_curve(curve_name)
-        xs = np.asarray(xstar)
-        exact = math.log(math.hypot(xs[0] - x0[0], xs[1] - x0[1]))
-        for n in tuple(sizes or default_ns):
-            spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
-            pts = curve_points(curve_name, n)
-
-            def construct():
-                tree = build_tree(pts, nu0=50, mode="binary", tau=bp.tau)
-                return build_hss(tree, spec, pts, pts, bp)
-
-            t_constr, M = timed_median(construct)
-            rhs = boundary_data(spec, x0)
-            t_sol, sigma = timed_median(lambda: ulv_solve(ulv_factor(M), rhs))
-            uh = evaluate_potential(crv, sigma, xs)
-            val, is_exact = amax_error(M, spec, None, None, dense_budget,
-                                       seed=seed)
-            amax = val if is_exact else None
-            amax_est = None if is_exact else val
-            cond = None
-            if n <= 1280 and n * n <= dense_budget:
-                sig = sla.svdvals(assemble_dense(spec, None, None,
-                                                 budget=dense_budget))
-                cond = float(sig[0] / sig[-1])
-            rows.append(dict(curve=curve_name, n=n,
-                             pot_err=abs(uh - exact), cond=cond, amax=amax,
-                             amax_est=amax_est, t_constr=t_constr,
-                             t_sol=t_sol, seed=seed, r=bp.r, tau=bp.tau))
-    return ExperimentReport(
-        "laplace_dirichlet",
-        dict(seed=seed, r=25, tau=0.6, eps_svd=1e-11, nu0=50,
-             x0=list(_SOURCE_POINT)),
-        rows)
-
-
-_RANK_CASES = (("ramhead", 1280), ("sunflower", 2560))
-
-
-def _exp_rank_study(sizes, seed, dense_budget):
-    eps_list = (1e-3, 1e-6, 1e-10)
-    rows = []
-    nu0 = 50
-    for curve_name, n_default in _RANK_CASES:
-        for n in tuple(sizes or (n_default,)):
-            if n <= nu0:
-                raise ValueError("rank_study needs n above its leaf cap %d to "
-                                 "split the root in two; got n = %d"
-                                 % (nu0, n))
-            crv = get_curve(curve_name)
-            spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
-            pts = curve_points(curve_name, n)
-            tree = build_tree(pts, nu0=nu0, mode="binary", tau=0.6)
-            c1, c2 = tree.nodes[tree.root].children
-            block = kernel_block(spec, None, None,
-                                 tree.perm_row[tree.row_range(c1)],
-                                 tree.perm_col[tree.col_range(c2)])
-            for eps in eps_list:
-                pc = choose_params(eps, d=1)
-                M = build_hss(tree, spec, pts, pts,
-                              pc.build_params(basis="interp"))
-                rows.append(dict(curve=curve_name, n=n, eps=eps,
-                                 r_eps=eps_rank(block, eps),
-                                 size_bi=max_rank(M),
-                                 r=pc.r, eps_svd=pc.eps_svd, seed=seed))
-    return ExperimentReport(
-        "rank_study", dict(seed=seed, tau=0.6, nu0=nu0, eps=list(eps_list)),
-        rows)
-
-
-def _exp_storage_study(sizes, seed, dense_budget):
-    bp = BuildParams(r=25, tau=0.6, eps_svd=1e-11, basis="interp")
-    rows = []
-    for curve_name in ("ramhead", "sunflower"):
-        for n in tuple(sizes or (2560,)):
-            crv = get_curve(curve_name)
-            spec = KernelSpec(kind="laplace_dlp", curve=crv, nq=n)
-            pts = curve_points(curve_name, n)
-            tree = build_tree(pts, nu0=50, mode="binary", tau=bp.tau)
-            M = build_hss(tree, spec, pts, pts, bp)
-            rep = storage_report(M)
-            rows.append(dict(
-                curve=curve_name, n=n,
-                smash_mib=as_mib(rep.compressed_bytes),
-                hss0_mib=as_mib(rep.generator_bytes),
-                dense_mib=as_mib(rep.dense_bytes),
-                ratio_generators=rep.compressed_bytes / rep.generator_bytes,
-                ratio_dense=rep.compressed_bytes / rep.dense_bytes,
-                seed=seed, r=bp.r, tau=bp.tau))
-    return ExperimentReport(
-        "storage_study",
-        dict(seed=seed, r=25, tau=0.6, eps_svd=1e-11, nu0=50), rows)
-
-
-_EXPERIMENTS = {
-    "h2_matvec_scaling": _exp_h2_matvec_scaling,
-    "cauchy_solve": _exp_cauchy_solve,
-    "laplace_dirichlet": _exp_laplace_dirichlet,
-    "rank_study": _exp_rank_study,
-    "storage_study": _exp_storage_study,
-}
-
-
-def run_experiment(name: str, sizes=None, seed: int = 0,
-                   dense_budget: int = DENSE_BUDGET_DEFAULT) -> ExperimentReport:
-    """Run a named experiment and return its report."""
-    try:
-        fn = _EXPERIMENTS[name]
-    except KeyError:
-        raise ValueError("unknown experiment %r; expected one of %s"
-                         % (name, ", ".join(sorted(_EXPERIMENTS))))
-    return fn(sizes, seed, dense_budget)

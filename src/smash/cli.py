@@ -1,5 +1,4 @@
-"""Benchmark command line: build structured matrices, apply and solve them,
-and run the named studies.
+"""Command line: build structured matrices, save them, apply and solve them.
 
 Exit codes: 0 on success, 2 on a validation problem (bad flags, unsupported
 combinations, malformed inputs), 3 on a numerical failure (singular local
@@ -90,7 +89,7 @@ def _emit(args, info: dict):
         print(json.dumps(info, indent=2, default=float))
     else:
         for k, v in info.items():
-            print("%s=%s" % (k, bench._fmt(v) if isinstance(v, float) else v))
+            print("%s=%s" % (k, format(v, ".10g") if isinstance(v, float) else v))
 
 
 # ---------------------------------------------------------------------------
@@ -171,41 +170,23 @@ def cmd_solve(args):
     _emit(args, info)
 
 
-def cmd_experiment(args):
-    sizes = None
-    if args.sizes:
-        sizes = tuple(int(s) for s in args.sizes.split(",") if s)
-    elif args.n is not None:
-        sizes = (args.n,)
-    rep = bench.run_experiment(args.name, sizes=sizes, seed=args.seed,
-                               dense_budget=args.dense_budget)
-    if args.out:
-        rep.write(args.out, as_json=args.json)
-        print("wrote %s (%d rows)" % (args.out, len(rep.rows)))
-    else:
-        sys.stdout.write(rep.to_json() if args.json else rep.to_csv())
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # flags every command reads; the studies fix their own build parameters
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, default=None,
-                        help="problem size (default 1600, or a study's sizes)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--dense-budget", type=int,
-                        default=DENSE_BUDGET_DEFAULT,
-                        help="max dense-oracle entries; beyond it, "
-                             "relerr is measured on sampled rows")
-    common.add_argument("--json", action="store_true",
-                        help="JSON output instead of CSV/key=value")
-    common.add_argument("--out", default=None, help="output file path")
-
-    problem = argparse.ArgumentParser(add_help=False, parents=[common])
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--n", type=int, default=None,
+                         help="problem size (default 1600)")
+    problem.add_argument("--seed", type=int, default=0)
+    problem.add_argument("--dense-budget", type=int,
+                         default=DENSE_BUDGET_DEFAULT,
+                         help="max dense-oracle entries; beyond it, "
+                              "relerr is measured on sampled rows")
+    problem.add_argument("--json", action="store_true",
+                         help="JSON output instead of key=value lines")
+    problem.add_argument("--out", default=None, help="output file path")
     problem.add_argument("--kernel", default="cauchy",
                          choices=("cauchy", "cauchy-like", "laplace-dlp"))
     problem.add_argument("--geometry", default="interval", choices=_GEOMETRIES)
@@ -227,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="smash",
         description="Hierarchically rank-structured kernel matrices: "
-                    "construction, fast apply, ULV solve, and studies.")
+                    "construction, fast apply, and ULV solve.")
     sub = p.add_subparsers(dest="command", required=True)
 
     pb = sub.add_parser("build", parents=[problem],
@@ -245,13 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--vec", default=None, help="right-hand side file")
     ps.add_argument("--load", default=None, help="saved matrix container")
     ps.set_defaults(func=cmd_solve)
-
-    pe = sub.add_parser("experiment", parents=[common],
-                        help="run a named study and emit its table")
-    pe.add_argument("name", choices=sorted(bench._EXPERIMENTS))
-    pe.add_argument("--sizes", default=None,
-                    help="comma-separated size list overriding the default")
-    pe.set_defaults(func=cmd_experiment)
     return p
 
 

@@ -370,3 +370,15 @@ def test_raw_vector_round_trip(tmp_path):
     path = tmp_path / "v.bin"
     write_vector(path, v)
     np.testing.assert_array_equal(read_vector(path), v)
+
+
+def test_complex_vector_refused_by_raw_file_kept_by_text(tmp_path):
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    raw = tmp_path / "v.bin"
+    with pytest.raises(ValueError, match="v.bin"):
+        write_vector(raw, v)
+    assert not raw.exists()
+    text = tmp_path / "v.txt"
+    write_vector(text, v)
+    np.testing.assert_array_equal(read_vector(text), v)

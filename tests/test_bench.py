@@ -1,5 +1,5 @@
 """Diagnostics: parameter heuristic, epsilon-rank, analytic error bounds,
-storage accounting, and the timing helpers behind the experiment runner."""
+storage accounting, and the timing helpers of the acceptance tests."""
 
 import numpy as np
 import pytest

@@ -1,7 +1,6 @@
-"""Command line driver: flag validation, exit codes, output files, and the
-named experiment tables, exercised through main(argv)."""
+"""The smash command line: flag validation, exit codes, and output files,
+exercised through main(argv)."""
 
-import csv
 import json
 
 import numpy as np
@@ -151,6 +150,16 @@ def test_non_finite_vector_exits_2_naming_the_entry(tmp_path, capsys,
     assert main([command, "--n", "400", "--vec", qfile]) == 2
     err = capsys.readouterr().err
     assert "q.txt: entry 7 is" in err and "finite" in err
+
+
+def test_complex_product_to_a_raw_file_exits_2(tmp_path, capsys):
+    # the planar Cauchy product is complex; a .bin file once kept its real
+    # part only and exited 0
+    zfile = tmp_path / "z.bin"
+    assert main(["matvec", "--geometry", "grid2d", "--structure", "h2",
+                 "--n", "1600", "--out", str(zfile)]) == 2
+    assert "z.bin" in capsys.readouterr().err
+    assert not zfile.exists()
 
 
 def test_raw_vector_with_a_stray_byte_exits_2_naming_the_file(tmp_path,
@@ -327,77 +336,3 @@ def test_every_accepted_combination_meets_its_tolerance(kernel, geometry,
     if code == 0:
         assert json.loads(out)["relerr"] <= 1e-7
 
-
-# ---------------------------------------------------------------------------
-# experiments
-# ---------------------------------------------------------------------------
-
-def test_unknown_experiment_rejected_by_parser():
-    with pytest.raises(SystemExit) as e:
-        main(["experiment", "no_such_study"])
-    assert e.value.code == 2
-
-
-def test_unknown_experiment_rejected_by_runner():
-    with pytest.raises(ValueError, match="unknown experiment"):
-        smash.bench.run_experiment("no_such_study")
-
-
-def test_scaling_experiment_emits_csv(capsys):
-    assert main(["experiment", "h2_matvec_scaling", "--sizes", "400"]) == 0
-    out = capsys.readouterr().out
-    rows = list(csv.DictReader(out.splitlines()))
-    assert len(rows) == 1
-    assert rows[0]["n"] == "400"
-    assert float(rows[0]["relerr"]) < 1e-8
-    assert float(rows[0]["kept_mib"]) > float(rows[0]["compressed_mib"])
-
-
-def test_rank_study_written_to_file(tmp_path, capsys):
-    target = str(tmp_path / "ranks.csv")
-    assert main(["experiment", "rank_study", "--sizes", "320",
-                 "--out", target]) == 0
-    assert "wrote" in capsys.readouterr().out
-    with open(target) as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 6
-    for row in rows:
-        assert int(row["size_bi"]) <= 2 * int(row["r_eps"]) + 10
-    # tighter tolerances keep more singular values
-    by_curve = {}
-    for row in rows:
-        by_curve.setdefault(row["curve"], []).append(int(row["r_eps"]))
-    for vals in by_curve.values():
-        assert vals == sorted(vals)
-
-
-def test_rank_study_runs_every_size(capsys):
-    assert main(["experiment", "rank_study", "--sizes", "320,640"]) == 0
-    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert len(rows) == 12
-    assert sorted(int(row["n"]) for row in rows) == [320] * 6 + [640] * 6
-
-
-def test_experiment_refuses_build_flags():
-    # the studies fix their own build parameters
-    with pytest.raises(SystemExit) as e:
-        main(["experiment", "storage_study", "--leaf-cap", "20"])
-    assert e.value.code == 2
-
-
-@pytest.mark.parametrize("n", [10, 50])
-def test_rank_study_on_one_leaf_refused(capsys, n):
-    # n <= the leaf cap leaves the root without the two children it compares
-    assert main(["experiment", "rank_study", "--n", str(n)]) == 2
-    err = capsys.readouterr().err
-    assert "n = %d" % n in err and "leaf cap 50" in err
-
-
-def test_storage_study_json(capsys):
-    assert main(["experiment", "storage_study", "--sizes", "256",
-                 "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["experiment"] == "storage_study"
-    for row in doc["rows"]:
-        assert row["ratio_dense"] < 1.0
-        assert row["ratio_generators"] < 1.0
