@@ -7,7 +7,7 @@ a ULV-style direct solver, and the diagnostics of the test problems.
 """
 
 from .cluster import ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set
-from .kernel import CurveSpec, KernelSpec, assemble_dense, eval_kernel, get_curve
+from .kernel import CurveSpec, KernelSpec, get_curve
 from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases, truncated_svd
 from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
 from .h2 import H2Matrix, build_h2
@@ -30,7 +30,6 @@ __all__ = [
     "ParamChoice",
     "PointSet",
     "StorageReport",
-    "assemble_dense",
     "build_h2",
     "build_hss",
     "build_tree",
@@ -39,7 +38,6 @@ __all__ = [
     "diag_scale",
     "eps_rank",
     "error_bound",
-    "eval_kernel",
     "get_curve",
     "hss_add",
     "interp_basis",

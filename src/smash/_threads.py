@@ -4,11 +4,12 @@ Both phases run many small dense kernels (QR, SVD, products of a few
 hundred rows), which run faster on one BLAS thread than on OpenBLAS's own
 pool, so ``one_blas_thread`` pins every loaded OpenBLAS to one thread for
 their duration.  The cores that frees go to the paper's level parallelism:
-``map_nodes`` runs one level's node passes on the calling thread and at most
-one worker.  The matvec is pinned too: it runs one small product per node
-(a rank or a leaf size of rows by a few thousand columns), and handing each
-to a second BLAS thread makes it wait for that thread, long when another
-process holds that core.  The solve keeps the default BLAS threads.
+``map_nodes`` runs one level's node passes on a pool of two threads, or on
+the calling thread alone with one core.  The matvec is pinned too: it runs
+one small product per node (a rank or a leaf size of rows by a few thousand
+columns), and handing each to a second BLAS thread makes it wait for that
+thread, long when another process holds that core.  The solve keeps the
+default BLAS threads.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import ctypes
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 # thread counts are process-wide in OpenBLAS, so the pin's state is too
 _lock = threading.Lock()
@@ -91,37 +93,15 @@ def cores() -> int:
 
 
 def map_nodes(fn, items) -> list:
-    """[fn(x) for x in items] on min(2, cores) threads: the calling thread
-    and at most one worker, each taking the next item when it is free.
-    The first exception fn raises reaches the caller once both stop."""
+    """[fn(x) for x in items], in item order, on a pool of two threads, or
+    on the calling thread alone with one core or fewer than two items.  The
+    caller gets the exception of the first item, in item order, that raises,
+    once the pool's running items finish; items after it may have run."""
     items = list(items)
     if cores() < 2 or len(items) < 2:
         return [fn(x) for x in items]
-    out = [None] * len(items)
-    todo = iter(range(len(items)))
-    take = threading.Lock()
-    errors = []
-
-    def drain():
-        while not errors:
-            with take:
-                k = next(todo, None)
-            if k is None:
-                return
-            try:
-                out[k] = fn(items[k])
-            except BaseException as exc:
-                errors.append(exc)
-
-    worker = threading.Thread(target=drain, name="smash-level", daemon=True)
-    worker.start()
-    try:
-        drain()
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
-    return out
+    with ThreadPoolExecutor(2, thread_name_prefix="smash-level") as pool:
+        return list(pool.map(fn, items))
 
 
 def trim_heap() -> None:

@@ -16,7 +16,7 @@ from .apply import matvec_nodewise
 from .cluster import PointSet
 from .container import stored_arrays
 from .hss import BuildParams
-from .kernel import DENSE_BUDGET_DEFAULT, KernelSpec, get_curve, kernel_block
+from .kernel import KernelSpec, get_curve, kernel_block
 
 # ---------------------------------------------------------------------------
 # parameter heuristic
@@ -32,7 +32,7 @@ class ParamChoice:
     r: int
     eps_svd: float
 
-    def build_params(self, basis: str = None) -> BuildParams:
+    def build_params(self, basis: str = "taylor") -> BuildParams:
         return BuildParams(r=self.r, tau=self.tau, eps_svd=self.eps_svd,
                            basis=basis)
 
@@ -285,6 +285,7 @@ def dense_matvec(spec: KernelSpec, X, Y, q, rows=None) -> np.ndarray:
 
 
 SAMPLE_ROWS = 512
+DENSE_BUDGET_DEFAULT = 5120 * 5120
 
 
 def rel_error(x, ref) -> float:
@@ -366,7 +367,7 @@ def cauchy_pair(geometry: str, n: int, rng):
     if geometry == "interval":
         x = t[:, None]
         y = x + 1e-7 * rng.random((n, 1))
-        return PointSet(x), PointSet(y, role="col")
+        return PointSet(x), PointSet(y)
     crv = get_curve(geometry)
     x = crv.point(t)
     if geometry == "honeybee":
@@ -374,7 +375,7 @@ def cauchy_pair(geometry: str, n: int, rng):
     else:
         y = x.copy()
         y[:, 0] += 1e-7 * rng.random(n)
-    return PointSet(x), PointSet(y, role="col")
+    return PointSet(x), PointSet(y)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .cluster import build_tree
 from .container import load_matrix, save_matrix
 from .h2 import build_h2
 from .hss import BuildParams, build_hss
-from .kernel import DENSE_BUDGET_DEFAULT, KernelSpec, get_curve
+from .kernel import KernelSpec, get_curve
 
 _GEOMETRIES = ("interval", "grid2d", "ramhead", "sunflower", "honeybee",
                "snail", "circle")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="problem size (default 1600)")
     problem.add_argument("--seed", type=int, default=0)
     problem.add_argument("--dense-budget", type=int,
-                         default=DENSE_BUDGET_DEFAULT,
+                         default=bench.DENSE_BUDGET_DEFAULT,
                          help="max dense-oracle entries; beyond it, "
                               "relerr is measured on sampled rows")
     problem.add_argument("--json", action="store_true",

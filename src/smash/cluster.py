@@ -30,10 +30,9 @@ _MAX_SHRINKS = 200  # guard against pathological point clusters
 
 @dataclass
 class PointSet:
-    """Points in R^d as an (n, d) float array plus a role tag."""
+    """Points in R^d as an (n, d) float array."""
 
     coords: np.ndarray
-    role: str = "row"
 
     def __post_init__(self):
         self.coords = np.atleast_2d(np.asarray(self.coords, dtype=float))

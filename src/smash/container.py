@@ -230,7 +230,7 @@ def _assemble(header: dict, arrays: dict):
         raise ValueError("damaged container header: %s" % exc) from None
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
-        Y = PointSet(_caller_points(tree, "col"), role="col")
+        Y = PointSet(_caller_points(tree, "col"))
         block = make_block_evaluator(kernel, X, Y, tree)
     else:
         block = no_kernel_block
@@ -283,8 +283,7 @@ def _load_factor(arrays: dict, tree: ClusterTree, i: int, side: str,
     if G.ndim != 2 or G.shape[0] + G.shape[1] != ibar.size:
         raise ValueError("damaged container: %r has shape %s, not (%d - k, k) "
                          "for some rank k" % (name + "G", G.shape, ibar.size))
-    return InterpolativeFactor(nrows=ibar.size, perm=perm, G=G,
-                               skel=ibar[perm[:G.shape[1]]])
+    return InterpolativeFactor(perm=perm, G=G, skel=ibar[perm[:G.shape[1]]])
 
 
 def _caller_points(tree: ClusterTree, side: str) -> np.ndarray:

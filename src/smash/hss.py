@@ -51,11 +51,9 @@ class BuildParams:
     r: int = 20
     tau: float = 0.6
     eps_svd: float = 0.0
-    basis: str = "taylor"  # or "interp"; None reads as "taylor"
+    basis: str = "taylor"  # or "interp"
 
     def __post_init__(self):
-        if self.basis is None:
-            self.basis = "taylor"
         if self.basis not in ("taylor", "interp"):
             raise ValueError("build parameter basis must be 'taylor' or "
                              "'interp', got %r" % (self.basis,))
@@ -429,7 +427,7 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
         gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
     elif (kernel.kind == "laplace_dlp" and side == "col"
           and params.basis != "interp"):  # v raises the interp HSS ranks
-        gen = kernel._dlp_data()["v"][tree.perm_col, None]
+        gen = kernel._dlp_data["v"][tree.perm_col, None]
     scal = _to_scalars(pts) if pts.size else np.zeros(0)
 
     if params.basis == "interp":
@@ -520,9 +518,6 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     result does not depend on the core count.
     """
     params = params or BuildParams()
-    for nd in tree.nodes:
-        if not nd.is_leaf and len(nd.children) != 2:
-            raise ValueError("HSS construction needs a binary tree")
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "hss")
@@ -647,9 +642,5 @@ def cauchy_like_hss(tree: ClusterTree, X, Y, w, v,
                     params: BuildParams = None) -> HssMatrix:
     """HSS form of sum_l diag(w[:, l]) C diag(v[:, l]) with C the Cauchy
     matrix, built directly by build_hss on the Cauchy-like kernel."""
-    w = np.asarray(w, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if w.ndim != 2 or v.ndim != 2 or w.shape[1] != v.shape[1]:
-        raise ValueError("generator matrices need matching column counts")
     return build_hss(tree, KernelSpec(kind="cauchy_like", w=w, v=v), X, Y,
                      params)

@@ -11,11 +11,10 @@ a complex function z(t) with analytic first and second derivatives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-
-DENSE_BUDGET_DEFAULT = 5120 * 5120
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +183,6 @@ class KernelSpec:
     v: np.ndarray = None
     curve: CurveSpec = None
     nq: int = 0
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kind not in ("cauchy", "cauchy_like", "laplace_dlp"):
@@ -194,29 +192,28 @@ class KernelSpec:
                 raise ValueError("cauchy_like needs generator matrices w, v")
             self.w = np.asarray(self.w, dtype=float)
             self.v = np.asarray(self.v, dtype=float)
-            if self.w.shape[1] != self.v.shape[1]:
-                raise ValueError("w and v must share the generator count p")
+            if (self.w.ndim != 2 or self.v.ndim != 2
+                    or self.w.shape[1] != self.v.shape[1]):
+                raise ValueError("generators w and v must be 2-d with one "
+                                 "column count p, got shapes %s and %s"
+                                 % (self.w.shape, self.v.shape))
         if self.kind == "laplace_dlp":
             if self.curve is None or not self.curve.closed:
                 raise ValueError("laplace_dlp needs a smooth closed curve")
             if self.nq < 8:
                 raise ValueError("laplace_dlp needs a quadrature count n >= 8")
 
-    # -- double layer node data (computed once) ------------------------------
-
-    def _dlp_data(self):
-        data = self._cache.get("dlp")
-        if data is None:
-            n = self.nq
-            t = np.arange(n) / n
-            z, nu = _dlp_normals(self.curve, t)
-            data = {"t": t, "z": z, "v": nu / (2 * np.pi * n),
-                    "diag": _dlp_diagonal(self.curve, t)}
-            self._cache["dlp"] = data
-        return data
+    @cached_property
+    def _dlp_data(self) -> dict:
+        """The double layer's node data, computed once."""
+        n = self.nq
+        t = np.arange(n) / n
+        z, nu = _dlp_normals(self.curve, t)
+        return {"t": t, "z": z, "v": nu / (2 * np.pi * n),
+                "diag": _dlp_diagonal(self.curve, t)}
 
     def dlp_nodes(self):
-        return self._dlp_data()["t"]
+        return self._dlp_data["t"]
 
 
 def _dlp_normals(curve: CurveSpec, t):
@@ -246,7 +243,7 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     if spec.kind == "laplace_dlp":
-        data = spec._dlp_data()
+        data = spec._dlp_data
         zx, zy = data["z"][rows], data["z"][cols]
     else:
         zx, zy = X.scalars[rows], Y.scalars[cols]
@@ -274,35 +271,6 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     return K
 
 
-def eval_kernel(spec: KernelSpec, x, y):
-    """Pointwise kernel value: coordinates (or complex scalars) for cauchy,
-    curve parameters s, t for laplace_dlp."""
-    if spec.kind == "cauchy":
-        if x == y:
-            if spec.dx is None:
-                raise ValueError("x = y needs a diagonal value d_x")
-            return spec.dx
-        return 1.0 / (x - y)
-    if spec.kind == "laplace_dlp":
-        s, t = float(x), float(y)
-        if s == t:
-            return float(_dlp_diagonal(spec.curve, np.array([t]))[0])
-        z, nu = _dlp_normals(spec.curve, np.array([s, t]))
-        return float((nu[1] / (2 * np.pi * (z[0] - z[1]))).real)
-    raise ValueError("cauchy_like has no pointwise form; use assemble_dense")
-
-
-def assemble_dense(spec: KernelSpec, X, Y, budget: int = DENSE_BUDGET_DEFAULT) -> np.ndarray:
-    """Brute-force dense matrix in caller ordering (oracle; budget-limited)."""
-    if spec.kind == "laplace_dlp":
-        m = n = spec.nq
-    else:
-        m, n = X.coords.shape[0], Y.coords.shape[0]
-    if m * n > budget:
-        raise ValueError("dense assembly of %dx%d exceeds budget %d" % (m, n, budget))
-    return kernel_block(spec, X, Y, np.arange(m), np.arange(n))
-
-
 # ---------------------------------------------------------------------------
 # Dirichlet data and potential evaluation
 # ---------------------------------------------------------------------------
@@ -315,7 +283,7 @@ def boundary_data(spec: KernelSpec, x0) -> np.ndarray:
         raise ValueError("boundary data needs a laplace_dlp kernel")
     if winding_number(spec.curve, x0) != 0:
         raise ValueError("source point x0 must lie outside the curve")
-    z = spec._dlp_data()["z"]
+    z = spec._dlp_data["z"]
     return np.log(np.hypot(z.real - x0[0], z.imag - x0[1]))
 
 

@@ -266,7 +266,6 @@ class InterpolativeFactor:
     the ibar argument), ``skel_local`` their positions within it.
     """
 
-    nrows: int
     perm: np.ndarray
     G: np.ndarray
     skel: np.ndarray
@@ -282,7 +281,7 @@ class InterpolativeFactor:
     def apply(self, Z: np.ndarray) -> np.ndarray:
         """X @ Z without forming X."""
         k = self.rank
-        out = np.empty((self.nrows, Z.shape[1]),
+        out = np.empty((self.perm.size, Z.shape[1]),
                        dtype=np.result_type(self.G.dtype, Z.dtype))
         out[self.perm[:k]] = Z
         out[self.perm[k:]] = self.G @ Z
@@ -294,7 +293,7 @@ class InterpolativeFactor:
         return Q[self.perm[:k]] + self.G.T @ Q[self.perm[k:]]
 
     def expand(self) -> np.ndarray:
-        X = np.zeros((self.nrows, self.rank), dtype=self.G.dtype)
+        X = np.zeros((self.perm.size, self.rank), dtype=self.G.dtype)
         X[self.perm[:self.rank]] = np.eye(self.rank, dtype=self.G.dtype)
         X[self.perm[self.rank:]] = self.G
         return X
@@ -314,7 +313,6 @@ def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
     res = srrqr(C.T)
     k = res.rank
     return InterpolativeFactor(
-        nrows=C.shape[0],
         perm=np.asarray(res.perm, dtype=np.int64),
         G=res.W.T,
         skel=ibar[res.perm[:k]],

@@ -19,7 +19,7 @@ def interval_pair(n, seed=0):
     rng = np.random.default_rng(seed)
     x = (np.arange(1, n + 1) / (n + 1.0)).reshape(-1, 1)
     y = x + 1e-7 * rng.random((n, 1))
-    return smash.PointSet(x), smash.PointSet(y, role="col")
+    return smash.PointSet(x), smash.PointSet(y)
 
 
 def center_radius(lo, hi):
@@ -37,12 +37,11 @@ def dense_oracle(spec, X, Y):
     return kernel_block(spec, X, Y, np.arange(X.n), np.arange(Y.n))
 
 
-def build_interval_hss(n, r=21, eps_svd=1e-9, tau=0.6, nu0=50, seed=0,
-                       basis=None):
+def build_interval_hss(n, r=21, eps_svd=1e-9, tau=0.6, nu0=50, seed=0):
     X, Y = interval_pair(n, seed=seed)
     spec = smash.KernelSpec("cauchy")
     tree = smash.build_tree(X, Y, nu0=nu0, tau=tau)
-    params = smash.BuildParams(r=r, tau=tau, eps_svd=eps_svd, basis=basis)
+    params = smash.BuildParams(r=r, tau=tau, eps_svd=eps_svd)
     return smash.build_hss(tree, spec, X, Y, params), spec, X, Y
 
 
@@ -67,7 +66,7 @@ def build_1d_pair_h2():
     rng = np.random.default_rng(2)
     x = np.sort(rng.random(200)).reshape(-1, 1)
     X = smash.PointSet(x)
-    Y = smash.PointSet(x + 1e-7 * rng.random((200, 1)), role="col")
+    Y = smash.PointSet(x + 1e-7 * rng.random((200, 1)))
     tree = smash.build_tree(X, Y, nu0=16, tau=0.5)
     spec = smash.KernelSpec("cauchy")
     M = smash.build_h2(tree, spec, X, Y,

@@ -81,7 +81,7 @@ def test_levelwise_rejects_uneven_trees():
     x = np.concatenate([np.linspace(0, 0.05, 56), rng.random(8) * 0.9 + 0.1])
     x = np.sort(x).reshape(-1, 1)
     X = smash.PointSet(x)
-    Y = smash.PointSet(x + 1e-9, role="col")
+    Y = smash.PointSet(x + 1e-9)
     tree = smash.build_tree(X, Y, nu0=8)
     assert len({tree.nodes[i].level for i in tree.leaves()}) > 1
     M = smash.build_hss(tree, smash.KernelSpec("cauchy"), X, Y,
@@ -114,9 +114,9 @@ def identity_like_hss(n=32, leaf=16):
         m = tree.nodes[i].n_row
         M.skel_row[i] = empty
         M.skel_col[i] = empty
-        M.rowfac[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+        M.rowfac[i] = InterpolativeFactor(np.arange(m), np.zeros((m, 0)),
                                           empty)
-        M.colfac[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+        M.colfac[i] = InterpolativeFactor(np.arange(m), np.zeros((m, 0)),
                                           empty)
     return M
 
@@ -202,7 +202,7 @@ def test_interleaved_points_with_uneven_leaves_solve(n, nu0, s):
     # x_k = k/(n+1) and y_k = x_k + s/(n+1): most leaves hold unequal row
     # and column counts
     x = (np.arange(1, n + 1) / (n + 1.0)).reshape(-1, 1)
-    X, Y = smash.PointSet(x), smash.PointSet(x + s / (n + 1.0), role="col")
+    X, Y = smash.PointSet(x), smash.PointSet(x + s / (n + 1.0))
     tree = smash.build_tree(X, Y, nu0=nu0)
     assert any(tree.nodes[i].n_row != tree.nodes[i].n_col
                for i in tree.leaves())
@@ -272,7 +272,7 @@ def test_more_redundant_rows_than_unknowns_reported_with_node_id():
     # rank-zero bases leave every row of a leaf redundant; a leaf with more
     # rows than columns then holds linearly dependent rows
     x = (np.arange(1, 33) / 33.0).reshape(-1, 1)
-    X, Y = smash.PointSet(x), smash.PointSet(np.sqrt(x), role="col")
+    X, Y = smash.PointSet(x), smash.PointSet(np.sqrt(x))
     tree = smash.build_tree(X, Y, nu0=8)
     leaf = tree.leaves()[0]
     assert tree.nodes[leaf].n_row > tree.nodes[leaf].n_col
@@ -285,7 +285,7 @@ def test_more_redundant_rows_than_unknowns_reported_with_node_id():
         for facs, skels, m in ((M.rowfac, M.skel_row, nd.n_row),
                                (M.colfac, M.skel_col, nd.n_col)):
             m = m if nd.is_leaf else 0  # the children's skeletons are empty
-            facs[i] = InterpolativeFactor(m, np.arange(m), np.zeros((m, 0)),
+            facs[i] = InterpolativeFactor(np.arange(m), np.zeros((m, 0)),
                                           empty)
             skels[i] = empty
     with pytest.raises(np.linalg.LinAlgError, match="node %d:" % leaf):
@@ -329,7 +329,7 @@ def test_random_interval_sets_build_apply_and_solve(seed, n, nu0, kind):
     x = np.cumsum(0.5 + rng.random(n))
     x = (x / (x[-1] + 1.0)).reshape(-1, 1)
     X = smash.PointSet(x)
-    Y = smash.PointSet(x + 1e-7 * rng.random((n, 1)), role="col")
+    Y = smash.PointSet(x + 1e-7 * rng.random((n, 1)))
     if kind == "cauchy":
         spec = smash.KernelSpec("cauchy")
     else:

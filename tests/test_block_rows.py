@@ -130,7 +130,7 @@ def _pair_1d():
 def _shifted_grid():
     """H2 on the 20x20 grid against the same grid moved by 1e-3."""
     X = smash.bench.grid_points(20)
-    Y = smash.PointSet(X.coords + 1e-3, role="col")
+    Y = smash.PointSet(X.coords + 1e-3)
     spec = smash.KernelSpec("cauchy")
     tree = smash.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
     M = smash.build_h2(tree, spec, X, Y, smash.BuildParams(r=22, tau=0.65))

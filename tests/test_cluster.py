@@ -99,7 +99,7 @@ def test_2d_mode_full_grid_has_four_way_splits():
 def test_leaf_capacity_is_respected_per_role():
     rng = np.random.default_rng(3)
     X = smash.PointSet(rng.random((100, 1)))
-    Y = smash.PointSet(rng.random((100, 1)), role="col")
+    Y = smash.PointSet(rng.random((100, 1)))
     tree = smash.build_tree(X, Y, nu0=7)
     for i in tree.leaves():
         nd = tree.nodes[i]
@@ -193,11 +193,11 @@ def test_one_point_set_needs_equal_points_in_equal_order():
     X = smash.PointSet(rng.random((300, 2)))
     assert smash.build_tree(X, nu0=20, mode="2d").one_point_set()
     # a second set with the same coordinates is still one point set
-    same = smash.PointSet(X.coords.copy(), role="col")
+    same = smash.PointSet(X.coords.copy())
     assert smash.build_tree(X, same, nu0=20, mode="2d").one_point_set()
     moved = X.coords.copy()
     moved[7, 0] = np.nextafter(moved[7, 0], 2.0)
-    other = smash.PointSet(moved, role="col")
+    other = smash.PointSet(moved)
     assert not smash.build_tree(X, other, nu0=20, mode="2d").one_point_set()
 
 
@@ -512,7 +512,7 @@ def test_array_distance_is_the_dot_distance_on_the_tie_tree():
 def test_verify_refuses_a_point_outside_its_box(role):
     rng = np.random.default_rng(9)
     X = smash.PointSet(rng.random((200, 2)))
-    Y = smash.PointSet(rng.random((150, 2)), role="col")
+    Y = smash.PointSet(rng.random((150, 2)))
     tree = smash.build_tree(X, Y, nu0=10, mode="2d")
     pts = tree.points_row if role == "row" else tree.points_col
     nd = next(nd for nd in tree.nodes

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 import smash
-from smash import lowrank
+from smash import hss, lowrank
 from smash._threads import one_blas_thread
 from smash.cluster import nearfield_set
 from smash.hss import _basis_builder, _candidate, cauchy_like_hss
@@ -89,25 +89,30 @@ def test_coincident_points_without_dx_refused():
                         smash.BuildParams(r=21))
 
 
+def test_quadtree_refused_before_any_node_is_compressed(monkeypatch):
+    X = smash.bench.grid_points(8)
+    tree = smash.build_tree(X, nu0=8, mode="2d")
+    assert any(len(nd.children) == 4 for nd in tree.nodes)
+    monkeypatch.setattr(hss, "compr", lambda *a: pytest.fail("compressed"))
+    with pytest.raises(ValueError, match="binary tree"):
+        smash.build_hss(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
+                        smash.BuildParams(r=10))
+
+
 @pytest.mark.parametrize("field, value", [
     ("r", 0), ("r", 2.5), ("r", True), ("r", 172), ("tau", 0.0), ("tau", 1.0),
     ("tau", float("nan")), ("tau", float("inf")), ("eps_svd", -1e-12),
     ("eps_svd", 1.0), ("eps_svd", float("nan")), ("tau", "0.6"),
-    ("basis", "chebyshev"), ("basis", 1),
+    ("basis", "chebyshev"), ("basis", 1), ("basis", None),
 ])
 def test_build_params_refuse_values_that_wreck_the_result(field, value):
     with pytest.raises(ValueError, match="build parameter %s " % field):
         smash.BuildParams(**{field: value})
 
 
-def test_build_params_read_no_basis_as_taylor():
-    assert smash.BuildParams().basis == "taylor"
-    assert smash.BuildParams(basis=None).basis == "taylor"
-
-
 def test_build_params_take_the_edges_of_their_ranges():
     bp = smash.BuildParams(r=np.int64(1), tau=np.float64(1e-3), eps_svd=0.0)
-    assert (bp.r, bp.tau, bp.eps_svd) == (1, 1e-3, 0.0)
+    assert (bp.r, bp.tau, bp.eps_svd, bp.basis) == (1, 1e-3, 0.0, "taylor")
 
 
 def test_single_node_tree_is_just_the_dense_matrix():

@@ -1,56 +1,68 @@
-"""Kernel evaluation, curve parametrizations, dense assembly, and the
-Nystrom discretization of the interior Dirichlet problem."""
+"""Kernel evaluation, curve parametrizations, and the Nystrom
+discretization of the interior Dirichlet problem."""
 
 import numpy as np
 import pytest
 
 import smash
-from smash.kernel import (assemble_dense, boundary_data, curve_orientation,
-                          evaluate_potential, kernel_block, winding_number)
+from smash.kernel import (boundary_data, curve_orientation, evaluate_potential,
+                          kernel_block, winding_number)
+
+from conftest import dense_oracle
+
+
+def _dlp_dense(spec):
+    """The double layer's whole Nystrom matrix."""
+    every = np.arange(spec.nq)
+    return kernel_block(spec, None, None, every, every)
 
 
 # ---------------------------------------------------------------------------
-# pointwise kernel values
+# kernel values
 # ---------------------------------------------------------------------------
 
 def test_cauchy_pointwise_value():
-    spec = smash.KernelSpec("cauchy")
-    assert smash.eval_kernel(spec, 2.0, 1.0) == 1.0
+    X = smash.PointSet(np.array([[2.0], [1.0]]))
+    K = kernel_block(smash.KernelSpec("cauchy"), X, X, [0], [1])
+    np.testing.assert_array_equal(K, [[1.0]])
 
 
 def test_cauchy_diagonal_uses_dx():
-    spec = smash.KernelSpec("cauchy", dx=1.0)
-    assert smash.eval_kernel(spec, 0.3, 0.3) == 1.0
-    with pytest.raises(ValueError):
-        smash.eval_kernel(smash.KernelSpec("cauchy"), 0.3, 0.3)
+    X = smash.PointSet(np.array([[0.3], [0.5]]))
+    K = kernel_block(smash.KernelSpec("cauchy", dx=1.0), X, X, [0, 1], [0, 1])
+    np.testing.assert_array_equal(K, [[1.0, -5.0], [5.0, 1.0]])
+    with pytest.raises(ValueError, match="diagonal value"):
+        kernel_block(smash.KernelSpec("cauchy"), X, X, [0], [0])
 
 
-def test_cauchy_like_has_no_pointwise_form():
-    w = np.ones((4, 1))
-    spec = smash.KernelSpec("cauchy_like", w=w, v=w)
-    with pytest.raises(ValueError):
-        smash.eval_kernel(spec, 0.0, 1.0)
+@pytest.mark.parametrize("w_shape, v_shape", [
+    ((4,), (4,)), ((4, 2, 1), (4, 2)), ((4, 2), (4, 2, 1)), ((4, 2), (4, 3)),
+])
+def test_cauchy_like_generators_must_be_2d_with_one_column_count(w_shape,
+                                                                 v_shape):
+    with pytest.raises(ValueError, match=r"\(4,.*\) and \(4,"):
+        smash.KernelSpec("cauchy_like", w=np.ones(w_shape), v=np.ones(v_shape))
 
 
 def test_unit_circle_dlp_kernel_is_constant_minus_half():
-    # (y - x) . nu_y = |x - y|^2 / 2 on the circle, so the scaled kernel
-    # collapses to -1/2 for every pair of parameters
-    circ = smash.get_curve("circle")
-    spec = smash.KernelSpec("laplace_dlp", curve=circ, nq=16)
-    rng = np.random.default_rng(7)
-    for s, t in rng.random((10, 2)):
-        if abs(s - t) < 1e-9:
-            continue
-        assert smash.eval_kernel(spec, s, t) == pytest.approx(-0.5, abs=1e-12)
+    # (y - x) . nu_y = |x - y|^2 / 2 on the circle, so n times every
+    # off-diagonal entry collapses to -1/2
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("circle"),
+                            nq=16)
+    nK = 16 * _dlp_dense(spec)
+    off = ~np.eye(16, dtype=bool)
+    np.testing.assert_allclose(nK[off], -0.5, rtol=0, atol=1e-12)
 
 
 def test_dlp_diagonal_is_curvature_limit():
-    rh = smash.get_curve("ramhead")
-    spec = smash.KernelSpec("laplace_dlp", curve=rh, nq=16)
-    t = 0.37
-    diag = smash.eval_kernel(spec, t, t)
-    near = smash.eval_kernel(spec, t + 1e-6, t)
-    assert diag == pytest.approx(near, rel=1e-4)
+    # the diagonal, less the identity shift, continues its neighbours: at
+    # their midpoint the first-order terms cancel
+    n = 2 ** 16
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("ramhead"),
+                            nq=n)
+    j = round(0.37 * n)
+    K = n * kernel_block(spec, None, None, [j - 1, j, j + 1], [j])[:, 0]
+    assert K[1] + n / 2 == pytest.approx((K[0] + K[2]) / 2, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +120,13 @@ def test_winding_number_inside_and_outside():
 
 
 # ---------------------------------------------------------------------------
-# dense assembly
+# kernel blocks
 # ---------------------------------------------------------------------------
 
 def test_single_entry_cauchy_block():
     X = smash.PointSet(np.array([[0.0]]))
-    Y = smash.PointSet(np.array([[1.0]]), role="col")
-    A = assemble_dense(smash.KernelSpec("cauchy"), X, Y)
+    Y = smash.PointSet(np.array([[1.0]]))
+    A = dense_oracle(smash.KernelSpec("cauchy"), X, Y)
     np.testing.assert_array_equal(A, [[-1.0]])
 
 
@@ -122,11 +134,10 @@ def test_cauchy_like_with_unit_generators_reduces_to_cauchy():
     rng = np.random.default_rng(0)
     x = np.sort(rng.random(12)).reshape(-1, 1)
     y = x + 0.01
-    X, Y = smash.PointSet(x), smash.PointSet(y, role="col")
+    X, Y = smash.PointSet(x), smash.PointSet(y)
     ones = np.ones((12, 1))
-    plain = assemble_dense(smash.KernelSpec("cauchy"), X, Y)
-    like = assemble_dense(smash.KernelSpec("cauchy_like", w=ones, v=ones),
-                          X, Y)
+    plain = dense_oracle(smash.KernelSpec("cauchy"), X, Y)
+    like = dense_oracle(smash.KernelSpec("cauchy_like", w=ones, v=ones), X, Y)
     np.testing.assert_allclose(like, plain, rtol=1e-15)
 
 
@@ -137,8 +148,8 @@ def test_cauchy_like_matches_double_loop():
     y = x + 0.05
     w, v = rng.random((n, p)), rng.random((n, p))
     spec = smash.KernelSpec("cauchy_like", w=w, v=v)
-    A = assemble_dense(spec, smash.PointSet(x.reshape(-1, 1)),
-                       smash.PointSet(y.reshape(-1, 1), role="col"))
+    A = dense_oracle(spec, smash.PointSet(x.reshape(-1, 1)),
+                     smash.PointSet(y.reshape(-1, 1)))
     B = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
@@ -147,20 +158,13 @@ def test_cauchy_like_matches_double_loop():
     np.testing.assert_allclose(A, B, rtol=1e-14)
 
 
-def test_dense_assembly_respects_budget():
-    X, Y = smash.PointSet(np.ones((100, 1)) * 0.1), None
-    spec = smash.KernelSpec("cauchy", dx=1.0)
-    with pytest.raises(ValueError):
-        assemble_dense(spec, X, X, budget=100)
-
-
 def test_kernel_block_subsets_match_full_matrix():
     rng = np.random.default_rng(2)
     x = np.sort(rng.random(20)).reshape(-1, 1)
     X = smash.PointSet(x)
-    Y = smash.PointSet(x + 0.02, role="col")
+    Y = smash.PointSet(x + 0.02)
     spec = smash.KernelSpec("cauchy")
-    A = assemble_dense(spec, X, Y)
+    A = dense_oracle(spec, X, Y)
     rows = np.array([3, 7, 11])
     cols = np.array([0, 5, 19])
     np.testing.assert_array_equal(kernel_block(spec, X, Y, rows, cols),
@@ -180,7 +184,7 @@ def test_point_scalars_computed_once_per_set(monkeypatch):
     rng = np.random.default_rng(9)
     x = rng.random((40, 2))
     y = np.vstack([x[:10], rng.random((30, 2))])  # ten coincident points
-    X, Y = smash.PointSet(x), smash.PointSet(y, role="col")
+    X, Y = smash.PointSet(x), smash.PointSet(y)
     spec = smash.KernelSpec("cauchy", dx=2.5)
     zx = x[:, 0] + 1j * x[:, 1]
     zy = y[:, 0] + 1j * y[:, 1]
@@ -201,7 +205,7 @@ def _dlp_block_reference(spec, rows, cols):
     """The double-layer block as the real part of a Cauchy-like block, one
     whole-array expression per step, with an m x k coincidence mask;
     kernel_block must equal it bit for bit."""
-    data = spec._dlp_data()
+    data = spec._dlp_data
     z, v, diag = data["z"], data["v"], data["diag"]
     D = z[rows][:, None] - z[cols][None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -226,7 +230,7 @@ def _dlp_block_geometric(spec, rows, cols):
         K = -num / (2 * np.pi * (dx ** 2 + dy ** 2))
     same = rows[:, None] == cols[None, :]
     ii, jj = np.nonzero(same)
-    K[ii, jj] = spec._dlp_data()["diag"][cols[jj]]
+    K[ii, jj] = spec._dlp_data["diag"][cols[jj]]
     return K / spec.nq - 0.5 * same
 
 
@@ -284,7 +288,7 @@ def test_circle_row_sums_give_minus_one_after_identity_shift():
     # pins every row sum of the shifted system matrix to exactly -1
     spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("circle"),
                             nq=16)
-    A = assemble_dense(spec, None, None)
+    A = _dlp_dense(spec)
     np.testing.assert_allclose(A @ np.ones(16), -np.ones(16), atol=1e-13)
     assert A.shape == (16, 16) and np.all(np.isfinite(A))
     np.testing.assert_allclose(spec.dlp_nodes(), np.arange(16) / 16.0)
@@ -336,7 +340,7 @@ def test_dirichlet_solve_reproduces_harmonic_potential(name, xstar, n, tol):
     # wigglier ram head needs more quadrature nodes than the circle
     curve = smash.get_curve(name)
     spec = smash.KernelSpec("laplace_dlp", curve=curve, nq=n)
-    sigma = np.linalg.solve(assemble_dense(spec, None, None),
+    sigma = np.linalg.solve(_dlp_dense(spec),
                             boundary_data(spec, (2.0, 1.5)))
     u = evaluate_potential(curve, sigma, xstar)
     exact = np.log(np.hypot(xstar[0] - 2.0, xstar[1] - 1.5))

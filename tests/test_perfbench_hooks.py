@@ -51,7 +51,7 @@ def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
     install(tracer)
     try:
         X = smash.bench.grid_points(20)
-        Y = smash.PointSet(X.coords + 1e-3, role="col")
+        Y = smash.PointSet(X.coords + 1e-3)
         spec = smash.KernelSpec("cauchy")
         tree = smash.cluster.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
         smash.h2.build_h2(tree, spec, X, Y, smash.BuildParams(r=22, tau=0.65))
