@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +25,6 @@ from concurrent.futures import ThreadPoolExecutor
 _lock = threading.Lock()
 _depth = 0          # open one_blas_thread blocks, over all threads
 _saved = []         # (set_num_threads, count before the outermost block)
-_found = [-1, []]   # [len(sys.modules) when read, openblas_libs()]
 
 
 def _thread_calls(path):
@@ -44,22 +43,19 @@ def _thread_calls(path):
     return None
 
 
-def openblas_libs() -> list:
+@functools.cache
+def openblas_libs() -> tuple:
     """(get_num_threads, set_num_threads) of each OpenBLAS copy the process
     has loaded (numpy and scipy each bundle one); empty where none is found
-    or the process maps cannot be read.  The maps are read again only after
-    a module import, the one way a new copy gets loaded: reading them takes
-    about a millisecond, as long as a whole small matvec."""
-    if _found[0] != len(sys.modules):
-        try:
-            with open("/proc/self/maps") as fh:
-                paths = sorted({line.split()[-1] for line in fh
-                                if "openblas" in line.lower()})
-        except OSError:
-            paths = []
-        _found[:] = [len(sys.modules),
-                     [c for c in map(_thread_calls, paths) if c is not None]]
-    return _found[1]
+    or the process maps cannot be read.  The maps are read once: ``import
+    smash`` has loaded both copies by then, and smash calls no other."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        paths = []
+    return tuple(c for c in map(_thread_calls, paths) if c is not None)
 
 
 @contextlib.contextmanager
@@ -103,14 +99,3 @@ def map_nodes(fn, items) -> list:
     with ThreadPoolExecutor(2, thread_name_prefix="smash-level") as pool:
         return list(pool.map(fn, items))
 
-
-def trim_heap() -> None:
-    """Give freed heap pages back to the system (glibc's malloc_trim), so
-    the arena a worker leaves behind does not hold on to them; a no-op
-    where the call does not exist."""
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (OSError, AttributeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)

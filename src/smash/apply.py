@@ -1,13 +1,13 @@
 """Fast application and direct solution of structured matrices.
 
 matvec runs the three-sweep scheme (upward basis projections, skeleton
-couplings, downward transfers plus dense nearfield); the level-synchronous
-name runs the same core and is limited to perfect trees.  The ULV
-factorization eliminates, per node, the redundant rows of its interpolative
-row factor P [I; G] (each row minus G times the skeleton rows couples to
-nothing outside the node) against as many of the node's own unknowns, which
-the interpolative factor of those equations' columns picks.  Its skeleton
-rows and other unknowns pass up by label to a small dense root system.
+couplings, downward transfers plus dense nearfield); matvec_levelwise is a
+second name for it, on any tree.  The ULV factorization eliminates, per
+node, the redundant rows of its interpolative row factor P [I; G] (each row
+minus G times the skeleton rows couples to nothing outside the node)
+against as many of the node's own unknowns, which the interpolative factor
+of those equations' columns picks.  Its skeleton rows and other unknowns
+pass up by label to a small dense root system.
 """
 
 from __future__ import annotations
@@ -123,25 +123,8 @@ def _subtract_at(z, held):
             np.subtract.at(z[:, k], pos, vals[:, k])
 
 
-def _check_perfect(tree):
-    depth = tree.n_levels
-    width = None
-    for nd in tree.nodes:
-        if nd.is_leaf:
-            if nd.level != depth:
-                raise ValueError("level-synchronous matvec needs all leaves "
-                                 "at the deepest level")
-        else:
-            if width is None:
-                width = len(nd.children)
-            elif len(nd.children) != width:
-                raise ValueError("level-synchronous matvec needs a perfect tree")
-
-
 def matvec_levelwise(M, q) -> np.ndarray:
-    """matvec_nodewise restricted to perfect trees (all leaves at the
-    deepest level, one child count), which it checks first."""
-    _check_perfect(M.tree)
+    """matvec_nodewise under the name its callers use."""
     return matvec_nodewise(M, q)
 
 

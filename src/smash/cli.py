@@ -147,8 +147,6 @@ def cmd_solve(args):
         raise ValueError("the ULV solver works on HSS matrices; "
                          "use --structure hss")
     M, spec, X, Y = _obtain_matrix(args)
-    if M.kind != "hss":
-        raise ValueError("the ULV solver works on HSS matrices")
     t0 = time.perf_counter()
     F = ulv_factor(M)
     t_factor = time.perf_counter() - t0

@@ -15,6 +15,7 @@ so the matvec's rounding, follow that order.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -195,14 +196,16 @@ class ClusterTree:
     # -- invariant check ----------------------------------------------------
 
     def verify(self):
-        """Raise ValueError naming the first broken invariant; build_tree
-        and load_matrix both run this one check.  Points and boxes share a
-        dimension, the root at level 1 spans every point, the permutations
-        are permutations, every node holds a point, leaves hold at most nu0
-        points of each role and other nodes more, each listed child names
-        its lister as parent and sits one level below it and before it
-        (postorder), children tile their parent's ranges in order, and each
-        point lies in its nodes' boxes (1e-12 slack)."""
+        """Raise ValueError naming the first broken invariant; load_matrix
+        runs this on a tree read from a file (build_tree's construction
+        keeps each one).  tau_default lies in (0, 1), points and boxes
+        share a dimension, the root at level 1 spans every point, the
+        permutations are permutations, every node holds a point, leaves hold
+        at most nu0 points of each role and other nodes more, each listed
+        child names its lister as parent and sits one level below it and
+        before it (postorder), children tile their parent's ranges in order,
+        and each point lies in its nodes' boxes (1e-12 slack)."""
+        _check_tau(self.tau_default, "tau_default")
         nodes = self.nodes
         d = self.points_row.shape[1:]
         if not (len(d) == 1 and self.points_col.shape[1:] == d
@@ -269,6 +272,13 @@ class ClusterTree:
                                      % (role, live[inside.argmin()]))
 
 
+def _check_tau(tau, name: str):
+    """Refuse tau outside (0, 1), NaN and bools, as BuildParams does."""
+    if (isinstance(tau, bool) or not isinstance(tau, numbers.Real)
+            or not 0 < tau < 1):
+        raise ValueError("%s must be in (0, 1), got %r" % (name, tau))
+
+
 def _is_permutation(p: np.ndarray, n: int) -> bool:
     """An integer array of shape (n,) that holds each of 0..n-1 once."""
     return (p.shape == (n,) and p.dtype.kind == "i"
@@ -305,6 +315,7 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
         raise ValueError("mode must be 'binary' or '2d'")
     if nu0 < 1:
         raise ValueError("nu0 must be positive")
+    _check_tau(tau, "tau")
     if points_col is None:
         points_col = points_row
     px = points_row.coords
@@ -376,7 +387,7 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
     recurse(1, allpts.min(axis=0), allpts.max(axis=0), np.arange(px.shape[0]),
             np.arange(py.shape[0]), 0)
 
-    tree = ClusterTree(
+    return ClusterTree(
         nodes=nodes, mode=mode, nu0=nu0, tau_default=tau,
         perm_row=np.asarray(perm_row, dtype=np.int64),
         perm_col=np.asarray(perm_col, dtype=np.int64),
@@ -384,8 +395,6 @@ def build_tree(points_row: PointSet, points_col: PointSet = None, nu0: int = 50,
         points_col=py[perm_col] if perm_col else py[:0],
         lo=np.array(los), hi=np.array(his),
     )
-    tree.verify()
-    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from itertools import accumulate
 import numpy as np
 
 from . import lowrank
-from ._threads import map_nodes, one_blas_thread, trim_heap
+from ._threads import map_nodes, one_blas_thread
 from .apply import matvec_nodewise
 from .cluster import (ClusterTree, _center_distance, _to_scalars, leaf_sets,
                       nearfield_set)
@@ -126,13 +126,6 @@ def _by_target(pairs: np.ndarray, mirrored: bool):
     edges, js = np.append(starts, i.size).tolist(), j.tolist()
     return mirrored, {a: tuple(js[s:e]) for a, s, e in
                       zip(i[starts].tolist(), edges, edges[1:])}
-
-
-def _mirrored_pairs(pairs: np.ndarray, n: int) -> bool:
-    """Whether the (p, 2) pairs of ids below n hold the mirror (j, i) of
-    each pair: the sorted codes i n + j and j n + i agree."""
-    i, j = pairs.T
-    return np.array_equal(np.sort(i * n + j), np.sort(j * n + i))
 
 
 def _equal_points_split(tree: ClusterTree) -> bool:
@@ -259,27 +252,23 @@ class _StructuredMatrix:
 
     def _antisymmetric(self) -> bool:
         """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: the
-        kernel is antisymmetric, every column factor is its row factor
-        (``one_basis``, which the builders and the loader follow), and the
-        pair list holds the mirror of each pair.  Sums and scalings, which
-        store their couplings, carry no kernel.  The nearfield has its own
-        test, ``_mirrors_nearfield``."""
+        kernel is antisymmetric and every column factor is its row factor
+        (``one_basis``, which the builders and the loader follow); their
+        pairs, from ``leaf_sets``, hold the mirror of each pair.  Sums and
+        scalings, which store their couplings, carry no kernel.  The
+        nearfield has its own test, ``_mirrors_nearfield``."""
         return (self.kernel is not None and self.kernel.kind in _ANTISYMMETRIC
-                and one_basis(self.kind, self.tree, self.kernel)
-                and _mirrored_pairs(self.pairs_L, len(self.tree.nodes)))
+                and one_basis(self.kind, self.tree, self.kernel))
 
     def _mirrors_nearfield(self) -> bool:
         """Whether, given antisymmetric couplings, every nearfield block
-        (j, i) with i != j is ``-NF(i, j).T`` bit for bit: one point set, the
-        mirror of each leaf pair in the list, and no two leaves holding equal
-        points.  The Cauchy kernel takes the value dx at coincident points,
-        which is not antisymmetric, so diagonal blocks are applied as they
-        are, and so is the whole nearfield of a tree that splits equal
-        points."""
+        (j, i) with i != j is ``-NF(i, j).T`` bit for bit: one point set and
+        no two leaves holding equal points.  The Cauchy kernel takes the
+        value dx at coincident points, which is not antisymmetric, so
+        diagonal blocks are applied as they are, and so is the whole
+        nearfield of a tree that splits equal points."""
         tr = self.tree
-        return (tr.one_point_set()
-                and _mirrored_pairs(self.pairs_Lm, len(tr.nodes))
-                and not _equal_points_split(tr))
+        return tr.one_point_set() and not _equal_points_split(tr)
 
     def _kept_rows(self):
         """{kind: (mirrored, {i: sources of kept row i})}, decided on first
@@ -377,13 +366,10 @@ def kernel_dtype(kernel: KernelSpec, X) -> np.dtype:
 
 def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
     """Tree-order exact-entry evaluator backed by the kernel."""
-    dtype = kernel_dtype(kernel, X if X is not None else Y)
 
     def block(rows_t, cols_t):
         rows_t = np.asarray(rows_t, dtype=np.int64)
         cols_t = np.asarray(cols_t, dtype=np.int64)
-        if rows_t.size == 0 or cols_t.size == 0:
-            return np.zeros((rows_t.size, cols_t.size), dtype=dtype)
         return kernel_block(kernel, X, Y, tree.perm_row[rows_t],
                             tree.perm_col[cols_t])
 
@@ -533,7 +519,6 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
                          [(i, near[i]) for i in nodes])
         for i, pair in zip(nodes, facs):
             M._store(i, *pair)
-    trim_heap()
     for i in tree.leaves():
         M.Dblocks[i] = block(tree.row_range(i), tree.col_range(i))
     return M

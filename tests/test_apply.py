@@ -76,22 +76,6 @@ def test_levelwise_on_single_level_tree_is_dense_product():
                                rtol=1e-14)
 
 
-def test_levelwise_rejects_uneven_trees():
-    rng = np.random.default_rng(6)
-    x = np.concatenate([np.linspace(0, 0.05, 56), rng.random(8) * 0.9 + 0.1])
-    x = np.sort(x).reshape(-1, 1)
-    X = smash.PointSet(x)
-    Y = smash.PointSet(x + 1e-9)
-    tree = smash.build_tree(X, Y, nu0=8)
-    assert len({tree.nodes[i].level for i in tree.leaves()}) > 1
-    M = smash.build_hss(tree, smash.KernelSpec("cauchy"), X, Y,
-                        smash.BuildParams(r=10, eps_svd=1e-10))
-    q = np.ones(64)
-    np.testing.assert_allclose(smash.matvec_nodewise(M, q).shape, (64,))
-    with pytest.raises(ValueError):
-        smash.matvec_levelwise(M, q)
-
-
 # ---------------------------------------------------------------------------
 # ULV solve
 # ---------------------------------------------------------------------------

@@ -237,13 +237,9 @@ def _by_target_loop(pairs, mirrored):
 def test_grouping_by_target_matches_the_loop(grid_h2_400, mirrored):
     # the partition's own order, a shuffle of it, and a one-sided part
     M = grid_h2_400[0]
-    n = len(M.tree.nodes)
     shuffled = np.random.default_rng(3).permutation(M.pairs_L)
     for pairs in (M.pairs_L, M.pairs_Lm, shuffled, M.pairs_L[::3],
                   np.zeros((0, 2), dtype=np.int64)):
         got = hss._by_target(pairs, mirrored)
         assert got == _by_target_loop(pairs, mirrored)
         assert list(got[1]) == list(_by_target_loop(pairs, mirrored)[1])
-        ref = {(i, j) for i, j in pairs.tolist()}
-        assert hss._mirrored_pairs(pairs, n) == (
-            ref == {(j, i) for i, j in ref})

@@ -261,6 +261,16 @@ def test_solve_refuses_h2_structure(capsys):
     assert "hss" in capsys.readouterr().err
 
 
+def test_solve_refuses_a_saved_h2_matrix(tmp_path, capsys):
+    # --load skips the --structure check; ulv_factor refuses the matrix
+    target = str(tmp_path / "g.smh")
+    assert main(["build", "--geometry", "grid2d", "--structure", "h2",
+                 "--n", "400", "--out", target]) == 0
+    capsys.readouterr()
+    assert main(["solve", "--load", target]) == 2
+    assert "HSS matri" in capsys.readouterr().err
+
+
 def test_singular_matrix_exits_with_numerical_code(tmp_path, capsys):
     M, _, _, _ = build_interval_hss(64, nu0=16)
     Z = smash.diag_scale(M, np.zeros(64), np.ones(64))

@@ -118,6 +118,42 @@ def test_postorder_permutation_orders_sibling_ranges():
             assert a == b
 
 
+def _fuzzed_input(kind, seed):
+    """(X, Y, nu0): seeded points in one or two dimensions, of the kinds
+    whose trees are hardest to get right, for build_tree to take."""
+    rng = np.random.default_rng([seed, len(kind)])
+    n, nu0 = int(rng.integers(20, 400)), int(rng.integers(3, 40))
+    pts = rng.random((n, 1 + seed % 2))
+    if kind == "duplicated":  # each point three times
+        pts = np.repeat(pts[:n // 3 + 1], 3, axis=0)
+    elif kind == "clustered":  # two tight clusters far apart
+        pts = 1e-9 * pts + (np.arange(n) % 2)[:, None]
+    elif kind == "outlier":  # boxes shrink many times around the rest
+        pts[0] = 1e6
+    Y = None
+    if kind == "two-sets":
+        m = int(rng.integers(1, 300))
+        Y = smash.PointSet(rng.random((m, pts.shape[1])))
+    return smash.PointSet(pts), Y, nu0
+
+
+@pytest.mark.parametrize("mode", ["binary", "2d"])
+@pytest.mark.parametrize("kind", ["random", "duplicated", "clustered",
+                                  "outlier", "two-sets"])
+def test_built_trees_pass_verify(kind, mode):
+    # build_tree does not run verify: its construction keeps each invariant
+    for seed in range(12):
+        X, Y, nu0 = _fuzzed_input(kind, seed)
+        smash.build_tree(X, Y, nu0=nu0, mode=mode).verify()
+
+
+@pytest.mark.parametrize("tau", [0, 1, 1.5, np.nan, True])
+def test_tau_outside_the_open_unit_interval_refused(tau):
+    # tau becomes the tree's default admissibility, BuildParams' range
+    with pytest.raises(ValueError, match=r"tau must be in \(0, 1\)"):
+        smash.build_tree(uniform_1d(40), nu0=8, tau=tau)
+
+
 def test_empty_input_rejected():
     with pytest.raises(ValueError):
         smash.build_tree(smash.PointSet(np.empty((0, 1))))
@@ -341,6 +377,29 @@ def test_admissible_pairs_have_separated_descendants():
                 assert tree_separated(tree, a, b, 0.5)
 
 
+def _mirror_tree(case, mode):
+    if case == "grid":
+        return smash.build_tree(smash.bench.grid_points(32), nu0=50, mode=mode)
+    if case == "sunflower":
+        return smash.build_tree(smash.bench.curve_points("sunflower", 2560),
+                                nu0=50, mode=mode)
+    X, Y = smash.bench.cauchy_pair("interval", 900, np.random.default_rng(7))
+    return smash.build_tree(X, Y, nu0=20, mode=mode)
+
+
+@pytest.mark.parametrize("structure,mode", [("hss", "binary"),
+                                            ("h2", "binary"), ("h2", "2d")])
+@pytest.mark.parametrize("case", ["grid", "sunflower", "pair-interval"])
+def test_leaf_sets_hold_the_mirror_of_each_pair(case, structure, mode):
+    # a matrix with a kernel takes its pairs from leaf_sets, and an
+    # antisymmetric one keeps only one pair of each mirrored two
+    tree = _mirror_tree(case, mode)
+    for pairs in leaf_sets(tree, structure=structure):
+        assert pairs.size
+        got = set(map(tuple, pairs.tolist()))
+        assert got == {(j, i) for i, j in got}
+
+
 def test_hss_structure_requires_binary_tree():
     X = smash.bench.grid_points(8)
     tree = smash.build_tree(X, nu0=5, mode="2d")
@@ -532,6 +591,14 @@ def test_verify_refuses_children_that_do_not_tile_their_parent():
     # under the leaf size, but a gap opens between the two children
     tree.nodes[parent.children[1]].row_start += 1
     with pytest.raises(ValueError, match="tile"):
+        tree.verify()
+
+
+@pytest.mark.parametrize("tau", [1.5, np.nan, "x"])
+def test_verify_refuses_a_default_tau_outside_the_open_unit_interval(tau):
+    tree = smash.build_tree(uniform_1d(32), nu0=4)
+    tree.tau_default = tau
+    with pytest.raises(ValueError, match="tau_default must be in"):
         tree.verify()
 
 

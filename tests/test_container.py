@@ -446,6 +446,12 @@ _DAMAGE = {
     # a corner no float can hold once stopped the load with OverflowError
     "corner_past_float_range": (lambda h: h["tree"]["nodes"][0].update(
         lo=[10 ** 400]), "OverflowError"),
+    # the tree's default tau, which nearfield_set and leaf_sets take when
+    # none is passed
+    "tree_tau_past_one": (lambda h: h["tree"].update(tau_default=1.5),
+                          "tau_default must be in (0, 1)"),
+    "tree_tau_not_a_number": (lambda h: h["tree"].update(tau_default="x"),
+                              "tau_default must be in (0, 1)"),
     # array contents that contradict the header: an offset moved onto the
     # bytes of another array
     "perm_on_other_bytes": (lambda h: _array(h, "rowfac.0.perm").update(
