@@ -201,7 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "point count (default from --tol)")
     problem.add_argument("--svd-tol", type=float, default=None,
                          help="HSS nearfield cutoff, the pivoted-QR cut of "
-                              "each node's nearfield columns (default tol/10)")
+                              "each node's nearfield block, or of its "
+                              "Gaussian sketch where the block is wide "
+                              "(default tol/10)")
 
     p = argparse.ArgumentParser(
         prog="smash",

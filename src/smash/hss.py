@@ -3,7 +3,8 @@
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
 skeletons of its children (the per-child transfer blocks).  An HSS node's
-candidate adds columns spanning its nearfield block (no SVD).  One rule
+candidate adds columns spanning its nearfield block (no SVD), taken from
+a Gaussian sketch of the block where it is wide.  One rule
 (``one_basis``) decides for both builders and the container when a node's
 column basis is its row basis, compressed once, held once and saved once.
 Every basis is an interpolative factor, applied without forming it: built
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -460,11 +462,13 @@ def _intermediate(tree, i, skels, side):
     return np.concatenate([skels[c] for c in tree.nodes[i].children])
 
 
-def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
+def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str,
+               omega: np.ndarray = None):
     """(C, ibar) for compressing node i's rows ("row") or columns ("col"):
     the farfield basis over the node's labels ibar, next to the columns
     spanning its block against the nearfield neighbors' current labels to
-    eps_svd (``range_columns``; the column side takes that block
+    eps_svd (``range_columns``, which sketches a wide block against the
+    Gaussian test matrix omega; the column side takes that block
     transposed).  Reads only the skeletons of earlier levels, so the nodes
     of one level are independent."""
     skels = {"row": M.skel_row, "col": M.skel_col}
@@ -477,15 +481,34 @@ def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str):
         labels = np.concatenate(labels)
         Anear = (M._block(ibar, labels) if side == "row"
                  else M._block(labels, ibar).T)
-        cand.append(range_columns(Anear, M.params.eps_svd))
+        cand.append(range_columns(Anear, M.params.eps_svd, omega))
     return (cand[0] if len(cand) == 1 else np.hstack(cand)), ibar
 
 
-def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol):
+def _sketch_shape(M: _StructuredMatrix, nodes, near) -> tuple:
+    """(labels, rows) of the largest wide nearfield block among the row and
+    column passes of these nodes (``_candidate``): the part of the test
+    matrix their sketches read."""
+    skels = {"row": M.skel_row, "col": M.skel_col}
+
+    @cache
+    def size(j, side):
+        return _intermediate(M.tree, j, skels[side], side).size
+
+    shape = (0, 0)
+    for side, other in (("row", "col"), ("col", "row")):
+        for i in nodes:
+            m, n = size(i, side), sum(size(j, other) for j in near[i])
+            if 0 < m < n:
+                shape = max(shape[0], n), max(shape[1], m)
+    return shape
+
+
+def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol, omega):
     """Row and column factors of node i; one factor where bcol is None."""
-    row = compr(*_candidate(M, i, near, brow, "row"))
+    row = compr(*_candidate(M, i, near, brow, "row", omega))
     return row, (row if bcol is None
-                 else compr(*_candidate(M, i, near, bcol, "col")))
+                 else compr(*_candidate(M, i, near, bcol, "col", omega)))
 
 
 @one_blas_thread()
@@ -499,9 +522,13 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
     interpolative compression of the pair yields the skeleton and the
     interpolation coefficients.  The column pass mirrors it unless one
     factor serves both sides (``one_basis``).  Leaves keep exact diagonal
-    blocks.  The nodes of a level run on up to two cores
-    with one BLAS thread each; the factors are stored in level order, so the
-    result does not depend on the core count.
+    blocks.  A wide nearfield block is sketched against one seeded Gaussian
+    test matrix (``lowrank.gaussian``), which the calling thread grows
+    before each level to the largest block the level sketches and which is
+    dropped on return; its entries do not depend on how far it grew.  The
+    nodes of a level run on up to two cores with one BLAS thread each; the
+    factors are stored in level order, so the result does not depend on the
+    core count.
     """
     params = params or BuildParams()
     block = make_block_evaluator(kernel, X, Y, tree)
@@ -513,9 +540,11 @@ def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
             else _basis_builder(tree, kernel, params, "col"))
 
     near = nearfield_set(tree, params.tau)
+    omega = None
     for level in range(tree.n_levels, 1, -1):
         nodes = tree.level_nodes(level)
-        facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol),
+        omega = lowrank.gaussian(*_sketch_shape(M, nodes, near), old=omega)
+        facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol, omega),
                          [(i, near[i]) for i in nodes])
         for i, pair in zip(nodes, facs):
             M._store(i, *pair)

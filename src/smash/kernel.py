@@ -190,8 +190,12 @@ class KernelSpec:
         if self.kind == "cauchy_like":
             if self.w is None or self.v is None:
                 raise ValueError("cauchy_like needs generator matrices w, v")
-            self.w = np.asarray(self.w, dtype=float)
-            self.v = np.asarray(self.v, dtype=float)
+            for name in ("w", "v"):
+                g = np.asarray(getattr(self, name))
+                if g.dtype.kind == "c":
+                    raise ValueError("cauchy_like generator %s must be real, "
+                                     "got dtype %s" % (name, g.dtype))
+                setattr(self, name, np.asarray(g, dtype=float))
             if (self.w.ndim != 2 or self.v.ndim != 2
                     or self.w.shape[1] != self.v.shape[1]):
                 raise ValueError("generators w and v must be 2-d with one "

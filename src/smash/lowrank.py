@@ -1,6 +1,7 @@
 """Low-rank tools: scaled Taylor and Lagrange farfield bases, strong
 rank-revealing QR, row interpolative compression, and the columns that span
-a nearfield block to a tolerance.
+a nearfield block to a tolerance, taken from a Gaussian sketch of a wide
+block.
 
 The Taylor basis for 1/(x-y) uses per-order scaling factors eta so that basis
 entries stay O(1) on the box; the coupling table that reproduces the kernel is
@@ -331,24 +332,62 @@ def _core(M: np.ndarray) -> np.ndarray:
     return _qr_r(M.conj().T, m, pivoting=False).conj().T
 
 
-def range_columns(M: np.ndarray, eps: float) -> np.ndarray:
+_DRAW_BLOCK = (1024, 64)  # rows and columns of each block of gaussian()
+
+
+def gaussian(rows: int, cols: int, old: np.ndarray = None) -> np.ndarray:
+    """A standard normal matrix of at least rows x cols, drawn in blocks of
+    1024 x 64, each from its own ``default_rng([0, row block, column
+    block])``: an entry depends on its position alone, not on the size
+    drawn.  The blocks ``old`` (an earlier result) holds are copied, not
+    drawn again; ``old`` itself is returned when it is large enough."""
+    br, bc = _DRAW_BLOCK
+    have = (0, 0) if old is None else old.shape
+    R = max(-(-rows // br) * br, have[0])
+    C = max(-(-cols // bc) * bc, have[1])
+    if old is not None and (R, C) == have:
+        return old
+    out = np.empty((R, C))
+    if old is not None:
+        out[:have[0], :have[1]] = old
+    for a in range(0, R, br):
+        for b in range(have[1] if a < have[0] else 0, C, bc):
+            rng = np.random.default_rng([0, a // br, b // bc])
+            out[a:a + br, b:b + bc] = rng.standard_normal((br, bc))
+    return out
+
+
+def range_columns(M: np.ndarray, eps: float, omega: np.ndarray) -> np.ndarray:
     """Columns spanning M's column space to eps relative, without an SVD.
 
-    They are the leading pivots of a column-pivoted QR of M's core (see
-    ``_core``): the fewest whose remainder R22 has a Frobenius norm of at
-    most eps times the first pivot.  Projecting M onto them misses at most
-    eps * sigma_1 of it in that norm, where truncated_svd's cut misses
-    sigma_(k+1) <= eps * sigma_1 in the 2-norm.  The columns keep their
+    A wide m x n M (m < n) is first sketched, ``Y = M @ omega[:n, :m]``: one
+    product with a standard normal test matrix (``gaussian``), which spans
+    M's column space with high probability (the randomized range finder of
+    Halko, Martinsson and Tropp, SIAM Review 2011).  A block that is not
+    wide is its own Y.  The columns returned are the leading pivots of a
+    column-pivoted QR of Y: the fewest whose remainder R22 has a Frobenius
+    norm of at most eps times the first pivot.  The sketch is taken of M in
+    C order, so it depends on M's values, not on its layout: M and -M give
+    exact negatives.  A complex M is sketched by its real and imaginary
+    parts, stacked, in one real product.  The columns keep their
     magnitudes; eps = 0 keeps every pivot with a nonzero remainder.
     """
     M = np.asarray(M)
+    m, n = M.shape
     if M.size == 0:
         return M[:, :0]
-    core = _core(M)
-    R, piv = _qr_r(core, min(core.shape), pivoting=True)
+    Y = M
+    if m < n:
+        test = omega[:n, :m]
+        if M.dtype.kind == "c":
+            Y = np.vstack([M.real, M.imag]) @ test
+            Y = Y[:m] + 1j * Y[m:]
+        else:
+            Y = np.ascontiguousarray(M) @ test
+    R, piv = _qr_r(Y, min(Y.shape), pivoting=True)
     # squared Frobenius norm of R[k:, k:] for each k: R is upper triangular
     rest = np.cumsum(np.sum(np.abs(R) ** 2, axis=1)[::-1])[::-1]
-    return core[:, piv[:np.count_nonzero(rest > (eps * abs(R[0, 0])) ** 2)]]
+    return Y[:, piv[:np.count_nonzero(rest > (eps * abs(R[0, 0])) ** 2)]]
 
 
 @dataclass

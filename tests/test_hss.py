@@ -2,6 +2,8 @@
 nested bases, reconstruction accuracy, and the structured sum / diagonal
 scaling operations."""
 
+import threading
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -228,13 +230,29 @@ def test_build_calls_no_svd_and_meets_the_dense_oracle(monkeypatch, case):
     assert _relerr_against_dense(_NO_SVD[case]()) <= 1e-10
 
 
+def test_gaussian_is_drawn_by_the_calling_thread_once_per_level(
+        monkeypatch):
+    drawn = []
+    real = lowrank.gaussian
+
+    def recorded(rows, cols, old=None):
+        drawn.append(threading.get_ident())
+        return real(rows, cols, old)
+
+    monkeypatch.setattr(lowrank, "gaussian", recorded)
+    monkeypatch.setattr(smash._threads, "cores", lambda: 2)
+    tree, spec, X, Y, params = _honeybee_cauchy_like()
+    smash.build_hss(tree, spec, X, Y, params)
+    assert drawn == [threading.get_ident()] * (tree.n_levels - 1)
+
+
 @pytest.mark.parametrize("basis", ["interp", "taylor"])
 def test_zero_eps_svd_keeps_the_whole_nearfield(monkeypatch, basis):
     kept = []
     real = smash.hss.range_columns
 
-    def recorded(A, eps):
-        C = real(A, eps)
+    def recorded(A, eps, omega):
+        C = real(A, eps, omega)
         kept.append((C.shape[1], min(A.shape)))
         return C
 
@@ -293,17 +311,20 @@ def test_farfield_bases_pad_thin_boxes_as_one_node_at_a_time(basis):
 
 
 def test_one_point_set_holds_one_factor_per_node(one_set_hss):
-    M, spec, _ = one_set_hss
+    M, spec, X = one_set_hss
     tr = M.tree
     assert sorted(M.colfac) == sorted(M.rowfac) == list(range(tr.root))
     bcol = _basis_builder(tr, spec, M.params, "col")
+    # the build's test matrix, drawn whole: its entries do not depend on
+    # the size drawn
+    omega = lowrank.gaussian(X.n, X.n)
     for i, fac in M.rowfac.items():
         assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
         # the column compression it skips would have found the same factor
         # (on one BLAS thread, as the build runs)
         near = nearfield_set(tr, M.params.tau)[i]
         with one_blas_thread():
-            own = compr(*_candidate(M, i, near, bcol, "col"))
+            own = compr(*_candidate(M, i, near, bcol, "col", omega))
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)

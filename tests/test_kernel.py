@@ -1,6 +1,8 @@
 """Kernel evaluation, curve parametrizations, and the Nystrom
 discretization of the interior Dirichlet problem."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def test_cauchy_like_generators_must_be_2d_with_one_column_count(w_shape,
                                                                  v_shape):
     with pytest.raises(ValueError, match=r"\(4,.*\) and \(4,"):
         smash.KernelSpec("cauchy_like", w=np.ones(w_shape), v=np.ones(v_shape))
+
+
+@pytest.mark.parametrize("side", ["w", "v"])
+def test_complex_cauchy_like_generators_refused_naming_the_dtype(side):
+    # they were cast to their real parts with only a ComplexWarning
+    g = {"w": np.ones((4, 2)), "v": np.ones((4, 2))}
+    g[side] = g[side] + 1j * np.ones((4, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="generator %s .*complex128" % side):
+            smash.KernelSpec("cauchy_like", **g)
 
 
 def test_unit_circle_dlp_kernel_is_constant_minus_half():

@@ -591,29 +591,47 @@ def _miss(C, M):
 _RANGE_CASES = {"wide": (40, 300, 40, False), "tall": (300, 40, 40, False),
                 "square": (60, 60, 60, False), "complex": (40, 300, 40, True),
                 "rank-deficient": (50, 200, 23, False)}
+_OMEGA = lowrank.gaussian(300, 60)
 
 
 @pytest.mark.parametrize("eps", [1e-3, 1e-6, 1e-10])
 @pytest.mark.parametrize("case", sorted(_RANGE_CASES))
 def test_range_columns_are_the_fewest_pivots_within_eps(case, eps):
     M = _graded(*_RANGE_CASES[case])
-    core = lowrank._core(M)
-    C = range_columns(M, eps)
+    m, n = M.shape
+    Y = M @ _OMEGA[:n, :m] if m < n else M  # the sketch of a wide block
+    C = range_columns(M, eps, _OMEGA)
     k = C.shape[1]
-    assert C.dtype == M.dtype and C.shape[0] == M.shape[0]
-    # columns of the core, kept as they are
+    assert C.dtype == M.dtype and C.shape[0] == m
+    # columns of Y, kept as they are
+    scale = np.max(np.linalg.norm(Y, axis=0))
     for c in C.T:
-        assert np.min(np.linalg.norm(core - c[:, None], axis=0)) == 0
-    # the first pivot is the core's largest column
-    cut = eps * np.max(np.linalg.norm(core, axis=0))
-    assert _miss(C, M) <= cut * (1 + 1e-6)
-    assert _miss(C[:, :-1], M) > cut
-    # the SVD's cut keeps no more: sigma_(k+1) <= ||R22||_F <= eps sigma_1
+        assert np.min(np.linalg.norm(Y - c[:, None], axis=0)) <= 1e-13 * scale
+    # the fewest within eps of Y: the first pivot is its largest column
+    assert _miss(C, Y) <= eps * scale * (1 + 1e-6)
+    assert _miss(C[:, :-1], Y) > eps * scale
+    # and within eps of M: the sketch's cut misses at most eps * sigma_1
+    # of M (at most 0.84 eps * sigma_1 over these cases), and the SVD's
+    # cut keeps no more
     sig = np.linalg.svd(M, compute_uv=False)
+    assert _miss(C, M) <= eps * sig[0]
     assert k >= np.count_nonzero(sig > eps * sig[0])
 
 
-def test_range_columns_of_a_wide_block_pivot_its_square_core(monkeypatch):
+class _Counted(np.ndarray):
+    """A test matrix that records the shapes of the products it enters."""
+
+    products = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _Counted.products.append(tuple(x.shape for x in inputs))
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_a_wide_block_takes_one_product_and_one_pivoted_qr(monkeypatch,
+                                                           complex_):
     seen = []
     real = lowrank._qr_r
 
@@ -627,15 +645,43 @@ def test_range_columns_of_a_wide_block_pivot_its_square_core(monkeypatch):
     monkeypatch.setattr(lowrank, "_qr_r", recorded)
     monkeypatch.setattr(np.linalg, "svd", refuse)
     monkeypatch.setattr(sla, "svd", refuse)
-    C = range_columns(_graded(40, 300, 40), 1e-10)
-    assert seen == [((300, 40), False), ((40, 40), True)]
+    monkeypatch.setattr(_Counted, "products", [])
+    C = range_columns(_graded(40, 300, 40, complex_), 1e-10,
+                      _OMEGA.view(_Counted))
+    assert seen == [((40, 40), True)]  # no geqrf core
+    # a complex block enters as its real and imaginary parts, stacked
+    assert _Counted.products == [((80 if complex_ else 40, 300), (300, 40))]
     assert C.shape[0] == 40
+
+
+def test_a_block_and_its_negated_transpose_give_negated_columns():
+    # the column pass of one point set sketches a transposed block, a view
+    # in the other memory order; the sketch must not see the order
+    M = _graded(40, 300, 40)
+    A = np.ascontiguousarray(-M.T)
+    got, want = range_columns(A.T, 1e-10, _OMEGA), range_columns(M, 1e-10,
+                                                                  _OMEGA)
+    assert got.tobytes() == (-want).tobytes()
+
+
+def test_gaussian_entries_do_not_depend_on_how_it_grew():
+    fresh = lowrank.gaussian(100, 20)
+    grown = lowrank.gaussian(300, 40, old=lowrank.gaussian(5, 3))
+    assert fresh[:100, :20].tobytes() == grown[:100, :20].tobytes()
+    # across the blocks it is drawn in: rows first, then columns, against
+    # one draw of the whole
+    steps = lowrank.gaussian(1100, 70, old=lowrank.gaussian(1500, 30))
+    whole = lowrank.gaussian(2048, 128)
+    assert steps.shape == (2048, 128)
+    assert steps.tobytes() == whole.tobytes()
+    assert lowrank.gaussian(2000, 100, old=whole) is whole
+    assert abs(whole.mean()) < 0.01 and abs(whole.std() - 1) < 0.01
 
 
 def test_zero_cut_keeps_every_column_with_a_nonzero_remainder():
     rng = np.random.default_rng(9)
     for M in (rng.standard_normal((12, 30)), rng.standard_normal((30, 12))):
-        assert range_columns(M, 0.0).shape == (M.shape[0], 12)
-    assert range_columns(np.zeros((6, 9)), 0.0).shape == (6, 0)
-    assert range_columns(np.empty((0, 3)), 1e-3).shape == (0, 0)
-    assert range_columns(np.empty((3, 0)), 1e-3).shape == (3, 0)
+        assert range_columns(M, 0.0, _OMEGA).shape == (M.shape[0], 12)
+    assert range_columns(np.zeros((6, 9)), 0.0, _OMEGA).shape == (6, 0)
+    assert range_columns(np.empty((0, 3)), 1e-3, _OMEGA).shape == (0, 0)
+    assert range_columns(np.empty((3, 0)), 1e-3, _OMEGA).shape == (3, 0)

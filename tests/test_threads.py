@@ -2,8 +2,11 @@
 the level-parallel HSS build."""
 
 import ctypes
+import os
+import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +180,28 @@ def test_two_core_build_matches_serial_bit_for_bit(monkeypatch, case):
             np.testing.assert_array_equal(a[i].perm, b[i].perm)
 
 
+def test_a_second_process_builds_the_same_bits(tmp_path):
+    # the test matrix of the nearfield sketch is seeded, not drawn per
+    # process or per thread
+    code = ("import sys, smash\n"
+            "n = 640\n"
+            "spec = smash.KernelSpec('laplace_dlp', "
+            "curve=smash.get_curve('sunflower'), nq=n)\n"
+            "X = smash.bench.curve_points('sunflower', n)\n"
+            "tree = smash.build_tree(X, nu0=50, tau=0.6)\n"
+            "bp = smash.BuildParams(r=25, tau=0.6, eps_svd=1e-11, "
+            "basis='interp')\n"
+            "smash.save_matrix(smash.build_hss(tree, spec, X, X, bp), "
+            "sys.argv[1])\n")
+    src = os.path.dirname(os.path.dirname(smash.__file__))
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "a.smash")],
+                   check=True, timeout=300,
+                   env=dict(os.environ, PYTHONPATH=src))
+    smash.save_matrix(_sunflower_dlp(640)(), tmp_path / "b.smash")
+    assert ((tmp_path / "a.smash").read_bytes()
+            == (tmp_path / "b.smash").read_bytes())
+
+
 def test_level_map_takes_each_item_once_and_keeps_order(monkeypatch):
     monkeypatch.setattr(_threads, "cores", lambda: 2)
     taken = []
@@ -197,6 +222,41 @@ def test_level_map_takes_each_item_once_and_keeps_order(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+class NodeFailure(Exception):
+    pass
+
+
+def test_the_calling_thread_takes_items_beside_one_pool_thread(monkeypatch):
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    ran = []
+
+    def slow(x):
+        ran.append(threading.get_ident())
+        time.sleep(0.005)
+        return -x
+
+    assert _threads.map_nodes(slow, range(40)) == [-x for x in range(40)]
+    assert threading.get_ident() in ran
+    assert len(set(ran)) <= 2
+
+
+def test_the_first_failing_item_in_item_order_is_raised(monkeypatch):
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+
+    def fail(x):
+        # item 5 fails last, often after item 6 has failed on the other
+        # thread
+        time.sleep(0.01 if x == 5 else 0.001)
+        if x in (5, 6, 9):
+            raise NodeFailure(x)
+        return x
+
+    for _ in range(5):
+        with pytest.raises(NodeFailure) as got:
+            _threads.map_nodes(fail, range(12))
+        assert got.value.args == (5,)
+
+
 class _CountedThread(threading.Thread):
     started = 0
 
@@ -214,10 +274,6 @@ def test_one_core_starts_no_thread(monkeypatch):
     monkeypatch.setattr(_threads, "cores", lambda: 2)
     build_interval_hss(400, nu0=32)
     assert _CountedThread.started > 0
-
-
-class NodeFailure(Exception):
-    pass
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch, two_blas_threads):
