@@ -3,23 +3,22 @@
 Builds HSS and H2 approximations to kernel matrices (Cauchy, Cauchy-like,
 Laplace double-layer) by fusing analytic farfield expansions with
 rank-revealing interpolative compression, and provides fast matvec,
-a ULV-style direct solver, and the diagnostics of the test problems.
+a ULV-style direct solver, and the parameter heuristic and storage
+accounting of the test problems.
 """
 
 from .cluster import ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set
 from .kernel import CurveSpec, KernelSpec, get_curve
-from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases, truncated_svd
+from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases
 from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
 from .h2 import H2Matrix, build_h2
 from .apply import matvec_levelwise, matvec_nodewise, ulv_factor, ulv_solve
 from .container import load_matrix, save_matrix
-from .bench import (BoundInputs, ParamChoice, StorageReport, choose_params,
-                    eps_rank, error_bound, storage_report)
+from .bench import ParamChoice, StorageReport, choose_params, storage_report
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundInputs",
     "BuildParams",
     "ClusterTree",
     "CurveSpec",
@@ -36,8 +35,6 @@ __all__ = [
     "choose_params",
     "compr",
     "diag_scale",
-    "eps_rank",
-    "error_bound",
     "get_curve",
     "hss_add",
     "interp_basis",
@@ -50,7 +47,6 @@ __all__ = [
     "srrqr",
     "storage_report",
     "taylor_bases",
-    "truncated_svd",
     "ulv_factor",
     "ulv_solve",
 ]

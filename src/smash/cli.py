@@ -71,9 +71,7 @@ def _materialize(args):
             spec = KernelSpec(kind="cauchy_like", w=rng.random((n, 2)),
                               v=rng.random((n, 2)))
 
-    mode = "2d" if (args.structure == "h2" and X.dim == 2) else "binary"
-    tree = build_tree(X, None if Y is X else Y, nu0=args.leaf_cap, mode=mode,
-                      tau=tau)
+    tree = build_tree(X, None if Y is X else Y, nu0=args.leaf_cap, tau=tau)
     return spec, X, Y, tree, params
 
 

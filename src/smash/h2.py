@@ -27,18 +27,16 @@ class H2Matrix(_StructuredMatrix):
 @one_blas_thread()
 def build_h2(tree: ClusterTree, kernel: KernelSpec, X, Y,
              params: BuildParams = None) -> H2Matrix:
-    """Bottom-up H2 construction: per node, compress the farfield basis over
-    the current index set; parents work on the union of their children's
-    skeletons.  A node's column factor is its row factor, compressed once,
-    where ``one_basis`` holds.  Couplings are exact kernel entries at
-    skeleton pairs.  Takes the Taylor basis only.  Runs serially on one BLAS
-    thread."""
+    """Bottom-up H2 construction on a tree of either mode, binary or '2d':
+    per node, compress the farfield basis over the current index set;
+    parents work on the union of their children's skeletons.  A node's
+    column factor is its row factor, compressed once, where ``one_basis``
+    holds.  Couplings are exact kernel entries at skeleton pairs.  Takes the
+    Taylor basis only.  Runs serially on one BLAS thread."""
     params = params or BuildParams()
     if params.basis != "taylor":
         raise ValueError("H2 construction takes the Taylor basis only, not "
                          "basis %r" % params.basis)
-    if tree.mode != "2d" and tree.dim != 1:
-        raise ValueError("H2 construction expects a '2d'-mode tree")
     block = make_block_evaluator(kernel, X, Y, tree)
     dtype = kernel_dtype(kernel, X)
     L, Lm = leaf_sets(tree, params.tau, "h2")

@@ -14,11 +14,8 @@ import smash
 from smash import bench
 from smash.apply import (matvec_levelwise, matvec_nodewise, ulv_factor,
                          ulv_solve)
-from smash.bench import (BoundInputs, amax_error, as_mib, cauchy_pair,
-                         choose_params, curve_points, dense_matvec,
-                         doubling_ratios, eps_rank, error_bound, grid_points,
-                         matvec_seconds, rank_caps, storage_report,
-                         timed_median)
+from smash.bench import (as_mib, cauchy_pair, choose_params, curve_points,
+                         dense_matvec, grid_points, storage_report)
 from smash.cluster import build_tree
 from smash.h2 import build_h2
 from smash.hss import BuildParams, build_hss, cauchy_like_hss
@@ -27,6 +24,9 @@ from smash.kernel import (KernelSpec, evaluate_potential, get_curve,
 from smash.lowrank import (compr, srrqr, taylor_bases, taylor_tail_bound)
 
 from conftest import build_interval_hss, center_radius, dense_oracle
+from diagnostics import (BoundInputs, amax_error, build_params,
+                         doubling_ratios, eps_rank, error_bound,
+                         matvec_seconds, rank_caps, timed_median)
 
 norm = np.linalg.norm
 
@@ -95,7 +95,7 @@ def test_criterion_2_linear_scaling():
 
         def construct():
             tree = build_tree(X, Y, nu0=50, tau=pc.tau)
-            return build_hss(tree, spec1, X, Y, pc.build_params())
+            return build_hss(tree, spec1, X, Y, build_params(pc))
 
         t, M = timed_median(construct)
         tc1.append(t)
@@ -211,7 +211,7 @@ def test_criterion_6_near_optimal_ranks():
         oracle = int(np.count_nonzero(sig >= eps * sig[0]))
         got = eps_rank(block, eps)
         pc = choose_params(eps, d=1)
-        M = build_hss(tree, spec, pts, pts, pc.build_params(basis="interp"))
+        M = build_hss(tree, spec, pts, pts, build_params(pc, basis="interp"))
         size_bi = max(max(M.rank_row(i), M.rank_col(i))
                       for i in M.skel_row if i != tree.root)
         report.append("eps=%g r_eps=%d size_bi=%d" % (eps, got, size_bi))

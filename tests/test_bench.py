@@ -1,15 +1,16 @@
-"""Diagnostics: parameter heuristic, epsilon-rank, analytic error bounds,
-storage accounting, and the timing helpers of the acceptance tests."""
+"""Diagnostics: parameter heuristic and storage accounting from
+``smash.bench``; epsilon-rank, analytic error bounds, the max-norm error and
+the timing helpers of the acceptance tests from ``tests/diagnostics.py``."""
 
 import numpy as np
 import pytest
 
 import smash
-from smash.bench import (BoundInputs, amax_error, as_mib, choose_params,
-                         doubling_ratios, eps_rank, error_bound, rank_caps,
-                         storage_report, timed_median)
+from smash.bench import as_mib, choose_params, storage_report
 
 from conftest import build_grid_h2_400, build_interval_hss, dense_oracle
+from diagnostics import (BoundInputs, amax_error, doubling_ratios, eps_rank,
+                         error_bound, rank_caps, timed_median)
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,9 @@ def _partition_trees():
     return {
         "grid": lambda: (smash.build_tree(smash.bench.grid_points(32), nu0=50,
                                           mode="2d"), 0.65),
+        # the tree the CLI builds for H2 on the grid
+        "grid-binary": lambda: (smash.build_tree(smash.bench.grid_points(32),
+                                                 nu0=50), 0.65),
         # the tree of the tie test above, and its 2d-mode counterpart
         "sunflower-ties": lambda: (smash.build_tree(
             curve("sunflower", 2560), nu0=50), 0.6),

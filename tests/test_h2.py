@@ -11,6 +11,7 @@ from smash.kernel import kernel_block
 from smash.lowrank import compr, taylor_tail_bound
 
 from conftest import build_1d_pair_h2, dense_oracle, interval_pair
+from diagnostics import BoundInputs, build_params, error_bound, rank_caps
 
 
 def grid_dense(spec, X):
@@ -85,13 +86,12 @@ def test_reconstruction_error_below_analytic_bound(grid_h2_400):
     M, spec, X = grid_h2_400
     A = grid_dense(spec, X)
     err = np.linalg.norm(M.todense() - A) / np.linalg.norm(A)
-    caps = smash.bench.rank_caps(M)
-    inputs = smash.BoundInputs(ranks=caps, L=M.tree.n_levels,
-                               eps_svd=M.params.eps_svd,
-                               eps_far=taylor_tail_bound(M.params.tau,
-                                                         M.params.r),
-                               d=2)
-    b = smash.error_bound(inputs, structure="h2")
+    caps = rank_caps(M)
+    inputs = BoundInputs(ranks=caps, L=M.tree.n_levels,
+                         eps_svd=M.params.eps_svd,
+                         eps_far=taylor_tail_bound(M.params.tau, M.params.r),
+                         d=2)
+    b = error_bound(inputs, structure="h2")
     assert err <= b.theorem <= b.corollary
 
 
@@ -132,15 +132,6 @@ def test_coincident_planar_points_with_dx_match_dense_oracle():
     assert np.linalg.norm(z - A @ q) <= 1e-6 * np.linalg.norm(A @ q)
 
 
-def test_h2_build_requires_2d_tree_mode():
-    rng = np.random.default_rng(1)
-    X = smash.PointSet(rng.random((64, 2)))
-    tree = smash.build_tree(X, nu0=8, mode="binary")
-    spec = smash.KernelSpec("cauchy", dx=1.0)
-    with pytest.raises(ValueError):
-        smash.build_h2(tree, spec, X, X)
-
-
 @pytest.mark.parametrize("tol", [1e-8, 1e-10])
 @pytest.mark.parametrize("curve", ["ramhead", "sunflower", "honeybee",
                                    "circle"])
@@ -152,7 +143,7 @@ def test_h2_double_layer_meets_its_tolerance(curve, tol):
     spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve(curve), nq=n)
     X = smash.bench.curve_points(curve, n)
     tree = smash.build_tree(X, nu0=50, mode="2d", tau=pc.tau)
-    M = smash.build_h2(tree, spec, X, X, pc.build_params())
+    M = smash.build_h2(tree, spec, X, X, build_params(pc))
     assert M.dtype == np.float64
     # r complex Taylor terms, split into real and imaginary parts
     assert smash.bench.max_rank(M) <= 2 * pc.r

@@ -18,6 +18,7 @@ from smash.lowrank import (InterpolativeFactor, compr, interp_basis,
 
 from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
                       interval_pair)
+from diagnostics import BoundInputs, error_bound, rank_caps
 
 
 def dense_in_caller_order(spec, X, Y):
@@ -140,13 +141,12 @@ def test_reconstruction_error_below_analytic_bound(cauchy_hss_400):
     M, spec, X, Y = cauchy_hss_400
     A = dense_in_caller_order(spec, X, Y)
     err = np.linalg.norm(M.todense() - A) / np.linalg.norm(A)
-    caps = smash.bench.rank_caps(M)
+    caps = rank_caps(M)
     L = M.tree.n_levels
-    inputs = smash.BoundInputs(ranks=caps, L=L,
-                               eps_svd=M.params.eps_svd,
-                               eps_far=taylor_tail_bound(M.params.tau,
-                                                         M.params.r))
-    b = smash.error_bound(inputs, structure="hss")
+    inputs = BoundInputs(ranks=caps, L=L,
+                         eps_svd=M.params.eps_svd,
+                         eps_far=taylor_tail_bound(M.params.tau, M.params.r))
+    b = error_bound(inputs, structure="hss")
     assert err <= b.theorem <= b.corollary
 
 
