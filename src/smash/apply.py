@@ -1,8 +1,11 @@
 """Fast application and direct solution of structured matrices.
 
 matvec runs the three-sweep scheme (upward basis projections, skeleton
-couplings, downward transfers plus dense nearfield); matvec_levelwise is a
-second name for it, on any tree.  The ULV factorization eliminates, per
+couplings, downward transfers plus dense nearfield) on groups of equal
+shape, one stacked product per group: per level, the factors of one shape,
+with one gather and one scatter for the whole level, and the block rows of
+one kind and shape, with one gather and one scatter each; matvec_levelwise
+is a second name for it, on any tree.  The ULV factorization eliminates, per
 node, the redundant rows of its interpolative row factor P [I; G] (each row
 minus G times the skeleton rows couples to nothing outside the node)
 against as many of the node's own unknowns, which the interpolative factor
@@ -41,86 +44,131 @@ def _as_columns(q, n):
 def matvec_nodewise(M, q) -> np.ndarray:
     """A @ q through the compressed representation, caller ordering.
 
-    Three sweeps over the tree, on one flat vector of column coefficients
-    and one of row coefficients, laid out level by level so that siblings
-    are adjacent (``M.coefficient_layout``).  Upward, in postorder, each
-    node projects its leaf slice, or its children's coefficients read as
-    one slice, with its column basis.  Across, each kept coupling row maps
-    its sources' gathered coefficients to its node's in one product; a
-    mirrored row also adds the transposed pairs (``_apply_rows``).
-    Downward, each node applies its row basis once and adds the result to
-    its leaf slice or its children's slice.  Each leaf's nearfield row
-    multiplies its sources' gathered entries, again in one product, and a
-    mirrored one adds the transposed pairs but not its diagonal block.
-    Runs on one BLAS thread.
+    Three sweeps over the tree on two flat vectors, one per side, each
+    holding that side's entries in tree order and then the coefficients of
+    every node's basis, laid out level by level (``M.flat_layout``).  Each
+    sweep works on groups of equal shape (``M.basis_groups``,
+    ``M.block_groups``), one stacked product a group.  Upward, level by
+    level from the leaves, one gather takes the level's leaf entries and
+    children's coefficients, each group of column factors projects its
+    nodes' share, and one scatter writes the level's coefficients.
+    Across, each group of coupling rows maps its sources' coefficients to
+    its targets'; a mirrored group also adds the transposed pairs.
+    Downward, level by level from the root, the level's coefficients are
+    gathered once, each group of row factors expands its nodes' share, and
+    one scatter adds the level's results to leaf entries or children's
+    coefficients.  Last, each group of nearfield rows adds its sources'
+    entries, a mirrored one also the transposed pairs but not its diagonal
+    blocks.  Runs on one BLAS thread.
     """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
     dtype = np.result_type(M.dtype, Q.dtype)
-    qt = Q[tr.perm_col]
-    nodes = tr.nodes[:tr.root]  # postorder: children before parents
-    qs, _, nq = M.coefficient_layout("col")
-    zs, _, nz = M.coefficient_layout("row")
+    c = Q.shape[1]
+    n, length = M.flat_layout("col")
+    x = np.empty((length, c), dtype=dtype)
+    x[:n] = Q[tr.perm_col]
+    n, length = M.flat_layout("row")
+    z = np.zeros((length, c), dtype=dtype)
+    # the entries, over all columns, that one step of a group gathers at
+    # most: a quarter of the output, or 2^16 where that is more
+    cap = max(max(n, M.n_col) * c // 4, 1 << 16)
 
-    def kids(at, nd):
-        return slice(at[nd.children[0]].start, at[nd.children[-1]].stop)
+    for level in reversed(M.basis_groups("col")):
+        for stacks, sk, rd in _batches(level, c, cap):
+            vals = x.take(level.skel[sk], axis=0)
+            xr = x.take(level.red[rd], axis=0)
+            for G, a, b in _offsets(stacks):
+                v = vals[a[0]:a[1]].reshape(len(G), G.shape[2], c)
+                v += G.transpose(0, 2, 1) @ xr[b[0]:b[1]].reshape(
+                    G.shape[:2] + (c,))
+            x[level.coef[sk]] = vals
+    _apply_groups(z, x, M.block_groups("L"), cap)
+    for level in M.basis_groups("row"):
+        for stacks, sk, rd in _batches(level, c, cap):
+            y = z.take(level.coef[sk], axis=0)
+            z[level.skel[sk]] += y
+            e = np.empty((rd.stop - rd.start, c), dtype=dtype)
+            for G, a, b in _offsets(stacks):
+                np.matmul(G, y[a[0]:a[1]].reshape(len(G), G.shape[2], c),
+                          out=e[b[0]:b[1]].reshape(G.shape[:2] + (c,)))
+            y = None  # not held through the scatter of a many-column apply
+            z[level.red[rd]] += e
+    _apply_groups(z, x, M.block_groups("Lm"), cap)
 
-    qf = np.empty((nq, Q.shape[1]), dtype=dtype)
-    for nd in nodes:
-        src = (qt[nd.col_start:nd.col_stop] if nd.is_leaf
-               else qf[kids(qs, nd)])
-        qf[qs[nd.index]] = M.colfac[nd.index].apply_t(src)
-
-    zf = np.zeros((nz, Q.shape[1]), dtype=dtype)
-    _apply_rows(zf, qf, [(zs[i], row) for i, row in M.block_rows("L")])
-
-    zt = np.zeros((M.n_row, Q.shape[1]), dtype=dtype)
-    for nd in reversed(nodes):
-        e = M.rowfac[nd.index].apply(zf[zs[nd.index]])
-        if nd.is_leaf:
-            zt[nd.row_start:nd.row_stop] += e
-        else:
-            zf[kids(zs, nd)] += e
-
-    nds = tr.nodes
-    _apply_rows(zt, qt, [(slice(nds[i].row_start, nds[i].row_stop), row)
-                         for i, row in M.block_rows("Lm")])
-
-    z = np.empty_like(zt)
-    z[tr.perm_row] = zt
-    return z[:, 0] if single else z
-
-
-def _apply_rows(z, x, rows):
-    """z += A x over block rows, given as (own slice of z, row): each row
-    maps its sources' gathered entries of x to its own slice in one product.
-    A mirrored row, whose own slice is the same in x (one point set, one
-    basis per node), also stands for the transposed pairs: minus
-    ``row.back`` (its blocks past the first ``skip`` columns, transposed)
-    times its own slice of x goes to their positions ``row.tail`` in z.
-    Rows share sources, so those products are held back and scattered
-    together: whenever they reach the length of z, which keeps what is held
-    about as large as z, and at the end."""
-    held, size = [], 0
-    for own, row in rows:
-        z[own] += row.A @ x.take(row.cols, axis=0)
-        if row.mirrored and row.tail.size:  # HSS leaves mirror nothing
-            held.append((row.tail, row.back @ x[own]))
-            size += row.tail.size
-            if size >= len(z):
-                _subtract_at(z, held)
-                held, size = [], 0
-    _subtract_at(z, held)
+    out = np.empty((n, c), dtype=dtype)
+    out[tr.perm_row] = z[:n]
+    return out[:, 0] if single else out
 
 
-def _subtract_at(z, held):
-    """z[pos] -= vals over the (pos, vals) pairs held, adding up repeated
-    positions."""
-    if held:
-        pos = np.concatenate([p for p, _ in held])
-        vals = np.concatenate([v for _, v in held])
-        for k in range(z.shape[1]):  # 1-d ufunc.at is the fast one
-            np.subtract.at(z[:, k], pos, vals[:, k])
+def _batches(level, c, cap):
+    """(stacks, skel slice, red slice) of a level's steps: the whole level
+    where its gathers, over c columns, stay within cap entries, and
+    otherwise slices of each group's rows that do (one row at least)."""
+    if (len(level.skel) + len(level.red)) * c <= cap:
+        return ((level.stacks, slice(0, len(level.skel)),
+                 slice(0, len(level.red))),)
+    out, a, b = [], 0, 0
+    for G in level.stacks:
+        R, mk, k = G.shape
+        step = max(1, cap // ((mk + k) * c))
+        for r in range(0, R, step):
+            s = G[r:r + step]
+            out.append(((s,), slice(a + r * k, a + (r + len(s)) * k),
+                        slice(b + r * mk, b + (r + len(s)) * mk)))
+        a, b = a + R * k, b + R * mk
+    return out
+
+
+def _offsets(stacks):
+    """(G, its rows' range of a batch's skeleton entries, of its other
+    entries) for each stack of a batch, in order."""
+    a = b = 0
+    for G in stacks:
+        R, mk, k = G.shape
+        yield G, (a, a + R * k), (b, b + R * mk)
+        a, b = a + R * k, b + R * mk
+
+
+def _parts(arrays, width, cap):
+    """A group's arrays, whole, or in consecutive slices of their rows, one
+    row at least, so that a slice gathers at most about cap entries, width
+    a row."""
+    rows, step = len(arrays[0]), max(1, cap // max(width, 1))
+    if step >= rows:
+        return (arrays,)
+    return [tuple(a[r:r + step] for a in arrays)
+            for r in range(0, rows, step)]
+
+
+def _apply_groups(z, x, groups, cap):
+    """z += A x over groups of block rows (``BlockGroup``), a slice of a
+    group's rows at a time (``_parts``)."""
+    for g in groups:
+        _, m, n = g.A.shape
+        for A, out, src in _parts((g.A, g.out, g.src),
+                                  max(m, n) * z.shape[1], cap):
+            z[out] += A @ x.take(src, axis=0)
+            if g.mirrored and n > g.skip:  # HSS leaves mirror nothing
+                back = A[:, :, g.skip:].transpose(0, 2, 1) @ x.take(out, axis=0)
+                _subtract_rows_at(z, src[:, g.skip:].ravel(),
+                                  back.reshape(-1, z.shape[1]))
+
+
+def _subtract_rows_at(z, pos, vals):
+    """z[pos] -= vals, adding up repeated positions.  With one column the
+    1-d ufunc.at is the fast way; with more, one sparse product sums the
+    rows of each position, whole rows at a time, where a column at a time
+    would stride through z."""
+    if z.shape[1] == 1:
+        np.subtract.at(z[:, 0], pos, vals[:, 0])
+        return
+    from scipy.sparse import csr_array  # only dense reconstruction needs it
+    at, row = np.unique(pos, return_inverse=True)
+    S = csr_array((np.ones(pos.size, dtype=vals.dtype),
+                   (row.ravel(), np.arange(pos.size))),
+                  shape=(at.size, pos.size))
+    z[at] -= S @ vals
 
 
 def matvec_levelwise(M, q) -> np.ndarray:

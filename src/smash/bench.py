@@ -129,7 +129,7 @@ def storage_report(M) -> StorageReport:
         generator += tr.nodes[i].n_row * tr.nodes[j].n_col * fb
 
     dense = tr.n_row * tr.n_col * fb
-    kept = sum(row.A.nbytes for row in M._rows.values())
+    kept = sum(g.A.nbytes for kind in M._groups.values() for g in kind)
     return StorageReport(compressed, generator, dense, breakdown, kept)
 
 

@@ -431,8 +431,8 @@ def leaf_sets(tree: ClusterTree, tau: float = None, structure: str = "h2"):
     joins L; a pair of leaves that is not separated joins Lminus; otherwise
     it splits into the pairs of its sides' children, a leaf side standing for
     itself.  This runs level by level on arrays of node pairs and returns
-    them in the depth-first order of that recursion: block rows, and so the
-    matvec's rounding, follow it.  For "hss" L holds all sibling pairs and
+    them in the depth-first order of that recursion: the block rows, their
+    grouping by shape, and so the matvec's rounding, follow it.  For "hss" L holds all sibling pairs and
     Lminus the leaf diagonal, both in node order.
     """
     if tau is None:

@@ -142,8 +142,10 @@ def _read_arrays(payload: bytes, manifest) -> dict:
                              "(%d + %d > %d bytes)"
                              % (name, offset, nbytes, len(payload)))
         a = np.frombuffer(payload, dtype=_DT[tag], count=math.prod(shape),
-                          offset=offset)
-        out[name] = a.astype(tag).reshape(shape)  # native byte order
+                          offset=offset).reshape(shape)
+        # a factor's G stays a view into the payload until the loader copies
+        # it into its group's stack (_StructuredMatrix.basis_groups)
+        out[name] = a if name.endswith(".G") else a.astype(tag)
     for name in _TREE_ARRAYS:
         if name not in out:
             raise ValueError("damaged container: no %r array" % name)
@@ -262,6 +264,8 @@ def _assemble(header: dict, arrays: dict):
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)
+    for side in ("row", "col"):
+        M.basis_groups(side)
     return M
 
 

@@ -13,10 +13,13 @@ recompressing the bases they combine.  Coupling blocks between siblings
 are exact kernel entries at skeleton index pairs, so the compressed
 representation of a built matrix stores only interpolation coefficients,
 index sets, and leaf diagonal blocks; coupling and nearfield values are
-evaluated on first use, one block row per target node, and kept.  Where one factor serves both sides of every
-node and the kernel is antisymmetric, coupling (j, i) is minus the transpose
-of (i, j) bit for bit, so only the pairs with i < j are kept and each of
-their rows is applied both ways.  On one point set whose equal points share
+evaluated on first use, one block row per target node, and kept, the rows
+of one shape stacked and evaluated by one kernel call.  An apply works on
+those groups of rows and on the factors grouped the same way, by level and
+shape, each factor's G a view into its group's stack.  Where one factor
+serves both sides of every node and the kernel is antisymmetric, coupling
+(j, i) is minus the transpose of (i, j) bit for bit, so only the pairs with
+i < j are kept and each of their rows is applied both ways.  On one point set whose equal points share
 a leaf, the nearfield leaf pairs are mirrored the same way: each leaf keeps
 its diagonal block, applied one way, and its blocks (i, j) with i < j.
 """
@@ -24,9 +27,10 @@ its diagonal block, applied one way, and its blocks (i, j) with i < j.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,36 +85,76 @@ def no_kernel_block(rows, cols):
 
 @dataclass
 class BlockRow:
-    """One target node's blocks side by side, ``A = [A(i, j1) A(i, j2) ...]``.
+    """One target node's blocks side by side, ``A = [A(i, j1) A(i, j2) ...]``,
+    a view into its group's stack (``BlockGroup``).
 
     Block k, for source ``sources[k]``, spans columns ``edges[k]:edges[k+1]``
-    of ``A``; ``cols`` holds the positions an apply reads the row's input
-    from: the sources' slices of the flat column-coefficient vector
-    (``coefficient_layout``) for couplings, their tree-order point ranges
-    for the nearfield.  A ``mirrored`` row also stands for the transposed
-    pairs, ``A(j, i) = -A(i, j).T``, except for its first ``skip`` columns:
-    a nearfield row's diagonal block, which stands only for itself.
+    of ``A``.  A ``mirrored`` row also stands for the transposed pairs,
+    ``A(j, i) = -A(i, j).T``, except for its first ``skip`` columns: a
+    nearfield row's diagonal block, which stands only for itself.
     """
 
     sources: tuple
     edges: list
-    cols: np.ndarray
     A: np.ndarray
     mirrored: bool = False
     skip: int = 0
-    tail: np.ndarray = field(init=False, repr=False)
-    back: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        # the positions a mirrored row writes back to and the transposed
-        # blocks that map to them, views sliced once for every apply
-        self.tail = self.cols[self.skip:]
-        self.back = self.A[:, self.skip:].T
 
     def block(self, j: int) -> np.ndarray:
         """The block of source j, a view into A."""
         k = self.sources.index(j)
         return self.A[:, self.edges[k]:self.edges[k + 1]]
+
+
+@dataclass
+class BlockGroup:
+    """The kept block rows of one kind and one shape (m rows, n columns,
+    ``skip``), stacked in ``A``, (R, m, n).
+
+    An apply adds ``A[r]`` times the flat input at positions ``src[r]`` to
+    the flat output at ``out[r]`` (``flat_layout``); a mirrored group also
+    subtracts ``A[r][:, skip:].T`` times the input at ``out[r]`` from the
+    output at ``src[r, skip:]``, since input and output share one layout
+    where a matrix is mirrored.
+    """
+
+    A: np.ndarray
+    out: np.ndarray
+    src: np.ndarray
+    mirrored: bool
+    skip: int
+
+
+class BasisLevel(NamedTuple):
+    """The factors ``X = P [I; G]`` of one level, grouped by shape (m labels,
+    rank k): ``stacks`` holds each group's G stacked, (R, m - k, k), of
+    which each factor's own G is a slice.  On the flat vector of their side
+    (``flat_layout``), ``skel`` holds, group by group and factor by factor,
+    the positions of the labels each factor's skeleton picks, ``red`` those
+    of its other labels in P's order, and ``coef`` those of its node's
+    coefficients, in the order of ``skel``."""
+
+    stacks: list
+    skel: np.ndarray
+    red: np.ndarray
+    coef: np.ndarray
+
+
+def _ranges(starts, sizes) -> np.ndarray:
+    """The concatenated ranges ``start:start + size``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(starts - ends + sizes, sizes)
+
+
+def _by_shape(keys) -> list:
+    """(key, [indices of the items with that key]) for each distinct key,
+    in order of first appearance."""
+    groups = {}
+    for r, key in enumerate(keys):
+        groups.setdefault(key, []).append(r)
+    return list(groups.items())
 
 
 def _by_target(pairs: np.ndarray, mirrored: bool):
@@ -149,12 +193,17 @@ class _StructuredMatrix:
     """Shared machinery of the HSS and H2 formats.
 
     ``rowfac[i]`` and ``colfac[i]`` hold node i's bases, interpolative
-    factors offering ``apply`` (X @ Z), ``apply_t`` (X.T @ Q) and ``expand``
-    (X).  Couplings come from the kernel at skeleton pairs, except for sums
-    and scalings, which store them in ``B_dense``; leaf diagonal blocks of
-    HSS matrices are stored in ``Dblocks``.  Both kinds of block are kept as
-    block rows (``block_row``), one per target node, filled on first use;
-    ``B`` and ``NF`` return views into them.  Which rows are kept is decided
+    factors offering ``apply_t`` (X.T @ Q) and ``expand`` (X).  Couplings
+    come from the kernel at skeleton pairs, except for sums and scalings,
+    which store them in ``B_dense``; leaf diagonal blocks of HSS matrices
+    are stored in ``Dblocks``.  Both kinds of block are kept as
+    block rows (``block_row``), one per target node, and the rows of one
+    kind and shape as one stack (``block_groups``), filled on first use by
+    one kernel call, or from the stored blocks, which then become views
+    into it; ``B`` and ``NF`` return views into the rows.  The factors are
+    grouped by level and shape (``basis_groups``) once per matrix, on
+    first use or, for a loaded matrix, by the loader, which copies each G
+    from the file into its group's stack.  Which rows are kept is decided
     on first use, once the factors are in place: a matrix whose couplings
     are antisymmetric (``_antisymmetric``) keeps the pairs with i < j only,
     and ``B`` returns the others as ``-B(j, i).T``; one whose nearfield is
@@ -170,7 +219,9 @@ class _StructuredMatrix:
         self.params = params
         self.kernel = kernel
         self.dtype = dtype
-        self._block = block          # (tree-order rows, cols) -> exact entries
+        # tree-order (..., m) rows and (..., n) columns -> exact entries,
+        # (..., m, n): one block, or a stack of them
+        self._block = block
         self.pairs_L = np.asarray(pairs_L, dtype=np.int64).reshape(-1, 2)
         self.pairs_Lm = np.asarray(pairs_Lm, dtype=np.int64).reshape(-1, 2)
         self.rowfac = {}
@@ -181,6 +232,9 @@ class _StructuredMatrix:
         self.B_dense = {}
         self._kept = None            # _kept_rows(), on first use
         self._layouts = {}           # side -> coefficient_layout(side)
+        self._groups = {}            # kind -> [BlockGroup]
+        self._where = {}             # kind -> {i: (group, row in it)}
+        self._bases = {}             # side -> [[BasisGroup] per level]
         self._rows = {}              # (kind, i) -> BlockRow
 
     # -- shapes --------------------------------------------------------------
@@ -241,16 +295,34 @@ class _StructuredMatrix:
 
     def block_row(self, kind: str, i: int) -> BlockRow:
         """Node i's row of couplings (kind "L") or of nearfield blocks
-        ("Lm"), evaluated with one kernel call on first use."""
+        ("Lm"), a view into its group (``block_groups``)."""
         row = self._rows.get((kind, i))
         if row is None:
-            row = self._rows[kind, i] = self._fill_row(kind, i)
+            groups = self.block_groups(kind)
+            g, r = self._where[kind][i]
+            mirrored, sources = self._kept_rows()[kind]
+            js = sources[i]
+            sizes = self.rank_col if kind == "L" else (
+                lambda j: self.tree.nodes[j].n_col)
+            row = self._rows[kind, i] = BlockRow(
+                js, list(accumulate(map(sizes, js), initial=0)),
+                groups[g].A[r], mirrored, groups[g].skip)
         return row
 
     def block_rows(self, kind: str):
         """(i, row) for each kept row of that kind."""
         return ((i, self.block_row(kind, i))
                 for i in self._kept_rows()[kind][1])
+
+    def block_groups(self, kind: str) -> list:
+        """The kept rows of that kind grouped by shape (``BlockGroup``),
+        filled on first use: by one kernel call per group, on the stacked
+        labels of its rows, or, for rows whose blocks are stored, by
+        stacking those blocks, which then become views into the group."""
+        got = self._groups.get(kind)
+        if got is None:
+            got = self._groups[kind] = self._fill_groups(kind)
+        return got
 
     def _antisymmetric(self) -> bool:
         """Whether every coupling (j, i) is ``-B(i, j).T`` bit for bit: the
@@ -284,11 +356,10 @@ class _StructuredMatrix:
         return self._kept
 
     def coefficient_layout(self, side: str):
-        """({i: slice}, {i: positions}, length): each non-root node's slice
-        of one flat vector of coefficients on that side's bases, the same
-        as an index array, and the vector's length.  Nodes are laid out
-        level by level from the root down, so siblings are adjacent and a
-        parent's children read as one slice."""
+        """({i: slice}, length): each non-root node's slice of one flat
+        vector of coefficients on that side's bases, and the vector's
+        length.  Nodes are laid out level by level from the root down, so
+        siblings are adjacent and a parent's children read as one slice."""
         got = self._layouts.get(side)
         if got is None:
             skels = self.skel_row if side == "row" else self.skel_col
@@ -299,40 +370,138 @@ class _StructuredMatrix:
                     at[c] = slice(end, end + skels[c].size)
                     end = at[c].stop
                     order.append(c)
-            every = np.arange(end)
-            got = self._layouts[side] = (
-                at, {i: every[sl] for i, sl in at.items()}, end)
+            got = self._layouts[side] = (at, end)
         return got
 
-    def _fill_row(self, kind: str, i: int) -> BlockRow:
+    def flat_layout(self, side: str):
+        """(n, length): the flat vector an apply works on, on one side,
+        holds that side's n entries in tree order and, from n on, the
+        coefficients at their ``coefficient_layout`` positions."""
+        n = self.n_row if side == "row" else self.n_col
+        return n, n + self.coefficient_layout(side)[1]
+
+    def _fill_groups(self, kind: str) -> list:
         tr = self.tree
         mirrored, sources = self._kept_rows()[kind]
-        js = sources[i]
-        stored = None
+        # per node: its rows and columns, and where they begin on the flat
+        # output and input
+        size_row, size_col, out_at, src_at = np.zeros((4, len(tr.nodes)),
+                                                      dtype=np.int64)
         if kind == "L":
-            rows = self.skel_row[i]
-            parts = [self.skel_col[j] for j in js]
-            if self.B_dense:
-                stored = [self.B_dense.get((i, j)) for j in js]
+            for side, size, begin in (("row", size_row, out_at),
+                                      ("col", size_col, src_at)):
+                n = self.flat_layout(side)[0]
+                for i, sl in self.coefficient_layout(side)[0].items():
+                    size[i], begin[i] = sl.stop - sl.start, n + sl.start
+            stored = self.B_dense and (lambda i, j: self.B_dense.get((i, j)))
         else:
-            rows = tr.row_range(i)
-            parts = [tr.col_range(j) for j in js]
-            if self.Dblocks:
-                stored = [self.Dblocks.get(i) if j == i else None for j in js]
-        labels = np.concatenate(parts)
-        edges = list(accumulate((p.size for p in parts), initial=0))
-        if stored is not None and any(blk is not None for blk in stored):
-            blocks = [self._block(rows, p) if blk is None else blk
-                      for blk, p in zip(stored, parts)]
-            A = blocks[0] if len(blocks) == 1 else np.hstack(blocks)
-        else:
-            A = self._block(rows, labels)
-        if kind == "Lm":
-            skip = edges[1] if mirrored and js[0] == i else 0
-            return BlockRow(js, edges, labels, A, mirrored, skip)
-        pos = self.coefficient_layout("col")[1]
-        return BlockRow(js, edges, np.concatenate([pos[j] for j in js]), A,
-                        mirrored)
+            for nd in tr.nodes:
+                size_row[nd.index], out_at[nd.index] = nd.n_row, nd.row_start
+                size_col[nd.index], src_at[nd.index] = nd.n_col, nd.col_start
+            stored = self.Dblocks and (
+                lambda i, j: self.Dblocks.get(i) if i == j else None)
+        m_of, n_of = size_row.tolist(), size_col.tolist()
+
+        targets = list(sources)
+        keys = []
+        for i in targets:
+            js = sources[i]
+            skip = n_of[i] if kind == "Lm" and mirrored and js[0] == i else 0
+            keys.append((m_of[i], sum(n_of[j] for j in js), skip,
+                         bool(stored) and all(stored(i, j) is not None
+                                              for j in js)))
+        groups, where = [], {}
+        for (m, n, skip, is_stored), rs in _by_shape(keys):
+            ti = [targets[r] for r in rs]
+            js = np.array([j for i in ti for j in sources[i]], dtype=np.int64)
+            out = out_at[ti][:, None] + np.arange(m)
+            src = _ranges(src_at[js], size_col[js]).reshape(len(ti), n)
+            if is_stored:
+                A = self._stack_stored(kind, ti, stored)
+            elif kind == "L":
+                A = self._block(
+                    np.concatenate([self.skel_row[i] for i in ti]).reshape(
+                        out.shape),
+                    np.concatenate([self.skel_col[j] for j in js]).reshape(
+                        src.shape))
+            else:  # the nearfield's labels are its positions
+                A = self._block(out, src)
+            where.update((i, (len(groups), r)) for r, i in enumerate(ti))
+            groups.append(BlockGroup(A, out, src, mirrored, skip))
+        self._where[kind] = where
+        return groups
+
+    def _stack_stored(self, kind: str, ti: list, stored) -> np.ndarray:
+        """The rows of targets ti stacked from their stored blocks, each of
+        which then becomes its view into the stack, so that none is held
+        twice.  A group of one row of one C-ordered block is a view of it."""
+        js_of = self._kept_rows()[kind][1]
+        rows = [[stored(i, j) for j in js_of[i]] for i in ti]
+        if len(rows) == 1 and len(rows[0]) == 1 and (
+                rows[0][0].flags.c_contiguous):
+            return rows[0][0][None]
+        A = np.stack([np.hstack(blocks) for blocks in rows])
+        for r, (i, blocks) in enumerate(zip(ti, rows)):
+            e = 0
+            for j, b in zip(js_of[i], blocks):
+                view = A[r, :, e:e + b.shape[1]]
+                e += b.shape[1]
+                if kind == "L":
+                    self.B_dense[i, j] = view
+                else:
+                    self.Dblocks[i] = view
+        return A
+
+    def basis_groups(self, side: str) -> list:
+        """That side's factors by level, the root's children first, each
+        level's factors grouped by shape (``BasisLevel``).  Made on
+        first use, once per matrix; each factor's G is then a view into its
+        group's stack, or, for a group of one C-ordered factor, the stack
+        is a view of it.  Where one factor serves both sides
+        (``one_basis``), so do its groups."""
+        got = self._bases.get(side)
+        if got is None:
+            if side == "col" and one_basis(self.kind, self.tree, self.kernel):
+                got = self.basis_groups("row")
+            else:
+                got = self._group_factors(side)
+            self._bases[side] = got
+        return got
+
+    def _group_factors(self, side: str) -> list:
+        tr = self.tree
+        nodes = tr.nodes[:tr.root]  # every node but the root has a basis
+        facs = self.rowfac if side == "row" else self.colfac
+        at = self.coefficient_layout(side)[0]
+        n = self.flat_layout(side)[0]
+        # where each node's labels begin: its own entries for a leaf, its
+        # children's coefficients, which read as one slice, otherwise
+        begin = np.array(
+            [(nd.row_start if side == "row" else nd.col_start) if nd.is_leaf
+             else n + at[nd.children[0]].start for nd in nodes],
+            dtype=np.int64)
+        levels = {}
+        for (level, m, k), idx in _by_shape(
+                (nd.level, facs[nd.index].perm.size, facs[nd.index].rank)
+                for nd in nodes):
+            fs = [facs[i] for i in idx]
+            if len(fs) == 1 and fs[0].G.flags.c_contiguous and (
+                    fs[0].G.flags.writeable):
+                G, P = fs[0].G[None], fs[0].perm[None]
+            else:
+                G = np.stack([f.G for f in fs])
+                P = np.stack([f.perm for f in fs])
+                for f, g in zip(fs, G):
+                    f.G = g
+            pos = begin[idx][:, None] + P
+            coef = np.array([n + at[i].start for i in idx])[:, None]
+            levels.setdefault(level, []).append(
+                (G, pos[:, :k], pos[:, k:], coef + np.arange(k)))
+        return [BasisLevel([G for G, *_ in levels[lv]],
+                           *(np.concatenate([g[part].ravel()
+                                             for g in levels[lv]])
+                             for part in (1, 2, 3)))
+                for lv in sorted(levels)]
 
     # -- dense reconstruction ---------------------------------------------------
 
@@ -367,7 +536,8 @@ def kernel_dtype(kernel: KernelSpec, X) -> np.dtype:
 
 
 def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
-    """Tree-order exact-entry evaluator backed by the kernel."""
+    """Tree-order exact-entry evaluator backed by the kernel, of one block
+    or a stack of them (``kernel_block``)."""
 
     def block(rows_t, cols_t):
         rows_t = np.asarray(rows_t, dtype=np.int64)

@@ -240,9 +240,11 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     """Exact kernel submatrix A[rows, cols] in caller index order.
 
     X and Y are PointSets (ignored for laplace_dlp, whose nodes live on the
-    curve); rows/cols are integer index arrays.  Every kind starts from the
-    Cauchy block C = 1/(z_s - z_t): the double layer is Re(C diag(v)) off
-    its diagonal.
+    curve); rows/cols are integer index arrays, (m,) and (n,) for one
+    m x n block, or stacks (..., m) and (..., n) for the (..., m, n) stack
+    of blocks A[rows[r], cols[r]], each the same bits as its own call.
+    Every kind starts from the Cauchy block C = 1/(z_s - z_t): the double
+    layer is Re(C diag(v)) off its diagonal.
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
@@ -251,7 +253,7 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
         zx, zy = data["z"][rows], data["z"][cols]
     else:
         zx, zy = X.scalars[rows], Y.scalars[cols]
-    C = np.subtract.outer(zx, zy)
+    C = zx[..., :, None] - zy[..., None, :]
     hit = C == 0
     with np.errstate(divide="ignore", invalid="ignore"):
         np.divide(1.0, C, out=C)  # in place: one m x k buffer fewer
@@ -264,14 +266,14 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
     if spec.kind == "cauchy_like":
         if np.any(hit):
             raise ValueError("cauchy_like is undefined at coincident points")
-        return (spec.w[rows] @ spec.v[cols].T) * C
+        return (spec.w[rows] @ np.swapaxes(spec.v[cols], -1, -2)) * C
     # laplace_dlp: distinct nodes have distinct points
     with np.errstate(invalid="ignore"):
-        C *= data["v"][cols]
+        C *= data["v"][cols][..., None, :]
     K = C.real.copy()
     if np.any(hit):
-        ii, jj = np.nonzero(hit)
-        K[ii, jj] = data["diag"][cols[jj]] / spec.nq - 0.5
+        K[hit] = (data["diag"][np.broadcast_to(cols[..., None, :], K.shape)[hit]]
+                  / spec.nq - 0.5)
     return K
 
 

@@ -279,15 +279,6 @@ class InterpolativeFactor:
     def skel_local(self) -> np.ndarray:
         return self.perm[:self.rank]
 
-    def apply(self, Z: np.ndarray) -> np.ndarray:
-        """X @ Z without forming X."""
-        k = self.rank
-        out = np.empty((self.perm.size, Z.shape[1]),
-                       dtype=np.result_type(self.G.dtype, Z.dtype))
-        out[self.perm[:k]] = Z
-        out[self.perm[k:]] = self.G @ Z
-        return out
-
     def apply_t(self, Q: np.ndarray) -> np.ndarray:
         """X.T @ Q without forming X."""
         k = self.rank

@@ -87,9 +87,9 @@ def identity_like_hss(n=32, leaf=16):
     X = smash.PointSet(x)
     tree = smash.build_tree(X, X, nu0=leaf)
 
-    def block(rows, cols):
-        return (np.asarray(rows)[:, None]
-                == np.asarray(cols)[None, :]).astype(float)
+    def block(rows, cols):  # (..., m) rows and (..., n) columns
+        return (np.asarray(rows)[..., :, None]
+                == np.asarray(cols)[..., None, :]).astype(float)
 
     L, Lm = smash.leaf_sets(tree, structure="hss")
     M = HssMatrix(tree, smash.BuildParams(r=1), block, L, Lm, np.float64)
@@ -262,7 +262,7 @@ def test_more_redundant_rows_than_unknowns_reported_with_node_id():
     assert tree.nodes[leaf].n_row > tree.nodes[leaf].n_col
     L, Lm = smash.leaf_sets(tree, structure="hss")
     M = HssMatrix(tree, smash.BuildParams(r=1), lambda r, c: np.ones(
-        (len(r), len(c))), L, Lm, np.float64)
+        r.shape + c.shape[-1:]), L, Lm, np.float64)
     empty = np.zeros(0, dtype=np.int64)
     for i in range(tree.root):
         nd = tree.nodes[i]
@@ -298,7 +298,8 @@ def test_singular_single_leaf_reported_with_node_id():
     tree = smash.build_tree(X, Y, nu0=50)
     L, Lm = smash.leaf_sets(tree, structure="hss")
     Z = HssMatrix(tree, smash.BuildParams(),
-                  lambda r, c: np.zeros((r.size, c.size)), L, Lm, np.float64)
+                  lambda r, c: np.zeros(r.shape + c.shape[-1:]), L, Lm,
+                  np.float64)
     with pytest.raises(np.linalg.LinAlgError, match="node 0"):
         smash.ulv_factor(Z)
 

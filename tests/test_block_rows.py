@@ -1,8 +1,9 @@
 """Block-row storage: couplings and nearfield blocks kept as one row per
-target node, evaluated with one kernel call on first use; B and NF are
-views into the rows, a Cauchy matrix on one point set keeps one coupling
-block and one off-diagonal nearfield block per unordered pair, and every
-format applies like its dense oracle."""
+target node, the rows of one shape evaluated by one kernel call on first
+use; B and NF are views into the rows, a Cauchy matrix on one point set
+keeps one coupling block and one off-diagonal nearfield block per unordered
+pair, and every format applies like its dense oracle and like its nodes and
+pairs one at a time."""
 
 import numpy as np
 import pytest
@@ -39,15 +40,25 @@ def kept_rows(M):
     return [(kind, i) for kind in ("L", "Lm") for i, _ in M.block_rows(kind)]
 
 
-def test_first_apply_makes_one_kernel_call_per_row(tmp_path, grid_h2_400,
-                                                   kernel_calls):
+def test_first_apply_makes_one_kernel_call_per_shape_group(
+        tmp_path, grid_h2_400, kernel_calls):
     M = reloaded(grid_h2_400[0], tmp_path)
     q = np.random.default_rng(0).random(M.n_col)
     smash.matvec_nodewise(M, q)
     calls = len(kernel_calls)
     rows = kept_rows(M)
     assert len(kernel_calls) == calls  # the apply filled every kept row
-    assert calls == len(rows)
+    groups = [g for kind in ("L", "Lm") for g in M.block_groups(kind)]
+    assert calls == len(groups) < len(rows)
+    # one call on each group's stacked labels, which evaluates every kept
+    # entry once: its rows' blocks, side by side, with no gaps
+    for (_, _, _, rows_t, cols_t), g in zip(kernel_calls, groups):
+        assert rows_t.shape + cols_t.shape[-1:] == g.A.shape
+    assert sum(g.A.size for g in groups) == sum(
+        M.block_row(kind, i).A.size for kind, i in rows)
+    for kind, i in rows:
+        row = M.block_row(kind, i)
+        assert row.edges[-1] == row.A.shape[1]
     # a coupling row for each target i of a pair (i, j) with i < j, the
     # mirrored pairs standing for the rest; a nearfield row for each leaf
     assert len(rows) == (len({i for i, j in M.pairs_L if i < j})
@@ -137,6 +148,42 @@ def _shifted_grid():
     return M, dense_oracle(spec, X, Y)
 
 
+def _matvec_by_node(M, Q):
+    """A @ Q one node and one block pair at a time, through ``B``, ``NF``
+    and each factor's expansion: the reference the grouped apply must
+    match to rounding."""
+    tr = M.tree
+    dtype = np.result_type(M.dtype, Q.dtype)
+    qt = Q[tr.perm_col]
+    up = {}
+    for i in range(tr.root):  # postorder: children before parents
+        nd = tr.nodes[i]
+        src = (qt[nd.col_start:nd.col_stop] if nd.is_leaf
+               else np.vstack([up[c] for c in nd.children]))
+        up[i] = M.V(i).T @ src
+    down = {i: np.zeros((M.rank_row(i), Q.shape[1]), dtype)
+            for i in range(tr.root)}
+    for i, j in M.pairs_L.tolist():
+        down[i] += M.B(i, j) @ up[j]
+    zt = np.zeros((M.n_row, Q.shape[1]), dtype)
+    for i in reversed(range(tr.root)):  # parents before children
+        nd = tr.nodes[i]
+        e = M.U(i) @ down[i]
+        if nd.is_leaf:
+            zt[nd.row_start:nd.row_stop] += e
+        else:
+            for c, part in zip(nd.children, np.split(
+                    e, np.cumsum([M.rank_row(c) for c in nd.children])[:-1])):
+                down[c] += part
+    for i, j in M.pairs_Lm.tolist():
+        nd, src = tr.nodes[i], tr.nodes[j]
+        zt[nd.row_start:nd.row_stop] += M.NF(i, j) @ qt[src.col_start:
+                                                        src.col_stop]
+    Z = np.empty_like(zt)
+    Z[tr.perm_row] = zt
+    return Z
+
+
 # (build, whether each kept row stands for its mirrored pairs too)
 _CASES = {
     "h2": (lambda tmp, g: _grid(tmp, g, False), True),
@@ -161,6 +208,9 @@ def test_matvec_matches_dense_oracle(tmp_path, grid_h2_400, case):
     assert np.linalg.norm(Z - A @ Q) <= 1e-10 * np.linalg.norm(A @ Q)
     # the second apply reads the rows the first one filled
     np.testing.assert_array_equal(smash.matvec_nodewise(M, Q), Z)
+    # and the groups apply what the nodes and pairs hold, to rounding
+    ref = _matvec_by_node(M, Q)
+    assert np.linalg.norm(Z - ref) <= 1e-14 * np.linalg.norm(ref)
     # a mirrored matrix keeps one coupling block per unordered pair, and
     # one nearfield block per unordered leaf pair besides the diagonal
     for kind, pairs in (("L", M.pairs_L), ("Lm", M.pairs_Lm)):
@@ -169,6 +219,21 @@ def test_matvec_matches_dense_oracle(tmp_path, grid_h2_400, case):
         diagonal = sum(i == j for i, j in pairs)
         assert sum(len(row.sources) for row in rows) == (
             (len(pairs) + diagonal) // 2 if mirrored else len(pairs))
+
+
+@pytest.mark.parametrize("case", ["h2", "hss_add_diag_scale"])
+def test_many_column_apply_matches_one_column_applies(tmp_path, grid_h2_400,
+                                                      case):
+    # 300 columns split every group into slices of a few rows, and the
+    # mirrored grid sums its repeated transposed products a row of the
+    # output at a time, where one column takes the 1-d ufunc.at
+    M, A = _CASES[case][0](tmp_path, grid_h2_400)
+    Q = np.random.default_rng(6).random((A.shape[1], 300))
+    Z = smash.matvec_nodewise(M, Q)
+    for j in (0, 1, 150, 299):
+        z = smash.matvec_nodewise(M, Q[:, j])
+        assert np.linalg.norm(Z[:, j] - z) <= 1e-14 * np.linalg.norm(z)
+    assert np.linalg.norm(Z - A @ Q) <= 1e-10 * np.linalg.norm(A @ Q)
 
 
 def test_ulv_solve_reads_mirrored_couplings():

@@ -293,6 +293,56 @@ def test_cauchy_block_matches_reciprocal_of_differences(dim, shape):
     np.testing.assert_array_equal(K.view(np.uint64), ref.view(np.uint64))
 
 
+def _stacked_cases():
+    """(spec, X, Y) of each kind on 60 points, one point set for Cauchy
+    and the double layer, so that stacks of labels meet coincident points."""
+    rng = np.random.default_rng(8)
+    P = smash.PointSet(rng.standard_normal((60, 2)))
+    Q = smash.PointSet(rng.standard_normal((60, 2)))
+    w, v = rng.random((60, 2)), rng.random((60, 2))
+    return {
+        "cauchy": (smash.KernelSpec("cauchy", dx=2.5), P, P),
+        "cauchy_like": (smash.KernelSpec("cauchy_like", w=w, v=v), P, Q),
+        "laplace_dlp": (smash.KernelSpec(
+            "laplace_dlp", curve=smash.get_curve("sunflower"), nq=60),
+            None, None),
+    }
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "cauchy_like", "laplace_dlp"])
+@pytest.mark.parametrize("R, m, n", [(5, 7, 11), (1, 4, 9), (3, 0, 6),
+                                     (4, 6, 0)])
+def test_stacked_labels_give_each_block_of_its_own_call(kind, R, m, n):
+    spec, X, Y = _stacked_cases()[kind]
+    rng = np.random.default_rng([R, m, n])
+    rows = rng.integers(0, 30, (R, m))
+    cols = rng.integers(30 if kind == "cauchy_like" else 0, 60, (R, n))
+    if m and n and kind != "cauchy_like":
+        cols[0, 0] = rows[0, 0]  # a coincident point in the first block
+    K = kernel_block(spec, X, Y, rows, cols)
+    assert K.shape == (R, m, n)
+    for r in range(R):
+        one = kernel_block(spec, X, Y, rows[r], cols[r])
+        assert K[r].dtype == one.dtype
+        # bit patterns, so that signed zeros count too
+        np.testing.assert_array_equal(K[r].view(np.uint64),
+                                      one.view(np.uint64))
+    if m and n and kind == "cauchy":
+        assert K[0, 0, 0] == 2.5  # dx where the points coincide
+    if m and n and kind == "laplace_dlp":  # the curvature on the diagonal
+        assert K[0, 0, 0] == kernel_block(spec, None, None, rows[0, :1],
+                                          rows[0, :1])[0, 0]
+
+
+def test_stacked_cauchy_like_refuses_a_coincident_point_in_any_block():
+    spec, X, _ = _stacked_cases()["cauchy_like"]
+    rows = np.arange(12).reshape(3, 4)
+    cols = rows + 20
+    cols[2, 1] = rows[2, 3]
+    with pytest.raises(ValueError, match="coincident points"):
+        kernel_block(spec, X, X, rows, cols)
+
+
 # ---------------------------------------------------------------------------
 # Nystrom system and potential evaluation
 # ---------------------------------------------------------------------------

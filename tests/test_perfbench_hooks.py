@@ -12,7 +12,8 @@ import smash
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_traced_grid_apply_counts_one_kernel_call_per_row(monkeypatch):
+def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
+        monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from layers import install
     from tracing import Tracer
@@ -28,13 +29,18 @@ def test_traced_grid_apply_counts_one_kernel_call_per_row(monkeypatch):
                               smash.BuildParams(r=22, tau=0.65))
         tracer.phase = "first_apply"
         smash.apply.matvec_nodewise(M, np.ones(X.n))
+        tracer.phase = "apply"
+        smash.apply.matvec_nodewise(M, np.ones(X.n))
     finally:
         tracer.restore()
-    # the apply filled every kept row: counting them evaluates nothing more
+    # the first apply filled every kept row, a group of equal shapes at a
+    # time: counting them evaluates nothing more
+    groups = sum(len(M.block_groups(kind)) for kind in ("L", "Lm"))
     rows = sum(1 for kind in ("L", "Lm") for _ in M.block_rows(kind))
-    assert rows < (len({i for i, _ in M.pairs_L})
-                   + len({i for i, _ in M.pairs_Lm}))
-    assert tracer.calls("kernel.kernel_block", ("first_apply",)) == rows
+    assert groups < rows < (len({i for i, _ in M.pairs_L})
+                            + len({i for i, _ in M.pairs_Lm}))
+    assert tracer.calls("kernel.kernel_block", ("first_apply",)) == groups
+    assert tracer.calls("kernel.kernel_block", ("apply",)) == 0
     assert tracer.calls("apply.matvec_nodewise", ("first_apply",)) == 1
     for name in ("cluster.build_tree", "cluster.leaf_sets", "h2.build_h2"):
         assert tracer.calls(name, ("setup",)) == 1, name

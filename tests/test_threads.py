@@ -72,10 +72,12 @@ def test_blas_pinned_inside_and_restored_after_matvec(monkeypatch,
     M = smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
                        smash.BuildParams(r=12, tau=0.65))
     seen = []
-    record_counts(monkeypatch, hss._StructuredMatrix, "block_row", seen)
+    # the first apply fills its block rows, a kernel call per shape group
+    record_counts(monkeypatch, hss, "kernel_block", seen)
     apply.matvec_nodewise(M, np.ones(X.n))
     assert blas_counts() == two_blas_threads
-    assert seen and all(c == [1] * len(two_blas_threads) for c in seen)
+    assert len(seen) == sum(len(M.block_groups(k)) for k in ("L", "Lm"))
+    assert all(c == [1] * len(two_blas_threads) for c in seen)
 
 
 def _address(fn):
