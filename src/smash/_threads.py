@@ -12,7 +12,8 @@ double-layer build at n = 2560 about 10 MiB of peak memory and 5-7% of its
 time.  The matvec is pinned too: its stacked products are many small ones
 (a rank or a leaf size of rows by a few hundred columns, one per node or
 block row of a group), and handing each to a second BLAS thread makes it
-wait for that thread, long when another process holds that core.  The solve keeps the default BLAS threads.
+wait for that thread, long when another process holds that core.  The
+solve keeps the default BLAS threads.
 """
 
 from __future__ import annotations

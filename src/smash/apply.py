@@ -65,10 +65,10 @@ def matvec_nodewise(M, q) -> np.ndarray:
     Q, single = _as_columns(q, M.n_col)
     dtype = np.result_type(M.dtype, Q.dtype)
     c = Q.shape[1]
-    n, length = M.flat_layout("col")
+    n, length, _ = M.flat_layout("col")
     x = np.empty((length, c), dtype=dtype)
     x[:n] = Q[tr.perm_col]
-    n, length = M.flat_layout("row")
+    n, length, _ = M.flat_layout("row")
     z = np.zeros((length, c), dtype=dtype)
     # the entries, over all columns, that one step of a group gathers at
     # most: a quarter of the output, or 2^16 where that is more
@@ -163,7 +163,7 @@ def _subtract_rows_at(z, pos, vals):
     if z.shape[1] == 1:
         np.subtract.at(z[:, 0], pos, vals[:, 0])
         return
-    from scipy.sparse import csr_array  # only dense reconstruction needs it
+    from scipy.sparse import csr_array  # only many-column applies need it
     at, row = np.unique(pos, return_inverse=True)
     S = csr_array((np.ones(pos.size, dtype=vals.dtype),
                    (row.ravel(), np.arange(pos.size))),

@@ -22,8 +22,8 @@ import numpy as np
 from .cluster import (ClusterTree, PointSet, TreeNode, _is_permutation,
                       leaf_sets)
 from .h2 import H2Matrix
-from .hss import (BuildParams, HssMatrix, _intermediate, make_block_evaluator,
-                  no_kernel_block, one_basis)
+from .hss import (BuildParams, HssMatrix, _intermediate, kernel_dtype,
+                  make_block_evaluator, no_kernel_block, one_basis)
 from .kernel import KernelSpec, get_curve
 from .lowrank import InterpolativeFactor
 
@@ -234,6 +234,11 @@ def _assemble(header: dict, arrays: dict):
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"))
         block = make_block_evaluator(kernel, X, Y, tree)
+        gives = kernel_dtype(kernel, X)
+        if gives != dtype:
+            raise ValueError("damaged container: header dtype %r, but the %s "
+                             "kernel gives %s entries"
+                             % (header["dtype"], kernel.kind, gives))
     else:
         block = no_kernel_block
     M = cls(tree, params, block, *leaf_sets(tree, params.tau, cls.kind),
@@ -242,21 +247,31 @@ def _assemble(header: dict, arrays: dict):
     sides = [("row", M.rowfac, M.skel_row), ("col", M.colfac, M.skel_col)]
     sides = sides[:1 if shared else 2]
 
-    known = {*_TREE_ARRAYS, "kernel.w", "kernel.v"}.union(
+    # name -> (where it goes, key, i, j) of each block (i, j) the file may
+    # hold: an HSS leaf's diagonal block and, with no kernel to give them,
+    # the kept couplings; without a kernel the file must hold every one
+    blocks = {"D.%d" % i: (M.Dblocks, i, i, i)
+              for i in (tree.leaves() if cls.kind == "hss" else ())}
+    if kernel is None:
+        blocks.update(("B.%d.%d" % (i, j), (M.B_dense, (i, j), i, j))
+                      for i, js in M._sources["L"][1].items() for j in js)
+    known = {*_TREE_ARRAYS, "kernel.w", "kernel.v", *blocks}.union(
         "%sfac.%d.%s" % (side, i, part) for side, _, _ in sides
         for i in range(tree.root) for part in ("perm", "G"))
     for name, arr in arrays.items():
-        parts = name.split(".")
-        if parts[0] == "D":
-            M.Dblocks[int(parts[1])] = arr
-        elif parts[0] == "B":
-            M.B_dense[(int(parts[1]), int(parts[2]))] = arr
-        elif shared and parts[0] == "colfac":
+        if name.startswith(("D.", "B.")) and name not in blocks:
+            raise ValueError("damaged container: %r is not a block this "
+                             "matrix stores" % name)
+        if shared and name.startswith("colfac."):
             raise ValueError("damaged container: this matrix holds one "
                              "factor per node, but the file also holds the "
                              "column entry %r" % name)
-        elif name not in known:
+        if name not in known:
             raise ValueError("unknown container entry %r" % name)
+        if (dtype == np.float64 and arr.dtype.kind == "c"
+                and (name in blocks or name.endswith(".G"))):
+            raise ValueError("damaged container: header dtype 'f8', but %r "
+                             "holds complex entries" % name)
     for side, facs, skels in sides:
         for i in range(tree.root):  # postorder: children before parents
             facs[i] = _load_factor(arrays, tree, i, side, skels)
@@ -264,6 +279,18 @@ def _assemble(header: dict, arrays: dict):
     if shared:
         M.colfac.update(M.rowfac)
         M.skel_col.update(M.skel_row)
+    for name, (store, key, i, j) in blocks.items():
+        if name not in arrays:
+            if kernel is None:
+                raise ValueError("damaged container: the matrix has no "
+                                 "kernel, and the file no %r entry" % name)
+            continue
+        shape = ((tree.nodes[i].n_row, tree.nodes[j].n_col)
+                 if store is M.Dblocks else (M.rank_row(i), M.rank_col(j)))
+        if arrays[name].shape != shape:
+            raise ValueError("damaged container: %r has shape %s, not %s"
+                             % (name, arrays[name].shape, shape))
+        store[key] = arrays[name]
     for side in ("row", "col"):
         M.basis_groups(side)
     return M

@@ -19,9 +19,10 @@ those groups of rows and on the factors grouped the same way, by level and
 shape, each factor's G a view into its group's stack.  Where one factor
 serves both sides of every node and the kernel is antisymmetric, coupling
 (j, i) is minus the transpose of (i, j) bit for bit, so only the pairs with
-i < j are kept and each of their rows is applied both ways.  On one point set whose equal points share
-a leaf, the nearfield leaf pairs are mirrored the same way: each leaf keeps
-its diagonal block, applied one way, and its blocks (i, j) with i < j.
+i < j are kept and each of their rows is applied both ways.  On one point
+set whose equal points share a leaf, the nearfield leaf pairs are mirrored
+the same way: each leaf keeps its diagonal block, applied one way, and its
+blocks (i, j) with i < j.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -84,32 +84,13 @@ def no_kernel_block(rows, cols):
 
 
 @dataclass
-class BlockRow:
-    """One target node's blocks side by side, ``A = [A(i, j1) A(i, j2) ...]``,
-    a view into its group's stack (``BlockGroup``).
-
-    Block k, for source ``sources[k]``, spans columns ``edges[k]:edges[k+1]``
-    of ``A``.  A ``mirrored`` row also stands for the transposed pairs,
-    ``A(j, i) = -A(i, j).T``, except for its first ``skip`` columns: a
-    nearfield row's diagonal block, which stands only for itself.
-    """
-
-    sources: tuple
-    edges: list
-    A: np.ndarray
-    mirrored: bool = False
-    skip: int = 0
-
-    def block(self, j: int) -> np.ndarray:
-        """The block of source j, a view into A."""
-        k = self.sources.index(j)
-        return self.A[:, self.edges[k]:self.edges[k + 1]]
-
-
-@dataclass
 class BlockGroup:
     """The kept block rows of one kind and one shape (m rows, n columns,
-    ``skip``), stacked in ``A``, (R, m, n).
+    ``skip``), stacked in ``A``, (R, m, n).  Row r holds one target node's
+    blocks side by side, ``A[r] = [A(i, j1) A(i, j2) ...]``, in the order
+    of its sources.  A ``mirrored`` row also stands for the transposed
+    pairs, ``A(j, i) = -A(i, j).T``, except for its first ``skip`` columns:
+    a nearfield row's diagonal block, which stands only for itself.
 
     An apply adds ``A[r]`` times the flat input at positions ``src[r]`` to
     the flat output at ``out[r]`` (``flat_layout``); a mirrored group also
@@ -196,19 +177,19 @@ class _StructuredMatrix:
     factors offering ``apply_t`` (X.T @ Q) and ``expand`` (X).  Couplings
     come from the kernel at skeleton pairs, except for sums and scalings,
     which store them in ``B_dense``; leaf diagonal blocks of HSS matrices
-    are stored in ``Dblocks``.  Both kinds of block are kept as
-    block rows (``block_row``), one per target node, and the rows of one
-    kind and shape as one stack (``block_groups``), filled on first use by
-    one kernel call, or from the stored blocks, which then become views
-    into it; ``B`` and ``NF`` return views into the rows.  The factors are
-    grouped by level and shape (``basis_groups``) once per matrix, on
-    first use or, for a loaded matrix, by the loader, which copies each G
-    from the file into its group's stack.  Which rows are kept is decided
-    on first use, once the factors are in place: a matrix whose couplings
-    are antisymmetric (``_antisymmetric``) keeps the pairs with i < j only,
-    and ``B`` returns the others as ``-B(j, i).T``; one whose nearfield is
-    too (``_mirrors_nearfield``) keeps each leaf's diagonal block and its
-    pairs with i < j, and ``NF`` does the same.
+    are stored in ``Dblocks``.  Both kinds of block are kept as block
+    rows, one per target node, and the rows of one kind and shape as one
+    stack (``block_groups``), filled on first use by one kernel call, or
+    from the stored blocks, which then become views into it; ``B`` and
+    ``NF`` return views into the stacks.  The factors are grouped by level
+    and shape (``basis_groups``) once per matrix, on first use or, for a
+    loaded matrix, by the loader, which copies each G from the file into
+    its group's stack.  Which rows are kept is decided when the matrix is
+    made: a matrix whose couplings are antisymmetric (``_antisymmetric``)
+    keeps the pairs with i < j only, and ``B`` returns the others as
+    ``-B(j, i).T``; one whose nearfield is too (``_mirrors_nearfield``)
+    keeps each leaf's diagonal block and its pairs with i < j, and ``NF``
+    does the same.
     """
 
     kind = "structured"
@@ -230,12 +211,17 @@ class _StructuredMatrix:
         self.skel_col = {}
         self.Dblocks = {}
         self.B_dense = {}
-        self._kept = None            # _kept_rows(), on first use
-        self._layouts = {}           # side -> coefficient_layout(side)
+        # kind -> (mirrored, {i: sources of kept row i}): a mirrored kind
+        # keeps the pairs with i <= j only
+        mirrored = self._antisymmetric()
+        self._sources = {
+            "L": _by_target(self.pairs_L, mirrored),
+            "Lm": _by_target(self.pairs_Lm,
+                             mirrored and self._mirrors_nearfield())}
+        self._layouts = {}           # side -> flat_layout(side)
         self._groups = {}            # kind -> [BlockGroup]
         self._where = {}             # kind -> {i: (group, row in it)}
-        self._bases = {}             # side -> [[BasisGroup] per level]
-        self._rows = {}              # (kind, i) -> BlockRow
+        self._bases = {}             # side -> [BasisLevel], one per level
 
     # -- shapes --------------------------------------------------------------
 
@@ -278,41 +264,29 @@ class _StructuredMatrix:
         return np.split(facs[i].expand(), np.cumsum(sizes)[:-1])
 
     def B(self, i: int, j: int) -> np.ndarray:
-        """Coupling block for a low-rank pair (i, j), a view into row i; a
-        mirrored pair's block is ``-B(j, i).T``, a new array."""
+        """Coupling block for a low-rank pair (i, j), a view into node i's
+        row of its group; a mirrored pair's block is ``-B(j, i).T``, a new
+        array."""
         return self._pair("L", i, j)
 
     def NF(self, i: int, j: int) -> np.ndarray:
         """Dense nearfield block for an inadmissible leaf pair (i, j), a
-        view into leaf i's nearfield row; a mirrored pair's block is
-        ``-NF(j, i).T``, a new array."""
+        view into leaf i's nearfield row of its group; a mirrored pair's
+        block is ``-NF(j, i).T``, a new array."""
         return self._pair("Lm", i, j)
 
     def _pair(self, kind: str, i: int, j: int) -> np.ndarray:
-        if i > j and self._kept_rows()[kind][0]:
-            return -self.block_row(kind, j).block(i).T
-        return self.block_row(kind, i).block(j)
-
-    def block_row(self, kind: str, i: int) -> BlockRow:
-        """Node i's row of couplings (kind "L") or of nearfield blocks
-        ("Lm"), a view into its group (``block_groups``)."""
-        row = self._rows.get((kind, i))
-        if row is None:
-            groups = self.block_groups(kind)
-            g, r = self._where[kind][i]
-            mirrored, sources = self._kept_rows()[kind]
-            js = sources[i]
-            sizes = self.rank_col if kind == "L" else (
-                lambda j: self.tree.nodes[j].n_col)
-            row = self._rows[kind, i] = BlockRow(
-                js, list(accumulate(map(sizes, js), initial=0)),
-                groups[g].A[r], mirrored, groups[g].skip)
-        return row
-
-    def block_rows(self, kind: str):
-        """(i, row) for each kept row of that kind."""
-        return ((i, self.block_row(kind, i))
-                for i in self._kept_rows()[kind][1])
+        """Block (i, j) of that kind: source j's columns of row i."""
+        mirrored, sources = self._sources[kind]
+        if i > j and mirrored:
+            return -self._pair(kind, j, i).T
+        groups = self.block_groups(kind)
+        g, r = self._where[kind][i]
+        js = sources[i]
+        width = self.rank_col if kind == "L" else (
+            lambda s: self.tree.nodes[s].n_col)
+        e = sum(map(width, js[:js.index(j)]))
+        return groups[g].A[r, :, e:e + width(j)]
 
     def block_groups(self, kind: str) -> list:
         """The kept rows of that kind grouped by shape (``BlockGroup``),
@@ -344,55 +318,40 @@ class _StructuredMatrix:
         tr = self.tree
         return tr.one_point_set() and not _equal_points_split(tr)
 
-    def _kept_rows(self):
-        """{kind: (mirrored, {i: sources of kept row i})}, decided on first
-        use: a mirrored kind keeps the pairs with i <= j only."""
-        if self._kept is None:
-            mirrored = self._antisymmetric()
-            self._kept = {
-                "L": _by_target(self.pairs_L, mirrored),
-                "Lm": _by_target(self.pairs_Lm,
-                                 mirrored and self._mirrors_nearfield())}
-        return self._kept
-
-    def coefficient_layout(self, side: str):
-        """({i: slice}, length): each non-root node's slice of one flat
-        vector of coefficients on that side's bases, and the vector's
-        length.  Nodes are laid out level by level from the root down, so
-        siblings are adjacent and a parent's children read as one slice."""
+    def flat_layout(self, side: str):
+        """(n, length, at): the flat vector an apply works on, on one side,
+        holds that side's n entries in tree order, then the coefficients on
+        that side's bases, length entries in all; non-root node i's
+        coefficients begin at ``at[i]``.  Nodes are laid out level by level
+        from the root down, so siblings are adjacent and a parent's
+        children read as one slice."""
         got = self._layouts.get(side)
         if got is None:
-            skels = self.skel_row if side == "row" else self.skel_col
-            at, end = {}, 0
+            n, skels = ((self.n_row, self.skel_row) if side == "row"
+                        else (self.n_col, self.skel_col))
+            at, end = [0] * len(self.tree.nodes), n
             order = [self.tree.root]
             for i in order:  # grows as it goes: a breadth-first walk
                 for c in self.tree.nodes[i].children:
-                    at[c] = slice(end, end + skels[c].size)
-                    end = at[c].stop
+                    at[c], end = end, end + skels[c].size
                     order.append(c)
-            got = self._layouts[side] = (at, end)
+            got = self._layouts[side] = (n, end,
+                                         np.array(at, dtype=np.int64))
         return got
-
-    def flat_layout(self, side: str):
-        """(n, length): the flat vector an apply works on, on one side,
-        holds that side's n entries in tree order and, from n on, the
-        coefficients at their ``coefficient_layout`` positions."""
-        n = self.n_row if side == "row" else self.n_col
-        return n, n + self.coefficient_layout(side)[1]
 
     def _fill_groups(self, kind: str) -> list:
         tr = self.tree
-        mirrored, sources = self._kept_rows()[kind]
+        mirrored, sources = self._sources[kind]
         # per node: its rows and columns, and where they begin on the flat
         # output and input
         size_row, size_col, out_at, src_at = np.zeros((4, len(tr.nodes)),
                                                       dtype=np.int64)
         if kind == "L":
-            for side, size, begin in (("row", size_row, out_at),
-                                      ("col", size_col, src_at)):
-                n = self.flat_layout(side)[0]
-                for i, sl in self.coefficient_layout(side)[0].items():
-                    size[i], begin[i] = sl.stop - sl.start, n + sl.start
+            for side, skels, size, begin in (
+                    ("row", self.skel_row, size_row, out_at),
+                    ("col", self.skel_col, size_col, src_at)):
+                begin[:] = self.flat_layout(side)[2]
+                size[:tr.root] = [skels[i].size for i in range(tr.root)]
             stored = self.B_dense and (lambda i, j: self.B_dense.get((i, j)))
         else:
             for nd in tr.nodes:
@@ -434,12 +393,9 @@ class _StructuredMatrix:
     def _stack_stored(self, kind: str, ti: list, stored) -> np.ndarray:
         """The rows of targets ti stacked from their stored blocks, each of
         which then becomes its view into the stack, so that none is held
-        twice.  A group of one row of one C-ordered block is a view of it."""
-        js_of = self._kept_rows()[kind][1]
+        twice."""
+        js_of = self._sources[kind][1]
         rows = [[stored(i, j) for j in js_of[i]] for i in ti]
-        if len(rows) == 1 and len(rows[0]) == 1 and (
-                rows[0][0].flags.c_contiguous):
-            return rows[0][0][None]
         A = np.stack([np.hstack(blocks) for blocks in rows])
         for r, (i, blocks) in enumerate(zip(ti, rows)):
             e = 0
@@ -456,9 +412,8 @@ class _StructuredMatrix:
         """That side's factors by level, the root's children first, each
         level's factors grouped by shape (``BasisLevel``).  Made on
         first use, once per matrix; each factor's G is then a view into its
-        group's stack, or, for a group of one C-ordered factor, the stack
-        is a view of it.  Where one factor serves both sides
-        (``one_basis``), so do its groups."""
+        group's stack.  Where one factor serves both sides (``one_basis``),
+        so do its groups."""
         got = self._bases.get(side)
         if got is None:
             if side == "col" and one_basis(self.kind, self.tree, self.kernel):
@@ -472,31 +427,23 @@ class _StructuredMatrix:
         tr = self.tree
         nodes = tr.nodes[:tr.root]  # every node but the root has a basis
         facs = self.rowfac if side == "row" else self.colfac
-        at = self.coefficient_layout(side)[0]
-        n = self.flat_layout(side)[0]
+        at = self.flat_layout(side)[2]
         # where each node's labels begin: its own entries for a leaf, its
         # children's coefficients, which read as one slice, otherwise
         begin = np.array(
             [(nd.row_start if side == "row" else nd.col_start) if nd.is_leaf
-             else n + at[nd.children[0]].start for nd in nodes],
-            dtype=np.int64)
+             else at[nd.children[0]] for nd in nodes], dtype=np.int64)
         levels = {}
         for (level, m, k), idx in _by_shape(
                 (nd.level, facs[nd.index].perm.size, facs[nd.index].rank)
                 for nd in nodes):
             fs = [facs[i] for i in idx]
-            if len(fs) == 1 and fs[0].G.flags.c_contiguous and (
-                    fs[0].G.flags.writeable):
-                G, P = fs[0].G[None], fs[0].perm[None]
-            else:
-                G = np.stack([f.G for f in fs])
-                P = np.stack([f.perm for f in fs])
-                for f, g in zip(fs, G):
-                    f.G = g
-            pos = begin[idx][:, None] + P
-            coef = np.array([n + at[i].start for i in idx])[:, None]
+            G = np.stack([f.G for f in fs])
+            for f, g in zip(fs, G):
+                f.G = g
+            pos = begin[idx][:, None] + np.stack([f.perm for f in fs])
             levels.setdefault(level, []).append(
-                (G, pos[:, :k], pos[:, k:], coef + np.arange(k)))
+                (G, pos[:, :k], pos[:, k:], at[idx][:, None] + np.arange(k)))
         return [BasisLevel([G for G, *_ in levels[lv]],
                            *(np.concatenate([g[part].ravel()
                                              for g in levels[lv]])

@@ -169,24 +169,25 @@ def test_kept_bytes_are_the_block_rows_an_apply_evaluated():
     M, _, X = build_grid_h2_400()
     assert storage_report(M).kept_bytes == 0
     smash.matvec_nodewise(M, np.ones(X.n))
-    rows = {kind: [row for _, row in M.block_rows(kind)]
-            for kind in ("L", "Lm")}
-    assert storage_report(M).kept_bytes == sum(
-        row.A.nbytes for kept in rows.values() for row in kept)
+    # the bytes of each kept row's blocks, B and NF views into the rows
+    kept = {kind: [(i, j) for i, js in M._sources[kind][1].items()
+                   for j in js] for kind in ("L", "Lm")}
+    nbytes = {"L": sum(M.B(i, j).nbytes for i, j in kept["L"]),
+              "Lm": sum(M.NF(i, j).nbytes for i, j in kept["Lm"])}
+    assert storage_report(M).kept_bytes == nbytes["L"] + nbytes["Lm"]
     assert storage_report(M).kept_bytes > storage_report(M).compressed_bytes
     # the Cauchy couplings on one point set: one block per unordered pair
     unordered = {(min(p), max(p)) for p in M.pairs_L}
     assert 2 * len(unordered) == len(M.pairs_L)
-    assert sum(len(row.sources) for row in rows["L"]) == len(unordered)
-    assert sum(row.A.nbytes for row in rows["L"]) == 16 * sum(
+    assert sorted(kept["L"]) == sorted(unordered)
+    assert nbytes["L"] == 16 * sum(
         M.rank_row(i) * M.rank_col(j) for i, j in unordered)
     # and the nearfield keeps half of its off-diagonal leaf pairs' bytes
     nodes = M.tree.nodes
     size = {(i, j): 16 * nodes[i].n_row * nodes[j].n_col
             for i, j in M.pairs_Lm}
     off = sum(b for (i, j), b in size.items() if i != j)
-    assert sum(size.values()) - sum(row.A.nbytes for row in rows["Lm"]) == (
-        off // 2)
+    assert sum(size.values()) - nbytes["Lm"] == off // 2
 
 
 def test_amax_error_reads_every_column_within_the_budget(cauchy_hss_400):

@@ -1,9 +1,9 @@
 """Block-row storage: couplings and nearfield blocks kept as one row per
-target node, the rows of one shape evaluated by one kernel call on first
-use; B and NF are views into the rows, a Cauchy matrix on one point set
-keeps one coupling block and one off-diagonal nearfield block per unordered
-pair, and every format applies like its dense oracle and like its nodes and
-pairs one at a time."""
+target node, the rows of one shape stacked in a group and evaluated by one
+kernel call on first use; B and NF are views into the groups' rows, a
+Cauchy matrix on one point set keeps one coupling block and one
+off-diagonal nearfield block per unordered pair, and every format applies
+like its dense oracle and like its nodes and pairs one at a time."""
 
 import numpy as np
 import pytest
@@ -36,8 +36,16 @@ def reloaded(M, tmp_path):
 
 
 def kept_rows(M):
-    """(kind, i) of every block row M keeps, filling any not yet filled."""
-    return [(kind, i) for kind in ("L", "Lm") for i, _ in M.block_rows(kind)]
+    """(kind, i, sources) of every block row M keeps."""
+    return [(kind, i, js) for kind in ("L", "Lm")
+            for i, js in M._sources[kind][1].items()]
+
+
+def row_of(M, kind, i):
+    """Node i's kept row of that kind, a view into its group."""
+    groups = M.block_groups(kind)
+    g, r = M._where[kind][i]
+    return groups[g].A[r]
 
 
 def test_first_apply_makes_one_kernel_call_per_shape_group(
@@ -47,18 +55,18 @@ def test_first_apply_makes_one_kernel_call_per_shape_group(
     smash.matvec_nodewise(M, q)
     calls = len(kernel_calls)
     rows = kept_rows(M)
-    assert len(kernel_calls) == calls  # the apply filled every kept row
     groups = [g for kind in ("L", "Lm") for g in M.block_groups(kind)]
     assert calls == len(groups) < len(rows)
+    assert sum(len(g.A) for g in groups) == len(rows)
     # one call on each group's stacked labels, which evaluates every kept
     # entry once: its rows' blocks, side by side, with no gaps
     for (_, _, _, rows_t, cols_t), g in zip(kernel_calls, groups):
         assert rows_t.shape + cols_t.shape[-1:] == g.A.shape
-    assert sum(g.A.size for g in groups) == sum(
-        M.block_row(kind, i).A.size for kind, i in rows)
-    for kind, i in rows:
-        row = M.block_row(kind, i)
-        assert row.edges[-1] == row.A.shape[1]
+    for kind, i, js in rows:
+        get = M.B if kind == "L" else M.NF
+        width = row_of(M, kind, i).shape[1]
+        assert sum(get(i, j).shape[1] for j in js) == width
+    assert len(kernel_calls) == calls  # the apply filled every kept row
     # a coupling row for each target i of a pair (i, j) with i < j, the
     # mirrored pairs standing for the rest; a nearfield row for each leaf
     assert len(rows) == (len({i for i, j in M.pairs_L if i < j})
@@ -79,12 +87,13 @@ def test_blocks_are_views_into_their_rows(grid_h2_400):
             ("Lm", M.pairs_Lm, M.NF, tr.row_range, tr.col_range,
              (len(M.pairs_Lm) - leaves) // 2)):
         kept = set()
-        for i, row in M.block_rows(kind):
-            kept.update((i, j) for j in row.sources)
-            for j in row.sources:
-                assert np.shares_memory(get(i, j), row.A)
+        for i, js in M._sources[kind][1].items():
+            row = row_of(M, kind, i)
+            kept.update((i, j) for j in js)
+            for j in js:
+                assert np.shares_memory(get(i, j), row)
             np.testing.assert_array_equal(
-                row.A, np.hstack([get(i, j) for j in row.sources]))
+                row, np.hstack([get(i, j) for j in js]))
         mirrored = set(map(tuple, pairs.tolist())) - kept
         assert len(mirrored) == n_mirrored
         for i, j in mirrored:
@@ -214,10 +223,10 @@ def test_matvec_matches_dense_oracle(tmp_path, grid_h2_400, case):
     # a mirrored matrix keeps one coupling block per unordered pair, and
     # one nearfield block per unordered leaf pair besides the diagonal
     for kind, pairs in (("L", M.pairs_L), ("Lm", M.pairs_Lm)):
-        rows = [row for _, row in M.block_rows(kind)]
-        assert all(row.mirrored == mirrored for row in rows)
+        assert M._sources[kind][0] == mirrored
+        assert all(g.mirrored == mirrored for g in M.block_groups(kind))
         diagonal = sum(i == j for i, j in pairs)
-        assert sum(len(row.sources) for row in rows) == (
+        assert sum(map(len, M._sources[kind][1].values())) == (
             (len(pairs) + diagonal) // 2 if mirrored else len(pairs))
 
 
@@ -240,7 +249,8 @@ def test_ulv_solve_reads_mirrored_couplings():
     M, A = _one_set_1d(smash.build_hss)
     b = np.random.default_rng(5).random(A.shape[0])
     x = smash.ulv_solve(smash.ulv_factor(M), b)
-    assert all(row.mirrored for _, row in M.block_rows("L"))
+    assert M.block_groups("L")
+    assert all(g.mirrored for g in M.block_groups("L"))
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
@@ -277,9 +287,9 @@ def test_nearfield_is_mirrored_only_where_leaves_keep_equal_points(
     assert np.linalg.norm(smash.matvec_nodewise(M, Q) - A @ Q) <= (
         1e-10 * np.linalg.norm(A @ Q))
     # the couplings are mirrored either way
-    assert all(row.mirrored for _, row in M.block_rows("L"))
-    rows = [row for _, row in M.block_rows("Lm")]
-    assert all(row.mirrored != split for row in rows)
+    assert M.block_groups("L")
+    assert all(g.mirrored for g in M.block_groups("L"))
+    assert all(g.mirrored != split for g in M.block_groups("Lm"))
     if split:  # both blocks hold dx where the two copies meet
         low, high = holders
         assert not np.array_equal(M.NF(high, low), -M.NF(low, high).T)

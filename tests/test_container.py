@@ -372,13 +372,119 @@ def test_entry_an_older_version_saved_is_refused_by_name(tmp_path, capsys,
 
 
 def test_factor_form_without_kernel_reports_missing_blocks(tmp_path):
+    # its couplings came from the kernel, so the file holds none of them
     M, _, _, _ = build_interval_hss(300, nu0=32)
     M.kernel = None
     path = tmp_path / "nk.smash"
     smash.save_matrix(M, path)
-    M2 = smash.load_matrix(path)
-    with pytest.raises(ValueError, match="without a kernel"):
-        smash.matvec_nodewise(M2, np.ones(300))
+    with pytest.raises(ValueError, match="no kernel.*'B.%d.%d'"
+                       % tuple(M.pairs_L[0])):
+        smash.load_matrix(path)
+
+
+def _append_array(header_path, name, arr):
+    """Add an array to a saved container, at the end of its payload."""
+    raw = header_path.read_bytes()
+    head, cut = raw.index(b"\n") + 1, raw.index(b"\0")
+    header = json.loads(raw[head:cut])
+    arr = np.ascontiguousarray(arr)
+    header["arrays"].append({
+        "name": name, "dtype": "c16" if arr.dtype.kind == "c" else "f8",
+        "shape": list(arr.shape), "offset": len(raw) - cut - 1,
+        "nbytes": arr.nbytes})
+    header_path.write_bytes(raw[:head] + json.dumps(header).encode()
+                            + raw[cut:] + arr.tobytes())
+
+
+def _injected_coupling(path):
+    """A built HSS matrix, whose couplings come from its kernel, with a
+    stored coupling of the right shape added for its first pair."""
+    M, _, _, _ = build_interval_hss(200, nu0=32)
+    smash.save_matrix(M, path)
+    i, j = M.pairs_L[0]
+    _append_array(path, "B.%d.%d" % (i, j),
+                  np.ones((M.rank_row(i), M.rank_col(j))))
+    return "'B.%d.%d' is not a block" % (i, j)
+
+
+def _reshaped_diagonal(path):
+    M, _, _, _ = build_interval_hss(200, nu0=32)
+    smash.save_matrix(M, path)
+    nd = M.tree.nodes[0]
+    edit_header(path, lambda h: _array(h, "D.0").update(
+        shape=[1, nd.n_row * nd.n_col]))
+    return "'D.0' has shape (1, %d), not (%d, %d)" % (
+        nd.n_row * nd.n_col, nd.n_row, nd.n_col)
+
+
+def _diagonal_of_the_root(path):
+    M, _, _, _ = build_interval_hss(200, nu0=32)
+    smash.save_matrix(M, path)
+    root = M.tree.root
+    _append_array(path, "D.%d" % root, np.ones((M.n_row, M.n_col)))
+    return "'D.%d' is not a block" % root
+
+
+def _diagonal_in_h2(path):
+    M, _, _ = build_grid_h2_400()
+    smash.save_matrix(M, path)
+    nd = M.tree.nodes[0]
+    _append_array(path, "D.0", np.ones((nd.n_row, nd.n_col)))
+    return "'D.0' is not a block"
+
+
+def _sum_without_a_coupling(path):
+    n = 200
+    B, _, _, _ = build_interval_hss(n, nu0=32)
+    M = smash.hss_add(B, B)
+    smash.save_matrix(M, path)
+    i, j = M.pairs_L[-1]
+    name = "B.%d.%d" % (i, j)
+    edit_header(path, lambda h: h["arrays"].remove(_array(h, name)))
+    return "no kernel, and the file no %r entry" % name
+
+
+def _real_header_on_complex_kernel(path):
+    M, _, _ = build_grid_h2_400()
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h.update(dtype="f8"))
+    return "header dtype 'f8', but the cauchy kernel gives complex128"
+
+
+def _real_header_on_complex_scaling(path):
+    M = _compressed_case("complex-scaling")
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: h.update(dtype="f8"))
+    return "header dtype 'f8', but 'rowfac.0.G' holds complex entries"
+
+
+# (a damaged container the loader once took, text its refusal must hold)
+_REFUSED = {
+    "injected_coupling": _injected_coupling,
+    "reshaped_diagonal": _reshaped_diagonal,
+    "diagonal_of_the_root": _diagonal_of_the_root,
+    "diagonal_in_h2": _diagonal_in_h2,
+    "sum_without_a_coupling": _sum_without_a_coupling,
+    "real_header_on_complex_kernel": _real_header_on_complex_kernel,
+    "real_header_on_complex_scaling": _real_header_on_complex_scaling,
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_blocks_and_dtype_that_contradict_the_matrix_are_refused(
+        tmp_path, capsys, case):
+    # each loaded once and changed a product, failed at the first apply,
+    # or was ignored
+    from smash.cli import main
+    path = tmp_path / "m.smash"
+    named = _REFUSED[case](path)
+    with pytest.raises(ValueError, match="damaged container") as info:
+        smash.load_matrix(path)
+    assert named in str(info.value)
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_non_container_file_rejected(tmp_path):
