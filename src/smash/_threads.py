@@ -6,14 +6,17 @@ pool, so ``one_blas_thread`` pins every loaded OpenBLAS to one thread for
 their duration.  The cores that frees go to the paper's level parallelism:
 ``map_nodes`` runs one level's node passes on the calling thread and one
 pool thread, which take them from one queue, or on the calling thread alone
-with one core.  A calling thread that only waited would leave both node
-threads allocating in malloc arenas of their own, which cost the sunflower
-double-layer build at n = 2560 about 10 MiB of peak memory and 5-7% of its
-time.  The matvec is pinned too: its stacked products are many small ones
-(a rank or a leaf size of rows by a few hundred columns, one per node or
-block row of a group), and handing each to a second BLAS thread makes it
-wait for that thread, long when another process holds that core.  The
-solve keeps the default BLAS threads.
+with one core.  The first apply's fill of its block groups
+(``_StructuredMatrix.block_groups``) goes through it too: one kernel call
+per group, the largest first.  A calling thread that only waited would
+leave both node threads allocating in malloc arenas of their own, which
+cost the sunflower double-layer build at n = 2560 about 10 MiB of peak
+memory and 5-7% of its time.  The matvec is pinned too: its stacked
+products are many small ones (a rank or a leaf size of rows by a few
+hundred columns, one per node or block row of a group), and handing each
+to a second BLAS thread makes it wait for that thread, long when another
+process holds that core; they run on the calling thread alone.  The solve
+keeps the default BLAS threads.
 """
 
 from __future__ import annotations

@@ -233,7 +233,10 @@ def _assemble(header: dict, arrays: dict):
     if kernel is not None:
         X = PointSet(_caller_points(tree, "row"))
         Y = PointSet(_caller_points(tree, "col"))
-        block = make_block_evaluator(kernel, X, Y, tree)
+        try:
+            block = make_block_evaluator(kernel, X, Y, tree)
+        except ValueError as exc:
+            raise ValueError("damaged container: %s" % exc) from None
         gives = kernel_dtype(kernel, X)
         if gives != dtype:
             raise ValueError("damaged container: header dtype %r, but the %s "

@@ -14,12 +14,14 @@ are exact kernel entries at skeleton index pairs, so the compressed
 representation of a built matrix stores only interpolation coefficients,
 index sets, and leaf diagonal blocks; coupling and nearfield values are
 evaluated on first use, one block row per target node, and kept, the rows
-of one shape stacked and evaluated by one kernel call.  An apply works on
-those groups of rows and on the factors grouped the same way, by level and
-shape, each factor's G a view into its group's stack.  Where one factor
-serves both sides of every node and the kernel is antisymmetric, coupling
-(j, i) is minus the transpose of (i, j) bit for bit, so only the pairs with
-i < j are kept and each of their rows is applied both ways.  On one point
+of one shape stacked and evaluated by one kernel call; the calls of one
+fill are shared by two threads (``map_nodes``), the largest first, with
+the bits of a serial fill.  An apply works on those groups of rows and on
+the factors grouped the same way, by level and shape, each factor's G a
+view into its group's stack.  Where one factor serves both sides of every
+node and the kernel is antisymmetric, coupling (j, i) is minus the
+transpose of (i, j) bit for bit, so only the pairs with i < j are kept and
+each of their rows is applied both ways.  On one point
 set whose equal points share a leaf, the nearfield leaf pairs are mirrored
 the same way: each leaf keeps its diagonal block, applied one way, and its
 blocks (i, j) with i < j.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -292,10 +295,12 @@ class _StructuredMatrix:
         """The kept rows of that kind grouped by shape (``BlockGroup``),
         filled on first use: by one kernel call per group, on the stacked
         labels of its rows, or, for rows whose blocks are stored, by
-        stacking those blocks, which then become views into the group."""
+        stacking those blocks, which then become views into the group.  The
+        kernel calls run through ``map_nodes``, largest group first."""
         got = self._groups.get(kind)
         if got is None:
-            got = self._groups[kind] = self._fill_groups(kind)
+            got, where = self._fill_groups(kind)
+            self._groups[kind], self._where[kind] = got, where
         return got
 
     def _antisymmetric(self) -> bool:
@@ -339,7 +344,13 @@ class _StructuredMatrix:
                                          np.array(at, dtype=np.int64))
         return got
 
-    def _fill_groups(self, kind: str) -> list:
+    def _fill_groups(self, kind: str) -> tuple:
+        """(groups, {i: (group, row in it)}) of that kind.  Every group is
+        planned first, on arrays; then the kernel blocks of those not
+        stored are evaluated through ``map_nodes``, the largest (R m n)
+        first, each item gathering its own labels, so that one group's
+        Python work overlaps the other thread's kernel.  Each block's bits,
+        the group order and so every product are those of a serial fill."""
         tr = self.tree
         mirrored, sources = self._sources[kind]
         # per node: its rows and columns, and where they begin on the flat
@@ -359,36 +370,59 @@ class _StructuredMatrix:
                 size_col[nd.index], src_at[nd.index] = nd.n_col, nd.col_start
             stored = self.Dblocks and (
                 lambda i, j: self.Dblocks.get(i) if i == j else None)
-        m_of, n_of = size_row.tolist(), size_col.tolist()
 
-        targets = list(sources)
-        keys = []
-        for i in targets:
-            js = sources[i]
-            skip = n_of[i] if kind == "Lm" and mirrored and js[0] == i else 0
-            keys.append((m_of[i], sum(n_of[j] for j in js), skip,
-                         bool(stored) and all(stored(i, j) is not None
-                                              for j in js)))
-        groups, where = [], {}
-        for (m, n, skip, is_stored), rs in _by_shape(keys):
-            ti = [targets[r] for r in rs]
-            js = np.array([j for i in ti for j in sources[i]], dtype=np.int64)
-            out = out_at[ti][:, None] + np.arange(m)
-            src = _ranges(src_at[js], size_col[js]).reshape(len(ti), n)
-            if is_stored:
-                A = self._stack_stored(kind, ti, stored)
-            elif kind == "L":
-                A = self._block(
-                    np.concatenate([self.skel_row[i] for i in ti]).reshape(
-                        out.shape),
-                    np.concatenate([self.skel_col[j] for j in js]).reshape(
-                        src.shape))
-            else:  # the nearfield's labels are its positions
-                A = self._block(out, src)
+        # per target: its sources' span in the flat list of all of them,
+        # and its key (rows, summed source widths, skip, stored)
+        targets = np.fromiter(sources, dtype=np.int64, count=len(sources))
+        lens = np.fromiter(map(len, sources.values()), dtype=np.int64,
+                           count=targets.size)
+        flat = np.fromiter(chain.from_iterable(sources.values()),
+                           dtype=np.int64, count=int(lens.sum()))
+        starts = np.cumsum(lens) - lens
+        width = np.add.reduceat(size_col[flat], starts)
+        skip = np.zeros_like(targets)
+        if kind == "Lm" and mirrored:
+            first = flat[starts] == targets
+            skip[first] = size_col[targets[first]]
+        is_stored = ([all(stored(i, j) is not None for j in sources[i])
+                      for i in targets.tolist()] if stored
+                     else [False] * targets.size)
+        # every group with its place, A to come; rows[g] = (stored,
+        # targets, their sources) of group g
+        groups, where, rows = [], {}, []
+        for (m, n, k, st), rs in _by_shape(zip(size_row[targets].tolist(),
+                                               width.tolist(), skip.tolist(),
+                                               is_stored)):
+            ti = targets[rs].tolist()
+            js = flat[_ranges(starts[rs], lens[rs])]
             where.update((i, (len(groups), r)) for r, i in enumerate(ti))
-            groups.append(BlockGroup(A, out, src, mirrored, skip))
-        self._where[kind] = where
-        return groups
+            rows.append((st, ti, js))
+            groups.append(BlockGroup(
+                None, out_at[ti][:, None] + np.arange(m),
+                _ranges(src_at[js], size_col[js]).reshape(len(ti), n),
+                mirrored, k))
+
+        def evaluate(g):
+            _, ti, js = rows[g]
+            out, src = groups[g].out, groups[g].src
+            if kind == "Lm":  # the nearfield's labels are its positions
+                return self._block(out, src)
+            return self._block(
+                np.concatenate([self.skel_row[i] for i in ti]).reshape(
+                    out.shape),
+                np.concatenate([self.skel_col[j] for j in js.tolist()]
+                               ).reshape(src.shape))
+
+        # largest (R m n entries) first; equal sizes in group order
+        todo = sorted((g for g, (st, _, _) in enumerate(rows) if not st),
+                      key=lambda g: -groups[g].out.size
+                      * groups[g].src.shape[1])
+        for g, A in zip(todo, map_nodes(evaluate, todo)):
+            groups[g].A = A
+        for g, (st, ti, _) in enumerate(rows):
+            if st:
+                groups[g].A = self._stack_stored(kind, ti, stored)
+        return groups, where
 
     def _stack_stored(self, kind: str, ti: list, stored) -> np.ndarray:
         """The rows of targets ti stacked from their stored blocks, each of
@@ -484,7 +518,19 @@ def kernel_dtype(kernel: KernelSpec, X) -> np.dtype:
 
 def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
     """Tree-order exact-entry evaluator backed by the kernel, of one block
-    or a stack of them (``kernel_block``)."""
+    or a stack of them (``kernel_block``).  Refuses Cauchy-like generators
+    whose rows are not the point counts.  Computes the kernel's cached
+    point data here, once, so that the threads of a fill that share the
+    evaluator find it made."""
+    if kernel.kind == "cauchy_like":
+        rows = (kernel.w.shape[0], kernel.v.shape[0])
+        if rows != (tree.n_row, tree.n_col):
+            raise ValueError("generator rows %s do not match the point counts "
+                             "%s" % (rows, (tree.n_row, tree.n_col)))
+    if kernel.kind == "laplace_dlp":
+        kernel._dlp_data
+    else:
+        X.scalars, Y.scalars
 
     def block(rows_t, cols_t):
         rows_t = np.asarray(rows_t, dtype=np.int64)
@@ -524,11 +570,7 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     lo[thin] -= pad / 2
     hi[thin] += pad / 2
     gen = None  # the generator columns, in tree order
-    if kernel.kind == "cauchy_like":
-        rows = (kernel.w.shape[0], kernel.v.shape[0])
-        if rows != (tree.n_row, tree.n_col):
-            raise ValueError("generator rows %s do not match the point counts "
-                             "%s" % (rows, (tree.n_row, tree.n_col)))
+    if kernel.kind == "cauchy_like":  # rows checked by make_block_evaluator
         gen = kernel.w[tree.perm_row] if side == "row" else kernel.v[tree.perm_col]
     elif (kernel.kind == "laplace_dlp" and side == "col"
           and params.basis != "interp"):  # v raises the interp HSS ranks

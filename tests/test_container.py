@@ -487,6 +487,34 @@ def test_blocks_and_dtype_that_contradict_the_matrix_are_refused(
     assert named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["kernel.w", "kernel.v"])
+def test_generators_that_do_not_match_the_points_are_refused(tmp_path,
+                                                             capsys, name):
+    # a generator cut to half its rows once loaded, and the first apply
+    # then failed inside the kernel with an IndexError
+    from smash.cli import main
+    n = 200
+    rng = np.random.default_rng([1, n])
+    X, Y = smash.bench.cauchy_pair("honeybee", n, rng)
+    tree = smash.build_tree(X, Y, nu0=40, tau=0.6)
+    M = cauchy_like_hss(tree, X, Y, rng.random((n, 2)), rng.random((n, 2)),
+                        smash.BuildParams(r=20, eps_svd=1e-9))
+    path = tmp_path / "cl.smash"
+    smash.save_matrix(M, path)
+    edit_header(path, lambda h: _array(h, name).update(
+        shape=[n // 2, 2], nbytes=n // 2 * 2 * 8))
+    rows = (n // 2, n) if name == "kernel.w" else (n, n // 2)
+    named = "generator rows %s do not match the point counts %s" % (
+        rows, (n, n))
+    with pytest.raises(ValueError, match="damaged container") as info:
+        smash.load_matrix(path)
+    assert named in str(info.value)
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
 def test_non_container_file_rejected(tmp_path):
     path = tmp_path / "junk.smash"
     path.write_bytes(b"definitely not a matrix")

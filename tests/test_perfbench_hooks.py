@@ -18,6 +18,9 @@ def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
     from layers import install
     from tracing import Tracer
 
+    # the tracer keeps one span stack, so the first apply's fill runs
+    # serially: on two threads a kernel call could nest under the other's
+    monkeypatch.setattr(smash._threads, "cores", lambda: 1)
     tracer = Tracer()
     install(tracer)
     try:

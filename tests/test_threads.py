@@ -182,6 +182,104 @@ def test_two_core_build_matches_serial_bit_for_bit(monkeypatch, case):
             np.testing.assert_array_equal(a[i].perm, b[i].perm)
 
 
+def _grid_h2(m=32):
+    X = smash.bench.grid_points(m)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
+    return lambda: smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0),
+                                  X, X, smash.BuildParams(r=22, tau=0.65))
+
+
+_FILL_CASES = {"grid_h2": _grid_h2, "sunflower_dlp": _sunflower_dlp,
+               "honeybee_cauchy_like": _honeybee_cauchy_like}
+
+
+def _unfilled(case, loaded, tmp_path):
+    """() -> a matrix of that case whose first apply has not run: built,
+    or loaded from one saved copy."""
+    build = _FILL_CASES[case]()
+    if not loaded:
+        return build
+    path = tmp_path / "m.smash"
+    smash.save_matrix(build(), path)
+    return lambda: smash.load_matrix(path)
+
+
+@pytest.mark.parametrize("loaded", [False, True], ids=["built", "loaded"])
+@pytest.mark.parametrize("case", sorted(_FILL_CASES))
+def test_two_core_fill_matches_serial_bit_for_bit(monkeypatch, tmp_path,
+                                                  case, loaded):
+    fresh = _unfilled(case, loaded, tmp_path)
+    q = np.random.default_rng(8).random((fresh().n_col, 40))
+    sizes = []
+
+    def recorded(*args):
+        sizes.append(np.size(args[3]) * np.shape(args[4])[-1])
+        return smash.kernel.kernel_block(*args)
+
+    monkeypatch.setattr(hss, "kernel_block", recorded)
+    got = {}
+    for cores in (2, 1):
+        monkeypatch.setattr(_threads, "cores", lambda: cores)
+        M = fresh()
+        for kind in ("L", "Lm"):
+            sizes.clear()
+            M.block_groups(kind)
+            # one core makes the kernel calls in the fill's order, the
+            # largest group (R m n entries) first
+            assert cores == 2 or sizes == sorted(sizes, reverse=True)
+        assert len(M.block_groups("L")) >= 2
+        got[cores] = (M, apply.matvec_nodewise(M, q[:, 0]),
+                      apply.matvec_nodewise(M, q))
+    (par, p1, p40), (ser, s1, s40) = got[2], got[1]
+    np.testing.assert_array_equal(p1, s1)
+    np.testing.assert_array_equal(p40, s40)
+    for kind in ("L", "Lm"):
+        assert par._where[kind] == ser._where[kind]
+        a, b = par.block_groups(kind), ser.block_groups(kind)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x.A.dtype == y.A.dtype == par.dtype
+            for name in ("A", "out", "src"):
+                np.testing.assert_array_equal(getattr(x, name),
+                                              getattr(y, name))
+            assert (x.mirrored, x.skip) == (y.mirrored, y.skip)
+
+
+class GroupFailure(Exception):
+    pass
+
+
+def test_failing_groups_raise_the_first_in_fill_order(monkeypatch, tmp_path):
+    fresh = _unfilled("grid_h2", True, tmp_path)
+    groups = fresh().block_groups("L")
+    size = [g.A.size for g in groups]
+    # two groups, the larger one later in group order: the fill takes it
+    # first, so its exception is the one raised
+    a, b = next((a, b) for b in range(len(groups)) for a in range(b)
+                if size[a] < size[b])
+    bad = {groups[a].A.shape: "small", groups[b].A.shape: "large"}
+    for cores in (1, 2):
+        monkeypatch.setattr(_threads, "cores", lambda: cores)
+        M = fresh()
+        real = M._block
+
+        def failing(rows, cols):
+            shape = np.shape(rows) + np.shape(cols)[-1:]
+            if shape in bad:
+                raise GroupFailure(bad[shape])
+            return real(rows, cols)
+
+        M._block = failing
+        for _ in range(2):  # nothing of the failed fill is kept
+            with pytest.raises(GroupFailure) as got:
+                M.block_groups("L")
+            assert got.value.args == ("large",)
+            assert "L" not in M._groups and "L" not in M._where
+        M._block = real
+        assert [g.A.shape for g in M.block_groups("L")] == [
+            g.A.shape for g in groups]
+
+
 def test_a_second_process_builds_the_same_bits(tmp_path):
     # the test matrix of the nearfield sketch is seeded, not drawn per
     # process or per thread
