@@ -12,11 +12,15 @@ per group, the largest first.  A calling thread that only waited would
 leave both node threads allocating in malloc arenas of their own, which
 cost the sunflower double-layer build at n = 2560 about 10 MiB of peak
 memory and 5-7% of its time.  The matvec is pinned too: its stacked
-products are many small ones (a rank or a leaf size of rows by a few
-hundred columns, one per node or block row of a group), and handing each
-to a second BLAS thread makes it wait for that thread, long when another
-process holds that core; they run on the calling thread alone.  The solve
-keeps the default BLAS threads.
+products are small ones (a rank or a leaf size of rows by a few hundred
+columns per block row), and handing each to a second BLAS thread makes it
+wait for that thread, long when another process holds that core.  A
+one-column apply whose block rows of one kind hold at least 16 MiB in
+slices that numpy multiplies without the interpreter lock
+(``apply._apply_groups``) sends its stacked products, the largest first,
+through ``map_nodes`` instead, and adds them up on the calling thread in
+group order; other applies compute them on the calling thread alone.  The
+solve keeps the default BLAS threads.
 """
 
 from __future__ import annotations

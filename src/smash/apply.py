@@ -21,10 +21,18 @@ from pathlib import Path
 import numpy as np
 import scipy.linalg as sla
 
-from ._threads import one_blas_thread
+from ._threads import map_nodes, one_blas_thread
 from .lowrank import InterpolativeFactor, compr
 
 _PIVOT_RTOL = 1e-13
+# the bytes of one kind's stacked block rows from which a one-column apply
+# computes their products on both cores: about 3 ms of products on one,
+# 15 to 40 times what a map_nodes call costs (80-190 µs on 2 cores)
+_SHARED_BYTES = 16 << 20
+# numpy's stacked matmul keeps the interpreter lock through a product of at
+# most this many output entries, so two threads gain nothing on slices of
+# that few rows, and their bytes do not count toward _SHARED_BYTES
+_LOCKED_OUTPUTS = 500
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +67,11 @@ def matvec_nodewise(M, q) -> np.ndarray:
     one scatter adds the level's results to leaf entries or children's
     coefficients.  Last, each group of nearfield rows adds its sources'
     entries, a mirrored one also the transposed pairs but not its diagonal
-    blocks.  Runs on one BLAS thread.
+    blocks.  Runs on one BLAS thread: with one column and at least
+    ``_SHARED_BYTES`` of block rows of a kind in large enough slices
+    (``_apply_groups``), their products run on the calling thread and one
+    pool thread, and the calling thread adds them up in group order, so the
+    result is the same bits on any core count.
     """
     tr = M.tree
     Q, single = _as_columns(q, M.n_col)
@@ -143,16 +155,41 @@ def _parts(arrays, width, cap):
 
 def _apply_groups(z, x, groups, cap):
     """z += A x over groups of block rows (``BlockGroup``), a slice of a
-    group's rows at a time (``_parts``)."""
-    for g in groups:
-        _, m, n = g.A.shape
-        for A, out, src in _parts((g.A, g.out, g.src),
-                                  max(m, n) * z.shape[1], cap):
-            z[out] += A @ x.take(src, axis=0)
-            if g.mirrored and n > g.skip:  # HSS leaves mirror nothing
-                back = A[:, :, g.skip:].transpose(0, 2, 1) @ x.take(out, axis=0)
-                _subtract_rows_at(z, src[:, g.skip:].ravel(),
-                                  back.reshape(-1, z.shape[1]))
+    group's rows at a time (``_parts``).  A one-column apply whose slices of
+    more than ``_LOCKED_OUTPUTS`` rows hold at least ``_SHARED_BYTES``
+    computes every slice's products on both cores (``map_nodes``), the
+    largest slice first; any other apply computes each just before adding
+    it, so a many-column one never holds them all.  Either way the
+    calling thread adds the products to z in group and slice order, so z
+    gets the same bits on any core count."""
+    c = z.shape[1]
+    items = [(g, part) for g in groups
+             for part in _parts((g.A, g.out, g.src), max(g.A.shape[1:]) * c,
+                                cap)]
+    unlocked = sum(A.nbytes for _, (A, _, _) in items
+                   if A.shape[0] * A.shape[1] > _LOCKED_OUTPUTS)
+    if c == 1 and unlocked >= _SHARED_BYTES:
+        order = sorted(range(len(items)), key=lambda k: -items[k][1][0].nbytes)
+        products = [None] * len(items)
+        for k, p in zip(order, map_nodes(
+                lambda k: _products(x, *items[k]), order)):
+            products[k] = p
+    else:
+        products = (_products(x, g, part) for g, part in items)
+    for (g, (_, out, src)), (y, back) in zip(items, products):
+        z[out] += y
+        if back is not None:
+            _subtract_rows_at(z, src[:, g.skip:].ravel(), back.reshape(-1, c))
+
+
+def _products(x, g, part):
+    """(A x[src], and for a mirrored group A[:, :, skip:]ᵀ x[out], else None)
+    of one slice (A, out, src) of group g's rows."""
+    A, out, src = part
+    y = A @ x.take(src, axis=0)
+    if not g.mirrored or A.shape[2] <= g.skip:  # HSS leaves mirror nothing
+        return y, None
+    return y, A[:, :, g.skip:].transpose(0, 2, 1) @ x.take(out, axis=0)
 
 
 def _subtract_rows_at(z, pos, vals):

@@ -9,7 +9,9 @@ what the loader cannot derive is saved: it takes the block partition from
 from the leaves up.  A matrix whose column factors are its row factors
 (``hss.one_basis``) is saved once: the payload has no "colfac" entries,
 and the loader applies the same rule.  A file with another magic line is
-refused, one of an older version of this format by name.
+refused, one of an older version of this format by name, and so is a
+manifest whose arrays do not cover the payload end to end, in order, or an
+array with a NaN or an infinite entry.
 """
 
 from __future__ import annotations
@@ -143,6 +145,11 @@ def _read_arrays(payload: bytes, manifest) -> dict:
                              % (name, offset, nbytes, len(payload)))
         a = np.frombuffer(payload, dtype=_DT[tag], count=math.prod(shape),
                           offset=offset).reshape(shape)
+        if tag != "i8" and not np.isfinite(a).all():
+            bad = np.flatnonzero(~np.isfinite(a))[0]
+            raise ValueError("array %r holds %s at flat index %d; stored "
+                             "entries must be finite"
+                             % (name, a.flat[bad], bad))
         # a factor's G stays a view into the payload until the loader copies
         # it into its group's stack (_StructuredMatrix.basis_groups)
         out[name] = a if name.endswith(".G") else a.astype(tag)
@@ -150,6 +157,23 @@ def _read_arrays(payload: bytes, manifest) -> dict:
         if name not in out:
             raise ValueError("damaged container: no %r array" % name)
     return out
+
+
+def _check_tiling(manifest, size: int) -> None:
+    """The manifest's arrays, in order, cover the payload of size bytes end
+    to end, as ``save_matrix`` writes them: each starts where the one before
+    it ends, and the last ends at the payload's end."""
+    end = 0
+    for ent in manifest:
+        if ent["offset"] != end:
+            raise ValueError("damaged container: array %r starts at byte %d "
+                             "of the payload, not at %d, where the entry "
+                             "before it ends" % (ent["name"], ent["offset"],
+                                                 end))
+        end += ent["nbytes"]
+    if end != size:
+        raise ValueError("damaged container: the arrays end at byte %d of "
+                         "the payload, not at its end, byte %d" % (end, size))
 
 
 def load_matrix(path):
@@ -162,24 +186,28 @@ def load_matrix(path):
                          "format; rebuild the matrix" % path)
     if not raw.startswith(_MAGIC):
         raise ValueError("not a structured-matrix container: %s" % path)
-    raw = raw[len(_MAGIC):]
-    cut = raw.find(b"\0")
+    cut = raw.find(b"\0", len(_MAGIC))
     if cut < 0:
         raise ValueError("damaged container: no end of header in %s" % path)
-    header = json.loads(raw[:cut].decode())
+    header = json.loads(raw[len(_MAGIC):cut].decode())
     if not isinstance(header, dict):
         raise ValueError("damaged container header in %s" % path)
     for key in _HEADER_KEYS:
         if key not in header:
             raise ValueError("damaged container header: no %r entry in %s"
                              % (key, path))
+    payload = memoryview(raw)[cut + 1:]  # read in place, not copied
     try:
-        return _assemble(header, _read_arrays(raw[cut + 1:], header["arrays"]))
+        M = _assemble(header, _read_arrays(payload, header["arrays"]))
     except (KeyError, TypeError, IndexError, AttributeError,
             OverflowError) as exc:
         # any other malformed value in the header is still bad input
         raise ValueError("damaged container %s: %s %s"
                          % (path, type(exc).__name__, exc)) from None
+    # checked last, so that an entry the matrix contradicts is named by
+    # what it contradicts
+    _check_tiling(header["arrays"], len(payload))
+    return M
 
 
 def _one_of(what: str, value, allowed):
@@ -219,10 +247,14 @@ def _assemble(header: dict, arrays: dict):
     kernel = None
     kh = header["kernel"]
     if kh is not None:
-        kernel = KernelSpec(
-            kind=kh["kind"], dx=kh["dx"], nq=kh["nq"],
-            curve=get_curve(kh["curve"]) if kh["curve"] else None,
-            w=arrays.get("kernel.w"), v=arrays.get("kernel.v"))
+        try:
+            kernel = KernelSpec(
+                kind=kh["kind"], dx=kh["dx"], nq=kh["nq"],
+                curve=get_curve(kh["curve"]) if kh["curve"] else None,
+                w=arrays.get("kernel.w"), v=arrays.get("kernel.v"))
+        except ValueError as exc:
+            raise ValueError("damaged container header: kernel: %s"
+                             % exc) from None
 
     ph = header["params"]
     try:

@@ -519,15 +519,19 @@ def kernel_dtype(kernel: KernelSpec, X) -> np.dtype:
 def make_block_evaluator(kernel: KernelSpec, X, Y, tree: ClusterTree):
     """Tree-order exact-entry evaluator backed by the kernel, of one block
     or a stack of them (``kernel_block``).  Refuses Cauchy-like generators
-    whose rows are not the point counts.  Computes the kernel's cached
-    point data here, once, so that the threads of a fill that share the
-    evaluator find it made."""
+    whose rows, or a double layer whose quadrature count, are not the point
+    counts.  Computes the kernel's cached point data here, once, so that the
+    threads of a fill that share the evaluator find it made."""
+    counts = (tree.n_row, tree.n_col)
     if kernel.kind == "cauchy_like":
         rows = (kernel.w.shape[0], kernel.v.shape[0])
-        if rows != (tree.n_row, tree.n_col):
+        if rows != counts:
             raise ValueError("generator rows %s do not match the point counts "
-                             "%s" % (rows, (tree.n_row, tree.n_col)))
+                             "%s" % (rows, counts))
     if kernel.kind == "laplace_dlp":
+        if (kernel.nq, kernel.nq) != counts:
+            raise ValueError("quadrature count nq = %r does not match the "
+                             "point counts %s" % (kernel.nq, counts))
         kernel._dlp_data
     else:
         X.scalars, Y.scalars

@@ -187,6 +187,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in ("cauchy", "cauchy_like", "laplace_dlp"):
             raise ValueError("unknown kernel kind %r" % self.kind)
+        if self.dx is not None and not (np.ndim(self.dx) == 0
+                                        and np.isfinite(self.dx)):
+            raise ValueError("the coincident-point value dx must be a finite "
+                             "number, not %r" % (self.dx,))
         if self.kind == "cauchy_like":
             if self.w is None or self.v is None:
                 raise ValueError("cauchy_like needs generator matrices w, v")

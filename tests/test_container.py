@@ -758,3 +758,92 @@ def test_dlp_matrix_round_trip(tmp_path):
     q = np.random.default_rng(4).random(n)
     np.testing.assert_array_equal(smash.matvec_nodewise(M, q),
                                   smash.matvec_nodewise(M2, q))
+
+
+@pytest.fixture
+def cli_container(tmp_path):
+    """(name) -> the path of a fresh file of `smash build`: "grid", the
+    grid H2, whose Cauchy kernel has a dx; "dlp", the HSS double layer,
+    with its diagonal blocks; "cl", a Cauchy-like HSS, with its
+    generators."""
+    from smash.cli import main
+    args = {"grid": ["--geometry", "grid2d", "--structure", "h2", "--n", "400"],
+            "dlp": ["--kernel", "laplace-dlp", "--geometry", "sunflower",
+                    "--n", "320"],
+            "cl": ["--kernel", "cauchy-like", "--geometry", "honeybee",
+                   "--n", "200"]}
+
+    def build(name):
+        path = tmp_path / (name + ".smash")
+        assert main(["build", *args[name], "--out", str(path)]) == 0
+        return path
+
+    return build
+
+
+def _refused_by_matvec(path, capsys, named):
+    """`smash matvec --load path` exits 2, naming named."""
+    from smash.cli import main
+    capsys.readouterr()
+    assert main(["matvec", "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def _entry(path, name):
+    raw = path.read_bytes()
+    return _array(json.loads(raw[raw.index(b"\n") + 1:raw.index(b"\0")]),
+                  name)
+
+
+@pytest.mark.parametrize("file, name, value", [
+    ("grid", "rowfac.0.G", np.nan), ("grid", "points_row", np.inf),
+    ("dlp", "D.0", -np.inf), ("cl", "kernel.w", np.nan),
+    ("cl", "kernel.v", np.inf)])
+def test_non_finite_stored_entries_exit_2(capsys, cli_container, file, name,
+                                         value):
+    # each loaded and gave a non-finite product with exit 0
+    path = cli_container(file)
+    e = _entry(path, name)
+    raw = bytearray(path.read_bytes())
+    at = raw.index(b"\0") + 1 + e["offset"]  # its first entry
+    raw[at:at + 8] = np.array(value).tobytes()
+    path.write_bytes(raw)
+    _refused_by_matvec(path, capsys, "array %r holds" % name)
+
+
+@pytest.mark.parametrize("dx", [float("nan"), float("inf")])
+def test_non_finite_coincident_value_exits_2(capsys, cli_container, dx):
+    # loaded and gave non-finite diagonal entries with exit 0
+    path = cli_container("grid")
+    edit_header(path, lambda h: h["kernel"].update(dx=dx))
+    _refused_by_matvec(path, capsys, "dx must be a finite number")
+
+
+@pytest.mark.parametrize("nq", [10 ** 12, 321, 160])
+def test_quadrature_count_other_than_the_points_exits_2(capsys,
+                                                        cli_container, nq):
+    # 10^12 exited 1 with a MemoryError traceback from the node data
+    path = cli_container("dlp")
+    edit_header(path, lambda h: h["kernel"].update(nq=nq))
+    _refused_by_matvec(path, capsys, "quadrature count nq = %d does not "
+                       "match the point counts (320, 320)" % nq)
+
+
+def test_manifest_that_does_not_tile_the_payload_exits_2(capsys,
+                                                         cli_container):
+    # a moved offset read other bytes of the payload and gave a wrong
+    # product with exit 0
+    path = cli_container("grid")
+    e = _entry(path, "rowfac.0.G")
+    edit_header(path, lambda h: _array(h, "rowfac.0.G").update(
+        offset=e["offset"] + 8))
+    _refused_by_matvec(path, capsys, "array 'rowfac.0.G' starts at byte %d "
+                       "of the payload, not at %d" % (e["offset"] + 8,
+                                                      e["offset"]))
+    # bytes past the last array
+    path = cli_container("grid")
+    size = len(path.read_bytes()) - path.read_bytes().index(b"\0") - 1
+    path.write_bytes(path.read_bytes() + bytes(8))
+    _refused_by_matvec(path, capsys, "the arrays end at byte %d of the "
+                       "payload, not at its end, byte %d" % (size, size + 8))

@@ -14,7 +14,7 @@ import pytest
 import smash
 from smash import _threads, apply, h2, hss
 
-from conftest import build_interval_hss, interval_pair
+from conftest import build_grid_h2_400, build_interval_hss, interval_pair
 
 
 def blas_counts():
@@ -394,3 +394,101 @@ def test_worker_exception_reaches_the_caller(monkeypatch, two_blas_threads):
         build_interval_hss(400, nu0=32)
     assert worker_failed.is_set()
     assert blas_counts() == two_blas_threads
+
+
+def _h2_double_layer(n=640):
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
+    return smash.build_h2(tree, spec, X, X, smash.BuildParams(r=12, tau=0.65))
+
+
+_APPLY_CASES = {"grid_h2": lambda: build_grid_h2_400()[0],
+                "h2_double_layer": _h2_double_layer,
+                "hss_cauchy": lambda: build_interval_hss(400, nu0=32)[0]}
+
+
+@pytest.fixture
+def recorded_maps(monkeypatch):
+    """The item counts of the apply's map_nodes calls, in call order."""
+    calls = []
+    real = apply.map_nodes
+
+    def recorded(fn, items):
+        calls.append(len(items))
+        return real(fn, items)
+
+    monkeypatch.setattr(apply, "map_nodes", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_APPLY_CASES))
+def test_shared_products_match_the_serial_apply_bit_for_bit(
+        monkeypatch, recorded_maps, case):
+    M = _APPLY_CASES[case]()
+    q = np.random.default_rng(9).random((M.n_col, 3))
+    # below the constant: the serial products
+    serial = (apply.matvec_nodewise(M, q[:, 0]), apply.matvec_nodewise(M, q))
+    assert recorded_maps == []
+    if case == "grid_h2":  # back products of mirrored rows too
+        assert any(g.mirrored for g in M.block_groups("L"))
+        assert any(g.mirrored for g in M.block_groups("Lm"))
+    monkeypatch.setattr(apply, "_SHARED_BYTES", 1)
+    monkeypatch.setattr(apply, "_LOCKED_OUTPUTS", 0)
+    for cores in (2, 1):
+        monkeypatch.setattr(_threads, "cores", lambda: cores)
+        recorded_maps.clear()
+        np.testing.assert_array_equal(apply.matvec_nodewise(M, q[:, 0]),
+                                      serial[0])
+        # one map for each kind, over its groups, each whole at this size
+        assert recorded_maps == [len(M.block_groups(k)) for k in ("L", "Lm")]
+        assert recorded_maps[0] >= 2
+        # a many-column apply computes each product just before adding it
+        recorded_maps.clear()
+        np.testing.assert_array_equal(apply.matvec_nodewise(M, q), serial[1])
+        assert recorded_maps == []
+
+
+def test_only_slices_past_the_locked_outputs_count_toward_sharing(
+        monkeypatch, recorded_maps):
+    # numpy's matmul keeps the interpreter lock through a product of at most
+    # 500 output entries, so a kind of such slices alone stays serial
+    monkeypatch.setattr(apply, "_SHARED_BYTES", 1)
+    shared = {}
+    for case, M in (("grid_h2", build_grid_h2_400()[0]),
+                    ("hss_cauchy", build_interval_hss(1200, nu0=32)[0])):
+        recorded_maps.clear()
+        apply.matvec_nodewise(M, np.ones(M.n_col))
+        shared[case] = [len(M.block_groups(k)) for k in ("L", "Lm") if any(
+            g.A.shape[0] * g.A.shape[1] > 500 for g in M.block_groups(k))]
+        assert recorded_maps == shared[case]
+    assert shared["grid_h2"] == [] and shared["hss_cauchy"] != []
+
+
+class ProductFailure(Exception):
+    pass
+
+
+def test_a_failing_shared_product_reaches_the_caller(monkeypatch):
+    M = build_grid_h2_400()[0]
+    q = np.random.default_rng(10).random(M.n_col)
+    apply.matvec_nodewise(M, q)  # fills the groups on the calling thread
+    caller = threading.get_ident()
+    pool_failed = threading.Event()
+    real = apply._products
+
+    def products(x, g, part):
+        if threading.get_ident() != caller:
+            pool_failed.set()
+            raise ProductFailure("product failed on the pool thread")
+        pool_failed.wait(10)  # let the pool thread take a slice first
+        return real(x, g, part)
+
+    monkeypatch.setattr(apply, "_products", products)
+    monkeypatch.setattr(apply, "_SHARED_BYTES", 1)
+    monkeypatch.setattr(apply, "_LOCKED_OUTPUTS", 0)
+    monkeypatch.setattr(_threads, "cores", lambda: 2)
+    with pytest.raises(ProductFailure, match="on the pool thread"):
+        apply.matvec_nodewise(M, q)
+    assert pool_failed.is_set()
