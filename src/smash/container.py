@@ -10,8 +10,9 @@ from the leaves up.  A matrix whose column factors are its row factors
 (``hss.one_basis``) is saved once: the payload has no "colfac" entries,
 and the loader applies the same rule.  A file with another magic line is
 refused, one of an older version of this format by name, and so is a
-manifest whose arrays do not cover the payload end to end, in order, or an
-array with a NaN or an infinite entry.
+manifest whose arrays do not cover the payload end to end, in order, an
+array with a NaN or an infinite entry, or a factor's G with an entry past
+the bound s = 2 on the interpolation coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .h2 import H2Matrix
 from .hss import (BuildParams, HssMatrix, _intermediate, kernel_dtype,
                   make_block_evaluator, no_kernel_block, one_basis)
 from .kernel import KernelSpec, get_curve
-from .lowrank import InterpolativeFactor
+from .lowrank import _SWAP_BOUND, InterpolativeFactor
 
 _MAGIC = b"SMASH-BIN-4\n"
 _OLD_MAGIC = (b"SMASH-BIN-1\n", b"SMASH-BIN-2\n", b"SMASH-BIN-3\n")
@@ -335,8 +336,9 @@ def _load_factor(arrays: dict, tree: ClusterTree, i: int, side: str,
                  skels: dict) -> InterpolativeFactor:
     """Node i's factor on one side ("row" or "col") from its saved "perm"
     and "G", checked against the labels it interpolates: the leaf's point
-    range, or its children's skeletons.  Its skeleton is the labels that
-    the first G.shape[1] entries of perm select."""
+    range, or its children's skeletons.  No entry of G may exceed the
+    bound s that compression keeps.  Its skeleton is the labels that the
+    first G.shape[1] entries of perm select."""
     name = "%sfac.%d." % (side, i)
     if name + "perm" not in arrays or name + "G" not in arrays:
         raise ValueError("damaged container: node %d has no %s factor"
@@ -349,6 +351,14 @@ def _load_factor(arrays: dict, tree: ClusterTree, i: int, side: str,
     if G.ndim != 2 or G.shape[0] + G.shape[1] != ibar.size:
         raise ValueError("damaged container: %r has shape %s, not (%d - k, k) "
                          "for some rank k" % (name + "G", G.shape, ibar.size))
+    # compression stops only once every coefficient is within the bound
+    big = np.abs(G) > _SWAP_BOUND
+    if big.any():
+        at = np.unravel_index(np.argmax(big), G.shape)
+        raise ValueError("damaged container: %r entry %s is %g, past the "
+                         "bound %g that compression keeps"
+                         % (name + "G", tuple(map(int, at)), abs(G[at]),
+                            _SWAP_BOUND))
     return InterpolativeFactor(perm=perm, G=G, skel=ibar[perm[:G.shape[1]]])
 
 

@@ -556,7 +556,10 @@ _ANTISYMMETRIC = ("cauchy",)
 
 def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
                    side: str):
-    """Farfield candidate basis of a node over tree-order indices.
+    """Farfield candidate basis of a node over tree-order indices:
+    ``candidate(i, idx)`` for node i and its labels idx, or, on the Taylor
+    basis, for a stack of nodes, (R,), and their labels, (R, m), whose
+    (R, m, c) candidates are each the bits of its own call.
 
     The Taylor candidate F expands the Cauchy kernel in r terms.  A
     Cauchy-like kernel sum_l diag(w_l) C diag(v_l) stacks F scaled by each
@@ -598,9 +601,11 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     def candidate(i, idx):
         F = build(i, idx)
         if gen is not None:
-            F = np.hstack([gen[idx, l][:, None] * F
-                           for l in range(gen.shape[1])])
-        return np.hstack([F.real, F.imag]) if real and F.dtype.kind == "c" else F
+            F = np.concatenate([gen[idx, l][..., None] * F
+                                for l in range(gen.shape[1])], axis=-1)
+        if real and F.dtype.kind == "c":
+            return np.concatenate([F.real, F.imag], axis=-1)
+        return F
 
     return candidate
 

@@ -21,7 +21,11 @@ the workspace query (lwork = -1) scipy makes first, since geqp3 and geqrf
 choose their blocking from the workspace they are given; R as the upper
 triangle np.triu returns, in its memory order; and solve_triangular's
 choice of the transposed system for a triangle that is not F-ordered.
-Non-finite input is still refused with ValueError, once per factorization.
+``compr`` also takes a stack of blocks of one shape, as the H2 build hands
+over each level's nodes of one label count: the workspace query, the
+triangle mask, the rank cut and the refusal of non-finite input (a
+ValueError) are made once per stack, and only geqp3 and trtrs run per
+block.
 """
 
 from __future__ import annotations
@@ -56,31 +60,43 @@ def _taylor_orders(r: int):
     return ls, base, fact
 
 
-def taylor_eta(r: int, delta: float) -> np.ndarray:
-    """Scaling factors eta_l = ((l/e) * (2 pi r)^(1/(2r)) / delta)^l, eta_0 = 1.
-    Raises ValueError if one of them is past the double range."""
-    if delta <= 0:
+def taylor_eta(r: int, delta) -> np.ndarray:
+    """Scaling factors eta_l = ((l/e) * (2 pi r)^(1/(2r)) / delta)^l, eta_0 = 1,
+    for a radius delta, or one row for each of an array of radii.  Raises
+    ValueError if one of them is past the double range, naming the first
+    radius where one is."""
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta <= 0):
         raise ValueError("box radius must be positive")
     ls, base, _ = _taylor_orders(r)
-    # once eta_l passes 1 it grows with l, so the last one is the largest
-    if r > 1 and (r - 1) * (math.log(base[-1]) - math.log(delta)) > _LOG_MAX:
-        raise ValueError("the Taylor basis of order r = %d overflows on a box "
-                         "of radius %g; use a lower order" % (r, delta))
-    out = np.ones(r)
-    out[1:] = (base[1:] / delta) ** ls[1:]
+    if r > 1:
+        # once eta_l passes 1 it grows with l, so the last one is the largest
+        over = (r - 1) * (math.log(base[-1]) - np.log(delta)) > _LOG_MAX
+        if np.any(over):
+            raise ValueError("the Taylor basis of order r = %d overflows on a "
+                             "box of radius %g; use a lower order"
+                             % (r, delta[over].flat[0]))
+    out = np.ones(delta.shape + (r,))
+    out[..., 1:] = (base[1:] / delta[..., None]) ** ls[1:]
     return out
 
 
-def taylor_basis(center, delta: float, pts: np.ndarray, r: int) -> np.ndarray:
+def taylor_basis(center, delta, pts: np.ndarray, r: int) -> np.ndarray:
     """Columns eta_l (z - c)^l / l! for l = 0..r-1, evaluated at scalar
-    (real or complex) points z."""
+    (real or complex) points z: (m, r) for one box, with its center, radius
+    and m points, or (R, m, r) for a stack of R boxes, with (R,) centers and
+    radii and (R, m) points.  Each box of a stack gets the bits of its own
+    call: the powers are one ``np.cumprod`` along the orders either way."""
     pts = np.asarray(pts)
     eta = taylor_eta(r, delta)
-    dz = (pts - center)[:, None]
-    pows = np.ones((pts.size, r), dtype=dz.dtype)
+    dz = (pts - np.asarray(center)[..., None])[..., None]
+    pows = np.empty(pts.shape + (r,), dtype=dz.dtype)
+    pows[..., 0] = 1
     if r > 1:
-        pows[:, 1:] = np.cumprod(np.repeat(dz, r - 1, axis=1), axis=1)
-    return pows * (eta / _taylor_orders(r)[2])[None, :]
+        np.cumprod(np.broadcast_to(dz, pts.shape + (r - 1,)), axis=-1,
+                   out=pows[..., 1:])
+    pows *= (eta / _taylor_orders(r)[2])[..., None, :]
+    return pows
 
 
 def taylor_coupling(center_a, delta_a: float, center_b, delta_b: float, r: int):
@@ -180,18 +196,34 @@ def _qr_r(M: np.ndarray, rows: int, pivoting: bool):
     """The first ``rows`` rows of R in the QR of the finite M, and with
     ``pivoting`` the column pivots (0-based): the bits of
     ``scipy.linalg.qr(M, mode="r", pivoting=pivoting)`` from one geqp3 or
-    geqrf call, after the same workspace query."""
+    geqrf call, after the same workspace query.  A stack M, (R, m, n),
+    gives the stacks (R, rows, n) and (R, n), each item the bits of its
+    own call: its items share one shape, so one LAPACK lookup, one
+    workspace query (and so one blocking) and one triangle mask serve them
+    all, and only the factorization runs per item."""
+    Ms = M[None] if M.ndim == 2 else M
     name = "geqp3" if pivoting else "geqrf"
-    f, = get_lapack_funcs((name,), (M,))
-    lwork = f(M, lwork=-1)[-2][0].real.astype(np.int_)
-    out = f(M, lwork=lwork)
-    if out[-1] < 0:
-        raise ValueError("illegal value in argument %d of LAPACK %s%s"
-                         % (-out[-1], f.typecode, name))
-    # np.triu as scipy applies it, so R has the layout scipy's has: the
-    # layout picks the LAPACK path of the triangular solve, and its rounding
-    R = np.triu(out[0][:rows])
-    return (R, out[1] - 1) if pivoting else R
+    f, = get_lapack_funcs((name,), (Ms,))
+    n = Ms.shape[2]
+    R = np.empty((len(Ms), rows, n), dtype=f.dtype)
+    piv = np.empty((len(Ms), n), dtype=np.intc)
+    if len(Ms):
+        lwork = f(Ms[0], lwork=-1)[-2][0].real.astype(np.int_)
+    for Ri, pi, A in zip(R, piv, Ms):
+        out = f(A, lwork=lwork)
+        if out[-1] < 0:
+            raise ValueError("illegal value in argument %d of LAPACK %s%s"
+                             % (-out[-1], f.typecode, name))
+        Ri[...] = out[0][:rows]
+        if pivoting:
+            pi[...] = out[1]
+    # the upper triangle as np.triu leaves it, in C order: the layout picks
+    # the LAPACK path of the triangular solve, and its rounding
+    np.copyto(R, 0, where=np.tri(rows, n, -1, dtype=bool))
+    if not pivoting:
+        return R[0] if M.ndim == 2 else R
+    piv -= 1
+    return (R[0], piv[0]) if M.ndim == 2 else (R, piv)
 
 
 def _solve_r11(R: np.ndarray, k: int) -> np.ndarray:
@@ -221,14 +253,17 @@ class SrrqrResult:
     swaps: int
 
 
-def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
+def srrqr(M: np.ndarray, k: int = None, start=None) -> SrrqrResult:
     """Column-pivoted QR with bounded-entry postprocessing; R only.
 
     After the initial pivoted factorization, any entry of W = R11^{-1} R12
     larger than s = 2 triggers a column swap and refactorization, so the
     returned factorization satisfies max|W| <= s.  The rank k is capped at
     the numerical rank (trailing R11 diagonal below 1e-14 times the leading
-    one); pass k=None for rank detection alone.
+    one); pass k=None for rank detection alone.  ``start``, the (R, pivots)
+    that ``_qr_r`` returns for the finite M, stands for the initial
+    factorization: ``compr`` hands over the items of its stack that need
+    swaps.
     """
     M = np.asarray(M)
     m, n = M.shape
@@ -236,17 +271,18 @@ def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
     if kmax == 0:
         e = np.empty((0, n), dtype=M.dtype)
         return SrrqrResult(np.arange(n), e[:, :0], e, M.copy(), e, 0, 0)
-    if not np.isfinite(M).all():
-        raise ValueError("array must not contain infs or NaNs")
-    R, piv = _qr_r(M, kmax, pivoting=True)
+    if start is None:
+        if not np.isfinite(M).all():
+            raise ValueError("array must not contain infs or NaNs")
+        start = _qr_r(M, kmax, pivoting=True)
+    R, piv = start
     k = kmax if k is None else min(k, kmax)
     d = np.abs(np.diag(R))  # not empty: kmax > 0
     k = int(min(k, np.count_nonzero(d > _DEFICIENCY_RTOL * d[0])))
     swaps = 0
     while True:
-        W = (_solve_r11(R, k) if 0 < k < n
-             else np.empty((k, n - k), dtype=R.dtype))
-        if W.size == 0 or np.max(np.abs(W)) <= _SWAP_BOUND:
+        W, bounded = _coefficients(R, k)
+        if bounded:
             break
         if swaps >= _MAX_SWAPS:
             raise RuntimeError("srrqr swap loop exceeded %d iterations"
@@ -257,6 +293,15 @@ def srrqr(M: np.ndarray, k: int = None) -> SrrqrResult:
         R = _qr_r(M[:, piv], kmax, pivoting=False)
         swaps += 1
     return SrrqrResult(piv, R[:k, :k], R[:k, k:], R[k:, k:], W, k, swaps)
+
+
+def _coefficients(R: np.ndarray, k: int):
+    """(W, whether max|W| <= s) for W = R11^{-1} R12 of the leading k rows
+    of R, empty where k is 0 or every column."""
+    n = R.shape[1]
+    W = (_solve_r11(R, k) if 0 < k < n
+         else np.empty((k, n - k), dtype=R.dtype))
+    return W, W.size == 0 or np.max(np.abs(W)) <= _SWAP_BOUND
 
 
 @dataclass
@@ -291,24 +336,44 @@ class InterpolativeFactor:
         return X
 
 
-def compr(C: np.ndarray, ibar: np.ndarray) -> InterpolativeFactor:
+def compr(C: np.ndarray, ibar: np.ndarray):
     """Interpolative row compression of C, labeling rows by ibar.
 
     The cut keeps the full numerical rank, so the skeleton reproduces C to
     working precision; C with no columns (or all zeros) yields an empty
-    skeleton.
+    skeleton.  A stack C, (R, m, c), with labels (R, m) gives a list of R
+    factors, each the one its own call gives, bit for bit: the stack is
+    checked for finiteness once, its pivoted QRs share one workspace
+    query (``_qr_r``), and its ranks are cut together.  An item with a
+    coefficient past the bound s goes on in ``srrqr``'s swap loop.
     """
     C = np.asarray(C)
     ibar = np.asarray(ibar, dtype=np.int64)
-    if C.shape[0] != ibar.size:
+    if C.shape[:-1] != ibar.shape or C.ndim not in (2, 3):
         raise ValueError("row labels do not match C")
-    res = srrqr(C.T)
-    k = res.rank
-    return InterpolativeFactor(
-        perm=np.asarray(res.perm, dtype=np.int64),
-        G=res.W.T,
-        skel=ibar[res.perm[:k]],
-    )
+    Cs, labels = (C[None], ibar[None]) if C.ndim == 2 else (C, ibar)
+    Ms = Cs.transpose(0, 2, 1)  # srrqr's input: each item's C.T
+    kmax = min(Ms.shape[1:])
+    if kmax == 0:
+        res = [srrqr(M) for M in Ms]
+        pivs, Ws = [r.perm for r in res], [r.W for r in res]
+    else:
+        if not np.isfinite(Cs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        R, pivs = _qr_r(Ms, kmax, pivoting=True)
+        d = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        ks = np.count_nonzero(d > _DEFICIENCY_RTOL * d[:, :1], axis=1)
+        Ws = []
+        for r, k in enumerate(ks.tolist()):
+            W, bounded = _coefficients(R[r], k)
+            if not bounded:
+                res = srrqr(Ms[r], start=(R[r], pivs[r]))
+                pivs[r], W = res.perm, res.W
+            Ws.append(W)
+    perms = np.asarray(pivs, dtype=np.int64)
+    facs = [InterpolativeFactor(perm=perm, G=W.T, skel=lab[perm[:W.shape[0]]])
+            for perm, W, lab in zip(perms, Ws, labels)]
+    return facs[0] if C.ndim == 2 else facs
 
 
 def _core(M: np.ndarray) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Provides eps-ranks, the a-priori reconstruction bounds and the rank caps
 they take, the max-norm reconstruction error, build parameters from a
-``ParamChoice``, and median timings with their growth per size doubling.
+``ParamChoice``, median timings with their growth per size doubling, and
+the per-node H2 build that the stacked one must match bit for bit.
 Test modules import it the way they import ``conftest``.
 """
 
@@ -15,8 +16,12 @@ import scipy.linalg as sla
 
 from smash.apply import matvec_nodewise
 from smash.bench import DENSE_BUDGET_DEFAULT, ParamChoice
-from smash.hss import BuildParams
+from smash.cluster import leaf_sets
+from smash.h2 import H2Matrix
+from smash.hss import (BuildParams, _basis_builder, _candidate, kernel_dtype,
+                       make_block_evaluator, one_basis)
 from smash.kernel import KernelSpec, kernel_block
+from smash.lowrank import compr
 
 
 def build_params(pc: ParamChoice, basis: str = "taylor") -> BuildParams:
@@ -225,3 +230,28 @@ def doubling_ratios(ns, ts):
         step = math.log2(n2 / n1)
         out.append((t2 / max(t1, 1e-12)) ** (1.0 / step))
     return out
+
+
+# ---------------------------------------------------------------------------
+# per-node H2 build
+# ---------------------------------------------------------------------------
+
+
+def build_h2_per_node(tree, kernel: KernelSpec, X, Y,
+                      params: BuildParams) -> H2Matrix:
+    """``build_h2`` with one farfield candidate call and one ``compr`` call
+    per node and side, in level order, each on the node's own labels: the
+    reference that the build by stacks of equal label counts must store
+    bit for bit."""
+    block = make_block_evaluator(kernel, X, Y, tree)
+    M = H2Matrix(tree, params, block, *leaf_sets(tree, params.tau, "h2"),
+                 kernel_dtype(kernel, X), kernel=kernel)
+    brow = _basis_builder(tree, kernel, params, "row")
+    bcol = (None if one_basis("h2", tree, kernel)
+            else _basis_builder(tree, kernel, params, "col"))
+    for level in range(tree.n_levels, 1, -1):
+        for i in tree.level_nodes(level):
+            row = compr(*_candidate(M, i, (), brow, "row"))
+            M._store(i, row, row if bcol is None
+                     else compr(*_candidate(M, i, (), bcol, "col")))
+    return M

@@ -3,6 +3,7 @@ matrices, the guard for matrices saved without their kernel, and the
 rejection of damaged files."""
 
 import json
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -810,6 +811,58 @@ def test_non_finite_stored_entries_exit_2(capsys, cli_container, file, name,
     raw[at:at + 8] = np.array(value).tobytes()
     path.write_bytes(raw)
     _refused_by_matvec(path, capsys, "array %r holds" % name)
+
+
+@pytest.mark.parametrize("value", [2.5, 1e300])
+@pytest.mark.parametrize("command, file", [
+    ("matvec", "grid"), ("matvec", "dlp"), ("solve", "dlp")])
+def test_coefficient_past_the_swap_bound_exits_2(capsys, cli_container,
+                                                 command, file, value):
+    # compression stops only once max|G| <= 2; a 1e300 in the double
+    # layer's G made `smash solve --load` exit 3
+    from smash.cli import main
+    path = cli_container(file)
+    raw = bytearray(path.read_bytes())
+    header = json.loads(raw[raw.index(b"\n") + 1:raw.index(b"\0")])
+    e = next(a for a in header["arrays"]
+             if a["name"].endswith(".G") and a["nbytes"])
+    at = raw.index(b"\0") + 1 + e["offset"]  # its first entry
+    raw[at:at + 8] = np.array(value).tobytes()
+    path.write_bytes(raw)
+    capsys.readouterr()
+    assert main([command, "--load", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "%r entry (0, 0) is" % e["name"] in err
+    assert "past the bound 2" in err and "Traceback" not in err
+
+
+def _sunflower_hss():
+    n = 320
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, tau=0.6)
+    return smash.build_hss(tree, spec, X, X, smash.BuildParams(
+        r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
+
+
+@pytest.mark.parametrize("case", ["grid-h2", "sunflower-hss", "sum",
+                                  "sum-of-scalings", "complex-scaling"])
+def test_built_factors_pass_the_loaders_coefficient_bound(tmp_path, case):
+    if case == "grid-h2":
+        M = build_grid_h2_400()[0]
+    elif case == "sunflower-hss":
+        M = _sunflower_hss()
+    elif case == "sum":
+        B = build_interval_hss(200, nu0=32)[0]
+        M = smash.hss_add(B, B)
+    else:
+        M = _compressed_case(case)
+    Gs = [f.G for f in chain(M.rowfac.values(), M.colfac.values()) if f.G.size]
+    assert Gs and max(np.abs(G).max() for G in Gs) <= 2.0
+    path = tmp_path / "m.smash"
+    smash.save_matrix(M, path)
+    smash.load_matrix(path)
 
 
 @pytest.mark.parametrize("dx", [float("nan"), float("inf")])

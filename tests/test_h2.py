@@ -11,7 +11,8 @@ from smash.kernel import kernel_block
 from smash.lowrank import compr, taylor_tail_bound
 
 from conftest import build_1d_pair_h2, dense_oracle, interval_pair
-from diagnostics import BoundInputs, build_params, error_bound, rank_caps
+from diagnostics import (BoundInputs, build_h2_per_node, build_params,
+                         error_bound, rank_caps)
 
 
 def grid_dense(spec, X):
@@ -210,6 +211,61 @@ def test_one_point_set_holds_one_factor_per_node(grid_h2_400):
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)
+
+
+def _grid_case(mode):
+    X = smash.bench.grid_points(32)
+    spec = smash.KernelSpec("cauchy", dx=1.0)
+    tree = smash.build_tree(X, nu0=50, mode=mode, tau=0.65)
+    return tree, spec, X, X, smash.BuildParams(r=22, tau=0.65)
+
+
+def _double_layer_case():
+    n = 640
+    spec = smash.KernelSpec("laplace_dlp", curve=smash.get_curve("sunflower"),
+                            nq=n)
+    X = smash.bench.curve_points("sunflower", n)
+    tree = smash.build_tree(X, nu0=50, mode="2d", tau=0.65)
+    return tree, spec, X, X, smash.BuildParams(r=12, tau=0.65)
+
+
+def _honeybee_case():
+    rng = np.random.default_rng(14)
+    X, Y = smash.bench.cauchy_pair("honeybee", 800, rng)
+    spec = smash.KernelSpec("cauchy_like", w=rng.random((800, 2)),
+                            v=rng.random((800, 2)))
+    tree = smash.build_tree(X, Y, nu0=50, tau=0.6)
+    return tree, spec, X, Y, smash.BuildParams(r=20, tau=0.6)
+
+
+_STACKED_CASES = {"quadtree-grid": lambda: _grid_case("2d"),
+                  "binary-grid": lambda: _grid_case("binary"),
+                  "double-layer": _double_layer_case,
+                  "honeybee-cauchy-like": _honeybee_case}
+
+
+@pytest.mark.parametrize("case", sorted(_STACKED_CASES))
+def test_stacked_build_stores_the_bytes_of_the_per_node_build(case):
+    tree, spec, X, Y, params = _STACKED_CASES[case]()
+    M = smash.build_h2(tree, spec, X, Y, params)
+    ref = build_h2_per_node(tree, spec, X, Y, params)
+    shared = case.endswith("grid")  # the others scale each side
+    stacks = {(tree.nodes[i].level, f.perm.size) for i, f in M.rowfac.items()}
+    assert len(stacks) < tree.root  # stacks of more than one node
+    if not shared:  # and levels of more than one stack
+        assert len(stacks) > tree.n_levels - 1
+    for side in ("rowfac", "colfac"):
+        got, want = getattr(M, side), getattr(ref, side)
+        assert list(got) == list(want)  # the same nodes, in the same order
+        for i, fac in got.items():
+            assert (M.colfac[i] is M.rowfac[i]) == shared
+            for name in ("perm", "G", "skel"):
+                a, b = getattr(fac, name), getattr(want[i], name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
+                assert a.tobytes() == b.tobytes(), (side, i, name)
+    assert ([(name, a.tobytes()) for name, a in smash.container.stored_arrays(M)]
+            == [(name, a.tobytes())
+                for name, a in smash.container.stored_arrays(ref)])
 
 
 def test_distinct_point_sets_keep_two_factors_per_node():

@@ -127,6 +127,33 @@ def test_taylor_basis_matches_its_formula_bitwise(r, complex_):
         assert taylor_eta(r, delta).tobytes() == eta.tobytes()
 
 
+@pytest.mark.parametrize("r", [1, 2, 22])
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_taylor_basis_gives_each_box_its_own_bits(r, complex_):
+    rng = np.random.default_rng(30 + r)
+    R, m = 7, 16
+    pts = rng.random((R, m)) + (1j * rng.random((R, m)) if complex_ else 0)
+    centers = rng.random(R) + (1j * rng.random(R) if complex_ else 0)
+    radii = 0.2 + rng.random(R)
+    got = lowrank.taylor_basis(centers, radii, pts, r)
+    assert got.shape == (R, m, r)
+    for row, c, delta, z in zip(got, centers, radii, pts):
+        want = lowrank.taylor_basis(c, delta, z, r)
+        assert row.dtype == want.dtype and row.tobytes() == want.tobytes()
+    etas = taylor_eta(r, radii)
+    for eta, delta in zip(etas, radii):
+        assert eta.tobytes() == taylor_eta(r, delta).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_taylor_basis_refuses_an_overflowing_radius_by_name():
+    radii = np.array([3.0, 2.5, 0.06, 1.0])
+    with pytest.raises(ValueError, match=r"order r = 160 .* radius 0\.06;"):
+        lowrank.taylor_basis(np.zeros(4), radii, np.zeros((4, 3)), 160)
+    with pytest.raises(ValueError, match="radius must be positive"):
+        taylor_eta(5, np.array([1.0, 0.0]))
+
+
 def test_planar_points_use_complex_arithmetic():
     box_a = center_radius((0.0, 0.0), (1.0, 1.0))
     box_b = center_radius((4.0, 4.0), (5.0, 5.0))
@@ -362,6 +389,12 @@ def test_srrqr_refuses_non_finite_input(bad, complex_):
         srrqr(M)
     with pytest.raises(ValueError, match="infs or NaNs"):
         compr(M, np.arange(8))
+    # in any item of a stack
+    for item in range(3):
+        C = np.stack([np.ones_like(M)] * 3)
+        C[item] = M
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            compr(C, np.arange(24).reshape(3, 8))
 
 
 def _stored_bytes(M):
@@ -386,15 +419,30 @@ def _sunflower_hss():
         r=25, tau=0.6, eps_svd=1e-11, basis="interp"))
 
 
+def _scipy_qr_r(M, rows, pivoting):
+    """lowrank._qr_r through scipy.linalg.qr, one call per item of a
+    stack: the reference of the stacked geqp3 and geqrf calls."""
+    Ms = M[None] if M.ndim == 2 else M
+    outs = [sla.qr(A, mode="r", pivoting=pivoting) for A in Ms]
+    R = np.array([out[0][:rows] for out in outs]).reshape(
+        len(Ms), rows, Ms.shape[2])
+    if not pivoting:
+        return R[0] if M.ndim == 2 else R
+    piv = np.array([out[1] for out in outs]).reshape(len(Ms), Ms.shape[2])
+    return (R[0], piv[0]) if M.ndim == 2 else (R, piv)
+
+
 @pytest.mark.parametrize("build", [_grid_h2, _sunflower_hss],
                          ids=["grid-h2", "sunflower-hss"])
 def test_builds_store_the_bytes_of_scipy_qr_factors(monkeypatch, build):
     direct = _stored_bytes(build())
     calls = []
-    monkeypatch.setattr(lowrank, "srrqr",
-                        lambda *a: calls.append(a) or _scipy_srrqr(*a))
+    monkeypatch.setattr(lowrank, "_qr_r", lambda M, rows, pivoting: (
+        calls.append(M.shape) or _scipy_qr_r(M, rows, pivoting)))
+    monkeypatch.setattr(lowrank, "_solve_r11", lambda R, k: (
+        sla.solve_triangular(R[:k, :k], R[:k, k:], lower=False)))
     assert direct == _stored_bytes(build())
-    assert calls  # every compression went through the reference
+    assert calls  # every factorization went through the reference
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +506,64 @@ def test_compr_coefficients_are_srrqr_solution_bitwise(case):
     assert res.W.shape == (res.rank, C.shape[0] - res.rank)
 
 
+def _swapping_item(complex_=False):
+    """Rows whose compression needs a swap: Kahan's matrix next to a small
+    multiple of the last unit vector, which the pivoted QR leaves last,
+    with a coefficient past s."""
+    K = _kahan(20) * (np.exp(0.7j) if complex_ else 1)
+    x = np.zeros((20, 1))
+    x[-1] = 0.1
+    return np.hstack([K, x]).T
+
+
+def _compr_stack(complex_):
+    """(C, labels): a stack of candidates of one shape (21 labels, 20
+    columns), full rank, rank-deficient, all zero and in need of a swap."""
+    rng = np.random.default_rng(17)
+
+    def draw(m, n):
+        M = rng.standard_normal((m, n))
+        return M + 1j * rng.standard_normal((m, n)) if complex_ else M
+
+    C = np.array([draw(21, 20), draw(21, 3) @ draw(3, 20), np.zeros((21, 20)),
+                  _swapping_item(complex_), draw(21, 20)])
+    labels = rng.permutation(5 * 21).reshape(5, 21) + 100
+    return C, labels
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_stacked_compr_gives_the_factors_of_its_items_bitwise(complex_):
+    C, labels = _compr_stack(complex_)
+    stack = compr(C, labels)
+    assert len(stack) == len(C)
+    assert [f.rank for f in stack] == [20, 3, 0, 20, 20]
+    assert srrqr(C[3].T).swaps > 0
+    for f, Ci, lab in zip(stack, C, labels):
+        for ref in (compr(Ci, lab), compr(Ci[None], lab[None])[0]):
+            assert f.perm.dtype == ref.perm.dtype == np.int64
+            np.testing.assert_array_equal(f.perm, ref.perm)
+            assert f.G.dtype == ref.G.dtype and f.G.shape == ref.G.shape
+            assert f.G.tobytes() == ref.G.tobytes()
+            np.testing.assert_array_equal(f.skel, ref.skel)
+        # and the interpolation coefficients srrqr finds
+        res = srrqr(Ci.T)
+        np.testing.assert_array_equal(f.perm, res.perm)
+        assert f.G.tobytes() == res.W.T.tobytes()
+        np.testing.assert_array_equal(f.skel, lab[res.perm[:res.rank]])
+
+
+@pytest.mark.parametrize("columns", [0, 5])
+def test_stacked_compr_of_items_without_labels_or_columns(columns):
+    for m in (0, 4):
+        C, labels = np.ones((3, m, columns)), np.arange(3 * m).reshape(3, m)
+        for f, lab in zip(compr(C, labels), labels):
+            ref = compr(np.ones((m, columns)), lab)
+            assert f.rank == ref.rank
+            np.testing.assert_array_equal(f.perm, ref.perm)
+            assert f.G.shape == ref.G.shape == (m - f.rank, f.rank)
+    assert compr(np.ones((0, 4, 5)), np.zeros((0, 4))) == []
+
+
 def test_zero_matrix_has_empty_skeleton():
     f = compr(np.zeros((6, 4)), np.arange(6))
     assert f.rank == 0
@@ -468,6 +574,10 @@ def test_zero_matrix_has_empty_skeleton():
 def test_mismatched_labels_rejected():
     with pytest.raises(ValueError):
         compr(np.zeros((4, 2)), np.arange(3))
+    C, labels = _compr_stack(False)
+    for wrong in (labels[:4], labels[:, :20], labels.ravel()):
+        with pytest.raises(ValueError, match="row labels do not match C"):
+            compr(C, wrong)
 
 
 @pytest.mark.parametrize("complex_", [False, True])

@@ -12,6 +12,26 @@ import smash
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def counted_factors(monkeypatch, module):
+    """The number of factors each call of module.compr returns, in call
+    order; the traced wrapper then wraps this count."""
+    counts = []
+    real = module.compr
+
+    def compr(C, ibar):
+        out = real(C, ibar)
+        counts.append(len(out) if isinstance(out, list) else 1)
+        return out
+
+    monkeypatch.setattr(module, "compr", compr)
+    return counts
+
+
+def stacks(M, facs) -> int:
+    """The (level, label count) stacks that build_h2 compresses facs in."""
+    return len({(M.tree.nodes[i].level, f.perm.size) for i, f in facs.items()})
+
+
 def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
         monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -21,6 +41,7 @@ def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
     # the tracer keeps one span stack, so the first apply's fill runs
     # serially: on two threads a kernel call could nest under the other's
     monkeypatch.setattr(smash._threads, "cores", lambda: 1)
+    factors = counted_factors(monkeypatch, smash.h2)
     tracer = Tracer()
     install(tracer)
     try:
@@ -47,8 +68,11 @@ def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
     assert tracer.calls("apply.matvec_nodewise", ("first_apply",)) == 1
     for name in ("cluster.build_tree", "cluster.leaf_sets", "h2.build_h2"):
         assert tracer.calls(name, ("setup",)) == 1, name
-    # one point set: one compression per node serves both sides
-    assert tracer.calls("lowrank.compr", ("setup",)) == tree.root
+    # one point set: one compressed factor per node serves both sides, from
+    # one call per stack of equal label counts on a level
+    assert sum(factors) == tree.root
+    assert tracer.calls("lowrank.compr", ("setup",)) == len(factors) == stacks(
+        M, M.rowfac) < tree.root
 
 
 def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
@@ -56,6 +80,7 @@ def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
     from layers import install
     from tracing import Tracer
 
+    factors = counted_factors(monkeypatch, smash.h2)
     tracer = Tracer()
     install(tracer)
     try:
@@ -63,10 +88,14 @@ def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
         Y = smash.PointSet(X.coords + 1e-3)
         spec = smash.KernelSpec("cauchy")
         tree = smash.cluster.build_tree(X, Y, nu0=50, mode="2d", tau=0.65)
-        smash.h2.build_h2(tree, spec, X, Y, smash.BuildParams(r=22, tau=0.65))
+        M = smash.h2.build_h2(tree, spec, X, Y,
+                              smash.BuildParams(r=22, tau=0.65))
     finally:
         tracer.restore()
-    assert tracer.calls("lowrank.compr", ("setup",)) == 2 * tree.root
+    # a factor per node and side, from one call per stack and side
+    assert sum(factors) == 2 * tree.root
+    assert tracer.calls("lowrank.compr", ("setup",)) == len(factors) == (
+        stacks(M, M.rowfac) + stacks(M, M.colfac))
 
 
 def test_traced_hss_grid_build_compresses_each_node_once(monkeypatch):
