@@ -9,7 +9,7 @@ accounting of the test problems.
 
 from .cluster import ClusterTree, PointSet, build_tree, leaf_sets, nearfield_set
 from .kernel import CurveSpec, KernelSpec, get_curve
-from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr, taylor_bases
+from .lowrank import InterpolativeFactor, compr, interp_basis, srrqr
 from .hss import BuildParams, HssMatrix, build_hss, diag_scale, hss_add
 from .h2 import H2Matrix, build_h2
 from .apply import matvec_levelwise, matvec_nodewise, ulv_factor, ulv_solve
@@ -46,7 +46,6 @@ __all__ = [
     "save_matrix",
     "srrqr",
     "storage_report",
-    "taylor_bases",
     "ulv_factor",
     "ulv_solve",
 ]

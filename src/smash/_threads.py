@@ -4,8 +4,9 @@ Both phases run many small dense kernels (QR, SVD, products of a few
 hundred rows), which run faster on one BLAS thread than on OpenBLAS's own
 pool, so ``one_blas_thread`` pins every loaded OpenBLAS to one thread for
 their duration.  The cores that frees go to the paper's level parallelism:
-``map_nodes`` runs one level's node passes on the calling thread and one
-pool thread, which take them from one queue, or on the calling thread alone
+``map_nodes`` runs one level's compressions of either build, a stack of
+nodes at a time (``hss._build``), on the calling thread and one pool
+thread, which take them from one queue, or on the calling thread alone
 with one core.  The first apply's fill of its block groups
 (``_StructuredMatrix.block_groups``) goes through it too: one kernel call
 per group, the largest first.  A calling thread that only waited would

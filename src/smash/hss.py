@@ -1,4 +1,6 @@
-"""HSS construction from farfield expansions plus nearfield sampling.
+"""HSS construction from farfield expansions plus nearfield sampling, and
+the bottom-up construction that the HSS and H2 builders share (``_build``;
+H2 is the HSS build with an empty nearfield).
 
 Every nonroot node gets a row and a column basis, stored one way for every
 node: a leaf's basis maps its own rows, an internal node's maps the stacked
@@ -31,7 +33,6 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -556,10 +557,11 @@ _ANTISYMMETRIC = ("cauchy",)
 
 def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
                    side: str):
-    """Farfield candidate basis of a node over tree-order indices:
-    ``candidate(i, idx)`` for node i and its labels idx, or, on the Taylor
-    basis, for a stack of nodes, (R,), and their labels, (R, m), whose
-    (R, m, c) candidates are each the bits of its own call.
+    """Farfield candidate bases of a stack of nodes over tree-order indices:
+    ``candidate(nodes, idx)`` for nodes (R,) and their labels (R, m) gives
+    the (R, m, c) candidates, each the bits of its own node's alone.  The
+    Taylor basis of a stack is one call; the interp basis is built per node
+    and stacked.
 
     The Taylor candidate F expands the Cauchy kernel in r terms.  A
     Cauchy-like kernel sum_l diag(w_l) C diag(v_l) stacks F scaled by each
@@ -585,21 +587,22 @@ def _basis_builder(tree: ClusterTree, kernel: KernelSpec, params: BuildParams,
     scal = _to_scalars(pts) if pts.size else np.zeros(0)
 
     if params.basis == "interp":
-        def build(i, idx):
-            return interp_basis(lo[i], hi[i], pts[idx], params.r)
+        def build(nodes, idx):
+            return np.stack([interp_basis(lo[i], hi[i], pts[x], params.r)
+                             for i, x in zip(nodes, idx)])
     else:
         # x + 1j*y is complex(x, y) unless x is -0.0, and the midpoint of a
         # side no thinner than pad is not
         cen = _to_scalars((lo + hi) / 2.0)
         rad = 0.5 * _center_distance(hi - lo)
 
-        def build(i, idx):
-            return taylor_basis(cen[i], rad[i], scal[idx], params.r)
+        def build(nodes, idx):
+            return taylor_basis(cen[nodes], rad[nodes], scal[idx], params.r)
 
     real = kernel.kind == "laplace_dlp"  # a real kernel of complex points
 
-    def candidate(i, idx):
-        F = build(i, idx)
+    def candidate(nodes, idx):
+        F = build(nodes, idx)
         if gen is not None:
             F = np.concatenate([gen[idx, l][..., None] * F
                                 for l in range(gen.shape[1])], axis=-1)
@@ -630,94 +633,100 @@ def _intermediate(tree, i, skels, side):
     return np.concatenate([skels[c] for c in tree.nodes[i].children])
 
 
-def _candidate(M: _StructuredMatrix, i: int, near, basis, side: str,
-               omega: np.ndarray = None):
-    """(C, ibar) for compressing node i's rows ("row") or columns ("col"):
-    the farfield basis over the node's labels ibar, next to the columns
-    spanning its block against the nearfield neighbors' current labels to
-    eps_svd (``range_columns``, which sketches a wide block against the
-    Gaussian test matrix omega; the column side takes that block
-    transposed).  Reads only the skeletons of earlier levels, so the nodes
-    of one level are independent."""
+def _build(cls, tree: ClusterTree, kernel: KernelSpec, X, Y,
+           params: BuildParams, near: list):
+    """The bottom-up construction of both builders: a matrix of class cls
+    on the block partition of its kind (``leaf_sets``), whose nodes are
+    compressed level by level from the leaves up, on both sides, or on the
+    row side alone where ``one_basis`` holds.
+
+    A node's labels are its own rows (columns) at a leaf and its children's
+    skeletons above.  Its candidate is the farfield basis over them, next
+    to the columns spanning its block against the current labels of the
+    nodes near[i] to eps_svd (``range_columns``, no SVD; the column side
+    takes that block transposed).  The nodes of a level and a side without
+    such columns go as stacks of equal label counts, one candidate call and
+    one ``compr`` call each; a node with them is a stack of its own, since
+    they give its candidate a width of its own.  A level's stacks, of both
+    sides, read only the skeletons of the levels below, and run as the
+    items of one ``map_nodes`` call.  A wide nearfield block is sketched
+    against one seeded Gaussian test matrix (``lowrank.gaussian``), which
+    the calling thread grows, on the levels that sketch one, to the largest
+    block the level sketches; its entries do not depend on how far it grew.
+    Every factor holds the bits of its own node's compression and is stored
+    in level and node order, so the result depends neither on the stacks
+    nor on the core count.
+    """
+    block = make_block_evaluator(kernel, X, Y, tree)
+    M = cls(tree, params, block, *leaf_sets(tree, params.tau, cls.kind),
+            kernel_dtype(kernel, X), kernel=kernel)
+    sides = ("row",) if one_basis(cls.kind, tree, kernel) else ("row", "col")
+    bases = {s: _basis_builder(tree, kernel, params, s) for s in sides}
     skels = {"row": M.skel_row, "col": M.skel_col}
-    other = "col" if side == "row" else "row"
-    ibar = _intermediate(M.tree, i, skels[side], side)
-    cand = [basis(i, ibar)]
-    labels = [_intermediate(M.tree, j, skels[other], other) for j in near]
-    labels = [x for x in labels if x.size]
-    if labels and ibar.size:
-        labels = np.concatenate(labels)
-        Anear = (M._block(ibar, labels) if side == "row"
-                 else M._block(labels, ibar).T)
-        cand.append(range_columns(Anear, M.params.eps_svd, omega))
-    return (cand[0] if len(cand) == 1 else np.hstack(cand)), ibar
+
+    def labels(nodes, side):
+        return [_intermediate(tree, i, skels[side], side) for i in nodes]
+
+    omega = None
+    for level in range(tree.n_levels, 1, -1):
+        nodes = tree.level_nodes(level)
+        stacks, wide = [], (0, 0)
+        for side, other in zip(sides, ("col", "row")):
+            own, far = labels(nodes, side), {}
+            for r, i in enumerate(nodes):
+                nf = near[i] and np.concatenate(labels(near[i], other))
+                m, n = own[r].size, len(nf)
+                if m and n:  # nearfield columns: a stack of its own
+                    far[r] = nf
+                    if m < n:  # a wide block, sketched
+                        wide = max(wide[0], n), max(wide[1], m)
+            for (_, r), at in _by_shape((x.size, r if r in far else -1)
+                                        for r, x in enumerate(own)):
+                stacks.append((side, [nodes[a] for a in at],
+                               np.array([own[a] for a in at]), far.get(r)))
+        if wide[0]:
+            omega = lowrank.gaussian(*wide, old=omega)
+        facs = map_nodes(lambda s: _stack_factors(M, bases[s[0]], omega, *s),
+                         stacks)
+        got = {side: {} for side in sides}
+        for (side, at, _, _), fs in zip(stacks, facs):
+            got[side].update(zip(at, fs))
+        for i in nodes:  # with one basis, sides[-1] is "row"
+            M._store(i, got["row"][i], got[sides[-1]][i])
+    return M
 
 
-def _sketch_shape(M: _StructuredMatrix, nodes, near) -> tuple:
-    """(labels, rows) of the largest wide nearfield block among the row and
-    column passes of these nodes (``_candidate``): the part of the test
-    matrix their sketches read."""
-    skels = {"row": M.skel_row, "col": M.skel_col}
-
-    @cache
-    def size(j, side):
-        return _intermediate(M.tree, j, skels[side], side).size
-
-    shape = (0, 0)
-    for side, other in (("row", "col"), ("col", "row")):
-        for i in nodes:
-            m, n = size(i, side), sum(size(j, other) for j in near[i])
-            if 0 < m < n:
-                shape = max(shape[0], n), max(shape[1], m)
-    return shape
-
-
-def _node_factors(M: HssMatrix, i: int, near: list, brow, bcol, omega):
-    """Row and column factors of node i; one factor where bcol is None."""
-    row = compr(*_candidate(M, i, near, brow, "row", omega))
-    return row, (row if bcol is None
-                 else compr(*_candidate(M, i, near, bcol, "col", omega)))
+def _stack_factors(M: _StructuredMatrix, basis, omega, side: str, nodes: list,
+                   labels: np.ndarray, nf) -> list:
+    """The factors of a stack of nodes on one side ("row" or "col"), over
+    their labels, (R, m): one farfield candidate call and one ``compr``
+    call.  A stack of one node may come with nf, its nearfield neighbors'
+    labels: its candidate then adds the columns spanning its block against
+    them."""
+    C = basis(np.array(nodes), labels)
+    if nf is not None:
+        A = (M._block(labels[0], nf) if side == "row"
+             else M._block(nf, labels[0]).T)
+        C = np.concatenate(
+            [C, range_columns(A, M.params.eps_svd, omega)[None]], axis=2)
+    return compr(C, labels)
 
 
 @one_blas_thread()
 def build_hss(tree: ClusterTree, kernel: KernelSpec, X, Y,
               params: BuildParams = None) -> HssMatrix:
-    """Bottom-up HSS construction.
-
-    Per node, the row basis candidate pairs the analytic farfield basis of the
-    node's box with columns spanning the block row against the nearfield
-    neighbors' current index sets to eps_svd (``range_columns``, no SVD);
-    interpolative compression of the pair yields the skeleton and the
-    interpolation coefficients.  The column pass mirrors it unless one
-    factor serves both sides (``one_basis``).  Leaves keep exact diagonal
-    blocks.  A wide nearfield block is sketched against one seeded Gaussian
-    test matrix (``lowrank.gaussian``), which the calling thread grows
-    before each level to the largest block the level sketches and which is
-    dropped on return; its entries do not depend on how far it grew.  The
-    nodes of a level run on up to two cores with one BLAS thread each; the
-    factors are stored in level order, so the result does not depend on the
-    core count.
+    """Bottom-up HSS construction (``_build``) on the nodes' nearfields
+    (``nearfield_set``): each node's candidate pairs the analytic farfield
+    basis of its box with columns spanning its block row against its
+    nearfield neighbors, and its interpolative compression yields the
+    skeleton and the interpolation coefficients.  Leaves keep exact
+    diagonal blocks.
     """
     params = params or BuildParams()
-    block = make_block_evaluator(kernel, X, Y, tree)
-    dtype = kernel_dtype(kernel, X)
-    L, Lm = leaf_sets(tree, params.tau, "hss")
-    M = HssMatrix(tree, params, block, L, Lm, dtype, kernel=kernel)
-    brow = _basis_builder(tree, kernel, params, "row")
-    bcol = (None if one_basis("hss", tree, kernel)
-            else _basis_builder(tree, kernel, params, "col"))
-
-    near = nearfield_set(tree, params.tau)
-    omega = None
-    for level in range(tree.n_levels, 1, -1):
-        nodes = tree.level_nodes(level)
-        omega = lowrank.gaussian(*_sketch_shape(M, nodes, near), old=omega)
-        facs = map_nodes(lambda a: _node_factors(M, *a, brow, bcol, omega),
-                         [(i, near[i]) for i in nodes])
-        for i, pair in zip(nodes, facs):
-            M._store(i, *pair)
+    M = _build(HssMatrix, tree, kernel, X, Y, params,
+               nearfield_set(tree, params.tau))
     for i in tree.leaves():
-        M.Dblocks[i] = block(tree.row_range(i), tree.col_range(i))
+        M.Dblocks[i] = M._block(tree.row_range(i), tree.col_range(i))
     return M
 
 

@@ -282,19 +282,8 @@ def kernel_block(spec: KernelSpec, X, Y, rows, cols) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet data and potential evaluation
+# potential evaluation
 # ---------------------------------------------------------------------------
-
-
-def boundary_data(spec: KernelSpec, x0) -> np.ndarray:
-    """log|z(t_j) - x0| at the double layer's nodes: the Dirichlet data of
-    the harmonic function log|x - x0|, for a source x0 outside the curve."""
-    if spec.kind != "laplace_dlp":
-        raise ValueError("boundary data needs a laplace_dlp kernel")
-    if winding_number(spec.curve, x0) != 0:
-        raise ValueError("source point x0 must lie outside the curve")
-    z = spec._dlp_data["z"]
-    return np.log(np.hypot(z.real - x0[0], z.imag - x0[1]))
 
 
 def evaluate_potential(curve: CurveSpec, sigma, x) -> float:

@@ -4,10 +4,9 @@ a nearfield block to a tolerance, taken from a Gaussian sketch of a wide
 block.
 
 The Taylor basis for 1/(x-y) uses per-order scaling factors eta so that basis
-entries stay O(1) on the box; the coupling table that reproduces the kernel is
-anti-triangular in the two expansion orders.  Compression selects skeleton
-rows with a pivoted QR followed by bounded-entry swaps, which keeps the
-interpolation coefficients no larger than the swap threshold s.
+entries stay O(1) on the box.  Compression selects skeleton rows with a
+pivoted QR followed by bounded-entry swaps, which keeps the interpolation
+coefficients no larger than the swap threshold s.
 
 The pivoted QR, the swap loop's refactorizations and its triangular solves
 call LAPACK's geqp3, geqrf and trtrs directly.  Each node's blocks are a
@@ -21,7 +20,7 @@ the workspace query (lwork = -1) scipy makes first, since geqp3 and geqrf
 choose their blocking from the workspace they are given; R as the upper
 triangle np.triu returns, in its memory order; and solve_triangular's
 choice of the transposed system for a triangle that is not F-ordered.
-``compr`` also takes a stack of blocks of one shape, as the H2 build hands
+``compr`` also takes a stack of blocks of one shape, as the builders hand
 over each level's nodes of one label count: the workspace query, the
 triangle mask, the rank cut and the refusal of non-finite input (a
 ValueError) are made once per stack, and only geqp3 and trtrs run per
@@ -97,45 +96,6 @@ def taylor_basis(center, delta, pts: np.ndarray, r: int) -> np.ndarray:
                    out=pows[..., 1:])
     pows *= (eta / _taylor_orders(r)[2])[..., None, :]
     return pows
-
-
-def taylor_coupling(center_a, delta_a: float, center_b, delta_b: float, r: int):
-    """Anti-triangular table T with T[l, m] = coefficient of the (l, m) basis
-    pair, nonzero only for l + m <= r - 1."""
-    D = center_a - center_b
-    if D == 0:
-        raise ValueError("expansion centers coincide")
-    eta_a = taylor_eta(r, delta_a)
-    eta_b = taylor_eta(r, delta_b)
-    dtype = complex if isinstance(D, complex) else float
-    T = np.zeros((r, r), dtype=dtype)
-    # coefficient of dx^l dy^m in 1/(x-y): (-1)^l (l+m)! / D^(l+m+1),
-    # divided by the eta scalings baked into the basis columns
-    for l in range(r):
-        for m in range(r - l):
-            k = l + m
-            T[l, m] = ((-1.0) ** l) * math.factorial(k) / (
-                D ** (k + 1) * eta_a[l] * eta_b[m])
-    return T
-
-
-def taylor_bases(center_a, delta_a: float, center_b, delta_b: float,
-                 pts_a, pts_b, r: int):
-    """(U, T, V) with U T V^T approximating 1/(x-y) on a well-separated pair
-    of boxes, given by their centers and radii; centers and points are
-    scalars (complex for planar sets)."""
-    U = taylor_basis(center_a, delta_a, np.asarray(pts_a), r)
-    V = taylor_basis(center_b, delta_b, np.asarray(pts_b), r)
-    T = taylor_coupling(center_a, delta_a, center_b, delta_b, r)
-    return U, T, V
-
-
-def taylor_tail_bound(tau: float, r: int) -> float:
-    """Entrywise truncation bound (1 + tau) tau^r / (1 - tau), relative to the
-    largest kernel value on the admissible block."""
-    if not 0 < tau < 1:
-        raise ValueError("tau must lie in (0, 1)")
-    return (1 + tau) * tau ** r / (1 - tau)
 
 
 # ---------------------------------------------------------------------------

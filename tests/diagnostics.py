@@ -1,10 +1,12 @@
 """Diagnostics and the timing harness of the acceptance tests.
 
 Provides eps-ranks, the a-priori reconstruction bounds and the rank caps
-they take, the max-norm reconstruction error, build parameters from a
-``ParamChoice``, median timings with their growth per size doubling, and
-the per-node H2 build that the stacked one must match bit for bit.
-Test modules import it the way they import ``conftest``.
+they take, the Taylor coupling table of a box pair and its truncation
+bound, the double layer's Dirichlet data, the max-norm reconstruction
+error, build parameters from a ``ParamChoice``, median timings with their
+growth per size doubling, and the per-node HSS and H2 builds that the
+stacked ones must match bit for bit.  Test modules import it the way they
+import ``conftest``.
 """
 
 import math
@@ -14,14 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
+from smash import lowrank
+from smash._threads import one_blas_thread
 from smash.apply import matvec_nodewise
 from smash.bench import DENSE_BUDGET_DEFAULT, ParamChoice
-from smash.cluster import leaf_sets
+from smash.cluster import leaf_sets, nearfield_set
 from smash.h2 import H2Matrix
-from smash.hss import (BuildParams, _basis_builder, _candidate, kernel_dtype,
-                       make_block_evaluator, one_basis)
-from smash.kernel import KernelSpec, kernel_block
-from smash.lowrank import compr
+from smash.hss import (BuildParams, HssMatrix, _basis_builder, _intermediate,
+                       kernel_dtype, make_block_evaluator, one_basis)
+from smash.kernel import KernelSpec, kernel_block, winding_number
+from smash.lowrank import compr, range_columns, taylor_basis, taylor_eta
 
 
 def build_params(pc: ParamChoice, basis: str = "taylor") -> BuildParams:
@@ -153,6 +157,66 @@ def rank_caps(M) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Taylor coupling of a box pair and its truncation bound
+# ---------------------------------------------------------------------------
+
+
+def taylor_coupling(center_a, delta_a: float, center_b, delta_b: float, r: int):
+    """Anti-triangular table T with T[l, m] = coefficient of the (l, m) basis
+    pair, nonzero only for l + m <= r - 1."""
+    D = center_a - center_b
+    if D == 0:
+        raise ValueError("expansion centers coincide")
+    eta_a = taylor_eta(r, delta_a)
+    eta_b = taylor_eta(r, delta_b)
+    dtype = complex if isinstance(D, complex) else float
+    T = np.zeros((r, r), dtype=dtype)
+    # coefficient of dx^l dy^m in 1/(x-y): (-1)^l (l+m)! / D^(l+m+1),
+    # divided by the eta scalings baked into the basis columns
+    for l in range(r):
+        for m in range(r - l):
+            k = l + m
+            T[l, m] = ((-1.0) ** l) * math.factorial(k) / (
+                D ** (k + 1) * eta_a[l] * eta_b[m])
+    return T
+
+
+def taylor_bases(center_a, delta_a: float, center_b, delta_b: float,
+                 pts_a, pts_b, r: int):
+    """(U, T, V) with U T V^T approximating 1/(x-y) on a well-separated pair
+    of boxes, given by their centers and radii; centers and points are
+    scalars (complex for planar sets)."""
+    U = taylor_basis(center_a, delta_a, np.asarray(pts_a), r)
+    V = taylor_basis(center_b, delta_b, np.asarray(pts_b), r)
+    T = taylor_coupling(center_a, delta_a, center_b, delta_b, r)
+    return U, T, V
+
+
+def taylor_tail_bound(tau: float, r: int) -> float:
+    """Entrywise truncation bound (1 + tau) tau^r / (1 - tau), relative to the
+    largest kernel value on the admissible block."""
+    if not 0 < tau < 1:
+        raise ValueError("tau must lie in (0, 1)")
+    return (1 + tau) * tau ** r / (1 - tau)
+
+
+# ---------------------------------------------------------------------------
+# Dirichlet data of the double layer
+# ---------------------------------------------------------------------------
+
+
+def boundary_data(spec: KernelSpec, x0) -> np.ndarray:
+    """log|z(t_j) - x0| at the double layer's nodes: the Dirichlet data of
+    the harmonic function log|x - x0|, for a source x0 outside the curve."""
+    if spec.kind != "laplace_dlp":
+        raise ValueError("boundary data needs a laplace_dlp kernel")
+    if winding_number(spec.curve, x0) != 0:
+        raise ValueError("source point x0 must lie outside the curve")
+    z = spec._dlp_data["z"]
+    return np.log(np.hypot(z.real - x0[0], z.imag - x0[1]))
+
+
+# ---------------------------------------------------------------------------
 # max-norm reconstruction error
 # ---------------------------------------------------------------------------
 
@@ -233,25 +297,71 @@ def doubling_ratios(ns, ts):
 
 
 # ---------------------------------------------------------------------------
-# per-node H2 build
+# per-node HSS and H2 builds
 # ---------------------------------------------------------------------------
 
 
-def build_h2_per_node(tree, kernel: KernelSpec, X, Y,
-                      params: BuildParams) -> H2Matrix:
-    """``build_h2`` with one farfield candidate call and one ``compr`` call
-    per node and side, in level order, each on the node's own labels: the
-    reference that the build by stacks of equal label counts must store
-    bit for bit."""
+def node_candidate(M, i: int, near, basis, side: str, omega=None):
+    """(C, ibar) for compressing node i's rows ("row") or columns ("col")
+    alone: the farfield basis over the node's labels ibar, next to the
+    columns spanning its block against the nearfield neighbors' current
+    labels to eps_svd (``range_columns``, which sketches a wide block
+    against the test matrix omega; the column side takes that block
+    transposed)."""
+    skels = {"row": M.skel_row, "col": M.skel_col}
+    other = "col" if side == "row" else "row"
+    ibar = _intermediate(M.tree, i, skels[side], side)
+    cand = [basis(np.array([i]), ibar[None])[0]]
+    labels = [_intermediate(M.tree, j, skels[other], other) for j in near]
+    labels = [x for x in labels if x.size]
+    if labels and ibar.size:
+        labels = np.concatenate(labels)
+        Anear = (M._block(ibar, labels) if side == "row"
+                 else M._block(labels, ibar).T)
+        cand.append(range_columns(Anear, M.params.eps_svd, omega))
+    return (cand[0] if len(cand) == 1 else np.hstack(cand)), ibar
+
+
+def _build_per_node(cls, tree, kernel, X, Y, params, near):
+    """A matrix of class cls with one farfield candidate call and one
+    ``compr`` call per node and side, in level and node order, each on the
+    node's own labels and its nearfield near[i]."""
     block = make_block_evaluator(kernel, X, Y, tree)
-    M = H2Matrix(tree, params, block, *leaf_sets(tree, params.tau, "h2"),
-                 kernel_dtype(kernel, X), kernel=kernel)
+    M = cls(tree, params, block, *leaf_sets(tree, params.tau, cls.kind),
+            kernel_dtype(kernel, X), kernel=kernel)
     brow = _basis_builder(tree, kernel, params, "row")
-    bcol = (None if one_basis("h2", tree, kernel)
+    bcol = (None if one_basis(cls.kind, tree, kernel)
             else _basis_builder(tree, kernel, params, "col"))
+    # the build's test matrix, drawn whole: its entries do not depend on
+    # the size drawn
+    size = max(tree.n_row, tree.n_col)
+    omega = lowrank.gaussian(size, size)
     for level in range(tree.n_levels, 1, -1):
         for i in tree.level_nodes(level):
-            row = compr(*_candidate(M, i, (), brow, "row"))
-            M._store(i, row, row if bcol is None
-                     else compr(*_candidate(M, i, (), bcol, "col")))
+            row = compr(*node_candidate(M, i, near[i], brow, "row", omega))
+            M._store(i, row, row if bcol is None else compr(
+                *node_candidate(M, i, near[i], bcol, "col", omega)))
     return M
+
+
+@one_blas_thread()  # as the builds run: BLAS products round by thread count
+def build_hss_per_node(tree, kernel: KernelSpec, X, Y,
+                       params: BuildParams) -> HssMatrix:
+    """``build_hss`` one node and side at a time (``_build_per_node``), with
+    exact leaf diagonal blocks: the reference that the build by stacks
+    must store bit for bit."""
+    M = _build_per_node(HssMatrix, tree, kernel, X, Y, params,
+                        nearfield_set(tree, params.tau))
+    for i in tree.leaves():
+        M.Dblocks[i] = M._block(tree.row_range(i), tree.col_range(i))
+    return M
+
+
+@one_blas_thread()
+def build_h2_per_node(tree, kernel: KernelSpec, X, Y,
+                      params: BuildParams) -> H2Matrix:
+    """``build_h2`` one node and side at a time (``_build_per_node``), with
+    no nearfield: the reference that the build by stacks of equal label
+    counts must store bit for bit."""
+    return _build_per_node(H2Matrix, tree, kernel, X, Y, params,
+                           [()] * len(tree.nodes))

@@ -21,12 +21,13 @@ from smash.h2 import build_h2
 from smash.hss import BuildParams, build_hss, cauchy_like_hss
 from smash.kernel import (KernelSpec, evaluate_potential, get_curve,
                           kernel_block)
-from smash.lowrank import (compr, srrqr, taylor_bases, taylor_tail_bound)
+from smash.lowrank import compr, srrqr
 
 from conftest import build_interval_hss, center_radius, dense_oracle
 from diagnostics import (BoundInputs, amax_error, build_params,
                          doubling_ratios, eps_rank, error_bound,
-                         matvec_seconds, rank_caps, timed_median)
+                         matvec_seconds, rank_caps, taylor_bases,
+                         taylor_tail_bound, timed_median)
 
 norm = np.linalg.norm
 

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import smash
-from smash.hss import _basis_builder, _candidate
+from smash.hss import _basis_builder
 from smash.kernel import kernel_block
-from smash.lowrank import compr, taylor_tail_bound
+from smash.lowrank import compr
 
 from conftest import build_1d_pair_h2, dense_oracle, interval_pair
 from diagnostics import (BoundInputs, build_h2_per_node, build_params,
-                         error_bound, rank_caps)
+                         error_bound, node_candidate, rank_caps,
+                         taylor_tail_bound)
 
 
 def grid_dense(spec, X):
@@ -207,7 +208,7 @@ def test_one_point_set_holds_one_factor_per_node(grid_h2_400):
     for i, fac in M.rowfac.items():
         assert M.colfac[i] is fac and M.skel_col[i] is M.skel_row[i]
         # the column pass it skips would have found the same factor
-        own = compr(*_candidate(M, i, (), bcol, "col"))
+        own = compr(*node_candidate(M, i, (), bcol, "col"))
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)

@@ -12,13 +12,13 @@ import smash
 from smash import hss, lowrank
 from smash._threads import one_blas_thread
 from smash.cluster import nearfield_set
-from smash.hss import _basis_builder, _candidate, cauchy_like_hss
-from smash.lowrank import (InterpolativeFactor, compr, interp_basis,
-                           taylor_basis, taylor_tail_bound)
+from smash.hss import _basis_builder, cauchy_like_hss
+from smash.lowrank import InterpolativeFactor, compr, interp_basis, taylor_basis
 
 from conftest import (build_interval_hss, build_one_set_hss, dense_oracle,
                       interval_pair)
-from diagnostics import BoundInputs, error_bound, rank_caps
+from diagnostics import (BoundInputs, build_hss_per_node, error_bound,
+                         node_candidate, rank_caps, taylor_tail_bound)
 
 
 def dense_in_caller_order(spec, X, Y):
@@ -230,7 +230,7 @@ def test_build_calls_no_svd_and_meets_the_dense_oracle(monkeypatch, case):
     assert _relerr_against_dense(_NO_SVD[case]()) <= 1e-10
 
 
-def test_gaussian_is_drawn_by_the_calling_thread_once_per_level(
+def test_gaussian_is_drawn_by_the_calling_thread_once_per_sketching_level(
         monkeypatch):
     drawn = []
     real = lowrank.gaussian
@@ -242,8 +242,20 @@ def test_gaussian_is_drawn_by_the_calling_thread_once_per_level(
     monkeypatch.setattr(lowrank, "gaussian", recorded)
     monkeypatch.setattr(smash._threads, "cores", lambda: 2)
     tree, spec, X, Y, params = _honeybee_cauchy_like()
-    smash.build_hss(tree, spec, X, Y, params)
-    assert drawn == [threading.get_ident()] * (tree.n_levels - 1)
+    M = smash.build_hss(tree, spec, X, Y, params)
+    near = nearfield_set(tree, params.tau)
+    skels = {"row": M.skel_row, "col": M.skel_col}
+
+    def size(i, side):
+        return hss._intermediate(tree, i, skels[side], side).size
+
+    # the levels whose row or column pass sketches a wide nearfield block;
+    # the others draw nothing
+    wide = {tree.nodes[i].level for i in range(tree.root)
+            for side, other in (("row", "col"), ("col", "row"))
+            if 0 < size(i, side) < sum(size(j, other) for j in near[i])}
+    assert 0 < len(wide) < tree.n_levels - 1
+    assert drawn == [threading.get_ident()] * len(wide)
 
 
 @pytest.mark.parametrize("basis", ["interp", "taylor"])
@@ -307,7 +319,45 @@ def test_farfield_bases_pad_thin_boxes_as_one_node_at_a_time(basis):
             want = taylor_basis(complex(c[0], c[1]),
                                 0.5 * float(np.linalg.norm(hi - lo)), z,
                                 params.r)
-        assert candidate(i, idx).tobytes() == want.tobytes(), i
+        got = candidate(np.array([i]), idx[None])[0]
+        assert got.tobytes() == want.tobytes(), i
+
+
+def _grid_cauchy(m=32):
+    X = smash.bench.grid_points(m)
+    pc = smash.bench.choose_params(1e-8, d=2)
+    tree = smash.build_tree(X, nu0=50, tau=pc.tau)
+    return tree, smash.KernelSpec("cauchy", dx=1.0), X, X, smash.BuildParams(
+        r=pc.r, tau=pc.tau, eps_svd=pc.eps_svd)
+
+
+_PER_NODE_CASES = {
+    # the benchmark's dlp-sunflower build
+    "sunflower-dlp-interp": lambda: _sunflower_dlp("interp", n=2560),
+    "sunflower-dlp-taylor": lambda: _sunflower_dlp("taylor", n=2560),
+    "honeybee-cauchy-like": _honeybee_cauchy_like,
+    "grid-cauchy-one-factor": _grid_cauchy}
+
+
+@pytest.mark.parametrize("case", sorted(_PER_NODE_CASES))
+def test_stacked_build_stores_the_bytes_of_the_per_node_build(case):
+    tree, spec, X, Y, params = _PER_NODE_CASES[case]()
+    M = smash.build_hss(tree, spec, X, Y, params)
+    ref = build_hss_per_node(tree, spec, X, Y, params)
+    shared = case.startswith("grid")  # the others keep two factors
+    assert hss.one_basis("hss", tree, spec) == shared
+    for side in ("rowfac", "colfac"):
+        got, want = getattr(M, side), getattr(ref, side)
+        assert list(got) == list(want)  # the same nodes, in the same order
+        for i, fac in got.items():
+            assert (M.colfac[i] is M.rowfac[i]) == shared
+            for name in ("perm", "G", "skel"):
+                a, b = getattr(fac, name), getattr(want[i], name)
+                assert a.dtype == b.dtype and a.shape == b.shape, (i, name)
+                assert a.tobytes() == b.tobytes(), (side, i, name)
+    assert ([(name, a.tobytes()) for name, a in smash.container.stored_arrays(M)]
+            == [(name, a.tobytes())
+                for name, a in smash.container.stored_arrays(ref)])
 
 
 def test_one_point_set_holds_one_factor_per_node(one_set_hss):
@@ -324,7 +374,7 @@ def test_one_point_set_holds_one_factor_per_node(one_set_hss):
         # (on one BLAS thread, as the build runs)
         near = nearfield_set(tr, M.params.tau)[i]
         with one_blas_thread():
-            own = compr(*_candidate(M, i, near, bcol, "col", omega))
+            own = compr(*node_candidate(M, i, near, bcol, "col", omega))
         for name in ("perm", "G", "skel"):
             a, b = getattr(own, name), getattr(fac, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (i, name)

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import smash
-from smash.kernel import (boundary_data, curve_orientation, evaluate_potential,
-                          kernel_block, winding_number)
+from smash.kernel import (curve_orientation, evaluate_potential, kernel_block,
+                          winding_number)
 
 from conftest import dense_oracle
+from diagnostics import boundary_data
 
 
 def _dlp_dense(spec):

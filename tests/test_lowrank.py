@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import smash
 from smash import bench, container, lowrank
 from smash.lowrank import (compr, interp_basis, range_columns, srrqr,
-                           taylor_bases, taylor_coupling, taylor_eta,
-                           taylor_tail_bound, truncated_svd)
+                           taylor_eta, truncated_svd)
 
 from conftest import center_radius
+from diagnostics import taylor_bases, taylor_coupling, taylor_tail_bound
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_traced_grid_apply_counts_one_kernel_call_per_shape_group(
     # the tracer keeps one span stack, so the first apply's fill runs
     # serially: on two threads a kernel call could nest under the other's
     monkeypatch.setattr(smash._threads, "cores", lambda: 1)
-    factors = counted_factors(monkeypatch, smash.h2)
+    factors = counted_factors(monkeypatch, smash.hss)
     tracer = Tracer()
     install(tracer)
     try:
@@ -80,7 +80,9 @@ def test_traced_h2_on_two_point_sets_compresses_both_sides(monkeypatch):
     from layers import install
     from tracing import Tracer
 
-    factors = counted_factors(monkeypatch, smash.h2)
+    # the tracer keeps one span stack, so the level map runs serially
+    monkeypatch.setattr(smash._threads, "cores", lambda: 1)
+    factors = counted_factors(monkeypatch, smash.hss)
     tracer = Tracer()
     install(tracer)
     try:

@@ -1,5 +1,5 @@
 """Thread ownership of build and factorization: the one-thread BLAS pin and
-the level-parallel HSS build."""
+the level-parallel builds."""
 
 import ctypes
 import os
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import smash
-from smash import _threads, apply, h2, hss
+from smash import _threads, apply, hss
 
 from conftest import build_grid_h2_400, build_interval_hss, interval_pair
 
@@ -50,7 +50,6 @@ def test_blas_pinned_inside_and_restored_after_build_and_factor(
         monkeypatch, two_blas_threads):
     seen = []
     record_counts(monkeypatch, hss, "compr", seen)
-    record_counts(monkeypatch, h2, "compr", seen)
     record_counts(monkeypatch, apply, "_reduce_node", seen)
     M, _, _, _ = build_interval_hss(200, nu0=32)
     assert blas_counts() == two_blas_threads
@@ -58,8 +57,10 @@ def test_blas_pinned_inside_and_restored_after_build_and_factor(
     assert blas_counts() == two_blas_threads
     X = smash.bench.grid_points(12)
     tree = smash.build_tree(X, nu0=30, mode="2d", tau=0.65)
+    before = len(seen)
     smash.build_h2(tree, smash.KernelSpec("cauchy", dx=1.0), X, X,
                    smash.BuildParams(r=12, tau=0.65))
+    assert len(seen) > before  # the H2 build's compressions, seen too
     assert blas_counts() == two_blas_threads
     ones = [1] * len(two_blas_threads)
     assert seen and all(c == ones for c in seen)
@@ -156,7 +157,9 @@ def _honeybee_cauchy_like(n=400):
 
 
 _CASES = {"sunflower_dlp": _sunflower_dlp, "cauchy_like": _cauchy_like,
-          "honeybee_cauchy_like": _honeybee_cauchy_like}
+          "honeybee_cauchy_like": _honeybee_cauchy_like,
+          # H2 levels of several label-count stacks a side
+          "h2_double_layer": lambda: _h2_double_layer}
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
